@@ -15,10 +15,8 @@ from .model import (
     Instance,
     PenaltyFunction,
     SystemState,
-    discounted_return,
-    reward,
-    successor_distribution,
-    system_step,
+    charger_law,
+    serve,
 )
 from .whittle import (
     ExtendedState,

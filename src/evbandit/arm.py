@@ -2,8 +2,9 @@
 
 Everything downstream of the index theory (subsidy value iteration, the
 bisection oracle, the occupancy LP and its Lagrangian dual) works on one
-charger in isolation.  This module enumerates the extended states and builds
-the two transition matrices and reward vectors, once per instance.
+charger in isolation.  This module lifts the shared per-charger law onto the
+extended states: two transition matrices and reward vectors, once per
+instance.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ChargerState, EMPTY, Instance
+from .model import ChargerLaw, ChargerState, Instance, charger_law
 
 
 @dataclass
@@ -26,8 +27,7 @@ class ArmMDP:
     """
 
     instance: Instance
-    charger_states: list[ChargerState]
-    cs_index: dict[ChargerState, int]
+    law: ChargerLaw
     R0: np.ndarray
     R1: np.ndarray
     P0: sp.csr_matrix
@@ -37,90 +37,46 @@ class ArmMDP:
     def n_states(self) -> int:
         return self.R0.size
 
-    @property
-    def n_cs(self) -> int:
-        return len(self.charger_states)
-
     def state_id(self, cs: ChargerState, j: int, tau: int) -> int:
         inst = self.instance
-        return (self.cs_index[cs] * inst.cost.n_levels + j) * inst.n_periods + tau
-
-    def unpack(self, sid: int) -> tuple[ChargerState, int, int]:
-        inst = self.instance
-        sid, tau = divmod(sid, inst.n_periods)
-        cs, j = divmod(sid, inst.cost.n_levels)
-        return self.charger_states[cs], j, tau
+        return int((inst.charger_index(cs.T, cs.B) * inst.cost.n_levels + j) * inst.n_periods + tau)
 
     def initial_distribution(self) -> np.ndarray:
         """Empty charger, period 0, cost level at its stationary law."""
         mu = np.zeros(self.n_states)
-        pi = self.instance.cost.stationary()
-        for j, w in enumerate(pi):
-            mu[self.state_id(EMPTY, j, 0)] = w
+        nt = self.instance.n_periods
+        mu[: self.instance.cost.n_levels * nt : nt] = self.instance.cost.stationary()
         return mu
 
     def reward_sup(self) -> float:
         return float(max(np.abs(self.R0).max(), np.abs(self.R1).max()))
 
 
+def value_iteration_sweeps(r_sup: float, beta: float, tol: float) -> int:
+    """Sweeps that bring value iteration from a cold start within ``tol``
+    (sup norm) of the fixed point, for rewards bounded by ``r_sup``."""
+    if r_sup == 0:
+        return 1
+    return max(1, int(np.ceil(np.log(tol * (1.0 - beta) / r_sup) / np.log(beta))))
+
+
 def build_arm_mdp(instance: Instance) -> ArmMDP:
     inst = instance
-    css = inst.charger_states()
-    cs_index = {s: i for i, s in enumerate(css)}
-    n_cs = len(css)
-    K = inst.cost.n_levels
+    law = charger_law(inst)
     nt = inst.n_periods
-    n = n_cs * K * nt
-    cvals = inst.cost.values
-    F = inst.penalty
-
-    # per-period arrival distribution over charger states (rows of the
-    # charger-factor matrix for every vacating state)
-    arrival = np.zeros((nt, n_cs))
-    for tau in range(nt):
-        rho = inst.arrivals.rho_for(tau)
-        pmf = inst.arrivals.pmf_for(tau)
-        arrival[tau, cs_index[EMPTY]] = 1.0 - rho
-        for (t, b) in zip(*np.nonzero(pmf)):
-            arrival[tau, cs_index[ChargerState(int(t), int(b))]] += rho * pmf[t, b]
-
-    R = {0: np.zeros(n), 1: np.zeros(n)}
-    blocks: dict[int, list] = {0: [], 1: []}
-    rows: dict[int, list] = {0: [], 1: []}
-    cols: dict[int, list] = {0: [], 1: []}
-
+    n = law.T.size * inst.cost.n_levels * nt
+    P = []
     for a in (0, 1):
+        rows, cols, data = [], [], []
         for tau in range(nt):
-            # charger-state factor for this period and action
-            C = sp.lil_matrix((n_cs, n_cs))
-            for i, (t, b) in enumerate(css):
-                if t > 1:
-                    eff = a if b > 0 else 0
-                    C[i, cs_index[ChargerState(t - 1, b - eff)]] = 1.0
-                else:
-                    C[i, :] = arrival[tau]
-            kb = sp.kron(sp.csr_matrix(C), sp.csr_matrix(inst.cost.matrix_for(tau))).tocoo()
-            rows[a].append(kb.row * nt + tau)
-            cols[a].append(kb.col * nt + (tau + 1) % nt)
-            blocks[a].append(kb.data)
-
-    for a in (0, 1):
-        for i, (t, b) in enumerate(css):
-            if t < 1 or b == 0:
-                continue
-            base = np.zeros(K)
-            if t == 1:
-                base = (1.0 - cvals) * a - F(b - a) if a else np.full(K, -float(F(b)))
-            else:
-                base = (1.0 - cvals) * a if a else np.zeros(K)
-            for j in range(K):
-                sid0 = (i * K + j) * nt
-                R[a][sid0 : sid0 + nt] = base[j]
-
-    P = {}
-    for a in (0, 1):
-        data = np.concatenate(blocks[a])
-        r = np.concatenate(rows[a])
-        c = np.concatenate(cols[a])
-        P[a] = sp.csr_matrix((data, (r, c)), shape=(n, n))
-    return ArmMDP(inst, css, cs_index, R[0], R[1], P[0], P[1])
+            kb = sp.kron(
+                sp.csr_matrix(law.move[a, tau]), sp.csr_matrix(inst.cost.matrix_for(tau))
+            ).tocoo()
+            rows.append(kb.row * nt + tau)
+            cols.append(kb.col * nt + (tau + 1) % nt)
+            data.append(kb.data)
+        P.append(sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        ))
+    R0, R1 = (np.repeat(law.reward[a].ravel(), nt) for a in (0, 1))
+    return ArmMDP(inst, law, R0, R1, P[0], P[1])

@@ -137,14 +137,11 @@ def _activation_frequency(instance: Instance, lam: float, arm: ArmMDP | None = N
     if arm is None:
         arm = build_arm_mdp(instance)
     sol = solve_subsidy(instance, lam)
-    act = np.zeros(arm.n_states, dtype=bool)
-    for sid in range(arm.n_states):
-        cs, j, tau = arm.unpack(sid)
-        if cs.B > 0:
-            act[sid] = bool(sol.actions[cs.T, cs.B, j, tau])
-    rows = sp.vstack(
-        [arm.P1.getrow(i) if act[i] else arm.P0.getrow(i) for i in range(arm.n_states)]
-    ).tocsr()
+    T, B = arm.law.T, arm.law.B
+    # sol.actions[T, B] is (n_cs, K, N_tau), which ravels in state-id order
+    act = ((B > 0)[:, None, None] & (sol.actions[T, B] > 0)).ravel()
+    rows = sp.diags(~act * 1.0) @ arm.P0 + sp.diags(act * 1.0) @ arm.P1
+    rows.eliminate_zeros()
     beta = instance.discount
     occ = spsolve(
         (sp.eye(arm.n_states, format="csc") - beta * rows.T).tocsc(),
@@ -174,7 +171,7 @@ def solve_bound(instance: Instance, method: str = "dual", details: bool = False)
         lp_value = v
         # count only activations that do something (B>0); LP mass on
         # indifferent B=0 activations is degenerate noise
-        busy = np.array([cs.B > 0 for cs, _, _ in map(lp.arm.unpack, range(lp.n_states))])
+        busy = np.repeat(lp.arm.law.B > 0, lp.n_states // lp.arm.law.B.size)
         freq = float(x[lp.n_states :][busy].sum())
     if method in ("dual", "both"):
         if instance.capacity == instance.n_chargers:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bound import solve_bound
-from .config import ConfigError, load_run_config
+from .config import ConfigError, check_seeds, load_run_config
 from .costfit import PriceTrace, fit_cost_chain
 from .sim import monte_carlo
 from .whittle import compute_index_table, index_by_bisection, ExtendedState
@@ -73,7 +73,7 @@ def cmd_index(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    seeds = list(range(args.seeds)) if args.seeds is not None else cfg.seeds
+    seeds = cfg.seeds if args.seeds is None else check_seeds(args.seeds)
     baseline = args.paired_baseline or cfg.baseline
     if baseline is not None and baseline not in cfg.policies:
         raise ConfigError("paired baseline must be one of the configured policies")

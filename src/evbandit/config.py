@@ -15,8 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .model import ArrivalModel, CostChain, Instance, PenaltyFunction
+from .sim import POLICY_NAMES
 
-__all__ = ["ConfigError", "RunConfig", "load_run_config", "load_instance", "instance_from_dict"]
+__all__ = [
+    "ConfigError", "RunConfig", "load_run_config", "load_instance", "instance_from_dict",
+    "check_seeds",
+]
 
 
 class ConfigError(ValueError):
@@ -160,6 +164,21 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
         raise ConfigError(f"bad instance: {e}") from e
 
 
+def check_seeds(seeds) -> list:
+    """Seed list from a count n (seeds 0..n-1) or an explicit list.
+
+    A paired comparison needs at least two seeds, each a non-negative int
+    (bools are not ints here).
+    """
+    if type(seeds) is int:
+        seeds = list(range(seeds))
+    if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):
+        raise ConfigError("seeds must be a count or a list of non-negative ints")
+    if len(seeds) < 2:
+        raise ConfigError("seeds: need at least 2 for a paired comparison")
+    return list(seeds)
+
+
 def load_instance(path) -> Instance:
     return load_run_config(path).instance
 
@@ -178,13 +197,10 @@ def load_run_config(path) -> RunConfig:
     policies = doc.get("policies", ["whittle+lllp", "edf", "llf"])
     if not isinstance(policies, list) or not all(isinstance(p, str) for p in policies):
         raise ConfigError("policies must be a list of names")
-    seeds = doc.get("seeds", 20)
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
-    elif isinstance(seeds, list) and all(isinstance(s, int) for s in seeds):
-        seeds = list(seeds)
-    else:
-        raise ConfigError("seeds must be an int count or a list of ints")
+    unknown = [p for p in policies if p not in POLICY_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown policies {unknown}; choose from {list(POLICY_NAMES)}")
+    seeds = check_seeds(doc.get("seeds", 20))
     horizon = doc.get("horizon")
     if horizon is not None:
         horizon = int(horizon)

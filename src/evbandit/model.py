@@ -6,11 +6,14 @@ departure, counting the current one) and a remaining demand B (slots of
 charging still owed).  Electricity cost follows a finite Markov chain, and a
 global period index cycles through N_tau slots to capture time-of-day effects.
 Unmet demand at departure is charged through an increasing convex penalty.
+
+The per-charger law (``serve`` and its table ``charger_law``) is written once,
+here; the arm MDP, the joint DP and the simulator all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,10 +26,9 @@ __all__ = [
     "ArrivalModel",
     "Instance",
     "SystemState",
-    "reward",
-    "successor_distribution",
-    "system_step",
-    "discounted_return",
+    "ChargerLaw",
+    "serve",
+    "charger_law",
 ]
 
 
@@ -283,10 +285,10 @@ class Instance:
                 out.append(ChargerState(t, b))
         return out
 
-    def reward_bound(self) -> float:
-        """Upper bound on the absolute one-slot reward of a single charger."""
-        c = self.cost.values
-        return max(1.0 + max(0.0, -float(c.min())), 0.0) + self.penalty.max_increment
+    def charger_index(self, t, b):
+        """Position of (T, B) in ``charger_states``; EMPTY is 0.  Works on arrays."""
+        t = np.asarray(t)
+        return np.where(t >= 1, (t - 1) * (self.b_max + 1) + b + 1, 0)
 
 
 @dataclass
@@ -297,89 +299,61 @@ class SystemState:
     cost_state: int
     period: int
 
-    def copy(self) -> "SystemState":
-        return SystemState(list(self.chargers), self.cost_state, self.period)
+
+# ---------------------------------------------------------------------------
+# the per-charger law, shared by the arm MDP, the joint DP and the simulator
 
 
-def reward(state: ChargerState, cost: float, action: int, penalty: PenaltyFunction) -> float:
-    """One-slot reward of a single charger.
+def serve(t, b, a):
+    """One slot of a charger in state (t, b) under action a, on arrays of any shape.
 
-    Charging one slot earns the retail margin 1 - cost.  In the final slot
-    before departure the terminal penalty on whatever demand remains after the
-    action is charged.  Empty or fully served chargers earn nothing.
+    Returns (eff, b_after, t_next, b_next): the service that takes effect
+    (only an occupied charger with demand left draws power), the demand left
+    after it, and the next (T, B) of a charger that stays.  A charger in its
+    final slot, or an empty one, maps to (0, 0); an arrival may replace it.
+    Serving earns 1 - c; demand still owed after service in the final slot
+    (t == 1) pays F(b_after).
     """
-    t, b = state
-    if t < 1 or b == 0:
-        return 0.0
-    a = int(action) if b > 0 else 0
-    r = (1.0 - cost) * a
-    if t == 1:
-        r -= float(penalty(b - a))
-    return r
+    eff = a & (b > 0) & (t >= 1)
+    b_after = b - eff
+    stay = t > 1
+    return eff, b_after, np.where(stay, t - 1, 0), np.where(stay, b_after, 0)
 
 
-def successor_distribution(
-    state: ChargerState, action: int, tau: int, instance: Instance
-) -> list[tuple[ChargerState, float]]:
-    """Distribution of the next charger state under ``action`` in period ``tau``.
+@dataclass(frozen=True)
+class ChargerLaw:
+    """``serve`` tabulated over the ``charger_states`` grid.
 
-    With more than one slot left the EV stays and its demand drops by the
-    action; in the final slot the charger is vacated and an arrival may take
-    the spot.  The arrival law of the current period applies.
+    ``T[i]``, ``B[i]``: the state at grid index i.  ``move[a, tau, i, i2]``:
+    probability that a charger in state i, under action a in period tau, is
+    in state i2 in the next slot; a departing or empty charger is refilled
+    with probability rho(tau) * pmf(tau).  ``reward[a, i, j]``: one-slot
+    reward at cost level j.
     """
-    t, b = state
-    a = int(action)
-    if t > 1:
-        return [(ChargerState(t - 1, b - a if b > 0 else 0), 1.0)]
-    rho = instance.arrivals.rho_for(tau)
-    pmf = instance.arrivals.pmf_for(tau)
-    out = []
-    if rho < 1.0:
-        out.append((EMPTY, 1.0 - rho))
-    if rho > 0.0:
-        for (tt, bb) in zip(*np.nonzero(pmf)):
-            out.append((ChargerState(int(tt), int(bb)), rho * float(pmf[tt, bb])))
-    return out
+
+    T: np.ndarray
+    B: np.ndarray
+    move: np.ndarray
+    reward: np.ndarray
 
 
-def system_step(
-    instance: Instance, state: SystemState, action: np.ndarray, rng: np.random.Generator
-) -> tuple[SystemState, float]:
-    """Advance the joint state one slot; returns (next state, summed reward).
+def charger_law(instance: Instance) -> ChargerLaw:
+    """Tabulate ``serve`` and the arrival law over ``instance.charger_states()``."""
+    inst = instance
+    nt = inst.n_periods
+    t = np.concatenate([[0], np.repeat(np.arange(1, inst.t_max + 1), inst.b_max + 1)])
+    b = np.concatenate([[0], np.tile(np.arange(inst.b_max + 1), inst.t_max)])
+    eff, b_after, t_next, b_next = serve(t, b, np.array([[False], [True]]))
 
-    ``action`` is a 0/1 vector over chargers with at most ``capacity`` ones.
-    Actions on empty or zero-demand chargers are ignored for the transition
-    but still count against the budget check.
-    """
-    action = np.asarray(action, dtype=int)
-    if action.shape != (instance.n_chargers,) or np.any((action != 0) & (action != 1)):
-        raise ValueError("action must be a 0/1 vector over chargers")
-    if action.sum() > instance.capacity:
-        raise ValueError("action exceeds the station capacity")
-    tau = state.period % instance.n_periods
-    c = float(instance.cost.values[state.cost_state])
-    total = 0.0
-    nxt: list[ChargerState] = []
-    for s, a in zip(state.chargers, action):
-        total += reward(s, c, a, instance.penalty)
-        t, b = s
-        eff = a if (t >= 1 and b > 0) else 0
-        if t > 1:
-            nxt.append(ChargerState(t - 1, b - eff))
-        else:
-            if rng.random() < instance.arrivals.rho_for(tau):
-                pmf = instance.arrivals.pmf_for(tau)
-                flat = rng.choice(pmf.size, p=pmf.ravel())
-                tt, bb = np.unravel_index(flat, pmf.shape)
-                nxt.append(ChargerState(int(tt), int(bb)))
-            else:
-                nxt.append(EMPTY)
-    P = instance.cost.matrix_for(tau)
-    j = int(rng.choice(instance.cost.n_levels, p=P[state.cost_state]))
-    return SystemState(nxt, j, (state.period + 1) % instance.n_periods), total
+    arrival = np.zeros((nt, t.size))
+    arrival[:, 0] = 1.0 - inst.arrivals.rho
+    arrival[:, 1:] = inst.arrivals.rho[:, None] * inst.arrivals.pmf[:, 1:].reshape(nt, -1)
+    move = np.zeros((2, nt, t.size, t.size))
+    nxt = inst.charger_index(t_next, b_next)  # 0 where the charger departs
+    a, i = np.nonzero(nxt)
+    move[a, :, i, nxt[a, i]] = 1.0
+    move[:, :, t <= 1] = arrival[:, None]
 
-
-def discounted_return(rewards: np.ndarray, discount: float) -> float:
-    """Sum of beta^t * r_t over a reward sequence."""
-    rewards = np.asarray(rewards, dtype=float)
-    return float(rewards @ np.power(discount, np.arange(rewards.size)))
+    pen = np.where(t == 1, inst.penalty.table[b_after], 0.0)
+    reward = np.where(eff[..., None], 1.0 - inst.cost.values, 0.0) - pen[..., None]
+    return ChargerLaw(t, b, move, reward)

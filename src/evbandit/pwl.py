@@ -62,21 +62,11 @@ class PiecewiseLinear:
         out[hi] = self.ys[-1] + self.right_slope * (x[hi] - self.xs[-1])
         return float(out[0]) if scalar else out
 
-    def slope_at(self, i: int) -> float:
-        """Slope of the segment between breakpoints i and i+1."""
-        dx = self.xs[i + 1] - self.xs[i]
-        if dx == 0:
-            return 0.0
-        return (self.ys[i + 1] - self.ys[i]) / dx
-
     # -- combination -------------------------------------------------------
 
     def scale(self, factor: float) -> "PiecewiseLinear":
         f = float(factor)
         return PiecewiseLinear(self.xs, self.ys * f, self.left_slope * f, self.right_slope * f)
-
-    def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return combine([self, other], [1.0, 1.0])
 
     def shift(self, offset: float) -> "PiecewiseLinear":
         """Add a constant."""
@@ -88,15 +78,6 @@ class PiecewiseLinear:
         if self.left_slope < -tol or self.right_slope < -tol:
             return False
         return not np.any(np.diff(self.ys) < -tol * np.maximum(1.0, np.abs(self.ys[:-1])))
-
-    def min_slope(self) -> float:
-        slopes = [self.left_slope, self.right_slope]
-        dx = np.diff(self.xs)
-        dy = np.diff(self.ys)
-        keep = dx > 0
-        if np.any(keep):
-            slopes.append(float(np.min(dy[keep] / dx[keep])))
-        return min(slopes)
 
     def least_root(self) -> float:
         """Smallest x with f(x) = 0, for a nondecreasing f that changes sign.

@@ -20,7 +20,8 @@ from itertools import product
 import numpy as np
 from scipy import stats
 
-from .model import ChargerState, EMPTY, Instance, SystemState
+from .arm import value_iteration_sweeps
+from .model import ChargerState, Instance, SystemState, charger_law, serve
 from .policies import (
     CostForecast,
     edf_kernel,
@@ -212,20 +213,16 @@ def _run_batch(
         if np.any(action.sum(axis=1) > m):
             raise RuntimeError(f"policy {policy!r} violated the capacity limit")
 
-        eff = action & (b_arr > 0) & (t_arr >= 1)
+        eff, b_after, t_next, b_next = serve(t_arr, b_arr, action)
         served = eff.sum(axis=1)
         revenue += disc * served
         energy_cost += disc * served * c
         at_deadline = t_arr == 1
-        b_after = b_arr - eff
         penalty += disc * np.where(at_deadline, ftab[b_after], 0.0).sum(axis=1)
         delivered += served
         unserved += (b_after * at_deadline).sum(axis=1)
         activations += action.sum(axis=1)
 
-        stay = t_arr > 1
-        t_next = np.where(stay, t_arr - 1, 0)
-        b_next = np.where(stay, b_after, 0)
         cum, tt, bb = types[tau]
         arrives = (t_arr <= 1) & (u_arr[:, r] < rho[tau])
         ridx = np.minimum(np.searchsorted(cum, u_typ[:, r], side="right"), cum.size - 1)
@@ -379,45 +376,50 @@ def monte_carlo(
 # exact small-instance machinery (test oracles)
 
 
-def _joint_parts(instance: Instance):
-    css = instance.charger_states()
-    n_cs = len(css)
-    k = instance.cost.n_levels
-    nt = instance.n_periods
-    idx = {cs: i for i, cs in enumerate(css)}
-    move = np.zeros((2, nt, n_cs, n_cs))
-    for a in (0, 1):
-        for tau in range(nt):
-            rho = instance.arrivals.rho_for(tau)
-            pmf = instance.arrivals.pmf_for(tau)
-            for i, (t, b) in enumerate(css):
-                if t > 1:
-                    eff = a if b > 0 else 0
-                    move[a, tau, i, idx[ChargerState(t - 1, b - eff)]] = 1.0
-                else:
-                    move[a, tau, i, idx[EMPTY]] = 1.0 - rho
-                    for (tt, bb) in zip(*np.nonzero(pmf)):
-                        move[a, tau, i, idx[ChargerState(int(tt), int(bb))]] += rho * pmf[tt, bb]
-    rew = np.zeros((2, n_cs, k))
-    cv = instance.cost.values
-    f = instance.penalty
-    for i, (t, b) in enumerate(css):
-        if t < 1 or b == 0:
-            continue
-        if t == 1:
-            rew[0, i] = -float(f(b))
-            rew[1, i] = (1.0 - cv) - float(f(b - 1))
-        else:
-            rew[1, i] = 1.0 - cv
-    return css, move, rew
+class _JointMDP:
+    """The full N-charger MDP of a toy instance, built from the shared law.
 
+    Joint values have shape (n_cs,) * N + (K, N_tau); the chargers move
+    independently given the action, so a backup applies each charger's move
+    matrix along its own axis.
+    """
 
-def _check_joint_size(instance: Instance) -> int:
-    n_cs = 1 + instance.t_max * (instance.b_max + 1)
-    total = n_cs ** instance.n_chargers * instance.cost.n_levels * instance.n_periods
-    if total > 1_000_000:
-        raise ValueError(f"joint state space too large ({total} states)")
-    return n_cs
+    def __init__(self, instance: Instance, tol: float):
+        self.instance = instance
+        self.law = charger_law(instance)
+        n_cs = self.law.T.size
+        n = instance.n_chargers
+        total = n_cs**n * instance.cost.n_levels * instance.n_periods
+        if total > 1_000_000:
+            raise ValueError(f"joint state space too large ({total} states)")
+        self.shape = (n_cs,) * n + (instance.cost.n_levels, instance.n_periods)
+        self.actions = [a for a in product((0, 1), repeat=n) if sum(a) <= instance.capacity]
+        self.rewards = []
+        for a in self.actions:
+            r = np.zeros(self.shape[:-1])
+            for i, ai in enumerate(a):
+                sl = [None] * n + [slice(None)]
+                sl[i] = slice(None)
+                r = r + self.law.reward[ai][tuple(sl)]
+            self.rewards.append(r)
+        r_sup = max(float(np.abs(r).max()) for r in self.rewards)
+        self.n_iter = value_iteration_sweeps(r_sup, instance.discount, tol)
+
+    def q_values(self, v: np.ndarray, tau: int, which=None):
+        """Yield (action number, Q-values at period tau) for each action, or for
+        the action numbers in ``which``; ``v`` is the current joint value."""
+        inst = self.instance
+        w = v[..., (tau + 1) % inst.n_periods]
+        w = np.tensordot(w, inst.cost.matrix_for(tau), axes=([-1], [1]))  # over next cost
+        for k in range(len(self.actions)) if which is None else which:
+            ev = w
+            for i, ai in enumerate(self.actions[k]):
+                ev = np.moveaxis(np.tensordot(self.law.move[ai, tau], ev, axes=([1], [i])), 0, i)
+            yield k, self.rewards[k] + inst.discount * ev
+
+    def start_value(self, v: np.ndarray) -> float:
+        """Value at the empty facility, period 0, cost at its stationary law."""
+        return float(self.instance.cost.stationary() @ v[(0,) * self.instance.n_chargers][:, 0])
 
 
 def brute_force_joint_dp(instance: Instance, tol: float = 1e-8):
@@ -427,72 +429,31 @@ def brute_force_joint_dp(instance: Instance, tol: float = 1e-8):
     (value at the empty-facility start, greedy action table); the table maps a
     flattened joint state index to the optimal action tuple.
     """
-    n_cs = _check_joint_size(instance)
-    css, move, rew = _joint_parts(instance)
-    n = instance.n_chargers
-    k = instance.cost.n_levels
+    jm = _JointMDP(instance, tol)
     nt = instance.n_periods
-    beta = instance.discount
-    actions = [a for a in product((0, 1), repeat=n) if sum(a) <= instance.capacity]
-    p_cost = [instance.cost.matrix_for(tau) for tau in range(nt)]
-
-    shape = (n_cs,) * n + (k, nt)
-    r_a = {}
-    for a in actions:
-        r = np.zeros((n_cs,) * n + (k,))
-        for i, ai in enumerate(a):
-            sl = [None] * n + [slice(None)]
-            sl[i] = slice(None)
-            r = r + rew[ai][tuple(sl)]
-        r_a[a] = r
-
-    r_sup = max(float(np.abs(r).max()) for r in r_a.values())
-    if r_sup == 0:
-        n_iter = 1
-    else:
-        n_iter = max(1, int(np.ceil(np.log(tol * (1 - beta) / r_sup) / np.log(beta))))
-
-    v = np.zeros(shape)
-    for _ in range(n_iter):
-        vn = np.empty(shape)
+    v = np.zeros(jm.shape)
+    for _ in range(jm.n_iter):
+        vn = np.empty(jm.shape)
         for tau in range(nt):
-            w = v[..., (tau + 1) % nt]
-            w = np.tensordot(w, p_cost[tau], axes=([-1], [1]))  # expected over next cost
             best = None
-            for a in actions:
-                ev = w
-                for i, ai in enumerate(a):
-                    ev = np.moveaxis(np.tensordot(move[ai, tau], ev, axes=([1], [i])), 0, i)
-                q = r_a[a] + beta * ev
+            for _, q in jm.q_values(v, tau):
                 best = q if best is None else np.maximum(best, q)
             vn[..., tau] = best
         v = vn
 
     policy = {}
     for tau in range(nt):
-        w = v[..., (tau + 1) % nt]
-        w = np.tensordot(w, p_cost[tau], axes=([-1], [1]))
-        best = None
-        arg = None
-        for a in actions:
-            ev = w
-            for i, ai in enumerate(a):
-                ev = np.moveaxis(np.tensordot(move[ai, tau], ev, axes=([1], [i])), 0, i)
-            q = r_a[a] + beta * ev
+        best = arg = None
+        for k, q in jm.q_values(v, tau):
             if best is None:
                 best = q.copy()
                 arg = np.zeros(q.shape, dtype=np.int64)
             else:
                 upd = q > best
                 best = np.where(upd, q, best)
-                arg[upd] = actions.index(a)
+                arg[upd] = k
         policy[tau] = arg
-    pi0 = instance.cost.stationary()
-    empty = 0
-    start = v[(empty,) * n]  # (k, nt)
-    value = float(pi0 @ start[:, 0])
-    table = {"actions": actions, "choice": policy}
-    return value, table
+    return jm.start_value(v), {"actions": jm.actions, "choice": policy}
 
 
 def evaluate_policy_exact(instance: Instance, decide, tol: float = 1e-8) -> float:
@@ -501,58 +462,29 @@ def evaluate_policy_exact(instance: Instance, decide, tol: float = 1e-8) -> floa
     ``decide`` maps a SystemState to a 0/1 action vector; it is called once
     per joint state to tabulate the policy, then evaluated by iteration.
     """
-    n_cs = _check_joint_size(instance)
-    css, move, rew = _joint_parts(instance)
-    n = instance.n_chargers
-    k = instance.cost.n_levels
-    nt = instance.n_periods
-    beta = instance.discount
-    actions = [a for a in product((0, 1), repeat=n) if sum(a) <= instance.capacity]
-    a_index = {a: i for i, a in enumerate(actions)}
-    p_cost = [instance.cost.matrix_for(tau) for tau in range(nt)]
-    shape = (n_cs,) * n + (k, nt)
+    jm = _JointMDP(instance, tol)
+    css = instance.charger_states()
+    k, nt = instance.cost.n_levels, instance.n_periods
+    a_index = {a: i for i, a in enumerate(jm.actions)}
 
-    choice = np.empty(shape, dtype=np.int64)
-    for cs_ids in product(range(n_cs), repeat=n):
+    choice = np.empty(jm.shape, dtype=np.int64)
+    for cs_ids in product(range(len(css)), repeat=instance.n_chargers):
         chargers = [css[i] for i in cs_ids]
         for j in range(k):
             for tau in range(nt):
-                st = SystemState(chargers, j, tau)
-                act = tuple(int(x) for x in decide(st))
+                act = tuple(int(x) for x in decide(SystemState(chargers, j, tau)))
                 if sum(act) > instance.capacity:
                     raise RuntimeError("policy violated the capacity limit")
                 choice[cs_ids + (j, tau)] = a_index[act]
 
-    r_a = {}
-    for a in actions:
-        r = np.zeros((n_cs,) * n + (k,))
-        for i, ai in enumerate(a):
-            sl = [None] * n + [slice(None)]
-            sl[i] = slice(None)
-            r = r + rew[ai][tuple(sl)]
-        r_a[a] = r
-    r_sup = max(float(np.abs(r).max()) for r in r_a.values())
-    n_iter = 1 if r_sup == 0 else max(
-        1, int(np.ceil(np.log(tol * (1 - beta) / r_sup) / np.log(beta)))
-    )
-
-    v = np.zeros(shape)
-    for _ in range(n_iter):
-        vn = np.empty(shape)
+    v = np.zeros(jm.shape)
+    for _ in range(jm.n_iter):
+        vn = np.empty(jm.shape)
         for tau in range(nt):
-            w = v[..., (tau + 1) % nt]
-            w = np.tensordot(w, p_cost[tau], axes=([-1], [1]))
-            acc = np.zeros((n_cs,) * n + (k,))
-            for ai, a in enumerate(actions):
-                mask = choice[..., tau] == ai
-                if not mask.any():
-                    continue
-                ev = w
-                for i, av in enumerate(a):
-                    ev = np.moveaxis(np.tensordot(move[av, tau], ev, axes=([1], [i])), 0, i)
-                q = r_a[a] + beta * ev
-                acc = np.where(mask, q, acc)
+            acc = np.zeros(jm.shape[:-1])
+            chosen = choice[..., tau]
+            for ai, q in jm.q_values(v, tau, np.unique(chosen)):
+                acc = np.where(chosen == ai, q, acc)
             vn[..., tau] = acc
         v = vn
-    pi0 = instance.cost.stationary()
-    return float(pi0 @ v[(0,) * n][:, 0])
+    return jm.start_value(v)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arm import ArmMDP, build_arm_mdp
+from .arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from .model import ChargerState, Instance, PenaltyFunction
 from .pwl import PiecewiseLinear, combine, stitch
 
@@ -168,9 +168,7 @@ def base_g(instance: Instance, h: int, B: int, j: int, tau: int) -> PiecewiseLin
     return stitch(pieces, [t_h, 0.0])
 
 
-def compute_index_table(
-    instance: Instance, collect_f: bool = False, collect_g: bool = False
-):
+def compute_index_table(instance: Instance, collect_g: bool = False):
     """Index for every extended state by the PWL recursion.
 
     Levels T = 1..t_max are processed in order.  At each level the root
@@ -179,9 +177,8 @@ def compute_index_table(
     the level's own g's.  Raises if any assembled f fails to be nondecreasing
     (the theory says it cannot).
 
-    Returns the IndexTable; with ``collect_f`` the dict of f functions
-    keyed by (T, B, j, tau) is appended, and with ``collect_g`` the dict
-    of g functions keyed by (T, B, h, j, tau).
+    Returns the IndexTable; with ``collect_g`` also the dict of g functions
+    keyed by (T, B, h, j, tau).
     """
     inst = instance
     t_bar, b_bar = inst.t_max, inst.b_max
@@ -195,7 +192,6 @@ def compute_index_table(
         for b in range(1, b_bar + 1):
             nu[1, b, j, :] = 1.0 - cvals[j] + float(F.delta(b))
 
-    fs: dict | None = {} if collect_f else None
     gs: dict | None = {} if collect_g else None
     zero = PiecewiseLinear.constant(0.0)
 
@@ -226,8 +222,6 @@ def compute_index_table(
                         + [PiecewiseLinear.affine(cvals[j] - 1.0, 1.0)],
                         np.append(w, 1.0),
                     )
-                    if fs is not None:
-                        fs[(T, b, j, tau)] = f
                     nu[T, b, j, tau] = f.least_root()
         if T == t_bar:
             break
@@ -283,13 +277,7 @@ def compute_index_table(
         g = g_new
 
     table = IndexTable(nu)
-    if collect_f and collect_g:
-        return table, fs, gs
-    if collect_f:
-        return table, fs
-    if collect_g:
-        return table, gs
-    return table
+    return (table, gs) if collect_g else table
 
 
 def subsidy_value_iteration(
@@ -306,11 +294,7 @@ def subsidy_value_iteration(
     if arm is None:
         arm = build_arm_mdp(instance)
     beta = instance.discount
-    r_max = arm.reward_sup() + abs(nu)
-    if r_max == 0:
-        n_iter = 1
-    else:
-        n_iter = max(1, int(np.ceil(np.log(tol * (1.0 - beta) / r_max) / np.log(beta))))
+    n_iter = value_iteration_sweeps(arm.reward_sup() + abs(nu), beta, tol)
     r0 = arm.R0 + nu
     v = np.zeros(arm.n_states)
     for _ in range(n_iter):

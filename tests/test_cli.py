@@ -1,5 +1,6 @@
 """End-to-end checks of the command line entry points, run in process."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -164,6 +165,29 @@ class TestFitcostCommand:
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes, flags",
+    [
+        ({"seeds": [-1, 2]}, []),
+        ({"seeds": 1}, []),
+        ({"seeds": True}, []),
+        ({"policies": ["fifo"], "baseline": None}, []),
+        ({}, ["--seeds", "1"]),
+    ],
+    ids=["negative-seed", "one-seed", "bool-seeds", "unknown-policy", "seeds-flag-1"],
+)
+def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys):
+    doc = json.loads((REPO / "configs" / "toy.json").read_text())
+    doc.update(changes)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"polices": ["edf"]}))
@@ -181,3 +205,29 @@ def test_shipped_toy_config_end_to_end(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["policies"]) == 5
+
+
+# sha256 of the CLI's output files on the shipped configs, recorded before the
+# per-charger law was shared by the arm MDP, the joint DP and the simulator;
+# a refactor must leave them byte-identical
+PINNED = {
+    ("simulate", "toy", "episodes.csv"):
+        "cd8175b9edc4421263861bdd7b3274b94b96929e9c57bf025b1765e9826d9a7f",
+    ("simulate", "toy", "summary.json"):
+        "8528dbc3c2556be72b687e442ef8bed973594bffb7deae7d235f1c6c3711cefd",
+    ("index", "toy", "index_table.csv"):
+        "21e478d8e21ab78f41f0d480d673f6ec56713ecb3305f1338eb065bb3e10aa67",
+    ("index", "fig3_constant_cost", "index_table.csv"):
+        "fee6319e64c5644f09ca8dbda5557060c3459bdce911f96587d2d35cb2f4ddf4",
+}
+
+
+def test_outputs_match_pinned_hashes(tmp_path):
+    got = {}
+    for command, config, name in PINNED:
+        out = tmp_path / f"{command}_{config}"
+        if not out.exists():
+            argv = [command, "--config", str(REPO / "configs" / f"{config}.json"), "--out", str(out)]
+            assert cli.main(argv + (["--seeds", "8"] if command == "simulate" else [])) == 0
+        got[(command, config, name)] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert got == PINNED

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from evbandit import sim
 from evbandit.model import (
     EMPTY,
     ArrivalModel,
@@ -10,11 +11,8 @@ from evbandit.model import (
     CostChain,
     Instance,
     PenaltyFunction,
-    SystemState,
-    discounted_return,
-    reward,
-    successor_distribution,
-    system_step,
+    charger_law,
+    serve,
 )
 from conftest import TWO_STATE_COST, make_instance
 
@@ -130,23 +128,35 @@ class TestInstance:
             make_instance(cost=cost, n_periods=2)
 
 
+def reward_at(inst, a, t, b, j):
+    return charger_law(inst).reward[a, inst.charger_index(t, b), j]
+
+
+def move_row(inst, a, t, b, tau=0):
+    return charger_law(inst).move[a, tau, inst.charger_index(t, b)]
+
+
 class TestReward:
-    PEN = PenaltyFunction.quadratic(0.2, 3)
+    """The shared law's one-slot reward table, reward[a, charger state, cost]."""
+
+    INST = make_instance(t_max=3, b_max=3, kappa=0.2, cost=0.3)
+
+    def r(self, t, b, a):
+        return reward_at(self.INST, a, t, b, 0)
 
     def test_charging_earns_margin(self):
-        assert reward(ChargerState(3, 2), 0.3, 1, self.PEN) == pytest.approx(0.7)
+        assert self.r(3, 2, 1) == pytest.approx(0.7)
 
     def test_deadline_penalty_after_service(self):
         # T=1, B=2, charged once: pay F(1)
-        r = reward(ChargerState(1, 2), 0.3, 1, self.PEN)
-        assert r == pytest.approx(0.7 - 0.2)
+        assert self.r(1, 2, 1) == pytest.approx(0.7 - 0.2)
 
     def test_deadline_penalty_idle(self):
-        assert reward(ChargerState(1, 2), 0.3, 0, self.PEN) == pytest.approx(-0.8)
+        assert self.r(1, 2, 0) == pytest.approx(-0.8)
 
     def test_empty_and_done_earn_nothing(self):
-        assert reward(EMPTY, 0.3, 1, self.PEN) == 0.0
-        assert reward(ChargerState(2, 0), 0.3, 1, self.PEN) == 0.0
+        assert self.r(0, 0, 1) == 0.0
+        assert self.r(2, 0, 1) == 0.0
 
     @given(
         t=st.integers(0, 4),
@@ -157,62 +167,74 @@ class TestReward:
     def test_accounting_identity(self, t, b, a, c):
         if t == 0:
             b = 0
+        inst = make_instance(t_max=4, b_max=3, kappa=0.2, cost=c)
         eff = a if (t >= 1 and b > 0) else 0
         expect = eff * (1.0 - c)
         if t == 1:
-            expect -= float(self.PEN(b - eff))
-        assert reward(ChargerState(t, b), c, a, self.PEN) == pytest.approx(expect)
+            expect -= float(inst.penalty(b - eff))
+        got = reward_at(inst, a, t, b, 0)
+        assert got == pytest.approx(expect)
 
 
 class TestSuccessorDistribution:
+    """Rows of the shared law's move table, move[a, period, state, next state]."""
+
     def test_countdown_is_deterministic(self, toy_dynamic):
-        dist = successor_distribution(ChargerState(3, 2), 1, 0, toy_dynamic)
-        assert dist == [(ChargerState(2, 1), 1.0)]
+        for a, nxt in ((1, (2, 1)), (0, (2, 2))):
+            row = move_row(toy_dynamic, a, 3, 2)
+            assert row[toy_dynamic.charger_index(*nxt)] == 1.0
+            assert np.count_nonzero(row) == 1
 
     def test_departure_mixes_vacancy_and_arrivals(self, toy_dynamic):
-        dist = dict(successor_distribution(ChargerState(1, 1), 0, 0, toy_dynamic))
+        law = charger_law(toy_dynamic)
         rho = toy_dynamic.arrivals.rho_for(0)
-        assert dist[EMPTY] == pytest.approx(1 - rho)
-        assert sum(dist.values()) == pytest.approx(1.0)
         pmf = toy_dynamic.arrivals.pmf_for(0)
-        for (t, b), p in dist.items():
-            if (t, b) != EMPTY:
-                assert p == pytest.approx(rho * pmf[t, b])
+        want = np.concatenate([[1.0 - rho], rho * pmf[1:].ravel()])
+        for a in (0, 1):
+            row = move_row(toy_dynamic, a, 1, 1)
+            assert row == pytest.approx(want)
+        for i, cs in enumerate(toy_dynamic.charger_states()):
+            assert (law.T[i], law.B[i]) == cs
 
     def test_empty_charger_waits_for_arrival(self, toy_dynamic):
-        dist = dict(successor_distribution(EMPTY, 0, 0, toy_dynamic))
-        assert sum(dist.values()) == pytest.approx(1.0)
-        assert EMPTY in dist
+        row = move_row(toy_dynamic, 0, 0, 0)
+        assert row.sum() == pytest.approx(1.0)
+        assert row[0] == pytest.approx(1.0 - toy_dynamic.arrivals.rho_for(0))
+        assert np.array_equal(row, move_row(toy_dynamic, 0, 1, 2))
+
+    def test_rows_sum_to_one(self, toy_dynamic):
+        periodic = make_instance(t_max=4, b_max=2, rho=[0.3, 1.0], n_periods=2)
+        for inst in (toy_dynamic, periodic):
+            move = charger_law(inst).move
+            assert move.shape[:2] == (2, inst.n_periods)
+            assert np.all(move >= 0)
+            assert np.allclose(move.sum(axis=-1), 1.0, atol=1e-12)
+        # rho = 1 in period 1: a departing charger is always refilled
+        assert move_row(periodic, 0, 1, 1, tau=1)[0] == 0.0
 
 
 class TestSystemStep:
-    def test_seeded_reproducibility(self, toy_dynamic):
-        s = SystemState([ChargerState(3, 2), EMPTY], 0, 0)
-        out1 = system_step(toy_dynamic, s, [1, 0], np.random.default_rng(7))
-        out2 = system_step(toy_dynamic, s, [1, 0], np.random.default_rng(7))
-        assert out1[0].chargers == out2[0].chargers
-        assert out1[1] == out2[1]
+    """``serve`` advances whole (seeds, chargers) arrays in the simulator."""
 
-    def test_capacity_violation_rejected(self, toy_dynamic):
-        s = SystemState([ChargerState(3, 2), ChargerState(2, 1)], 0, 0)
-        with pytest.raises(ValueError):
-            system_step(toy_dynamic, s, [1, 1], np.random.default_rng(0))
+    def test_seeded_reproducibility(self, toy_dynamic):
+        runs = [sim.run_episode(toy_dynamic, "edf", seed=7, horizon=40) for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    def test_capacity_violation_rejected(self, toy_dynamic, monkeypatch):
+        monkeypatch.setattr(sim, "edf_kernel", lambda t, b, m: np.ones(t.shape, dtype=bool))
+        with pytest.raises(RuntimeError, match="capacity"):
+            sim.run_episode(toy_dynamic, "edf", seed=0, horizon=5)
 
     def test_reward_matches_sum_of_charger_rewards(self, toy_dynamic):
-        s = SystemState([ChargerState(1, 2), ChargerState(3, 1)], 1, 0)
+        t = np.array([[1, 3]])
+        b = np.array([[2, 1]])
+        action = np.array([[True, False]])
         c = float(toy_dynamic.cost.values[1])
-        _, r = system_step(toy_dynamic, s, [1, 0], np.random.default_rng(1))
-        want = reward(ChargerState(1, 2), c, 1, toy_dynamic.penalty)
-        assert r == pytest.approx(want)
-
-
-def test_discounted_return_geometric():
-    r = np.full(5, 2.0)
-    assert discounted_return(r, 0.5) == pytest.approx(2.0 * (1 - 0.5**5) / 0.5)
-
-
-@settings(max_examples=30)
-@given(st.lists(st.floats(-5, 5), min_size=0, max_size=8), st.floats(0.1, 0.99))
-def test_discounted_return_matches_manual(rs, beta):
-    manual = sum(b * beta**i for i, b in enumerate(rs))
-    assert discounted_return(np.array(rs), beta) == pytest.approx(manual, abs=1e-12)
+        eff, b_after, t_next, b_next = serve(t, b, action)
+        assert eff.shape == t.shape
+        assert (t_next.tolist(), b_next.tolist()) == ([[0, 2]], [[0, 1]])
+        # the simulator's accounting: revenue - energy cost - deadline penalty
+        got = eff.sum() * (1.0 - c) - np.where(t == 1, toy_dynamic.penalty.table[b_after], 0.0).sum()
+        want = reward_at(toy_dynamic, 1, 1, 2, 1) + reward_at(toy_dynamic, 0, 3, 1, 1)
+        assert got == pytest.approx(want)
+        assert want == pytest.approx((1.0 - c) - toy_dynamic.penalty(1))

@@ -40,13 +40,6 @@ class TestEvaluation:
 
 
 class TestCombine:
-    def test_add_matches_pointwise(self):
-        f = hat(0.0, 2.0, 1.0)
-        g = PiecewiseLinear.affine(0.5, 2.0)
-        s = f + g
-        for x in [-3.0, 0.0, 0.7, 1.0, 1.9, 2.0, 5.0]:
-            assert s(x) == pytest.approx(f(x) + g(x))
-
     def test_scale_and_shift(self):
         f = hat(-1.0, 1.0, 2.0)
         g = f.scale(-0.5).shift(1.0)
