@@ -9,12 +9,9 @@ bounds all of them by the budget-relaxed single-charger MDP.
 
 from .model import (
     ArrivalModel,
-    ChargerState,
     CostChain,
-    EMPTY,
     Instance,
     PenaltyFunction,
-    SystemState,
     charger_law,
     serve,
 )

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ChargerLaw, ChargerState, Instance, charger_law
+from .model import ChargerLaw, Instance, charger_law
 
 
 @dataclass
 class ArmMDP:
     """Extended-state MDP of one charger.
 
-    State id layout: ``(cs * K + j) * N_tau + tau`` where ``cs`` indexes
-    ``charger_states`` (EMPTY first, then (T, B) row-major), ``j`` the cost
-    level and ``tau`` the period.
+    State id layout: ``(cs * K + j) * N_tau + tau`` where ``cs`` is
+    ``Instance.charger_index`` (the empty charger first, then (T, B)
+    row-major), ``j`` the cost level and ``tau`` the period.
     """
 
     instance: Instance
@@ -37,9 +37,9 @@ class ArmMDP:
     def n_states(self) -> int:
         return self.R0.size
 
-    def state_id(self, cs: ChargerState, j: int, tau: int) -> int:
+    def state_id(self, T: int, B: int, j: int, tau: int) -> int:
         inst = self.instance
-        return int((inst.charger_index(cs.T, cs.B) * inst.cost.n_levels + j) * inst.n_periods + tau)
+        return int((inst.charger_index(T, B) * inst.cost.n_levels + j) * inst.n_periods + tau)
 
     def initial_distribution(self) -> np.ndarray:
         """Empty charger, period 0, cost level at its stationary law."""

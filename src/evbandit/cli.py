@@ -1,6 +1,7 @@
 """Command-line interface: index tables, simulations, bounds, cost fitting.
 
-Exit codes: 0 success, 2 configuration error, 3 verification failure.
+Exit codes: 0 success, 2 configuration error, 3 verification failure (an
+oracle disagreement or a failed check of the index recursion).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .bound import solve_bound
 from .config import ConfigError, check_seeds, load_run_config
 from .costfit import PriceTrace, fit_cost_chain
 from .sim import monte_carlo
-from .whittle import compute_index_table, index_by_bisection, ExtendedState
+from .whittle import ExtendedState, IndexCheckError, compute_index_table, index_by_bisection
 
 ORACLE_TOL = 1e-6
 
@@ -48,13 +49,7 @@ def cmd_index(args) -> int:
     print(f"wrote {out / 'index_table.csv'}")
 
     if args.verify_oracle or cfg.verify_oracle:
-        states = [
-            ExtendedState(t, b, j, tau)
-            for t in range(1, inst.t_max + 1)
-            for b in range(inst.b_max + 1)
-            for j in range(inst.cost.n_levels)
-            for tau in range(inst.n_periods)
-        ]
+        states = [ExtendedState(*st) for st in np.ndindex(table.values.shape) if st[0] >= 1]
         if len(states) > 60:
             rng = np.random.default_rng(0)
             states = [states[i] for i in rng.choice(len(states), 60, replace=False)]
@@ -202,7 +197,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except VerificationError as e:
+    except (VerificationError, IndexCheckError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 3
 

@@ -67,14 +67,37 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
 
 
+def _number(value, what: str, kind=float):
+    """A finite JSON number as ``kind`` (an int must be integral); a bool,
+    string, null, list or object is a ConfigError.  NaN, the infinities and
+    ints too large for a float all fail the ``abs(value) <= 1e300`` test."""
+    if type(value) not in (int, float) or not abs(value) <= 1e300 or (
+        kind is int and value != int(value)
+    ):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, not {json.dumps(value)}")
+    return kind(value)
+
+
+def _array(value, what: str) -> np.ndarray:
+    """A (nested) list of finite numbers as a float array, or a ConfigError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{what} must hold numbers: {e}") from e
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must hold finite numbers")
+    return arr
+
+
 def _penalty_from(block, b_max: int) -> PenaltyFunction:
     _check_keys(block, {"quadratic", "table"}, "penalty")
     if ("quadratic" in block) == ("table" in block):
         raise ConfigError("penalty needs exactly one of 'quadratic' or 'table'")
     try:
         if "quadratic" in block:
-            return PenaltyFunction.quadratic(float(block["quadratic"]), b_max)
-        return PenaltyFunction(np.asarray(block["table"], dtype=float))
+            return PenaltyFunction.quadratic(_number(block["quadratic"], "quadratic"), b_max)
+        return PenaltyFunction(_array(block["table"], "table"))
     except ValueError as e:
         raise ConfigError(f"bad penalty: {e}") from e
 
@@ -82,13 +105,14 @@ def _penalty_from(block, b_max: int) -> PenaltyFunction:
 def _arrivals_from(block, t_max: int, b_max: int) -> ArrivalModel:
     _check_keys(block, {"rho", "n_periods", "kind", "pmf"}, "arrivals")
     rho = block.get("rho", 0.7)
-    n_periods = int(block.get("n_periods", 1))
+    rho = _array(rho, "arrivals.rho") if isinstance(rho, list) else _number(rho, "arrivals.rho")
+    n_periods = _number(block.get("n_periods", 1), "arrivals.n_periods", int)
     kind = block.get("kind", "uniform_feasible")
     try:
         if "pmf" in block:
             if kind != "uniform_feasible" and kind != "explicit":
                 raise ConfigError(f"unknown arrivals kind {kind!r}")
-            pmf = np.asarray(block["pmf"], dtype=float)
+            pmf = _array(block["pmf"], "arrivals.pmf")
             return ArrivalModel(n_periods=n_periods, rho=rho, pmf=pmf)
         if kind != "uniform_feasible":
             raise ConfigError(f"unknown arrivals kind {kind!r} (or supply an explicit pmf)")
@@ -111,28 +135,29 @@ def _cost_from(block, base_dir: Path) -> CostChain:
         raise ConfigError("cost needs exactly one of 'constant', 'levels', or 'file'")
     try:
         if "constant" in block:
-            return CostChain.constant(float(block["constant"]))
+            return CostChain.constant(_number(block["constant"], "cost.constant"))
         if "levels" in block:
-            levels = np.asarray(block["levels"], dtype=float)
+            levels = _array(block["levels"], "cost.levels")
             if ("matrix" in block) == ("matrices" in block):
                 raise ConfigError("cost with levels needs 'matrix' or per-period 'matrices'")
             if "matrix" in block:
-                return CostChain(values=levels, P=np.asarray(block["matrix"], dtype=float))
-            return CostChain(
-                values=levels, P_per_period=np.asarray(block["matrices"], dtype=float)
-            )
+                return CostChain(values=levels, P=_array(block["matrix"], "cost.matrix"))
+            return CostChain(values=levels, P_per_period=_array(block["matrices"], "cost.matrices"))
         from .costfit import PriceTrace, fit_cost_chain
 
+        if not isinstance(block["file"], str):
+            raise ConfigError("cost.file must be a path")
         path = Path(block["file"])
         if not path.is_absolute():
             path = base_dir / path
+        retail, n_periods = block.get("retail_price"), block.get("n_periods")
         fit = fit_cost_chain(
             PriceTrace.from_csv(path),
-            k=int(block.get("k", 5)),
-            slot_minutes=float(block.get("slot_minutes", 60.0)),
-            alpha=float(block.get("alpha", 0.5)),
-            retail_price=block.get("retail_price"),
-            n_periods=block.get("n_periods"),
+            k=_number(block.get("k", 5), "cost.k", int),
+            slot_minutes=_number(block.get("slot_minutes", 60.0), "cost.slot_minutes"),
+            alpha=_number(block.get("alpha", 0.5), "cost.alpha"),
+            retail_price=None if retail is None else _number(retail, "cost.retail_price"),
+            n_periods=None if n_periods is None else _number(n_periods, "cost.n_periods", int),
         )
         return fit.chain
     except ConfigError:
@@ -144,16 +169,18 @@ def _cost_from(block, base_dir: Path) -> CostChain:
 def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
     _check_keys(block, _INSTANCE_KEYS, "instance")
     base_dir = Path(".") if base_dir is None else base_dir
-    t_max = int(block.get("t_max", 12))
-    b_max = int(block.get("b_max", 9))
+    t_max = _number(block.get("t_max", 12), "t_max", int)
+    b_max = _number(block.get("b_max", 9), "b_max", int)
+    if t_max < 1 or b_max < 1:
+        raise ConfigError("t_max and b_max must be >= 1")
     penalty = _penalty_from(block.get("penalty", {"quadratic": 0.2}), b_max)
     arrivals = _arrivals_from(block.get("arrivals", {}), t_max, b_max)
     cost = _cost_from(block.get("cost", {"constant": 0.5}), base_dir)
     try:
         return Instance(
-            n_chargers=int(block.get("n_chargers", 10)),
-            capacity=int(block.get("capacity", 5)),
-            discount=float(block.get("discount", 0.999)),
+            n_chargers=_number(block.get("n_chargers", 10), "n_chargers", int),
+            capacity=_number(block.get("capacity", 5), "capacity", int),
+            discount=_number(block.get("discount", 0.999), "discount"),
             t_max=t_max,
             b_max=b_max,
             penalty=penalty,
@@ -167,8 +194,8 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
 def check_seeds(seeds) -> list:
     """Seed list from a count n (seeds 0..n-1) or an explicit list.
 
-    A paired comparison needs at least two seeds, each a non-negative int
-    (bools are not ints here).
+    A paired comparison needs at least two distinct seeds, each a
+    non-negative int (bools are not ints here).
     """
     if type(seeds) is int:
         seeds = list(range(seeds))
@@ -176,6 +203,8 @@ def check_seeds(seeds) -> list:
         raise ConfigError("seeds must be a count or a list of non-negative ints")
     if len(seeds) < 2:
         raise ConfigError("seeds: need at least 2 for a paired comparison")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError("seeds must be distinct")
     return list(seeds)
 
 
@@ -195,23 +224,28 @@ def load_run_config(path) -> RunConfig:
     inst = instance_from_dict(doc.get("instance", {}), path.parent)
 
     policies = doc.get("policies", ["whittle+lllp", "edf", "llf"])
-    if not isinstance(policies, list) or not all(isinstance(p, str) for p in policies):
-        raise ConfigError("policies must be a list of names")
+    if not isinstance(policies, list) or not policies or not all(isinstance(p, str) for p in policies):
+        raise ConfigError("policies must be a non-empty list of names")
+    if len(set(policies)) < len(policies):
+        raise ConfigError("policies must be distinct")
     unknown = [p for p in policies if p not in POLICY_NAMES]
     if unknown:
         raise ConfigError(f"unknown policies {unknown}; choose from {list(POLICY_NAMES)}")
     seeds = check_seeds(doc.get("seeds", 20))
     horizon = doc.get("horizon")
     if horizon is not None:
-        horizon = int(horizon)
+        horizon = _number(horizon, "horizon", int)
         if horizon < 1:
             raise ConfigError("horizon must be >= 1")
     baseline = doc.get("baseline")
     if baseline is not None and baseline not in policies:
         raise ConfigError("baseline must be one of the configured policies")
-    tol = float(doc.get("truncation_tol", 1e-3))
+    tol = _number(doc.get("truncation_tol", 1e-3), "truncation_tol")
     if tol <= 0:
         raise ConfigError("truncation_tol must be positive")
+    verify_oracle = doc.get("verify_oracle", False)
+    if not isinstance(verify_oracle, bool):
+        raise ConfigError("verify_oracle must be true or false")
     return RunConfig(
         instance=inst,
         policies=policies,
@@ -219,5 +253,5 @@ def load_run_config(path) -> RunConfig:
         horizon=horizon,
         baseline=baseline,
         truncation_tol=tol,
-        verify_oracle=bool(doc.get("verify_oracle", False)),
+        verify_oracle=verify_oracle,
     )

@@ -14,39 +14,17 @@ here; the arm MDP, the joint DP and the simulator all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "ChargerState",
-    "EMPTY",
     "PenaltyFunction",
     "CostChain",
     "ArrivalModel",
     "Instance",
-    "SystemState",
     "ChargerLaw",
     "serve",
     "charger_law",
 ]
-
-
-class ChargerState(NamedTuple):
-    """Per-charger state.  ``T`` slots to departure, ``B`` slots of unmet demand.
-
-    The empty charger is (0, 0).  Occupied states have 1 <= T and 0 <= B.
-    """
-
-    T: int
-    B: int
-
-    @property
-    def occupied(self) -> bool:
-        return self.T > 0
-
-
-EMPTY = ChargerState(0, 0)
 
 
 @dataclass(frozen=True)
@@ -277,27 +255,12 @@ class Instance:
     def n_periods(self) -> int:
         return self.arrivals.n_periods
 
-    def charger_states(self) -> list[ChargerState]:
-        """All per-charger states: EMPTY plus the occupied grid."""
-        out = [EMPTY]
-        for t in range(1, self.t_max + 1):
-            for b in range(self.b_max + 1):
-                out.append(ChargerState(t, b))
-        return out
-
     def charger_index(self, t, b):
-        """Position of (T, B) in ``charger_states``; EMPTY is 0.  Works on arrays."""
+        """Position of (T, B) on the charger-state grid of ``charger_law``: the
+        empty charger (0, 0) is 0, then occupied (T, B) row-major.  Works on
+        arrays."""
         t = np.asarray(t)
         return np.where(t >= 1, (t - 1) * (self.b_max + 1) + b + 1, 0)
-
-
-@dataclass
-class SystemState:
-    """Joint station state: one ChargerState per charger, cost level, period."""
-
-    chargers: list[ChargerState]
-    cost_state: int
-    period: int
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +285,7 @@ def serve(t, b, a):
 
 @dataclass(frozen=True)
 class ChargerLaw:
-    """``serve`` tabulated over the ``charger_states`` grid.
+    """``serve`` tabulated over the charger-state grid (see ``charger_index``).
 
     ``T[i]``, ``B[i]``: the state at grid index i.  ``move[a, tau, i, i2]``:
     probability that a charger in state i, under action a in period tau, is
@@ -338,7 +301,7 @@ class ChargerLaw:
 
 
 def charger_law(instance: Instance) -> ChargerLaw:
-    """Tabulate ``serve`` and the arrival law over ``instance.charger_states()``."""
+    """Tabulate ``serve`` and the arrival law over the charger-state grid."""
     inst = instance
     nt = inst.n_periods
     t = np.concatenate([[0], np.repeat(np.arange(1, inst.t_max + 1), inst.b_max + 1)])

@@ -1,9 +1,10 @@
 """Scheduling policies: Whittle index, LLLP interchange, EDF, LLF, valley filling.
 
-All policies are pure functions of the system state (plus precomputed tables)
-returning a 0/1 activation vector with at most M ones.  Scalar entry points
-wrap vectorized kernels that the simulator calls on whole seed batches; the
-kernels operate on (S, N) arrays of lead times and demands.
+Every policy is a batch kernel on (S, N) arrays of lead times and demands, one
+row per station state (the simulator's rows are seeds), plus precomputed
+tables; it returns an (S, N) boolean activation array with at most M ones per
+row.  ``sim.policy_kernel`` builds the named policies from these kernels.  The
+valley-filling planner solves one LP per station row and is called row by row.
 
 Tie-breaking is fixed everywhere: policy criterion first, then larger demand,
 then lower charger id.
@@ -11,39 +12,23 @@ then lower charger id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import Instance, SystemState
+from .model import Instance
 from .whittle import IndexTable
 
 __all__ = [
-    "PolicyDecision",
-    "whittle_policy",
-    "lllp_interchange",
-    "edf_policy",
-    "llf_policy",
+    "select_by_key",
+    "whittle_kernel",
+    "edf_kernel",
+    "llf_kernel",
+    "lllp_kernel",
     "valley_filling_policy",
     "CostForecast",
 ]
 
 _BIG = np.inf
-
-
-@dataclass
-class PolicyDecision:
-    """Activation vector plus the per-charger criterion values that chose it."""
-
-    action: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _state_arrays(s: SystemState) -> tuple[np.ndarray, np.ndarray]:
-    t = np.array([cs.T for cs in s.chargers], dtype=np.int64)
-    b = np.array([cs.B for cs in s.chargers], dtype=np.int64)
-    return t, b
 
 
 def select_by_key(key: np.ndarray, b: np.ndarray, m: int, eligible: np.ndarray) -> np.ndarray:
@@ -62,8 +47,8 @@ def select_by_key(key: np.ndarray, b: np.ndarray, m: int, eligible: np.ndarray) 
 
 def whittle_kernel(
     t: np.ndarray, b: np.ndarray, j: np.ndarray, tau: int, table: IndexTable, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch Whittle decision; returns (action, index values).
+) -> np.ndarray:
+    """Batch Whittle decision at cost levels j (S,) and period tau.
 
     Ranking against M dummy arms of constant index 0 plus the strict-positivity
     rule collapses to: activate the top-m chargers by index among those with a
@@ -75,7 +60,7 @@ def whittle_kernel(
     comp = ((t * b_cap + b) * k + np.asarray(j).reshape(-1, 1)) * nt + (tau % nt)
     idx = flat[comp]
     eligible = (idx > 0.0) & (b > 0) & (t >= 1)
-    return select_by_key(-idx, b, m, eligible), idx
+    return select_by_key(-idx, b, m, eligible)
 
 
 def edf_kernel(t: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -131,36 +116,6 @@ def lllp_kernel(t: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
         act[rows, k_star[rows]] = False
 
 
-def whittle_policy(s: SystemState, table: IndexTable, m: int) -> PolicyDecision:
-    """Rank occupied chargers by index against m zero-index dummy arms.
-
-    Activates at most m chargers, never one whose index is not strictly
-    positive (a tie with a dummy arm resolves to idling).
-    """
-    t, b = _state_arrays(s)
-    j = np.array([s.cost_state])
-    action, idx = whittle_kernel(t[None, :], b[None, :], j, s.period, table, m)
-    return PolicyDecision(action[0].astype(np.int8), {"index": idx[0]})
-
-
-def lllp_interchange(s: SystemState, action: np.ndarray) -> np.ndarray:
-    t, b = _state_arrays(s)
-    out = lllp_kernel(t[None, :], b[None, :], np.asarray(action, dtype=bool)[None, :])
-    return out[0].astype(np.int8)
-
-
-def edf_policy(s: SystemState, m: int) -> PolicyDecision:
-    t, b = _state_arrays(s)
-    action = edf_kernel(t[None, :], b[None, :], m)[0]
-    return PolicyDecision(action.astype(np.int8), {"deadline": t})
-
-
-def llf_policy(s: SystemState, m: int) -> PolicyDecision:
-    t, b = _state_arrays(s)
-    action = llf_kernel(t[None, :], b[None, :], m)[0]
-    return PolicyDecision(action.astype(np.int8), {"laxity": t - b})
-
-
 class CostForecast:
     """Conditional expected cost k slots ahead, for every (level, period).
 
@@ -187,8 +142,13 @@ class CostForecast:
 
 
 def valley_filling_policy(
-    s: SystemState, instance: Instance, cost_forecast: CostForecast
-) -> PolicyDecision:
+    t: np.ndarray,
+    b: np.ndarray,
+    j: int,
+    tau: int,
+    instance: Instance,
+    cost_forecast: CostForecast,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Plan all outstanding demand into expected-cheapest future slots.
 
     Deterministic transportation problem over the horizon of the latest
@@ -197,17 +157,18 @@ def valley_filling_policy(
     The constraint matrix is totally unimodular, so the LP vertex returned by
     the simplex solver is integral.  Only slot 0 of the plan is executed;
     everything is replanned next slot (no future arrivals assumed).
+
+    ``t``, ``b``: one station row (N,) at cost level j and period tau.  Returns
+    the activation (N,) and the plan, one row per occupied charger in id order
+    and one column per slot (None when nothing is planned).
     """
-    t, b = _state_arrays(s)
     m = instance.capacity
     occupied = np.nonzero((t >= 1) & (b > 0))[0]
-    n = instance.n_chargers
+    action = np.zeros(t.shape, dtype=bool)
     if occupied.size == 0 or m == 0:
-        return PolicyDecision(np.zeros(n, dtype=np.int8), {"plan": None})
+        return action, None
     horizon = int(t[occupied].max())
-    ec = np.array(
-        [cost_forecast.forecast(s.cost_state, s.period, k) for k in range(horizon)]
-    )
+    ec = np.array([cost_forecast.forecast(j, tau, k) for k in range(horizon)])
     cols = []  # (ev_row, slot or None, cost)
     for row, i in enumerate(occupied):
         for k in range(int(t[i])):
@@ -237,11 +198,9 @@ def valley_filling_policy(
     x = res.x
     if np.any(np.abs(x - np.round(x)) > 1e-7):
         raise RuntimeError("valley-filling plan is not integral")
-    action = np.zeros(n, dtype=np.int8)
     plan = np.zeros((occupied.size, horizon))
     for v, (row, k, _) in enumerate(cols):
         if k is not None and x[v] > 0.5:
             plan[row, k] = 1.0
-            if k == 0:
-                action[occupied[row]] = 1
-    return PolicyDecision(action, {"plan": plan, "chargers": occupied})
+    action[occupied] = plan[:, 0] > 0.5
+    return action, plan

@@ -9,19 +9,19 @@ every policy sees exactly the same world and paired comparisons subtract the
 same noise.
 
 Episodes for all seeds advance together as (n_seeds, n_chargers) arrays; a
-policy is a vectorized kernel over that batch.
+policy is a vectorized kernel over that batch, built by ``policy_kernel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
 from scipy import stats
 
 from .arm import value_iteration_sweeps
-from .model import ChargerState, Instance, SystemState, charger_law, serve
+from .model import Instance, charger_law, serve
 from .policies import (
     CostForecast,
     edf_kernel,
@@ -36,6 +36,7 @@ __all__ = [
     "EpisodeMetrics",
     "ComparisonReport",
     "default_horizon",
+    "policy_kernel",
     "run_episode",
     "monte_carlo",
     "brute_force_joint_dp",
@@ -66,22 +67,6 @@ class EpisodeMetrics:
     completion_fraction: float
     activations_per_slot: float
     interchanges: int
-
-    _FIELDS = (
-        "policy",
-        "seed",
-        "horizon",
-        "discounted_reward",
-        "revenue",
-        "energy_cost",
-        "penalty",
-        "delivered_units",
-        "arrived_units",
-        "unserved_units",
-        "completion_fraction",
-        "activations_per_slot",
-        "interchanges",
-    )
 
 
 def default_horizon(instance: Instance, tol: float = 1e-3) -> int:
@@ -124,38 +109,41 @@ def _type_tables(instance: Instance):
     return out
 
 
-def _policy_kernel(name: str, instance: Instance, table, forecast):
+def policy_kernel(name: str, instance: Instance, table=None, forecast=None):
+    """The named policy as a batch kernel ``kern(t, b, j, tau)``.
+
+    ``t``, ``b``: (S, N) lead times and demands, ``j``: (S,) cost levels,
+    ``tau``: the period.  Returns (action, swapped_rows): the (S, N) boolean
+    activation and an (S,) mask of the rows the LLLP interchange changed.
+    "whittle+lllp" is the Whittle choice refined by the interchange; this is
+    the one place the two are composed.  Whittle policies need the index
+    table; valley builds its cost forecast unless one is given.
+    """
     m = instance.capacity
-    if name in ("whittle", "whittle+lllp"):
-        if table is None:
-            raise ValueError("whittle policies need an index table")
+    if name.startswith("whittle") and table is None:
+        raise ValueError("whittle policies need an index table")
+    if name == "whittle+lllp":
 
         def kern(t, b, j, tau):
-            return whittle_kernel(t, b, j, tau, table, m)[0]
+            action = whittle_kernel(t, b, j, tau, table, m)
+            swapped = lllp_kernel(t, b, action)
+            return swapped, np.any(swapped != action, axis=1)
 
-        return kern, name.endswith("lllp")
-    if name == "edf":
-        return (lambda t, b, j, tau: edf_kernel(t, b, m)), False
-    if name == "llf":
-        return (lambda t, b, j, tau: llf_kernel(t, b, m)), False
-    if name == "valley":
-        if forecast is None:
-            forecast = CostForecast(instance)
-
-        def kern(t, b, j, tau):
-            s_count, n = t.shape
-            out = np.zeros((s_count, n), dtype=bool)
-            for s in range(s_count):
-                st = SystemState(
-                    [ChargerState(int(t[s, i]), int(b[s, i])) for i in range(n)],
-                    int(j[s]),
-                    tau,
-                )
-                out[s] = valley_filling_policy(st, instance, forecast).action.astype(bool)
-            return out
-
-        return kern, False
-    raise ValueError(f"unknown policy {name!r}")
+        return kern
+    if name == "valley" and forecast is None:
+        forecast = CostForecast(instance)
+    rules = {
+        "whittle": lambda t, b, j, tau: whittle_kernel(t, b, j, tau, table, m),
+        "edf": lambda t, b, j, tau: edf_kernel(t, b, m),
+        "llf": lambda t, b, j, tau: llf_kernel(t, b, m),
+        "valley": lambda t, b, j, tau: np.array(
+            [valley_filling_policy(t[s], b[s], int(j[s]), tau, instance, forecast)[0]
+             for s in range(t.shape[0])], dtype=bool).reshape(t.shape),
+    }
+    if name not in rules:
+        raise ValueError(f"unknown policy {name!r}")
+    rule = rules[name]
+    return lambda t, b, j, tau: (rule(t, b, j, tau), np.zeros(t.shape[0], dtype=bool))
 
 
 def _run_batch(
@@ -167,7 +155,7 @@ def _run_batch(
     table=None,
     forecast=None,
 ) -> list[EpisodeMetrics]:
-    kern, use_lllp = _policy_kernel(policy, instance, table, forecast)
+    kern = policy_kernel(policy, instance, table, forecast)
     s = len(seeds)
     n = instance.n_chargers
     m = instance.capacity
@@ -205,11 +193,8 @@ def _run_batch(
         j = cost_path[:, t]
         c = cvals[j]
 
-        action = kern(t_arr, b_arr, j, tau)
-        if use_lllp:
-            swapped = lllp_kernel(t_arr, b_arr, action)
-            interchanges += np.any(swapped != action, axis=1)
-            action = swapped
+        action, swapped = kern(t_arr, b_arr, j, tau)
+        interchanges += swapped
         if np.any(action.sum(axis=1) > m):
             raise RuntimeError(f"policy {policy!r} violated the capacity limit")
 
@@ -271,6 +256,13 @@ def run_episode(
     return _run_batch(instance, policy, [seed], horizon, cost_path, table)[0]
 
 
+def _mean_ci(x: np.ndarray) -> tuple[float, float]:
+    half = 0.0
+    if x.size > 1:
+        half = float(stats.t.ppf(0.975, x.size - 1) * x.std(ddof=1) / np.sqrt(x.size))
+    return float(x.mean()), half
+
+
 @dataclass
 class ComparisonReport:
     """Per-policy episode metrics over a common seed set, plus paired stats."""
@@ -286,22 +278,14 @@ class ComparisonReport:
 
     def mean_ci(self, policy: str) -> tuple[float, float]:
         """(mean, 95% half-width) of the discounted reward."""
-        x = self.rewards(policy)
-        half = 0.0
-        if x.size > 1:
-            half = float(stats.t.ppf(0.975, x.size - 1) * x.std(ddof=1) / np.sqrt(x.size))
-        return float(x.mean()), half
+        return _mean_ci(self.rewards(policy))
 
     def paired(self, policy: str, baseline: str | None = None) -> tuple[float, float]:
         """(mean, 95% half-width) of per-seed reward differences vs baseline."""
         base = baseline or self.baseline
         if base is None:
             raise ValueError("no baseline configured")
-        d = self.rewards(policy) - self.rewards(base)
-        half = 0.0
-        if d.size > 1:
-            half = float(stats.t.ppf(0.975, d.size - 1) * d.std(ddof=1) / np.sqrt(d.size))
-        return float(d.mean()), half
+        return _mean_ci(self.rewards(policy) - self.rewards(base))
 
     def summary(self) -> dict:
         out = {
@@ -320,7 +304,7 @@ class ComparisonReport:
         return out
 
     def to_csv(self, path) -> None:
-        cols = EpisodeMetrics._FIELDS
+        cols = [f.name for f in fields(EpisodeMetrics)]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(cols) + "\n")
             for p in self.policies:
@@ -456,26 +440,29 @@ def brute_force_joint_dp(instance: Instance, tol: float = 1e-8):
     return jm.start_value(v), {"actions": jm.actions, "choice": policy}
 
 
-def evaluate_policy_exact(instance: Instance, decide, tol: float = 1e-8) -> float:
+def evaluate_policy_exact(instance: Instance, kern, tol: float = 1e-8) -> float:
     """Exact discounted value of a stationary policy on a toy instance.
 
-    ``decide`` maps a SystemState to a 0/1 action vector; it is called once
-    per joint state to tabulate the policy, then evaluated by iteration.
+    ``kern`` is a batch kernel as built by ``policy_kernel``; it is called once
+    per period on every joint state at once to tabulate the policy, which is
+    then evaluated by iteration.
     """
     jm = _JointMDP(instance, tol)
-    css = instance.charger_states()
-    k, nt = instance.cost.n_levels, instance.n_periods
-    a_index = {a: i for i, a in enumerate(jm.actions)}
+    n, nt = instance.n_chargers, instance.n_periods
+    grid = np.indices(jm.shape[:-1]).reshape(n + 1, -1)  # charger states..., cost level
+    t, b, j = jm.law.T[grid[:n]].T, jm.law.B[grid[:n]].T, grid[n]
+    bits = 1 << np.arange(n)
+    by_code = np.full(1 << n, -1)  # action number by bit code; -1 over capacity
+    for k, a in enumerate(jm.actions):
+        by_code[np.dot(a, bits)] = k
 
     choice = np.empty(jm.shape, dtype=np.int64)
-    for cs_ids in product(range(len(css)), repeat=instance.n_chargers):
-        chargers = [css[i] for i in cs_ids]
-        for j in range(k):
-            for tau in range(nt):
-                act = tuple(int(x) for x in decide(SystemState(chargers, j, tau)))
-                if sum(act) > instance.capacity:
-                    raise RuntimeError("policy violated the capacity limit")
-                choice[cs_ids + (j, tau)] = a_index[act]
+    for tau in range(nt):
+        action = np.asarray(kern(t, b, j, tau)[0], dtype=bool)
+        codes = by_code[action.astype(np.int64) @ bits]
+        if np.any(codes < 0):
+            raise RuntimeError("policy violated the capacity limit")
+        choice[..., tau] = codes.reshape(jm.shape[:-1])
 
     v = np.zeros(jm.shape)
     for _ in range(jm.n_iter):

@@ -30,12 +30,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
-from .model import ChargerState, Instance, PenaltyFunction
+from .model import Instance, PenaltyFunction
 from .pwl import PiecewiseLinear, combine, stitch
 
 __all__ = [
     "ExtendedState",
     "IndexTable",
+    "IndexCheckError",
     "closed_form_index",
     "base_g",
     "compute_index_table",
@@ -45,6 +46,12 @@ __all__ = [
     "index_by_bisection",
     "check_indexability",
 ]
+
+
+class IndexCheckError(ValueError):
+    """The index recursion failed a monotonicity check that the theory says
+    cannot fail: a root function that is not nondecreasing, or an index that
+    decreases in B past the diagonal."""
 
 
 class ExtendedState(NamedTuple):
@@ -84,20 +91,12 @@ class IndexTable:
     def lookup(self, T: int, B: int, j: int, tau: int) -> float:
         return float(self.values[T, B, j, tau])
 
-    def rows(self):
-        t_max, b_max, k, nt = self.values.shape
-        for T in range(t_max):
-            for B in range(b_max):
-                for j in range(k):
-                    for tau in range(nt):
-                        yield T, B, j, tau, float(self.values[T, B, j, tau])
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["T", "B", "cost_state", "period", "index"])
-            for row in self.rows():
-                w.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
+            for state in np.ndindex(self.values.shape):
+                w.writerow([*state, repr(float(self.values[state]))])
 
     def to_json(self, path) -> None:
         t_max, b_max, k, nt = self.values.shape
@@ -174,8 +173,9 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
     Levels T = 1..t_max are processed in order.  At each level the root
     functions f are assembled from the g's one level down, their least roots
     become the level's indexes, and those indexes in turn split the cases of
-    the level's own g's.  Raises if any assembled f fails to be nondecreasing
-    (the theory says it cannot).
+    the level's own g's.  Raises IndexCheckError if any assembled f fails to
+    be nondecreasing or the table fails its monotonicity check (the theory
+    says neither can happen).
 
     Returns the IndexTable; with ``collect_g`` also the dict of g functions
     keyed by (T, B, h, j, tau).
@@ -222,7 +222,10 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
                         + [PiecewiseLinear.affine(cvals[j] - 1.0, 1.0)],
                         np.append(w, 1.0),
                     )
-                    nu[T, b, j, tau] = f.least_root()
+                    try:
+                        nu[T, b, j, tau] = f.least_root()
+                    except ValueError as e:
+                        raise IndexCheckError(f"f at T={T}, B={b}, j={j}, tau={tau}: {e}") from e
         if T == t_bar:
             break
         g_new: dict[tuple, PiecewiseLinear] = {}
@@ -276,7 +279,10 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
                             gs[(T, b, h, j, tau)] = g_new[(b, h, j, tau)]
         g = g_new
 
-    table = IndexTable(nu)
+    try:
+        table = IndexTable(nu)
+    except ValueError as e:
+        raise IndexCheckError(str(e)) from e
     return (table, gs) if collect_g else table
 
 
@@ -328,7 +334,10 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
     times; the continuation itself then solves a (K * N_tau)-dimensional
     linear system.  No fixed-point iteration, so this is fast even for
     discount factors very close to 1; ``subsidy_value_iteration`` provides the
-    independent slow path.
+    independent slow path.  The arrival mixing and the reward are written out
+    here on purpose instead of read from ``charger_law``: this is the one
+    coding of the per-charger law independent of that table, which the LP vs
+    dual check and the full-capacity joint DP test compare against.
     """
     inst = instance
     t_bar, b_bar = inst.t_max, inst.b_max
@@ -417,8 +426,7 @@ def index_by_bisection(
         raise ValueError("tol must be positive")
     if arm is None:
         arm = build_arm_mdp(instance)
-    s = ExtendedState(*state)
-    sid = arm.state_id(ChargerState(s.T, s.B), s.j, s.tau)
+    sid = arm.state_id(*state)
     span = 1.0 + instance.penalty.max_increment + float(np.abs(instance.cost.values).max())
     if vi_tol is None:
         vi_tol = max(1e-13, tol * (1.0 - instance.discount) / 8.0)
@@ -465,12 +473,6 @@ def check_indexability(
     if states is None:
         cols = acts
     else:
-        ids = []
-        for s in states:
-            if isinstance(s, (int, np.integer)):
-                ids.append(int(s))
-            else:
-                e = ExtendedState(*s)
-                ids.append(arm.state_id(ChargerState(e.T, e.B), e.j, e.tau))
+        ids = [int(s) if isinstance(s, (int, np.integer)) else arm.state_id(*s) for s in states]
         cols = acts[:, ids]
     return not np.any(np.diff(cols.astype(np.int8), axis=0) > 0)

@@ -17,8 +17,7 @@ from evbandit.arm import build_arm_mdp
 from evbandit.bound import solve_bound
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
-from evbandit.policies import edf_policy, llf_policy, lllp_interchange, whittle_policy
-from evbandit.sim import brute_force_joint_dp, evaluate_policy_exact, monte_carlo
+from evbandit.sim import brute_force_joint_dp, evaluate_policy_exact, monte_carlo, policy_kernel
 from evbandit.whittle import (
     check_indexability,
     closed_form_index,
@@ -186,12 +185,9 @@ def test_criterion_5_no_policy_beats_the_bound(capsys, fig3, fig4, dyn, toy_dyna
 
     dp = brute_force_joint_dp(toy_dynamic)[0]
     tab = compute_index_table(toy_dynamic)
-    m = toy_dynamic.capacity
     deciders = {
-        "whittle": lambda s: whittle_policy(s, tab, m).action,
-        "whittle+lllp": lambda s: lllp_interchange(s, whittle_policy(s, tab, m).action),
-        "edf": lambda s: edf_policy(s, m).action,
-        "llf": lambda s: llf_policy(s, m).action,
+        name: policy_kernel(name, toy_dynamic, tab)
+        for name in ("whittle", "whittle+lllp", "edf", "llf")
     }
     best_heur = max(
         evaluate_policy_exact(toy_dynamic, d, tol=1e-9) for d in deciders.values()

@@ -1,12 +1,18 @@
 """End-to-end checks of the command line entry points, run in process."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evbandit import cli
+from evbandit.pwl import PiecewiseLinear
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_CSV = REPO / "data" / "sample_rt_prices.csv"
@@ -165,6 +171,13 @@ class TestFitcostCommand:
         assert "config error" in capsys.readouterr().err
 
 
+def set_path(doc, path, value):
+    """Set ``doc[k1][k2]...`` for a path of keys and list positions."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 @pytest.mark.parametrize(
     "changes, flags",
     [
@@ -173,12 +186,27 @@ class TestFitcostCommand:
         ({"seeds": True}, []),
         ({"policies": ["fifo"], "baseline": None}, []),
         ({}, ["--seeds", "1"]),
+        ({"policies": [], "baseline": None}, []),
+        ({"policies": ["edf", "edf"]}, []),
+        ({"seeds": [3, 3]}, []),
+        ({"horizon": "abc"}, []),
+        ({"horizon": [1]}, []),
+        ({"truncation_tol": "x"}, []),
+        ({"instance.t_max": "x"}, []),
+        ({"instance.capacity": None}, []),
+        ({"instance.arrivals.n_periods": "x"}, []),
+        ({"verify_oracle": "no"}, []),
     ],
-    ids=["negative-seed", "one-seed", "bool-seeds", "unknown-policy", "seeds-flag-1"],
+    ids=[
+        "negative-seed", "one-seed", "bool-seeds", "unknown-policy", "seeds-flag-1",
+        "no-policies", "repeated-policy", "repeated-seeds", "horizon-string", "horizon-list",
+        "tol-string", "t-max-string", "capacity-null", "n-periods-string", "verify-oracle-string",
+    ],
 )
 def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys):
     doc = json.loads((REPO / "configs" / "toy.json").read_text())
-    doc.update(changes)
+    for path, value in changes.items():
+        set_path(doc, path.split("."), value)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
     rc = cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "o"), *flags])
@@ -186,6 +214,60 @@ def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["index", "simulate"])
+def test_failed_recursion_check_exits_3(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(PiecewiseLinear, "is_nondecreasing", lambda self, tol=0.0: False)
+    argv = [command, "--config", str(REPO / "configs" / "toy.json"), "--out", str(tmp_path)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("verification failure:") and err.count("\n") == 1
+
+
+def config_paths(node, prefix=()):
+    """Every key and list position in a config document, as paths."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from config_paths(value, prefix + (key,))
+
+
+TOY = json.loads((REPO / "configs" / "toy.json").read_text())
+TOY_PATHS = sorted(config_paths(TOY), key=str) + [("horizon",), ("truncation_tol",)]
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([float("nan"), float("inf"), 0.5, 1e-9]),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.builds(dict),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TOY_PATHS), JUNK), min_size=1, max_size=3))
+def test_mutated_config_keeps_the_exit_contract(mutations):
+    doc = json.loads(json.dumps(TOY))
+    for path, value in mutations:
+        try:
+            set_path(doc, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed the parent
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "cfg.json"
+        p.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["index", "--config", str(p), "--out", tmp])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert err.getvalue().count("\n") == 1
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from evbandit import sim
 from evbandit.model import (
-    EMPTY,
     ArrivalModel,
-    ChargerState,
     CostChain,
     Instance,
     PenaltyFunction,
@@ -114,12 +112,13 @@ class TestInstance:
         with pytest.raises(ValueError):
             make_instance(t_max=2, b_max=3)
 
-    def test_charger_states_enumeration(self):
+    def test_charger_grid_enumeration(self):
         inst = make_instance(t_max=3, b_max=2)
-        states = inst.charger_states()
-        assert states[0] == EMPTY
-        assert len(states) == 1 + 3 * 3
-        assert all(1 <= s.T <= 3 and 0 <= s.B <= 2 for s in states[1:])
+        law = charger_law(inst)
+        assert (law.T[0], law.B[0]) == (0, 0)  # the empty charger
+        assert law.T.size == 1 + 3 * 3
+        assert np.all((1 <= law.T[1:]) & (law.T[1:] <= 3) & (0 <= law.B[1:]) & (law.B[1:] <= 2))
+        assert np.array_equal(inst.charger_index(law.T, law.B), np.arange(law.T.size))
 
     def test_periodic_cost_must_match_arrival_periods(self):
         p = np.array([[0.7, 0.3], [0.4, 0.6]])
@@ -193,8 +192,7 @@ class TestSuccessorDistribution:
         for a in (0, 1):
             row = move_row(toy_dynamic, a, 1, 1)
             assert row == pytest.approx(want)
-        for i, cs in enumerate(toy_dynamic.charger_states()):
-            assert (law.T[i], law.B[i]) == cs
+        assert np.array_equal(toy_dynamic.charger_index(law.T, law.B), np.arange(law.T.size))
 
     def test_empty_charger_waits_for_arrival(self, toy_dynamic):
         row = move_row(toy_dynamic, 0, 0, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,24 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evbandit.model import (
-    ArrivalModel,
-    ChargerState,
-    CostChain,
-    Instance,
-    PenaltyFunction,
-    SystemState,
-)
+from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.policies import (
     CostForecast,
-    edf_policy,
-    llf_policy,
-    lllp_interchange,
+    edf_kernel,
+    llf_kernel,
     lllp_kernel,
     select_by_key,
     valley_filling_policy,
-    whittle_policy,
+    whittle_kernel,
 )
+from evbandit.sim import policy_kernel
 from evbandit.whittle import IndexTable, compute_index_table
 from conftest import TWO_STATE_COST, make_instance
 
@@ -35,61 +29,68 @@ def table_1x2(lo, hi):
     return IndexTable(v)
 
 
-def sys_state(pairs, j=0, tau=0):
-    return SystemState([ChargerState(t, b) for t, b in pairs], j, tau)
+def station(pairs):
+    """One station row: (1, N) lead-time and demand arrays."""
+    t, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return t[None, :], b[None, :]
+
+
+def whittle(pairs, tab, m, j=0, tau=0):
+    t, b = station(pairs)
+    return whittle_kernel(t, b, np.array([j]), tau, tab, m)[0].astype(int)
+
+
+def lllp(pairs, action):
+    t, b = station(pairs)
+    return lllp_kernel(t, b, np.array(action, dtype=bool)[None, :])[0].astype(int)
+
+
+def rule(kernel, pairs, m):
+    t, b = station(pairs)
+    return kernel(t, b, m)[0].astype(int)
 
 
 class TestWhittlePolicy:
     def test_strict_ordering_picks_the_top(self):
         tab = table_1x2(0.5, 0.7)
-        d = whittle_policy(sys_state([(1, 2), (1, 1)]), tab, 1)
-        assert d.action.tolist() == [1, 0]
-        assert d.diagnostics["index"] == pytest.approx([0.7, 0.5])
+        assert whittle([(1, 2), (1, 1)], tab, 1).tolist() == [1, 0]
+        assert whittle([(1, 1), (1, 2)], tab, 1).tolist() == [0, 1]
 
     def test_dummy_arm_beats_negative_index(self):
         tab = table_1x2(-0.1, 0.7)
-        d = whittle_policy(sys_state([(1, 2), (1, 1)]), tab, 2)
-        assert d.action.tolist() == [1, 0]
+        assert whittle([(1, 2), (1, 1)], tab, 2).tolist() == [1, 0]
 
     def test_zero_index_resolves_to_idle(self):
         tab = table_1x2(0.0, 0.7)
-        d = whittle_policy(sys_state([(1, 2), (1, 1)]), tab, 2)
-        assert d.action.tolist() == [1, 0]
+        assert whittle([(1, 2), (1, 1)], tab, 2).tolist() == [1, 0]
 
     def test_empty_charger_never_activated(self):
         tab = table_1x2(0.5, 0.7)
-        d = whittle_policy(sys_state([(0, 0)]), tab, 1)
-        assert d.action.tolist() == [0]
+        assert whittle([(0, 0)], tab, 1).tolist() == [0]
 
     def test_respects_capacity_on_fixture(self, toy_dynamic):
         tab = compute_index_table(toy_dynamic)
-        d = whittle_policy(sys_state([(4, 3), (3, 3)]), tab, toy_dynamic.capacity)
-        assert d.action.sum() == 1
+        assert whittle([(4, 3), (3, 3)], tab, toy_dynamic.capacity).sum() == 1
 
 
 class TestLLLP:
     def test_dominating_waiter_swaps_in(self):
         # waiting (3,2) has less laxity and more demand than active (5,1)
-        out = lllp_interchange(sys_state([(5, 1), (3, 2)]), [1, 0])
-        assert out.tolist() == [0, 1]
+        assert lllp([(5, 1), (3, 2)], [1, 0]).tolist() == [0, 1]
 
     def test_no_dominance_no_change(self):
-        out = lllp_interchange(sys_state([(3, 2), (5, 1)]), [1, 0])
-        assert out.tolist() == [1, 0]
+        assert lllp([(3, 2), (5, 1)], [1, 0]).tolist() == [1, 0]
 
     def test_all_active_unchanged(self):
-        out = lllp_interchange(sys_state([(5, 1), (3, 2)]), [1, 1])
-        assert out.tolist() == [1, 1]
+        assert lllp([(5, 1), (3, 2)], [1, 1]).tolist() == [1, 1]
 
     def test_partial_dominance_does_not_swap(self):
         # (2,1) has less laxity but also less demand than (4,3): incomparable
-        out = lllp_interchange(sys_state([(4, 3), (2, 1)]), [1, 0])
-        assert out.tolist() == [1, 0]
+        assert lllp([(4, 3), (2, 1)], [1, 0]).tolist() == [1, 0]
 
     def test_chain_of_swaps_reaches_fixed_point(self):
         # two dominating waiters, one victim each
-        st8 = sys_state([(6, 1), (5, 1), (2, 2), (3, 2)])
-        out = lllp_interchange(st8, [1, 1, 0, 0])
+        out = lllp([(6, 1), (5, 1), (2, 2), (3, 2)], [1, 1, 0, 0])
         assert out.tolist() == [0, 0, 1, 1]
 
 
@@ -112,10 +113,9 @@ def state_and_action(draw):
 @given(state_and_action())
 def test_lllp_preserves_count_and_is_idempotent(sa):
     pairs, a = sa
-    s = sys_state(pairs)
-    once = lllp_interchange(s, a)
+    once = lllp(pairs, a)
     assert once.sum() == a.sum()
-    twice = lllp_interchange(s, once)
+    twice = lllp(pairs, once)
     assert np.array_equal(once, twice)
     # never activates an unoccupied charger
     for (t, b), act in zip(pairs, once):
@@ -129,53 +129,47 @@ def test_whittle_lllp_fixed_point_when_all_tight(toy_dynamic, pairs):
     # B >= T everywhere: index order equals LLLP preference, nothing to swap
     pairs = [(t, max(t, min(b, 3))) for t, b in pairs if t <= 3] or [(2, 2)]
     tab = compute_index_table(toy_dynamic)
-    s = sys_state(pairs, j=0)
-    d = whittle_policy(s, tab, len(pairs))
-    swapped = lllp_interchange(s, d.action)
-    assert np.array_equal(swapped, d.action)
+    inst = dataclasses.replace(toy_dynamic, n_chargers=len(pairs), capacity=len(pairs))
+    t, b = station(pairs)
+    action, swapped_rows = policy_kernel("whittle+lllp", inst, tab)(t, b, np.array([0]), 0)
+    assert not swapped_rows.any()
+    assert np.array_equal(action, policy_kernel("whittle", inst, tab)(t, b, np.array([0]), 0)[0])
 
 
 class TestEDF:
     def test_earliest_deadlines_win(self):
-        d = edf_policy(sys_state([(2, 1), (5, 3), (1, 2)]), 2)
-        assert d.action.tolist() == [1, 0, 1]
+        assert rule(edf_kernel, [(2, 1), (5, 3), (1, 2)], 2).tolist() == [1, 0, 1]
 
     def test_fewer_candidates_than_capacity(self):
-        d = edf_policy(sys_state([(2, 1), (0, 0), (3, 0)]), 2)
-        assert d.action.tolist() == [1, 0, 0]
+        assert rule(edf_kernel, [(2, 1), (0, 0), (3, 0)], 2).tolist() == [1, 0, 0]
 
     def test_tie_breaks_larger_demand_then_lower_id(self):
-        d = edf_policy(sys_state([(2, 1), (2, 3)]), 1)
-        assert d.action.tolist() == [0, 1]
-        d = edf_policy(sys_state([(2, 2), (2, 2)]), 1)
-        assert d.action.tolist() == [1, 0]
+        assert rule(edf_kernel, [(2, 1), (2, 3)], 1).tolist() == [0, 1]
+        assert rule(edf_kernel, [(2, 2), (2, 2)], 1).tolist() == [1, 0]
 
 
 class TestLLF:
     def test_least_laxity_wins(self):
-        d = llf_policy(sys_state([(5, 1), (3, 2), (2, 2)]), 2)
-        assert d.action.tolist() == [0, 1, 1]
-        assert d.diagnostics["laxity"].tolist() == [4, 1, 0]
+        # laxities 4, 1, 0
+        assert rule(llf_kernel, [(5, 1), (3, 2), (2, 2)], 2).tolist() == [0, 1, 1]
+        assert rule(llf_kernel, [(5, 1), (3, 2), (2, 2)], 1).tolist() == [0, 0, 1]
 
     def test_equal_laxity_decided_by_demand(self):
-        d = llf_policy(sys_state([(3, 1), (4, 2)]), 1)
-        assert d.action.tolist() == [0, 1]
+        assert rule(llf_kernel, [(3, 1), (4, 2)], 1).tolist() == [0, 1]
 
     def test_no_occupied_chargers(self):
-        d = llf_policy(sys_state([(0, 0), (2, 0)]), 2)
-        assert d.action.tolist() == [0, 0]
+        assert rule(llf_kernel, [(0, 0), (2, 0)], 2).tolist() == [0, 0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(state_and_action(), st.integers(0, 6))
 def test_benchmarks_fill_capacity_exactly(sa, m):
     pairs, _ = sa
-    s = sys_state(pairs)
     n_cand = sum(1 for t, b in pairs if t >= 1 and b > 0)
-    for pol in (edf_policy, llf_policy):
-        d = pol(s, m)
-        assert d.action.sum() == min(m, n_cand)
-        for (t, b), act in zip(pairs, d.action):
+    for kernel in (edf_kernel, llf_kernel):
+        action = rule(kernel, pairs, m)
+        assert action.sum() == min(m, n_cand)
+        for (t, b), act in zip(pairs, action):
             if act:
                 assert t >= 1 and b > 0
 
@@ -201,35 +195,36 @@ def vf_instance(cost, t_max=2, b_max=1, capacity=1, kappa=0.2, n=1):
     )
 
 
+def valley(pairs, inst, fc=None, j=0, tau=0):
+    t, b = station(pairs)
+    action, plan = valley_filling_policy(t[0], b[0], j, tau, inst, fc or CostForecast(inst))
+    return action.astype(int), plan
+
+
 class TestValleyFilling:
     def test_defers_into_the_cheap_slot(self):
         chain = CostChain(values=np.array([0.9, 0.1]), P=np.array([[0.0, 1.0], [0.0, 1.0]]))
-        inst = vf_instance(chain)
-        d = valley_filling_policy(sys_state([(2, 1)]), inst, CostForecast(inst))
-        assert d.action.tolist() == [0]
-        assert d.diagnostics["plan"][0].tolist() == [0.0, 1.0]
+        action, plan = valley([(2, 1)], vf_instance(chain))
+        assert action.tolist() == [0]
+        assert plan[0].tolist() == [0.0, 1.0]
 
     def test_charges_at_a_loss_to_dodge_the_penalty(self):
         inst = vf_instance(CostChain.constant(0.99), t_max=1)
-        d = valley_filling_policy(sys_state([(1, 1)]), inst, CostForecast(inst))
-        assert d.action.tolist() == [1]
+        assert valley([(1, 1)], inst)[0].tolist() == [1]
 
     def test_idles_when_loss_exceeds_penalty(self):
         inst = vf_instance(CostChain.constant(1.5), t_max=1)
-        d = valley_filling_policy(sys_state([(1, 1)]), inst, CostForecast(inst))
-        assert d.action.tolist() == [0]
+        assert valley([(1, 1)], inst)[0].tolist() == [0]
 
     def test_zero_capacity(self):
         inst = vf_instance(CostChain.constant(0.5), capacity=0)
-        d = valley_filling_policy(sys_state([(2, 1)]), inst, CostForecast(inst))
-        assert d.action.tolist() == [0]
+        assert valley([(2, 1)], inst)[0].tolist() == [0]
 
     def test_plan_respects_slot_capacity(self):
         inst = vf_instance(CostChain.constant(0.1), t_max=3, b_max=2, capacity=1, n=3)
-        s = sys_state([(3, 2), (2, 2), (2, 1)])
-        d = valley_filling_policy(s, inst, CostForecast(inst))
-        assert d.action.sum() <= 1
-        assert np.all(d.diagnostics["plan"].sum(axis=0) <= 1 + 1e-9)
+        action, plan = valley([(3, 2), (2, 2), (2, 1)], inst)
+        assert action.sum() <= 1
+        assert np.all(plan.sum(axis=0) <= 1 + 1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -243,11 +238,10 @@ class TestValleyFilling:
         chain = CostChain(values=np.array([c0, c1]), P=np.array([[0.5, 0.5], [0.5, 0.5]]))
         inst = vf_instance(chain, t_max=2, b_max=2, capacity=1, kappa=kappa, n=len(pairs))
         fc = CostForecast(inst)
-        s = sys_state(pairs, j=0)
-        d = valley_filling_policy(s, inst, fc)
+        action, plan = valley(pairs, inst, fc)
         occupied = [i for i, (t, b) in enumerate(pairs) if t >= 1 and b > 0]
         if not occupied:
-            assert d.action.sum() == 0
+            assert action.sum() == 0
             return
         horizon = max(pairs[i][0] for i in occupied)
         ec = [fc.forecast(0, 0, k) for k in range(horizon)]
@@ -281,7 +275,6 @@ class TestValleyFilling:
                 continue
             best = max(best, value(combo))
 
-        plan = d.diagnostics["plan"]
         got = [tuple(np.nonzero(plan[r])[0].tolist()) for r in range(len(occupied))]
         assert value(got) == pytest.approx(best, abs=1e-9)
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
-from evbandit.policies import edf_policy, llf_policy, lllp_interchange, whittle_policy
 from evbandit.sim import (
     brute_force_joint_dp,
     default_horizon,
     evaluate_policy_exact,
     monte_carlo,
+    policy_kernel,
     run_episode,
 )
 from evbandit.whittle import compute_index_table, solve_subsidy
@@ -174,38 +174,34 @@ class TestExactOracles:
 
     def test_dp_greedy_policy_achieves_dp_value(self, toy_dynamic):
         dp, table = brute_force_joint_dp(toy_dynamic, tol=1e-9)
-        css = toy_dynamic.charger_states()
-        idx = {cs: i for i, cs in enumerate(css)}
-        actions, choice = table["actions"], table["choice"]
+        actions = np.array(table["actions"], dtype=bool)
 
-        def decide(st):
-            ids = tuple(idx[cs] for cs in st.chargers)
-            return actions[choice[st.period][ids + (st.cost_state,)]]
+        def dp_kernel(t, b, j, tau):
+            ids = tuple(toy_dynamic.charger_index(t, b).T)
+            return actions[table["choice"][tau][ids + (j,)]], None
 
-        assert evaluate_policy_exact(toy_dynamic, decide, tol=1e-9) == pytest.approx(
+        assert evaluate_policy_exact(toy_dynamic, dp_kernel, tol=1e-9) == pytest.approx(
             dp, abs=1e-6
         )
 
     def test_heuristics_never_beat_the_dp(self, toy_dynamic):
         tab = compute_index_table(toy_dynamic)
-        m = toy_dynamic.capacity
-
-        def wl(st):
-            return whittle_policy(st, tab, m).action
-
-        def wl_lllp(st):
-            return lllp_interchange(st, whittle_policy(st, tab, m).action)
-
-        for decide in (wl, wl_lllp, lambda s: edf_policy(s, m).action, lambda s: llf_policy(s, m).action):
-            v = evaluate_policy_exact(toy_dynamic, decide, tol=1e-9)
-            assert v <= DP_VALUE + 1e-7
+        for name in ("whittle", "whittle+lllp", "edf", "llf", "valley"):
+            v = evaluate_policy_exact(toy_dynamic, policy_kernel(name, toy_dynamic, tab), tol=1e-9)
+            assert v <= DP_VALUE + 1e-7, name
 
     def test_whittle_exact_value_pinned(self, toy_dynamic):
+        assert toy_dynamic.capacity == 1
         tab = compute_index_table(toy_dynamic)
-        v = evaluate_policy_exact(
-            toy_dynamic, lambda s: whittle_policy(s, tab, 1).action, tol=1e-9
-        )
+        v = evaluate_policy_exact(toy_dynamic, policy_kernel("whittle", toy_dynamic, tab), tol=1e-9)
         assert v == pytest.approx(WHITTLE_VALUE, abs=1e-7)
+
+    def test_over_capacity_kernel_refused(self, toy_dynamic):
+        def all_on(t, b, j, tau):
+            return np.ones(t.shape, dtype=bool), None
+
+        with pytest.raises(RuntimeError, match="capacity"):
+            evaluate_policy_exact(toy_dynamic, all_on)
 
     def test_dp_decouples_at_full_capacity(self, toy_dynamic):
         full = dataclasses.replace(toy_dynamic, capacity=toy_dynamic.n_chargers)
@@ -225,4 +221,4 @@ class TestExactOracles:
         with pytest.raises(ValueError):
             brute_force_joint_dp(big)
         with pytest.raises(ValueError):
-            evaluate_policy_exact(big, lambda s: np.zeros(10, dtype=int))
+            evaluate_policy_exact(big, policy_kernel("edf", big))

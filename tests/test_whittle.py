@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evbandit.arm import build_arm_mdp
-from evbandit.model import ChargerState, PenaltyFunction
+from evbandit.model import PenaltyFunction
 from evbandit.whittle import (
     IndexTable,
     base_g,
@@ -216,11 +216,11 @@ class TestSubsidySolvers:
         v, _ = subsidy_value_iteration(toy_dynamic, nu, tol=1e-9, arm=toy_arm)
         for j in range(2):
             for tau in range(1):
-                sid = toy_arm.state_id(ChargerState(0, 0), j, tau)
+                sid = toy_arm.state_id(0, 0, j, tau)
                 assert sol.values[0, 0, j, tau] == pytest.approx(v[sid], abs=1e-7)
                 for t in range(1, 5):
                     for b in range(4):
-                        sid = toy_arm.state_id(ChargerState(t, b), j, tau)
+                        sid = toy_arm.state_id(t, b, j, tau)
                         assert sol.values[t, b, j, tau] == pytest.approx(
                             v[sid], abs=1e-7
                         ), (t, b, j, nu)
