@@ -68,7 +68,10 @@ def cmd_index(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    seeds = cfg.seeds if args.seeds is None else check_seeds(args.seeds)
+    if args.seeds is None:
+        seeds = cfg.seeds
+    else:
+        seeds = check_seeds(args.seeds, cfg.instance, cfg.horizon, cfg.truncation_tol)
     baseline = args.paired_baseline or cfg.baseline
     if baseline is not None and baseline not in cfg.policies:
         raise ConfigError("paired baseline must be one of the configured policies")

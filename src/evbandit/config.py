@@ -15,12 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from .model import ArrivalModel, CostChain, Instance, PenaltyFunction
-from .sim import POLICY_NAMES
+from .sim import _CHUNK, POLICY_NAMES, default_horizon
 
 __all__ = [
     "ConfigError", "RunConfig", "load_run_config", "load_instance", "instance_from_dict",
-    "check_seeds",
+    "check_seeds", "check_size", "MEMORY_BUDGET",
 ]
+
+# bytes the largest arrays of one command may take; check_size refuses more
+MEMORY_BUDGET = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -102,11 +105,9 @@ def _penalty_from(block, b_max: int) -> PenaltyFunction:
         raise ConfigError(f"bad penalty: {e}") from e
 
 
-def _arrivals_from(block, t_max: int, b_max: int) -> ArrivalModel:
-    _check_keys(block, {"rho", "n_periods", "kind", "pmf"}, "arrivals")
+def _arrivals_from(block: dict, t_max: int, b_max: int, n_periods: int) -> ArrivalModel:
     rho = block.get("rho", 0.7)
     rho = _array(rho, "arrivals.rho") if isinstance(rho, list) else _number(rho, "arrivals.rho")
-    n_periods = _number(block.get("n_periods", 1), "arrivals.n_periods", int)
     kind = block.get("kind", "uniform_feasible")
     try:
         if "pmf" in block:
@@ -123,7 +124,7 @@ def _arrivals_from(block, t_max: int, b_max: int) -> ArrivalModel:
         raise ConfigError(f"bad arrivals: {e}") from e
 
 
-def _cost_from(block, base_dir: Path) -> CostChain:
+def _cost_from(block, base_dir: Path, n_periods: int) -> CostChain:
     _check_keys(
         block,
         {"constant", "levels", "matrix", "matrices", "file", "k", "slot_minutes", "alpha",
@@ -150,14 +151,16 @@ def _cost_from(block, base_dir: Path) -> CostChain:
         path = Path(block["file"])
         if not path.is_absolute():
             path = base_dir / path
-        retail, n_periods = block.get("retail_price"), block.get("n_periods")
+        retail, fit_periods = block.get("retail_price"), block.get("n_periods")
+        if fit_periods is not None and _number(fit_periods, "cost.n_periods", int) != n_periods:
+            raise ConfigError("cost.n_periods must equal arrivals.n_periods")
         fit = fit_cost_chain(
             PriceTrace.from_csv(path),
             k=_number(block.get("k", 5), "cost.k", int),
             slot_minutes=_number(block.get("slot_minutes", 60.0), "cost.slot_minutes"),
             alpha=_number(block.get("alpha", 0.5), "cost.alpha"),
             retail_price=None if retail is None else _number(retail, "cost.retail_price"),
-            n_periods=None if n_periods is None else _number(n_periods, "cost.n_periods", int),
+            n_periods=None if fit_periods is None else n_periods,
         )
         return fit.chain
     except ConfigError:
@@ -173,9 +176,13 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
     b_max = _number(block.get("b_max", 9), "b_max", int)
     if t_max < 1 or b_max < 1:
         raise ConfigError("t_max and b_max must be >= 1")
+    arrivals = block.get("arrivals", {})
+    _check_keys(arrivals, {"rho", "n_periods", "kind", "pmf"}, "arrivals")
+    n_periods = _number(arrivals.get("n_periods", 1), "arrivals.n_periods", int)
+    check_size(t_max, b_max, n_periods)
     penalty = _penalty_from(block.get("penalty", {"quadratic": 0.2}), b_max)
-    arrivals = _arrivals_from(block.get("arrivals", {}), t_max, b_max)
-    cost = _cost_from(block.get("cost", {"constant": 0.5}), base_dir)
+    arrivals = _arrivals_from(arrivals, t_max, b_max, n_periods)
+    cost = _cost_from(block.get("cost", {"constant": 0.5}), base_dir, n_periods)
     try:
         return Instance(
             n_chargers=_number(block.get("n_chargers", 10), "n_chargers", int),
@@ -191,12 +198,40 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
         raise ConfigError(f"bad instance: {e}") from e
 
 
-def check_seeds(seeds) -> list:
+def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
+               n_seeds: int = 0, horizon: int = 0) -> None:
+    """Refuse, before they are built, arrays of more than MEMORY_BUDGET bytes.
+
+    The estimate counts float64 entries of the largest arrays a command
+    builds: the dense move table of ``charger_law``, 2 n_periods n_cs^2 with
+    n_cs = 1 + t_max (b_max + 1); the arrival pmf, n_periods (t_max + 1)
+    (b_max + 1); and, per simulated seed, the cost path (horizon + 1) and the
+    simulator's two blocks of uniform draws (2 _CHUNK n_chargers).
+    """
+    n_cs = 1 + t_max * (b_max + 1)
+    floats = n_periods * (2 * n_cs**2 + (t_max + 1) * (b_max + 1))
+    floats += n_seeds * (horizon + 1 + 2 * _CHUNK * n_chargers)
+    if 8 * floats > MEMORY_BUDGET:
+        sizes = f"t_max={t_max}, b_max={b_max}, n_periods={n_periods}"
+        if n_seeds:
+            sizes += f", n_chargers={n_chargers}, seeds={n_seeds}, horizon={horizon}"
+        raise ConfigError(
+            f"run too large: its arrays would need about {8 * floats >> 20:,} MiB, "
+            f"over the {MEMORY_BUDGET >> 20:,} MiB budget ({sizes})"
+        )
+
+
+def check_seeds(seeds, instance: Instance, horizon: int | None, truncation_tol: float) -> list:
     """Seed list from a count n (seeds 0..n-1) or an explicit list.
 
     A paired comparison needs at least two distinct seeds, each a
-    non-negative int (bools are not ints here).
+    non-negative int (bools are not ints here).  Simulating that many seeds
+    over ``horizon`` slots (None: the discount-tail cutoff at
+    ``truncation_tol``) must pass ``check_size``.
     """
+    n_seeds = seeds if type(seeds) is int else len(seeds) if isinstance(seeds, list) else 0
+    check_size(instance.t_max, instance.b_max, instance.n_periods, instance.n_chargers,
+               n_seeds, horizon or default_horizon(instance, truncation_tol))
     if type(seeds) is int:
         seeds = list(range(seeds))
     if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):
@@ -231,7 +266,6 @@ def load_run_config(path) -> RunConfig:
     unknown = [p for p in policies if p not in POLICY_NAMES]
     if unknown:
         raise ConfigError(f"unknown policies {unknown}; choose from {list(POLICY_NAMES)}")
-    seeds = check_seeds(doc.get("seeds", 20))
     horizon = doc.get("horizon")
     if horizon is not None:
         horizon = _number(horizon, "horizon", int)
@@ -243,6 +277,7 @@ def load_run_config(path) -> RunConfig:
     tol = _number(doc.get("truncation_tol", 1e-3), "truncation_tol")
     if tol <= 0:
         raise ConfigError("truncation_tol must be positive")
+    seeds = check_seeds(doc.get("seeds", 20), inst, horizon, tol)
     verify_oracle = doc.get("verify_oracle", False)
     if not isinstance(verify_oracle, bool):
         raise ConfigError("verify_oracle must be true or false")

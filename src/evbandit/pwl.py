@@ -62,16 +62,6 @@ class PiecewiseLinear:
         out[hi] = self.ys[-1] + self.right_slope * (x[hi] - self.xs[-1])
         return float(out[0]) if scalar else out
 
-    # -- combination -------------------------------------------------------
-
-    def scale(self, factor: float) -> "PiecewiseLinear":
-        f = float(factor)
-        return PiecewiseLinear(self.xs, self.ys * f, self.left_slope * f, self.right_slope * f)
-
-    def shift(self, offset: float) -> "PiecewiseLinear":
-        """Add a constant."""
-        return PiecewiseLinear(self.xs, self.ys + offset, self.left_slope, self.right_slope)
-
     # -- queries -----------------------------------------------------------
 
     def is_nondecreasing(self, tol: float = 0.0) -> bool:

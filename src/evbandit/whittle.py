@@ -4,14 +4,16 @@ Three routes to the same number:
 
 1. ``closed_form_index``: exact formula, valid for constant cost.
 2. ``compute_index_table``: piecewise-linear recursion over the lead time.
-   The subsidy-problem value differences g_h(T,B) = V(T,B+h) - V(T,B) are
+   The subsidy-problem value differences g_1(T,B) = V(T,B+1) - V(T,B) are
    piecewise linear in the subsidy nu, and the post-departure continuation
    cancels in every such difference, so the recursion never touches the value
    function itself.  The index at (T,B,c_j,tau) is the least root of
 
        f(nu) = nu - (1 - c_j) + beta * sum_k P_jk * g_1(T-1, B-1, c_k, tau+1),
 
-   which is continuous and strictly increasing in nu.
+   which is continuous and strictly increasing in nu.  Only g_1 is carried:
+   a wider difference telescopes, g_h(T,B) = sum_{i<h} g_1(T,B+i), and the
+   one the g_1 recursion reads, g_2(T-1,B-1), is g_1(T-1,B-1) + g_1(T-1,B).
 3. ``index_by_bisection``: oracle that locates the activation threshold of the
    subsidy problem by bisection on top of plain value iteration.  Slow but
    independent of the PWL algebra; used to cross-check route 2.
@@ -170,15 +172,15 @@ def base_g(instance: Instance, h: int, B: int, j: int, tau: int) -> PiecewiseLin
 def compute_index_table(instance: Instance, collect_g: bool = False):
     """Index for every extended state by the PWL recursion.
 
-    Levels T = 1..t_max are processed in order.  At each level the root
-    functions f are assembled from the g's one level down, their least roots
-    become the level's indexes, and those indexes in turn split the cases of
-    the level's own g's.  Raises IndexCheckError if any assembled f fails to
-    be nondecreasing or the table fails its monotonicity check (the theory
-    says neither can happen).
+    Levels T = 1..t_max are processed in order.  For each period and cost
+    level the expectations E_k g_1(T-1, b, c_k, tau+1) are formed once; they
+    give the root functions f, whose least roots are the level's indexes, and
+    those indexes in turn split the cases of the level's own g_1's.  Raises
+    IndexCheckError if any assembled f fails to be nondecreasing or the table
+    fails its monotonicity check (the theory says neither can happen).
 
-    Returns the IndexTable; with ``collect_g`` also the dict of g functions
-    keyed by (T, B, h, j, tau).
+    Returns the IndexTable; with ``collect_g`` also the dict of g_1 functions
+    keyed by (T, B, j, tau).
     """
     inst = instance
     t_bar, b_bar = inst.t_max, inst.b_max
@@ -192,91 +194,48 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
         for b in range(1, b_bar + 1):
             nu[1, b, j, :] = 1.0 - cvals[j] + float(F.delta(b))
 
-    gs: dict | None = {} if collect_g else None
-    zero = PiecewiseLinear.constant(0.0)
-
-    # g functions of the current level, keyed (b, h, j, tau); level-1 g's do
+    # g[b][j][tau] = g_1(T, b, c_j, tau) of the current level; level-1 g's do
     # not depend on the period, so the same object is shared across tau
-    g: dict[tuple, PiecewiseLinear] = {}
-    for j in range(K):
-        for b in range(0, b_bar):
-            for h in range(1, b_bar - b + 1):
-                fn = base_g(inst, h, b, j, 0)
-                for tau in range(nt):
-                    g[(b, h, j, tau)] = fn
-                    if gs is not None:
-                        gs[(1, b, h, j, tau)] = fn
-
-    def gm(b, h, j, tau):
-        return zero if h == 0 else g[(b, h, j, tau)]
+    g = [[[base_g(inst, 1, b, j, 0)] * nt for j in range(K)] for b in range(b_bar)]
+    gs = None
+    if collect_g:
+        gs = {(1, b, j, tau): g[b][j][tau]
+              for b in range(b_bar) for j in range(K) for tau in range(nt)}
 
     for T in range(2, t_bar + 1):
+        g_new = [[[None] * nt for _ in range(K)] for _ in range(b_bar)]
         for tau in range(nt):
             P = inst.cost.matrix_for(tau)
             nxt = (tau + 1) % nt
             for j in range(K):
-                w = beta * P[j]
+                cj = float(cvals[j])
+                subsidy_less_gain = PiecewiseLinear.affine(cj - 1.0, 1.0)
+                # eg[b] = E_k g_1(T-1, b, c_k, tau+1)
+                eg = [combine([g[b][k][nxt] for k in range(K)], beta * P[j]) for b in range(b_bar)]
                 for b in range(1, b_bar + 1):
-                    f = combine(
-                        [g[(b - 1, 1, k, nxt)] for k in range(K)]
-                        + [PiecewiseLinear.affine(cvals[j] - 1.0, 1.0)],
-                        np.append(w, 1.0),
-                    )
+                    f = combine([eg[b - 1], subsidy_less_gain], [1.0, 1.0])
                     try:
                         nu[T, b, j, tau] = f.least_root()
                     except ValueError as e:
                         raise IndexCheckError(f"f at T={T}, B={b}, j={j}, tau={tau}: {e}") from e
-        if T == t_bar:
-            break
-        g_new: dict[tuple, PiecewiseLinear] = {}
-        for tau in range(nt):
-            P = inst.cost.matrix_for(tau)
-            nxt = (tau + 1) % nt
-            for j in range(K):
-                w = beta * P[j]
-                cj = float(cvals[j])
-                for b in range(0, b_bar):
-                    for h in range(1, b_bar - b + 1):
-                        if b == 0:
-                            idx_h = nu[T, h, j, tau]
-                            s_lo = combine([gm(0, h - 1, k, nxt) for k in range(K)], w)
-                            s_hi = combine([gm(0, h, k, nxt) for k in range(K)], w)
-                            if idx_h > 0:
-                                pieces = [
-                                    s_lo.shift(1.0 - cj),
-                                    combine([s_lo, PiecewiseLinear.affine(1.0 - cj, -1.0)], [1.0, 1.0]),
-                                    s_hi,
-                                ]
-                                knots = [0.0, idx_h]
-                            else:
-                                pieces = [
-                                    s_lo.shift(1.0 - cj),
-                                    combine([s_hi, PiecewiseLinear.affine(0.0, 1.0)], [1.0, 1.0]),
-                                    s_hi,
-                                ]
-                                knots = [idx_h, 0.0]
-                        else:
-                            lo = nu[T, b, j, tau]
-                            hi = nu[T, b + h, j, tau]
-                            both_on = combine([g[(b - 1, h, k, nxt)] for k in range(K)], w)
-                            both_off = combine([g[(b, h, k, nxt)] for k in range(K)], w)
-                            if hi >= lo:
-                                mid = combine(
-                                    [gm(b, h - 1, k, nxt) for k in range(K)]
-                                    + [PiecewiseLinear.affine(1.0 - cj, -1.0)],
-                                    np.append(w, 1.0),
-                                )
-                                pieces, knots = [both_on, mid, both_off], [lo, hi]
-                            else:
-                                mid = combine(
-                                    [g[(b - 1, h + 1, k, nxt)] for k in range(K)]
-                                    + [PiecewiseLinear.affine(cj - 1.0, 1.0)],
-                                    np.append(w, 1.0),
-                                )
-                                pieces, knots = [both_on, mid, both_off], [hi, lo]
-                        g_new[(b, h, j, tau)] = stitch(pieces, knots)
-                        if gs is not None:
-                            gs[(T, b, h, j, tau)] = g_new[(b, h, j, tau)]
+                if T == t_bar:
+                    continue
+                # g_1(T, b) = V(T, b+1) - V(T, b): below both indexes both
+                # states are active, above both passive, and in between the
+                # one with the higher index is active (idx[0] = 0)
+                idx = nu[T, :, j, tau]
+                for b in range(b_bar):
+                    lo, hi = idx[b], idx[b + 1]
+                    if hi >= lo:
+                        mid = PiecewiseLinear.affine(1.0 - cj, -1.0)
+                    elif b == 0:
+                        mid = combine([eg[0], PiecewiseLinear.affine(0.0, 1.0)], [1.0, 1.0])
+                    else:
+                        mid = combine([eg[b - 1], eg[b], subsidy_less_gain], [1.0, 1.0, 1.0])
+                    both_on = PiecewiseLinear.constant(1.0 - cj) if b == 0 else eg[b - 1]
+                    g_new[b][j][tau] = stitch([both_on, mid, eg[b]], sorted([lo, hi]))
+                    if gs is not None:
+                        gs[(T, b, j, tau)] = g_new[b][j][tau]
         g = g_new
 
     try:

@@ -196,11 +196,21 @@ def set_path(doc, path, value):
         ({"instance.capacity": None}, []),
         ({"instance.arrivals.n_periods": "x"}, []),
         ({"verify_oracle": "no"}, []),
+        ({"instance.t_max": 10**9}, []),
+        ({"instance.b_max": 10**9}, []),
+        ({"instance.arrivals.n_periods": 10**9}, []),
+        ({"instance.n_chargers": 10**9}, []),
+        ({"seeds": 10**9}, []),
+        ({}, ["--seeds", str(10**9)]),
+        ({"horizon": 10**9}, []),
+        ({"instance.cost": {"file": str(FIXTURE_CSV), "k": 2, "n_periods": 10**9}}, []),
     ],
     ids=[
         "negative-seed", "one-seed", "bool-seeds", "unknown-policy", "seeds-flag-1",
         "no-policies", "repeated-policy", "repeated-seeds", "horizon-string", "horizon-list",
         "tol-string", "t-max-string", "capacity-null", "n-periods-string", "verify-oracle-string",
+        "t-max-huge", "b-max-huge", "n-periods-huge", "n-chargers-huge", "seeds-huge",
+        "seeds-flag-huge", "horizon-huge", "fitted-periods-huge",
     ],
 )
 def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys):
@@ -290,8 +300,9 @@ def test_shipped_toy_config_end_to_end(tmp_path):
 
 
 # sha256 of the CLI's output files on the shipped configs, recorded before the
-# per-charger law was shared by the arm MDP, the joint DP and the simulator;
-# a refactor must leave them byte-identical
+# per-charger law was shared by the arm MDP, the joint DP and the simulator
+# (the dynamic_cost table, the one Markov-cost pin, before the index recursion
+# dropped g_h for h > 1); a refactor must leave them byte-identical
 PINNED = {
     ("simulate", "toy", "episodes.csv"):
         "cd8175b9edc4421263861bdd7b3274b94b96929e9c57bf025b1765e9826d9a7f",
@@ -301,6 +312,8 @@ PINNED = {
         "21e478d8e21ab78f41f0d480d673f6ec56713ecb3305f1338eb065bb3e10aa67",
     ("index", "fig3_constant_cost", "index_table.csv"):
         "fee6319e64c5644f09ca8dbda5557060c3459bdce911f96587d2d35cb2f4ddf4",
+    ("index", "dynamic_cost", "index_table.csv"):
+        "e7943697126a75b2ea087d86aa61659f8a9d0558a6fbb99a068f850b651830cc",
 }
 
 

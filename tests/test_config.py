@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from evbandit.config import (
+    MEMORY_BUDGET,
     ConfigError,
+    check_size,
     instance_from_dict,
     load_instance,
     load_run_config,
@@ -170,6 +172,27 @@ class TestRunFields:
     def test_verify_oracle_flag(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path, {"verify_oracle": True}))
         assert cfg.verify_oracle is True
+
+
+class TestSizeBudget:
+    def test_budget_is_inclusive(self):
+        # t_max = b_max = 1: 3 charger states, so the move table and the pmf
+        # hold 2 * 9 + 4 floats; the rest of the budget goes to cost paths
+        left = MEMORY_BUDGET // 8 - 22
+        check_size(1, 1, 1, n_seeds=left, horizon=0)
+        with pytest.raises(ConfigError, match="run too large"):
+            check_size(1, 1, 1, n_seeds=left + 1, horizon=0)
+
+    def test_default_horizon_is_counted(self, tmp_path):
+        # two seeds, but the discount-tail cutoff is about 7e11 slots
+        doc = {"seeds": 2, "instance": {"discount": 1 - 1e-9}, "truncation_tol": 1e-300}
+        with pytest.raises(ConfigError, match="run too large"):
+            load_run_config(write_config(tmp_path, doc))
+
+    def test_fitted_periods_must_match_the_arrivals(self):
+        doc = {"cost": {"file": str(FIXTURE_CSV), "k": 2, "n_periods": 24}}
+        with pytest.raises(ConfigError, match="n_periods"):
+            instance_from_dict(doc)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)

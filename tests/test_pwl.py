@@ -6,12 +6,6 @@ from hypothesis import strategies as st
 from evbandit.pwl import PiecewiseLinear, combine, stitch
 
 
-def hat(a, b, peak):
-    """Tent function rising to ``peak`` at the midpoint of [a, b], 0 tails."""
-    m = 0.5 * (a + b)
-    return PiecewiseLinear(np.array([a, m, b]), np.array([0.0, peak, 0.0]), 0.0, 0.0)
-
-
 class TestEvaluation:
     def test_affine(self):
         f = PiecewiseLinear.affine(2.0, -0.5)
@@ -40,12 +34,6 @@ class TestEvaluation:
 
 
 class TestCombine:
-    def test_scale_and_shift(self):
-        f = hat(-1.0, 1.0, 2.0)
-        g = f.scale(-0.5).shift(1.0)
-        for x in [-2.0, -0.3, 0.0, 0.8, 3.0]:
-            assert g(x) == pytest.approx(-0.5 * f(x) + 1.0)
-
     def test_weight_count_checked(self):
         f = PiecewiseLinear.constant(0.0)
         with pytest.raises(ValueError):

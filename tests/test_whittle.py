@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from evbandit.arm import build_arm_mdp
 from evbandit.model import PenaltyFunction
+from evbandit.pwl import combine
 from evbandit.whittle import (
     IndexTable,
     base_g,
@@ -20,6 +21,17 @@ from evbandit.whittle import (
 from conftest import TWO_STATE_COST, make_instance
 
 PEN = PenaltyFunction.quadratic(0.3, 4)
+
+
+def g_h_keys(gs, b_max):
+    """(T, b, h, j, tau) for every g_h(T, b) = V(T, b+h) - V(T, b) that the
+    collected g_1's of ``compute_index_table`` determine."""
+    return [(t, b, h, j, tau) for (t, b, j, tau) in gs for h in range(1, b_max - b + 1)]
+
+
+def g_h(gs, t, b, h, j, tau):
+    """g_h(T, b) telescoped from the collected g_1's: sum of g_1(T, b+i), i < h."""
+    return combine([gs[(t, b + i, j, tau)] for i in range(h)], np.ones(h))
 
 
 @pytest.fixture(scope="module")
@@ -178,12 +190,37 @@ class TestGeometryOfG:
                         assert g(nu) == pytest.approx(want, abs=1e-9), (b, h, j, nu)
 
     def test_recursion_g_matches_value_differences(self, toy_dynamic):
+        # g_1 is collected for every level below t_max; every g_h is their
+        # telescoped sum
         _, gs = compute_index_table(toy_dynamic, collect_g=True)
+        assert set(gs) == {
+            (t, b, j, 0) for t in range(1, 4) for b in range(3) for j in range(2)
+        }
         for nu in (-0.45, 0.0, 0.35, 1.3):
             sol = solve_subsidy(toy_dynamic, nu)
-            for (t, b, h, j, tau), g in gs.items():
+            for (t, b, h, j, tau) in g_h_keys(gs, toy_dynamic.b_max):
                 want = sol.values[t, b + h, j, tau] - sol.values[t, b, j, tau]
-                assert g(nu) == pytest.approx(want, abs=1e-8), (t, b, h, j, tau, nu)
+                got = g_h(gs, t, b, h, j, tau)(nu)
+                assert got == pytest.approx(want, abs=1e-8), (t, b, h, j, tau, nu)
+
+    def test_recursion_reaches_every_branch(self, toy_dynamic):
+        # Between the indexes of (T, b) and (T, b+1) g_1 has a middle piece;
+        # the fixture has states where the index falls from b to b+1 (b >= 1)
+        # and where the B = 1 index is below the B = 0 index of 0.  There
+        # g_1 matches the exact value difference inside the middle interval.
+        table, gs = compute_index_table(toy_dynamic, collect_g=True)
+        v = table.values
+        falling = [
+            (t, b, j, tau) for (t, b, j, tau) in gs
+            if t >= 2 and v[t, b + 1, j, tau] < v[t, b, j, tau]
+        ]
+        assert any(b >= 1 for (_, b, _, _) in falling)
+        assert any(b == 0 for (_, b, _, _) in falling)
+        for (t, b, j, tau) in falling:
+            nu = 0.5 * (v[t, b, j, tau] + v[t, b + 1, j, tau])
+            sol = solve_subsidy(toy_dynamic, nu)
+            want = sol.values[t, b + 1, j, tau] - sol.values[t, b, j, tau]
+            assert gs[(t, b, j, tau)](nu) == pytest.approx(want, abs=1e-8), (t, b, j, tau)
 
     def test_base_g_domain_checked(self, toy_dynamic):
         with pytest.raises(ValueError):
@@ -198,7 +235,8 @@ class TestGeometryOfG:
         # flat tails.  (Dynamic cost genuinely breaks this; see the reversal
         # test above.)
         _, gs = compute_index_table(toy_constant, collect_g=True)
-        for (t, b, h, j, tau), g in gs.items():
+        for (t, b, h, j, tau) in g_h_keys(gs, toy_constant.b_max):
+            g = g_h(gs, t, b, h, j, tau)
             assert g.left_slope == pytest.approx(0.0, abs=1e-12)
             assert g.right_slope == pytest.approx(0.0, abs=1e-12)
             dx = np.diff(g.xs)
