@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .model import ArrivalModel, CostChain, Instance, PenaltyFunction
-from .sim import _CHUNK, POLICY_NAMES, default_horizon
+from .sim import POLICY_NAMES, default_horizon, world_dtype
 
 __all__ = [
     "ConfigError", "RunConfig", "load_run_config", "load_instance", "instance_from_dict",
-    "check_seeds", "check_size", "MEMORY_BUDGET",
+    "check_seeds", "check_size", "arm_entries", "MEMORY_BUDGET",
 ]
 
 # bytes the largest arrays of one command may take; check_size refuses more
@@ -184,7 +184,7 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
     arrivals = _arrivals_from(arrivals, t_max, b_max, n_periods)
     cost = _cost_from(block.get("cost", {"constant": 0.5}), base_dir, n_periods)
     try:
-        return Instance(
+        inst = Instance(
             n_chargers=_number(block.get("n_chargers", 10), "n_chargers", int),
             capacity=_number(block.get("capacity", 5), "capacity", int),
             discount=_number(block.get("discount", 0.999), "discount"),
@@ -196,29 +196,55 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
         )
     except ValueError as e:
         raise ConfigError(f"bad instance: {e}") from e
+    check_size(t_max, b_max, n_periods, arm=arm_entries(inst))
+    return inst
 
 
 def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
-               n_seeds: int = 0, horizon: int = 0) -> None:
+               n_seeds: int = 0, horizon: int = 0, arm: int = 0) -> None:
     """Refuse, before they are built, arrays of more than MEMORY_BUDGET bytes.
 
-    The estimate counts float64 entries of the largest arrays a command
-    builds: the dense move table of ``charger_law``, 2 n_periods n_cs^2 with
-    n_cs = 1 + t_max (b_max + 1); the arrival pmf, n_periods (t_max + 1)
-    (b_max + 1); and, per simulated seed, the cost path (horizon + 1) and the
-    simulator's two blocks of uniform draws (2 _CHUNK n_chargers).
+    The estimate counts the bytes of the largest arrays a command builds.  As
+    float64 entries: the dense move table of ``charger_law``, 2 n_periods
+    n_cs^2 with n_cs = 1 + t_max (b_max + 1); the arrival pmf, n_periods
+    (t_max + 1) (b_max + 1); the ``arm`` nonzeros of the arm MDP's transition
+    matrices (``arm_entries``); and per simulated seed the cost path's
+    uniforms, horizon + 1.  Per seed, too, the simulator's world of lead times
+    and arriving demands: 2 horizon n_chargers entries of ``sim.world_dtype``.
     """
     n_cs = 1 + t_max * (b_max + 1)
-    floats = n_periods * (2 * n_cs**2 + (t_max + 1) * (b_max + 1))
-    floats += n_seeds * (horizon + 1 + 2 * _CHUNK * n_chargers)
-    if 8 * floats > MEMORY_BUDGET:
+    floats = n_periods * (2 * n_cs**2 + (t_max + 1) * (b_max + 1)) + arm
+    world = 2 * horizon * n_chargers * world_dtype(t_max, b_max).itemsize
+    size = 8 * floats + n_seeds * (8 * (horizon + 1) + world)
+    if size > MEMORY_BUDGET:
         sizes = f"t_max={t_max}, b_max={b_max}, n_periods={n_periods}"
+        if arm:
+            sizes += f", arm MDP nonzeros={arm:,}"
         if n_seeds:
             sizes += f", n_chargers={n_chargers}, seeds={n_seeds}, horizon={horizon}"
         raise ConfigError(
-            f"run too large: its arrays would need about {8 * floats >> 20:,} MiB, "
+            f"run too large: its arrays would need about {size >> 20:,} MiB, "
             f"over the {MEMORY_BUDGET >> 20:,} MiB budget ({sizes})"
         )
+
+
+def arm_entries(instance: Instance) -> int:
+    """Nonzeros of the two transition matrices of ``arm.build_arm_mdp``.
+
+    Per action and period they are the kron of the move table with the cost
+    matrix.  A move table row holds one entry for a charger that stays
+    (T >= 2) and the arrival row for each of the b_max + 2 states that vacate:
+    1 - rho on the empty charger and rho times the pmf on the arriving types.
+    """
+    inst = instance
+    total = 0
+    for tau in range(inst.n_periods):
+        rho = inst.arrivals.rho_for(tau)
+        types = np.count_nonzero(inst.arrivals.pmf_for(tau)[1:]) if rho > 0 else 0
+        arrival = int(rho < 1) + types
+        move = (inst.t_max - 1) * (inst.b_max + 1) + (inst.b_max + 2) * arrival
+        total += 2 * move * np.count_nonzero(inst.cost.matrix_for(tau))
+    return int(total)
 
 
 def check_seeds(seeds, instance: Instance, horizon: int | None, truncation_tol: float) -> list:

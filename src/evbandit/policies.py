@@ -28,21 +28,26 @@ __all__ = [
     "CostForecast",
 ]
 
-_BIG = np.inf
+_BIG = np.iinfo(np.int64).max
 
 
 def select_by_key(key: np.ndarray, b: np.ndarray, m: int, eligible: np.ndarray) -> np.ndarray:
-    """Activate up to m eligible chargers with the smallest key.
+    """Activate up to m eligible chargers with the smallest integer key.
 
-    key, b, eligible: (S, N). Ties break toward larger B, then lower id.
+    key, b, eligible: (S, N). Ties break toward larger B, then lower id: the
+    three are packed into one integer per charger, and a row's m-th smallest
+    packed key is its threshold.
     """
     s, n = key.shape
-    ids = np.broadcast_to(np.arange(n), (s, n))
-    masked = np.where(eligible, key, _BIG)
-    order = np.lexsort((ids, -b, masked), axis=1)
-    ranks = np.empty((s, n), dtype=np.int64)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(n), (s, n)).copy(), axis=1)
-    return (ranks < m) & eligible
+    if m <= 0:
+        return np.zeros((s, n), dtype=bool)
+    if m >= n:
+        return eligible.copy()
+    b_lo, b_hi = int(b.min(initial=0)), int(b.max(initial=0))
+    packed = ((key - key.min(initial=0)) * (b_hi - b_lo + 1) + (b_hi - b)) * n + np.arange(n)
+    packed = np.where(eligible, packed, _BIG)
+    threshold = np.partition(packed, m - 1, axis=1)[:, m - 1 : m]
+    return (packed <= threshold) & eligible
 
 
 def whittle_kernel(
@@ -52,15 +57,13 @@ def whittle_kernel(
 
     Ranking against M dummy arms of constant index 0 plus the strict-positivity
     rule collapses to: activate the top-m chargers by index among those with a
-    strictly positive index.
+    strictly positive index.  The key is the table's dense rank of the index;
+    an empty charger or B = 0 has index 0, so it is never eligible.
     """
-    v = table.values
-    _, b_cap, k, nt = v.shape
-    flat = v.ravel()
+    _, b_cap, k, nt = table.values.shape
     comp = ((t * b_cap + b) * k + np.asarray(j).reshape(-1, 1)) * nt + (tau % nt)
-    idx = flat[comp]
-    eligible = (idx > 0.0) & (b > 0) & (t >= 1)
-    return select_by_key(-idx, b, m, eligible)
+    rank = table.rank.ravel()[comp]
+    return select_by_key(rank, b, m, rank < table.n_positive)
 
 
 def edf_kernel(t: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -81,39 +84,36 @@ def lllp_kernel(t: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
     swap the strongest such pair per seed: dominators scanned by (laxity
     ascending, demand descending, id), the replaced active charger by (laxity
     descending, demand ascending, id).  Each swap strictly lowers the active
-    set's (laxity, -demand) rank profile, so this terminates.
+    set's (laxity, -demand) rank profile, so this terminates.  Laxity and
+    demand do not change, so the pairwise dominance is built once; each round
+    works only on the rows that still held a dominating pair the round before.
     """
     act = active.copy()
     s, n = t.shape
     lax = t - b
     occ = (t >= 1) & (b > 0)
-    ids = np.broadcast_to(np.arange(n), (s, n))
+    ids = np.arange(n)
     b_max = int(b.max(initial=0))
     l_off = lax - lax.min(initial=0)  # nonnegative laxity ranks
     l_span = int(l_off.max(initial=0)) + 1
     fwd = (l_off * (b_max + 1) + (b_max - b)) * n + ids  # small = strong
     rev = ((l_span - 1 - l_off) * (b_max + 1) + b) * n + ids  # small = weak
+    li, lk, bi, bk = lax[:, :, None], lax[:, None, :], b[:, :, None], b[:, None, :]
+    beats = (li <= lk) & (bi >= bk) & ((li < lk) | (bi > bk)) & occ[:, :, None]
+    rows = np.arange(s)
     while True:
-        cand = occ & ~act
-        dom = (
-            (lax[:, :, None] <= lax[:, None, :])
-            & (b[:, :, None] >= b[:, None, :])
-            & ((lax[:, :, None] < lax[:, None, :]) | (b[:, :, None] > b[:, None, :]))
-            & cand[:, :, None]
-            & act[:, None, :]
-        )
-        rows_with_pair = dom.any(axis=(1, 2))
-        if not rows_with_pair.any():
-            return act
+        a = act[rows]
+        dom = beats[rows] & ~a[:, :, None] & a[:, None, :]
         has_victim = dom.any(axis=2)
-        i_key = np.where(has_victim, fwd, _BIG)
-        i_star = np.argmin(i_key, axis=1)
-        victims = np.take_along_axis(dom, i_star[:, None, None], axis=1)[:, 0, :]
-        k_key = np.where(victims, rev, _BIG)
-        k_star = np.argmin(k_key, axis=1)
-        rows = np.nonzero(rows_with_pair)[0]
-        act[rows, i_star[rows]] = True
-        act[rows, k_star[rows]] = False
+        live = has_victim.any(axis=1)
+        if not live.any():
+            return act
+        rows, dom, has_victim = rows[live], dom[live], has_victim[live]
+        i_star = np.argmin(np.where(has_victim, fwd[rows], _BIG), axis=1)
+        victims = dom[np.arange(rows.size), i_star]
+        k_star = np.argmin(np.where(victims, rev[rows], _BIG), axis=1)
+        act[rows, i_star] = True
+        act[rows, k_star] = False
 
 
 class CostForecast:

@@ -2,11 +2,13 @@
 
 All exogenous randomness is action-independent: the cost chain moves on its
 own, lead times tick down deterministically, and a charger's occupancy in the
-next slot is decided by arrival/type draws only when it vacates.  The engine
-therefore pregenerates (or regenerates identically) three named streams per
-seed — cost path, arrival coin flips, EV type draws — indexed by slot, so
-every policy sees exactly the same world and paired comparisons subtract the
-same noise.
+next slot is decided by arrival/type draws only when it vacates.  Only the
+remaining demand B depends on the actions.  ``monte_carlo`` therefore draws
+the rest once per seed set, from three named streams per seed (cost path,
+arrival coin flips, EV type draws), as a ``World``: each slot's cost level
+and lead times and the demand of any arriving EV.  Every policy then runs
+against that one world, so common random numbers hold by construction and
+paired comparisons subtract the same noise.
 
 Episodes for all seeds advance together as (n_seeds, n_chargers) arrays; a
 policy is a vectorized kernel over that batch, built by ``policy_kernel``.
@@ -80,22 +82,41 @@ def _streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(int(seed)).spawn(3)
 
 
-def _cost_paths(instance: Instance, seeds, horizon: int) -> np.ndarray:
-    """(n_seeds, horizon) cost-state paths; start from the stationary law."""
-    s = len(seeds)
+def world_dtype(t_max: int, b_max: int) -> np.dtype:
+    """Smallest signed integer dtype that holds -1 and every T and B."""
+    return np.min_scalar_type(-max(t_max, b_max) - 1)
+
+
+@dataclass
+class World:
+    """The action-independent part of a batch of episodes, one row per seed.
+
+    ``cost[t, s]``: the cost level in slot t.  ``lead[t, s, i]``: the lead
+    time of charger i in slot t.  ``arrival[t, s, i]``: the demand of the EV
+    that takes charger i at the end of slot t, -1 when none does.
+    """
+
+    cost: np.ndarray
+    lead: np.ndarray
+    arrival: np.ndarray
+
+
+def _cost_paths(instance: Instance, gens, horizon: int) -> np.ndarray:
+    """(horizon, n_seeds) cost-level paths; start from the stationary law."""
+    s = len(gens)
     k = instance.cost.n_levels
     u = np.empty((s, horizon + 1))
-    for i, sd in enumerate(seeds):
-        u[i] = np.random.default_rng(_streams(sd)[0]).random(horizon + 1)
-    path = np.empty((s, max(horizon, 1)), dtype=np.int16)
+    for i, g in enumerate(gens):
+        u[i] = g.random(horizon + 1)
+    path = np.empty((max(horizon, 1), s), dtype=np.int16)
     cum0 = np.cumsum(instance.cost.stationary())
-    path[:, 0] = np.minimum(np.searchsorted(cum0, u[:, 0], side="right"), k - 1)
+    path[0] = np.minimum(np.searchsorted(cum0, u[:, 0], side="right"), k - 1)
     cums = [
         np.cumsum(instance.cost.matrix_for(tau), axis=1) for tau in range(instance.n_periods)
     ]
     for t in range(horizon - 1):
-        rows = cums[t % instance.n_periods][path[:, t]]
-        path[:, t + 1] = np.minimum((u[:, t + 1, None] > rows).sum(axis=1), k - 1)
+        rows = cums[t % instance.n_periods][path[t]]
+        path[t + 1] = np.minimum((u[:, t + 1, None] > rows).sum(axis=1), k - 1)
     return path
 
 
@@ -105,8 +126,51 @@ def _type_tables(instance: Instance):
         pmf = instance.arrivals.pmf_for(tau)
         tt, bb = np.nonzero(pmf)
         cum = np.cumsum(pmf[tt, bb])
-        out.append((cum, tt.astype(np.int64), bb.astype(np.int64)))
+        out.append((cum, tt, bb))
     return out
+
+
+def draw_world(instance: Instance, seeds, horizon: int) -> World:
+    """The world of ``seeds`` over ``horizon`` slots, from an empty facility.
+
+    The uniforms are drawn per seed and stream in blocks of at most _CHUNK
+    slots; a vacated charger is refilled when its arrival coin falls below
+    rho, with a type drawn by inverting the period's type CDF.
+    """
+    s, n, nt = len(seeds), instance.n_chargers, instance.n_periods
+    dtype = world_dtype(instance.t_max, instance.b_max)
+    streams = [_streams(sd) for sd in seeds]
+    cost = _cost_paths(instance, [np.random.default_rng(st[0]) for st in streams], horizon)
+    arr_gens = [np.random.default_rng(st[1]) for st in streams]
+    type_gens = [np.random.default_rng(st[2]) for st in streams]
+    rho = np.array([instance.arrivals.rho_for(tau) for tau in range(nt)])
+    types = _type_tables(instance)
+
+    lead = np.empty((horizon, s, n), dtype=dtype)
+    arrival = np.empty((horizon, s, n), dtype=dtype)
+    t_arr = np.zeros((s, n), dtype=dtype)
+    for start in range(0, horizon, _CHUNK):
+        rows = min(_CHUNK, horizon - start)
+        period = (start + np.arange(rows)) % nt
+        below = rho[period][:, None]
+        slots = [period == tau for tau in range(nt)]
+        u = np.empty((rows, n))
+        coin = np.empty((s, rows, n), dtype=bool)
+        new_t = np.empty((s, rows, n), dtype=dtype)
+        new_b = np.empty((s, rows, n), dtype=dtype)
+        for i in range(s):
+            arr_gens[i].random(out=u)
+            coin[i] = u < below
+            type_gens[i].random(out=u)
+            for at, (cum, tt, bb) in zip(slots, types):
+                ridx = np.minimum(np.searchsorted(cum, u[at], side="right"), cum.size - 1)
+                new_t[i, at], new_b[i, at] = tt[ridx], bb[ridx]
+        for r in range(rows):
+            lead[start + r] = t_arr
+            arrives = coin[:, r] & (t_arr <= 1)
+            arrival[start + r] = np.where(arrives, new_b[:, r], -1)
+            t_arr = np.where(arrives, new_t[:, r], np.maximum(t_arr - 1, 0))
+    return World(cost, lead, arrival)
 
 
 def policy_kernel(name: str, instance: Instance, table=None, forecast=None):
@@ -151,7 +215,7 @@ def _run_batch(
     policy: str,
     seeds,
     horizon: int,
-    cost_path: np.ndarray,
+    world: World,
     table=None,
     forecast=None,
 ) -> list[EpisodeMetrics]:
@@ -163,42 +227,29 @@ def _run_batch(
     nt = instance.n_periods
     cvals = instance.cost.values
     ftab = instance.penalty.table
-    rho = np.array([instance.arrivals.rho_for(tau) for tau in range(nt)])
-    types = _type_tables(instance)
 
-    arr_gens = [np.random.default_rng(_streams(sd)[1]) for sd in seeds]
-    type_gens = [np.random.default_rng(_streams(sd)[2]) for sd in seeds]
-    u_arr = np.empty((s, _CHUNK, n))
-    u_typ = np.empty((s, _CHUNK, n))
-
-    t_arr = np.zeros((s, n), dtype=np.int64)
     b_arr = np.zeros((s, n), dtype=np.int64)
     revenue = np.zeros(s)
     energy_cost = np.zeros(s)
     penalty = np.zeros(s)
     delivered = np.zeros(s, dtype=np.int64)
-    arrived = np.zeros(s, dtype=np.int64)
     unserved = np.zeros(s, dtype=np.int64)
     activations = np.zeros(s, dtype=np.int64)
     interchanges = np.zeros(s, dtype=np.int64)
     disc = 1.0
 
     for t in range(horizon):
-        r = t % _CHUNK
-        if r == 0:
-            for i in range(s):
-                u_arr[i] = arr_gens[i].random((_CHUNK, n))
-                u_typ[i] = type_gens[i].random((_CHUNK, n))
-        tau = t % nt
-        j = cost_path[:, t]
+        t_arr = world.lead[t].astype(np.int64)
+        j = world.cost[t]
         c = cvals[j]
 
-        action, swapped = kern(t_arr, b_arr, j, tau)
+        action, swapped = kern(t_arr, b_arr, j, t % nt)
         interchanges += swapped
-        if np.any(action.sum(axis=1) > m):
+        active = action.sum(axis=1)
+        if np.any(active > m):
             raise RuntimeError(f"policy {policy!r} violated the capacity limit")
 
-        eff, b_after, t_next, b_next = serve(t_arr, b_arr, action)
+        eff, b_after, _, b_next = serve(t_arr, b_arr, action)
         served = eff.sum(axis=1)
         revenue += disc * served
         energy_cost += disc * served * c
@@ -206,16 +257,13 @@ def _run_batch(
         penalty += disc * np.where(at_deadline, ftab[b_after], 0.0).sum(axis=1)
         delivered += served
         unserved += (b_after * at_deadline).sum(axis=1)
-        activations += action.sum(axis=1)
+        activations += active
 
-        cum, tt, bb = types[tau]
-        arrives = (t_arr <= 1) & (u_arr[:, r] < rho[tau])
-        ridx = np.minimum(np.searchsorted(cum, u_typ[:, r], side="right"), cum.size - 1)
-        t_arr = np.where(arrives, tt[ridx], t_next)
-        b_arr = np.where(arrives, bb[ridx], b_next)
-        arrived += (bb[ridx] * arrives).sum(axis=1)
+        new = world.arrival[t]
+        b_arr = np.where(new >= 0, new, b_next)
         disc *= beta
 
+    arrived = np.maximum(world.arrival, 0).sum(axis=(0, 2), dtype=np.int64)
     out = []
     for i, sd in enumerate(seeds):
         comp = 1.0 if arrived[i] == 0 else 1.0 - unserved[i] / arrived[i]
@@ -252,8 +300,8 @@ def run_episode(
         horizon = default_horizon(instance, truncation_tol)
     if table is None and policy.startswith("whittle"):
         table = compute_index_table(instance)
-    cost_path = _cost_paths(instance, [seed], horizon)
-    return _run_batch(instance, policy, [seed], horizon, cost_path, table)[0]
+    world = draw_world(instance, [seed], horizon)
+    return _run_batch(instance, policy, [seed], horizon, world, table)[0]
 
 
 def _mean_ci(x: np.ndarray) -> tuple[float, float]:
@@ -331,7 +379,7 @@ def monte_carlo(
     table: IndexTable | None = None,
     truncation_tol: float = 1e-3,
 ) -> ComparisonReport:
-    """Run every policy over the same seeds with common random numbers."""
+    """Run every policy over the same seeds against one drawn world."""
     if isinstance(seeds, (int, np.integer)):
         seeds = list(range(int(seeds)))
     else:
@@ -349,10 +397,10 @@ def monte_carlo(
     if table is None and any(p.startswith("whittle") for p in policies):
         table = compute_index_table(instance)
     forecast = CostForecast(instance) if "valley" in policies else None
-    cost_path = _cost_paths(instance, seeds, horizon)
+    world = draw_world(instance, seeds, horizon)
     episodes = {}
     for p in policies:
-        episodes[p] = _run_batch(instance, p, seeds, horizon, cost_path, table, forecast)
+        episodes[p] = _run_batch(instance, p, seeds, horizon, world, table, forecast)
     return ComparisonReport(policies, seeds, horizon, episodes, baseline)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -69,9 +69,15 @@ class IndexTable:
 
     ``values[T, B, j, tau]``; row T=0 and column B=0 are identically zero, and
     the index is nondecreasing in B on the B >= T range (checked on build).
+    ``rank`` (same shape) is the dense rank of the index, largest first, equal
+    values sharing a rank; the ranks below ``n_positive`` are those of the
+    strictly positive indices.  The Whittle kernel sorts by it, and
+    ``select_by_key`` breaks its ties by B, then charger id.
     """
 
     values: np.ndarray
+    rank: np.ndarray = field(init=False, repr=False, compare=False)
+    n_positive: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -89,6 +95,9 @@ class IndexTable:
             seg = v[t, lo:]
             if np.any(np.diff(seg, axis=0) < -1e-9):
                 raise ValueError("index not nondecreasing in B on the B >= T range")
+        neg_unique, rank = np.unique(-v.ravel(), return_inverse=True)
+        object.__setattr__(self, "rank", rank.reshape(v.shape))
+        object.__setattr__(self, "n_positive", int(np.count_nonzero(neg_unique < 0)))
 
     def lookup(self, T: int, B: int, j: int, tau: int) -> float:
         return float(self.values[T, B, j, tau])

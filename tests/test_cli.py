@@ -204,16 +204,24 @@ def set_path(doc, path, value):
         ({}, ["--seeds", str(10**9)]),
         ({"horizon": 10**9}, []),
         ({"instance.cost": {"file": str(FIXTURE_CSV), "k": 2, "n_periods": 10**9}}, []),
+        # 400 literal cost levels: the arm MDP's kron of the move table with
+        # the dense 400 x 400 cost matrix would hold about 2.9e8 entries
+        ({"instance.t_max": 12, "instance.b_max": 9,
+          "instance.cost": {"levels": [0.5] * 400, "matrix": [[1 / 400] * 400] * 400}}, []),
     ],
     ids=[
         "negative-seed", "one-seed", "bool-seeds", "unknown-policy", "seeds-flag-1",
         "no-policies", "repeated-policy", "repeated-seeds", "horizon-string", "horizon-list",
         "tol-string", "t-max-string", "capacity-null", "n-periods-string", "verify-oracle-string",
         "t-max-huge", "b-max-huge", "n-periods-huge", "n-chargers-huge", "seeds-huge",
-        "seeds-flag-huge", "horizon-huge", "fitted-periods-huge",
+        "seeds-flag-huge", "horizon-huge", "fitted-periods-huge", "cost-levels-huge",
     ],
 )
-def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys):
+def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys, monkeypatch):
+    def not_refused(*args, **kwargs):
+        raise AssertionError("the run was not refused before it was built")
+
+    monkeypatch.setattr(cli, "monte_carlo", not_refused)
     doc = json.loads((REPO / "configs" / "toy.json").read_text())
     for path, value in changes.items():
         set_path(doc, path.split("."), value)
@@ -302,7 +310,9 @@ def test_shipped_toy_config_end_to_end(tmp_path):
 # sha256 of the CLI's output files on the shipped configs, recorded before the
 # per-charger law was shared by the arm MDP, the joint DP and the simulator
 # (the dynamic_cost table, the one Markov-cost pin, before the index recursion
-# dropped g_h for h > 1); a refactor must leave them byte-identical
+# dropped g_h for h > 1; the fig3_constant_cost simulation, where the LLLP
+# interchange swaps, before the simulator drew one world for all policies);
+# a refactor must leave them byte-identical
 PINNED = {
     ("simulate", "toy", "episodes.csv"):
         "cd8175b9edc4421263861bdd7b3274b94b96929e9c57bf025b1765e9826d9a7f",
@@ -314,6 +324,10 @@ PINNED = {
         "fee6319e64c5644f09ca8dbda5557060c3459bdce911f96587d2d35cb2f4ddf4",
     ("index", "dynamic_cost", "index_table.csv"):
         "e7943697126a75b2ea087d86aa61659f8a9d0558a6fbb99a068f850b651830cc",
+    ("simulate", "fig3_constant_cost", "episodes.csv"):
+        "3081844ae0d668702919f28db6c9d3d5aaa51e25d8f16402bf344b9922eba84a",
+    ("simulate", "fig3_constant_cost", "summary.json"):
+        "748b5babc5cab2b56140222d68b4ef765ee72c8e7b81743f853fd8166335d10d",
 }
 
 

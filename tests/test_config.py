@@ -4,9 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import TWO_STATE_COST, make_instance
+
+from evbandit.arm import build_arm_mdp
 from evbandit.config import (
     MEMORY_BUDGET,
     ConfigError,
+    arm_entries,
     check_size,
     instance_from_dict,
     load_instance,
@@ -188,6 +192,12 @@ class TestSizeBudget:
         doc = {"seeds": 2, "instance": {"discount": 1 - 1e-9}, "truncation_tol": 1e-300}
         with pytest.raises(ConfigError, match="run too large"):
             load_run_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 1.0])
+    def test_arm_entries_count_the_built_matrices(self, rho):
+        inst = make_instance(t_max=4, b_max=3, rho=rho, cost=TWO_STATE_COST)
+        arm = build_arm_mdp(inst)
+        assert arm_entries(inst) == arm.P0.nnz + arm.P1.nnz
 
     def test_fitted_periods_must_match_the_arrivals(self):
         doc = {"cost": {"file": str(FIXTURE_CSV), "k": 2, "n_periods": 24}}

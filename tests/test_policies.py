@@ -300,3 +300,165 @@ class TestCostForecast:
         assert fc.forecast(0, 1, 1) == pytest.approx((p1 @ vals)[0])
         assert fc.forecast(1, 1, 2) == pytest.approx((p1 @ p0 @ vals)[1])
         assert fc.forecast(0, 0, 2) == pytest.approx((p0 @ p1 @ vals)[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: select_by_key and lllp_kernel as they were before the
+# packed integer key and the row-shrinking interchange, copied verbatim.  The
+# kernels in use must agree with them on every state.
+
+_BIG = np.inf
+
+
+def reference_select_by_key(
+    key: np.ndarray, b: np.ndarray, m: int, eligible: np.ndarray
+) -> np.ndarray:
+    """Activate up to m eligible chargers with the smallest key.
+
+    key, b, eligible: (S, N). Ties break toward larger B, then lower id.
+    """
+    s, n = key.shape
+    ids = np.broadcast_to(np.arange(n), (s, n))
+    masked = np.where(eligible, key, _BIG)
+    order = np.lexsort((ids, -b, masked), axis=1)
+    ranks = np.empty((s, n), dtype=np.int64)
+    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(n), (s, n)).copy(), axis=1)
+    return (ranks < m) & eligible
+
+
+def reference_lllp_kernel(t: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Batch LLLP interchange on (S, N) state arrays.
+
+    A waiting charger i dominates an active charger k when its laxity is no
+    larger and its demand no smaller, one of the two strictly.  Repeatedly
+    swap the strongest such pair per seed: dominators scanned by (laxity
+    ascending, demand descending, id), the replaced active charger by (laxity
+    descending, demand ascending, id).  Each swap strictly lowers the active
+    set's (laxity, -demand) rank profile, so this terminates.
+    """
+    act = active.copy()
+    s, n = t.shape
+    lax = t - b
+    occ = (t >= 1) & (b > 0)
+    ids = np.broadcast_to(np.arange(n), (s, n))
+    b_max = int(b.max(initial=0))
+    l_off = lax - lax.min(initial=0)  # nonnegative laxity ranks
+    l_span = int(l_off.max(initial=0)) + 1
+    fwd = (l_off * (b_max + 1) + (b_max - b)) * n + ids  # small = strong
+    rev = ((l_span - 1 - l_off) * (b_max + 1) + b) * n + ids  # small = weak
+    while True:
+        cand = occ & ~act
+        dom = (
+            (lax[:, :, None] <= lax[:, None, :])
+            & (b[:, :, None] >= b[:, None, :])
+            & ((lax[:, :, None] < lax[:, None, :]) | (b[:, :, None] > b[:, None, :]))
+            & cand[:, :, None]
+            & act[:, None, :]
+        )
+        rows_with_pair = dom.any(axis=(1, 2))
+        if not rows_with_pair.any():
+            return act
+        has_victim = dom.any(axis=2)
+        i_key = np.where(has_victim, fwd, _BIG)
+        i_star = np.argmin(i_key, axis=1)
+        victims = np.take_along_axis(dom, i_star[:, None, None], axis=1)[:, 0, :]
+        k_key = np.where(victims, rev, _BIG)
+        k_star = np.argmin(k_key, axis=1)
+        rows = np.nonzero(rows_with_pair)[0]
+        act[rows, i_star[rows]] = True
+        act[rows, k_star[rows]] = False
+
+
+@st.composite
+def batch_states(draw, max_s=6, max_n=8):
+    """(S, N) lead times and demands on a small grid, so ties in laxity and in
+    B are common; B may exceed T (negative laxity), and T = 0 or B = 0 leaves
+    a charger empty."""
+    s = draw(st.integers(1, max_s))
+    n = draw(st.integers(1, max_n))
+    cells = st.lists(st.integers(0, 4), min_size=s * n, max_size=s * n)
+    t = np.array(draw(cells), dtype=np.int64).reshape(s, n)
+    b = np.array(draw(cells), dtype=np.int64).reshape(s, n)
+    return t, b
+
+
+def bool_array(draw, shape):
+    size = int(np.prod(shape))
+    flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return np.array(flags, dtype=bool).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_states(), st.data())
+def test_select_by_key_matches_reference(tb, data):
+    t, b = tb
+    s, n = t.shape
+    key = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=s * n, max_size=s * n)))
+    key = key.reshape(s, n)
+    eligible = bool_array(data.draw, (s, n))
+    m = data.draw(st.integers(0, n + 2))
+    assert np.array_equal(select_by_key(key, b, m, eligible), reference_select_by_key(key, b, m, eligible))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_states(), st.integers(0, 10))
+def test_edf_and_llf_match_reference(tb, m):
+    t, b = tb
+    cand = (t >= 1) & (b > 0)
+    want_edf = reference_select_by_key(np.where(cand, t, 0), b, m, cand)
+    want_llf = reference_select_by_key(np.where(cand, t - b, 0), b, m, cand)
+    assert np.array_equal(edf_kernel(t, b, m), want_edf)
+    assert np.array_equal(llf_kernel(t, b, m), want_llf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_states(), st.data())
+def test_lllp_matches_reference(tb, data):
+    t, b = tb
+    active = bool_array(data.draw, t.shape)
+    if data.draw(st.booleans()):
+        active &= (t >= 1) & (b > 0)  # as the Whittle kernel hands it over
+    got = lllp_kernel(t, b, active)
+    assert np.array_equal(got, reference_lllp_kernel(t, b, active))
+    assert got.sum(axis=1).tolist() == active.sum(axis=1).tolist()
+
+
+@st.composite
+def tied_tables(draw):
+    """Index tables on T <= 4, B <= 4 (2 cost levels, 2 periods) whose values
+    come from a few levels, so equal indices at different (T, B) are common."""
+    levels = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0])
+    v = np.array(draw(st.lists(levels, min_size=5 * 5 * 4, max_size=5 * 5 * 4))).reshape(5, 5, 2, 2)
+    v[0] = 0.0
+    v[:, 0] = 0.0
+    for t in range(1, 5):
+        v[t, t:] = np.maximum.accumulate(v[t, t:], axis=0)
+    return IndexTable(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_tables(), batch_states(max_n=6), st.data())
+def test_whittle_matches_reference(tab, tb, data):
+    t, b = tb
+    s, n = t.shape
+    j = np.array(data.draw(st.lists(st.integers(0, 1), min_size=s, max_size=s)))
+    tau = data.draw(st.integers(0, 3))
+    m = data.draw(st.integers(0, n + 2))
+    idx = tab.values[t, b, j[:, None], tau % 2]
+    want = reference_select_by_key(-idx, b, m, (idx > 0.0) & (b > 0) & (t >= 1))
+    assert np.array_equal(whittle_kernel(t, b, j, tau, tab, m), want)
+
+
+def test_whittle_ties_break_toward_larger_b_then_lower_id():
+    v = np.zeros((4, 4, 1, 1))
+    v[1:, 1:] = 0.5  # one index value at every occupied state
+    tab = IndexTable(v)
+    pairs = [(2, 1), (3, 2), (1, 2), (3, 2)]
+    assert whittle(pairs, tab, 1).tolist() == [0, 1, 0, 0]
+    assert whittle(pairs, tab, 2).tolist() == [0, 1, 1, 0]
+    assert whittle(pairs, tab, 3).tolist() == [0, 1, 1, 1]
+    assert whittle(pairs, tab, 4).tolist() == [1, 1, 1, 1]
+    assert whittle([(1, 1), (3, 3)], tab, 1).tolist() == [0, 1]
+    # a larger index still comes first, whatever its B
+    v[3, 1] = 0.75
+    assert whittle([(3, 3), (3, 1)], IndexTable(v), 1).tolist() == [0, 1]

@@ -106,6 +106,11 @@ class TestCommonRandomNumbers:
                 assert single.discounted_reward == e.discounted_reward
                 assert single.delivered_units == e.delivered_units
 
+    def test_other_policies_do_not_change_an_episode(self, toy_dynamic):
+        alone = monte_carlo(toy_dynamic, ["edf"], seeds=[3, 8, 21], horizon=150)
+        mixed = monte_carlo(toy_dynamic, ["whittle", "edf", "llf"], seeds=[3, 8, 21], horizon=150)
+        assert alone.episodes["edf"] == mixed.episodes["edf"]
+
     def test_duplicate_policy_entries_identical(self, toy_dynamic):
         rep = monte_carlo(toy_dynamic, ["edf", "edf"], seeds=3, horizon=60)
         assert rep.policies == ["edf", "edf"]
