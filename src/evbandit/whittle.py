@@ -33,7 +33,8 @@ import numpy as np
 
 from .arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from .model import Instance, PenaltyFunction
-from .pwl import PiecewiseLinear, combine, stitch
+# combine and stitch stay importable from here: perfbench/spans.py traces them
+from .pwl import PiecewiseLinear, PWLBatch, RowError, combine, stitch  # noqa: F401
 
 __all__ = [
     "ExtendedState",
@@ -51,9 +52,10 @@ __all__ = [
 
 
 class IndexCheckError(ValueError):
-    """The index recursion failed a monotonicity check that the theory says
-    cannot fail: a root function that is not nondecreasing, or an index that
-    decreases in B past the diagonal."""
+    """The index recursion failed a check that the theory says cannot fail: a
+    root function that is not nondecreasing or has no root, pieces of a g_1
+    that disagree at a knot, or an index that decreases in B past the
+    diagonal."""
 
 
 class ExtendedState(NamedTuple):
@@ -140,53 +142,47 @@ def closed_form_index(T: int, B: int, c0: float, beta: float, penalty: PenaltyFu
     return 1.0 - c0 + beta ** (T - 1) * float(penalty.delta(B - T + 1))
 
 
-def base_g(instance: Instance, h: int, B: int, j: int, tau: int) -> PiecewiseLinear:
-    """g_h at lead time 1: V(1, B+h) - V(1, B) as a PWL function of the subsidy.
+def _base_rows(instance: Instance, h: int, B, j) -> PWLBatch:
+    """g_h at lead time 1 for arrays of demands B and cost levels j, a row each.
 
     Explicit three-piece construction; constant tails, middle slope -1 (or +1
     in the degenerate branch where activating the larger demand never pays).
     """
+    F = instance.penalty.table
+    gain = 1.0 - instance.cost.values[j]
+    busy, Bm = B >= 1, np.maximum(B, 1)  # F(B - 1) is used only where B >= 1
+    t_h = gain + (F[h] - F[h - 1])
+    pays, head, flat = t_h > 0, gain - F[h - 1], np.zeros_like(gain)
+    knots = np.where(busy[:, None],
+                     np.stack([gain + (F[Bm] - F[Bm - 1]), gain + (F[B + h] - F[B + h - 1])], 1),
+                     np.stack([np.where(pays, flat, t_h), np.where(pays, t_h, flat)], 1))
+    return PWLBatch.stitch([
+        PWLBatch.affine(np.where(busy, F[Bm - 1] - F[B + h - 1], head), flat),
+        PWLBatch.affine(np.where(busy, gain + (F[B] - F[B + h - 1]), np.where(pays, head, -F[h])),
+                        np.where(busy | pays, -1.0, 1.0)),
+        PWLBatch.affine(np.where(busy, F[B] - F[B + h], -F[h]), flat),
+    ], knots)
+
+
+def base_g(instance: Instance, h: int, B: int, j: int, tau: int) -> PiecewiseLinear:
+    """g_h at lead time 1: V(1, B+h) - V(1, B) as a PWL function of the subsidy."""
     b_max = instance.b_max
     if not (0 <= B <= b_max) or not (1 <= h <= b_max - B):
         raise ValueError(f"need 0 <= B <= {b_max} and 1 <= h <= b_max - B; got B={B}, h={h}")
     if not (0 <= j < instance.cost.n_levels) or not (0 <= tau < instance.n_periods):
         raise ValueError("cost level or period out of range")
-    c = float(instance.cost.values[j])
-    F = instance.penalty
-    if B >= 1:
-        t_lo = 1.0 - c + float(F.delta(B))
-        t_hi = 1.0 - c + float(F.delta(B + h))
-        pieces = [
-            PiecewiseLinear.constant(float(F(B - 1) - F(B + h - 1))),
-            PiecewiseLinear.affine(1.0 - c + float(F(B) - F(B + h - 1)), -1.0),
-            PiecewiseLinear.constant(float(F(B) - F(B + h))),
-        ]
-        return stitch(pieces, [t_lo, t_hi])
-    t_h = 1.0 - c + float(F.delta(h))
-    if t_h > 0:
-        pieces = [
-            PiecewiseLinear.constant(1.0 - c - float(F(h - 1))),
-            PiecewiseLinear.affine(1.0 - c - float(F(h - 1)), -1.0),
-            PiecewiseLinear.constant(-float(F(h))),
-        ]
-        return stitch(pieces, [0.0, t_h])
-    pieces = [
-        PiecewiseLinear.constant(1.0 - c - float(F(h - 1))),
-        PiecewiseLinear.affine(-float(F(h)), 1.0),
-        PiecewiseLinear.constant(-float(F(h))),
-    ]
-    return stitch(pieces, [t_h, 0.0])
+    return _base_rows(instance, h, np.array([B]), np.array([j])).row(0)
 
 
 def compute_index_table(instance: Instance, collect_g: bool = False):
     """Index for every extended state by the PWL recursion.
 
-    Levels T = 1..t_max are processed in order.  For each period and cost
-    level the expectations E_k g_1(T-1, b, c_k, tau+1) are formed once; they
-    give the root functions f, whose least roots are the level's indexes, and
-    those indexes in turn split the cases of the level's own g_1's.  Raises
-    IndexCheckError if any assembled f fails to be nondecreasing or the table
-    fails its monotonicity check (the theory says neither can happen).
+    The g_1's of one lead time are the rows of one PWLBatch, ordered (period,
+    B, cost level), and each level T = 2..t_max is a few operations on the
+    whole batch.  The expectations E_k g_1(T-1, b, c_k, tau+1) give the root
+    functions f, whose least roots are the level's indexes, and those indexes
+    in turn split the cases of the level's own g_1's.  Every failed check of
+    the recursion or of the table raises IndexCheckError.
 
     Returns the IndexTable; with ``collect_g`` also the dict of g_1 functions
     keyed by (T, B, j, tau).
@@ -194,64 +190,72 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
     inst = instance
     t_bar, b_bar = inst.t_max, inst.b_max
     K, nt = inst.cost.n_levels, inst.n_periods
-    F = inst.penalty
-    cvals = inst.cost.values
+    cvals, gain = inst.cost.values, 1.0 - inst.cost.values
     beta = inst.discount
 
     nu = np.zeros((t_bar + 1, b_bar + 1, K, nt))
-    for j in range(K):
-        for b in range(1, b_bar + 1):
-            nu[1, b, j, :] = 1.0 - cvals[j] + float(F.delta(b))
+    nu[1, 1:] = (gain[None, :] + inst.penalty.delta(np.arange(1, b_bar + 1))[:, None])[..., None]
 
-    # g[b][j][tau] = g_1(T, b, c_j, tau) of the current level; level-1 g's do
-    # not depend on the period, so the same object is shared across tau
-    g = [[[base_g(inst, 1, b, j, 0)] * nt for j in range(K)] for b in range(b_bar)]
-    gs = None
-    if collect_g:
-        gs = {(1, b, j, tau): g[b][j][tau]
-              for b in range(b_bar) for j in range(K) for tau in range(nt)}
+    # row r = (tau * b_bar + b) * K + j holds g_1(T, b, c_j, tau)
+    tau, b, j = (a.ravel() for a in np.indices((nt, b_bar, K)))
+    R = tau.size
+    r = np.arange(R)
+
+    def checked(T, what, B, step):
+        try:
+            return step()
+        except RowError as e:
+            s = e.row
+            raise IndexCheckError(f"{what} at T={T}, B={B[s]}, j={j[s]}, tau={tau[s]}: {e}") from e
+
+    g = checked(1, "g_1", b, lambda: _base_rows(inst, 1, b, j))
+    levels = [g]  # the g_1 batch of each lead time, for collect_g
+    # rows appended to a level's E g's: R + j is nu - (1 - c_j), R + K + j the
+    # constant 1 - c_j, R + 2K + j is 1 - c_j - nu, R + 3K is nu and R + 3K + 1
+    # is 0, which pads a sum: its breakpoint 0 is already in the sum's grid
+    # (from nu) and it adds exact zeros, which change no bit
+    fixed = PWLBatch.affine(np.concatenate([cvals - 1.0, gain, gain, [0.0, 0.0]]),
+                            np.concatenate([np.ones(K), np.zeros(K), -np.ones(K), [1.0, 0.0]]))
+    P = np.stack([inst.cost.matrix_for(t) for t in range(nt)])
+    next_rows = ((tau + 1) % nt * b_bar + b)[::K, None] * K + np.arange(K)
 
     for T in range(2, t_bar + 1):
-        g_new = [[[None] * nt for _ in range(K)] for _ in range(b_bar)]
-        for tau in range(nt):
-            P = inst.cost.matrix_for(tau)
-            nxt = (tau + 1) % nt
-            for j in range(K):
-                cj = float(cvals[j])
-                subsidy_less_gain = PiecewiseLinear.affine(cj - 1.0, 1.0)
-                # eg[b] = E_k g_1(T-1, b, c_k, tau+1)
-                eg = [combine([g[b][k][nxt] for k in range(K)], beta * P[j]) for b in range(b_bar)]
-                for b in range(1, b_bar + 1):
-                    f = combine([eg[b - 1], subsidy_less_gain], [1.0, 1.0])
-                    try:
-                        nu[T, b, j, tau] = f.least_root()
-                    except ValueError as e:
-                        raise IndexCheckError(f"f at T={T}, B={b}, j={j}, tau={tau}: {e}") from e
-                if T == t_bar:
-                    continue
-                # g_1(T, b) = V(T, b+1) - V(T, b): below both indexes both
-                # states are active, above both passive, and in between the
-                # one with the higher index is active (idx[0] = 0)
-                idx = nu[T, :, j, tau]
-                for b in range(b_bar):
-                    lo, hi = idx[b], idx[b + 1]
-                    if hi >= lo:
-                        mid = PiecewiseLinear.affine(1.0 - cj, -1.0)
-                    elif b == 0:
-                        mid = combine([eg[0], PiecewiseLinear.affine(0.0, 1.0)], [1.0, 1.0])
-                    else:
-                        mid = combine([eg[b - 1], eg[b], subsidy_less_gain], [1.0, 1.0, 1.0])
-                    both_on = PiecewiseLinear.constant(1.0 - cj) if b == 0 else eg[b - 1]
-                    g_new[b][j][tau] = stitch([both_on, mid, eg[b]], sorted([lo, hi]))
-                    if gs is not None:
-                        gs[(T, b, j, tau)] = g_new[b][j][tau]
-        g = g_new
+        # E_k g_1(T-1, b, c_k, tau+1): one breakpoint grid per (tau, b)
+        eg = g.combine(next_rows, beta * P[tau, j], group=r // K)
+        both = PWLBatch.concat([eg, fixed])
+        f = both.combine(np.stack([r, R + j], axis=1), np.ones((R, 2)))
+        nu[T, 1:] = checked(T, "f", b + 1, f.least_roots).reshape(nt, b_bar, K).transpose(1, 2, 0)
+        if T == t_bar:
+            break
+        # g_1(T, b) = V(T, b+1) - V(T, b): below both indexes both states are
+        # active, above both passive, and in between the one with the higher
+        # index is active (the index at b = 0 is 0).  The middle piece is
+        # 1 - c_j - nu unless the indexes cross; then it is
+        # E g(b-1) + E g(b) + nu - (1 - c_j), or E g(0) + nu at b = 0
+        lo, hi = nu[T, b, j, tau], nu[T, b + 1, j, tau]
+        flip = hi < lo
+        s = np.flatnonzero(flip)
+        crossed = both.combine(np.where((b[s] == 0)[:, None],
+                                        np.stack([s, np.full_like(s, R + 3 * K),
+                                                  np.full_like(s, R + 3 * K + 1)], axis=1),
+                                        np.stack([s - K, s, R + j[s]], axis=1)),
+                               np.ones((s.size, 3)))
+        pick = 2 * K + j
+        pick[s] = 3 * K + 2 + np.arange(s.size)
+        pieces = [both.take(np.where(b == 0, R + K + j, r - K)),
+                  PWLBatch.concat([fixed, crossed]).take(pick), eg]
+        knots = np.stack([np.where(flip, hi, lo), np.where(flip, lo, hi)], axis=1)
+        g = checked(T, "g_1", b, lambda: PWLBatch.stitch(pieces, knots))
+        levels += [g] if collect_g else []
 
     try:
         table = IndexTable(nu)
     except ValueError as e:
         raise IndexCheckError(str(e)) from e
-    return (table, gs) if collect_g else table
+    if not collect_g:
+        return table
+    return table, {(T, int(b[s]), int(j[s]), int(tau[s])): g.row(s)
+                   for T, g in enumerate(levels, 1) for s in r}
 
 
 def subsidy_value_iteration(

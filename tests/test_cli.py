@@ -1,18 +1,20 @@
 """End-to-end checks of the command line entry points, run in process."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evbandit import cli
-from evbandit.pwl import PiecewiseLinear
+from evbandit.pwl import PWLBatch
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_CSV = REPO / "data" / "sample_rt_prices.csv"
@@ -236,12 +238,37 @@ def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["index", "simulate"])
 def test_failed_recursion_check_exits_3(command, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(PiecewiseLinear, "is_nondecreasing", lambda self, tol=0.0: False)
+    monkeypatch.setattr(PWLBatch, "nondecreasing",
+                        lambda self, tol=0.0: np.zeros(self.n.size, dtype=bool))
     argv = [command, "--config", str(REPO / "configs" / "toy.json"), "--out", str(tmp_path)]
     rc = cli.main(argv)
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("verification failure:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["index", "simulate"])
+@pytest.mark.parametrize("call", [1, 2], ids=["lead-time-1", "recursion"])
+def test_knot_disagreement_exits_3(call, command, tmp_path, capsys, monkeypatch):
+    """The middle piece of one batch of g_1's, the lead-time-1 one or the
+    first the recursion assembles, is lifted by 1 and so breaks continuity."""
+    stitch = PWLBatch.stitch
+    calls = []
+
+    def lifted(pieces, knots):
+        calls.append(None)
+        if len(calls) == call:
+            pieces = [pieces[0], dataclasses.replace(pieces[1], Y=pieces[1].Y + 1.0), pieces[2]]
+        return stitch(pieces, knots)
+
+    monkeypatch.setattr(PWLBatch, "stitch", staticmethod(lifted))
+    argv = [command, "--config", str(REPO / "configs" / "toy.json"), "--out", str(tmp_path)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert len(calls) == call
+    assert rc == 3
+    assert err.startswith("verification failure: g_1 at T=") and err.count("\n") == 1
+    assert "pieces disagree at knot" in err
 
 
 def config_paths(node, prefix=()):
@@ -340,3 +367,28 @@ def test_outputs_match_pinned_hashes(tmp_path):
             assert cli.main(argv + (["--seeds", "8"] if command == "simulate" else [])) == 0
         got[(command, config, name)] = hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert got == PINNED
+
+
+# No shipped config has more than one period, so this pins the periodic branch
+# of the recursion: a 4-period fit of the sample price trace with K=5, T<=6 and
+# B<=5.  The sha256 of its index_table.csv was recorded before the recursion
+# ran on batches of functions.
+PERIODIC = {
+    "instance": {
+        "t_max": 6,
+        "b_max": 5,
+        "discount": 0.99,
+        "penalty": {"quadratic": 0.2},
+        "arrivals": {"rho": 0.85, "n_periods": 4},
+        "cost": {"file": str(FIXTURE_CSV), "k": 5, "n_periods": 4},
+    },
+}
+PERIODIC_TABLE_SHA256 = "1981a81cf36ebce96c1efa18f6ab1a0e504ee3c12213ac2b0b0c0ec9920dae54"
+
+
+def test_periodic_fitted_table_matches_pinned_hash(tmp_path):
+    p = tmp_path / "periodic.json"
+    p.write_text(json.dumps(PERIODIC))
+    assert cli.main(["index", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    got = hashlib.sha256((tmp_path / "o" / "index_table.csv").read_bytes()).hexdigest()
+    assert got == PERIODIC_TABLE_SHA256
