@@ -10,11 +10,14 @@ instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import ChargerLaw, Instance, charger_law
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -61,6 +64,8 @@ def value_iteration_sweeps(r_sup: float, beta: float, tol: float) -> int:
 
 
 def build_arm_mdp(instance: Instance) -> ArmMDP:
+    import scipy.sparse as sp
+
     inst = instance
     law = charger_law(inst)
     nt = inst.n_periods

@@ -15,15 +15,16 @@ system.  The two routes agreeing is one of the package's acceptance checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-from scipy.sparse.linalg import spsolve
 
 from .arm import ArmMDP, build_arm_mdp
 from .model import Instance
 from .whittle import solve_subsidy
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["OccupancyLP", "BoundResult", "build_occupancy_lp", "solve_bound"]
 
@@ -68,6 +69,8 @@ def build_occupancy_lp(instance: Instance, initial_distribution=None) -> Occupan
     budget: sum_s x(s,1) <= M/N; objective (to maximize):
     (1/(1-beta)) sum x(s,a) R_a(s).
     """
+    import scipy.sparse as sp
+
     arm = build_arm_mdp(instance)
     n = arm.n_states
     beta = instance.discount
@@ -84,6 +87,13 @@ def build_occupancy_lp(instance: Instance, initial_distribution=None) -> Occupan
     b_ub = np.array([instance.capacity / instance.n_chargers])
     c = np.concatenate([arm.R0, arm.R1]) / (1.0 - beta)
     return OccupancyLP(c, a_eq, b_eq, a_ub, b_ub, arm)
+
+
+def linprog(c, *args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog
+
+    return linprog(c, *args, **kwargs)
 
 
 def _solve_lp(lp: OccupancyLP) -> tuple[float, np.ndarray]:
@@ -134,6 +144,9 @@ def _golden_minimize(fn, lo: float, hi: float, xtol: float) -> tuple[float, floa
 
 def _activation_frequency(instance: Instance, lam: float, arm: ArmMDP | None = None) -> float:
     """Discounted activation frequency of the lambda-greedy policy from mu0."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     if arm is None:
         arm = build_arm_mdp(instance)
     sol = solve_subsidy(instance, lam)

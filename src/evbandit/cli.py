@@ -29,7 +29,10 @@ class VerificationError(RuntimeError):
 
 def _out_dir(arg) -> Path:
     out = Path(arg) if arg else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot write to --out {out}: {e}") from e
     return out
 
 

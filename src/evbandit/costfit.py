@@ -28,6 +28,10 @@ __all__ = [
     "fit_cost_chain",
 ]
 
+# entries of the largest array a fit builds (the slot grid, the transition
+# counts); a longer grid or a larger period stack is refused
+MAX_ENTRIES = 1 << 22
+
 
 @dataclass(frozen=True)
 class PriceTrace:
@@ -62,6 +66,8 @@ class PriceTrace:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"line {reader.line_num}: expected timestamp,price")
                 ts.append(datetime.fromisoformat(row[0].strip()).timestamp())
                 px.append(float(row[1]))
         return cls(np.array(ts), np.array(px))
@@ -72,20 +78,19 @@ def resample(trace: PriceTrace, slot_minutes: float = 60.0) -> np.ndarray:
 
     Slots without samples repeat the previous slot's value.
     """
-    if slot_minutes <= 0:
-        raise ValueError("slot_minutes must be positive")
+    if not 0 < slot_minutes < np.inf:
+        raise ValueError("slot_minutes must be positive and finite")
     width = slot_minutes * 60.0
-    idx = np.floor((trace.timestamps - trace.timestamps[0]) / width).astype(np.int64)
-    n = int(idx[-1]) + 1
-    sums = np.bincount(idx, weights=trace.prices, minlength=n)
-    counts = np.bincount(idx, minlength=n)
-    out = np.empty(n)
-    prev = trace.prices[0]
-    for i in range(n):
-        if counts[i] > 0:
-            prev = sums[i] / counts[i]
-        out[i] = prev
-    return out
+    elapsed = trace.timestamps - trace.timestamps[0]
+    if elapsed[-1] >= MAX_ENTRIES * width:
+        raise ValueError(f"slot grid too long: over {MAX_ENTRIES:,} slots of {slot_minutes} min")
+    idx = np.floor(elapsed / width).astype(np.int64)
+    sums = np.bincount(idx, weights=trace.prices)
+    counts = np.bincount(idx)
+    # each slot takes the mean of the last slot at or before it with samples
+    # (slot 0 always has one)
+    last = np.maximum.accumulate(np.where(counts > 0, np.arange(counts.size), 0))
+    return sums[last] / counts[last]
 
 
 def quantize(
@@ -107,13 +112,16 @@ def quantize(
         raise ValueError(f"need at least {k} distinct prices")
     if retail_price is None:
         retail_price = 2.0 * float(px.mean())
-    if retail_price <= 0:
-        raise ValueError("retail price must be positive")
+    if not 0 < retail_price < np.inf:
+        raise ValueError("retail price must be positive and finite")
     order = np.argsort(px, kind="stable")
     ranks = np.empty(px.size, dtype=np.int64)
     ranks[order] = np.arange(px.size)
     states = (ranks * k) // px.size
-    levels = np.array([px[states == j].mean() for j in range(k)]) / retail_price
+    with np.errstate(over="ignore"):  # refused just below
+        levels = np.array([px[states == j].mean() for j in range(k)]) / retail_price
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("cost levels overflow; the retail price is too small")
     return levels, states, float(retail_price)
 
 
@@ -130,7 +138,14 @@ def estimate_matrix(
         raise ValueError("need at least 2 slots to estimate transitions")
     if s.min() < 0 or s.max() >= k:
         raise ValueError("state out of range")
+    if not 0 <= alpha * k < np.inf:
+        raise ValueError("alpha must be >= 0, with alpha * k finite")
     nt = 1 if n_periods is None else int(n_periods)
+    if nt < 1:
+        raise ValueError("n_periods must be >= 1")
+    if nt * k * k > MAX_ENTRIES:
+        raise ValueError(f"too many transition counts: n_periods * k^2 = {nt * k * k:,} "
+                         f"> {MAX_ENTRIES:,}")
     counts = np.zeros((nt, k, k))
     src = np.arange(s.size - 1)
     np.add.at(counts, (src % nt, s[:-1], s[1:]), 1.0)

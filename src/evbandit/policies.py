@@ -13,7 +13,6 @@ then lower charger id.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import Instance
 from .whittle import IndexTable
@@ -162,6 +161,8 @@ def valley_filling_policy(
     the activation (N,) and the plan, one row per occupied charger in id order
     and one column per slot (None when nothing is planned).
     """
+    from scipy.optimize import linprog
+
     m = instance.capacity
     occupied = np.nonzero((t >= 1) & (b > 0))[0]
     action = np.zeros(t.shape, dtype=bool)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
-from scipy import stats
 
 from .arm import value_iteration_sweeps
 from .model import Instance, charger_law, serve
@@ -305,9 +304,12 @@ def run_episode(
 
 
 def _mean_ci(x: np.ndarray) -> tuple[float, float]:
+    """Mean and the half-width of its two-sided 95 % Student-t interval."""
+    from scipy.special import stdtrit  # the Student-t quantile that t.ppf evaluates
+
     half = 0.0
     if x.size > 1:
-        half = float(stats.t.ppf(0.975, x.size - 1) * x.std(ddof=1) / np.sqrt(x.size))
+        half = float(stdtrit(x.size - 1, 0.975) * x.std(ddof=1) / np.sqrt(x.size))
     return float(x.mean()), half
 
 

@@ -147,14 +147,18 @@ def _base_rows(instance: Instance, h: int, B, j) -> PWLBatch:
 
     Explicit three-piece construction; constant tails, middle slope -1 (or +1
     in the degenerate branch where activating the larger demand never pays).
+    The busy knots 1 - c + dF(B) <= 1 - c + dF(B+h) may cross by a rounding
+    error, as PenaltyFunction lets increments fall by up to 1e-12 (a linear
+    table); the upper one is raised to the lower, emptying the middle piece.
     """
     F = instance.penalty.table
     gain = 1.0 - instance.cost.values[j]
     busy, Bm = B >= 1, np.maximum(B, 1)  # F(B - 1) is used only where B >= 1
     t_h = gain + (F[h] - F[h - 1])
     pays, head, flat = t_h > 0, gain - F[h - 1], np.zeros_like(gain)
+    lo = gain + (F[Bm] - F[Bm - 1])
     knots = np.where(busy[:, None],
-                     np.stack([gain + (F[Bm] - F[Bm - 1]), gain + (F[B + h] - F[B + h - 1])], 1),
+                     np.stack([lo, np.maximum(lo, gain + (F[B + h] - F[B + h - 1]))], 1),
                      np.stack([np.where(pays, flat, t_h), np.where(pays, t_h, flat)], 1))
     return PWLBatch.stitch([
         PWLBatch.affine(np.where(busy, F[Bm - 1] - F[B + h - 1], head), flat),

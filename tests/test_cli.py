@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -171,6 +172,87 @@ class TestFitcostCommand:
         ])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("flag", [
+    "--n-periods=0", "--n-periods=-1", "--n-periods=1000000000",
+    "--alpha=-1", "--alpha=nan", "--alpha=inf",
+    "--slot-minutes=nan", "--slot-minutes=inf", "--slot-minutes=1e-300",
+    "--retail-price=nan", "--retail-price=inf", "--retail-price=1e-320",
+])
+def test_fitcost_bad_arguments_exit_2(flag, tmp_path, capsys):
+    rc = cli.main(["fitcost", "--trace", str(FIXTURE_CSV), flag, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "cost_chain.json").exists()
+
+
+ANY_FLOAT = st.one_of(st.floats(),
+                      st.sampled_from([math.nan, math.inf, 0.0, -1.0, 1e-300, 1e-3]))
+# flag: (valid values, any value); each example fuzzes one or two flags
+FITCOST_ARGS = {
+    "--k": (st.sampled_from([1, 2, 5]), st.one_of(st.integers(-2, 10), st.just(10**12))),
+    "--slot-minutes": (st.sampled_from([15.0, 60.0, 240.0]), ANY_FLOAT),
+    "--alpha": (st.sampled_from([0.0, 0.5, 3.0]), ANY_FLOAT),
+    "--retail-price": (st.sampled_from([None, 1.0, 80.0]), st.one_of(st.none(), ANY_FLOAT)),
+    "--n-periods": (st.sampled_from([None, 1, 24]),
+                    st.one_of(st.none(), st.integers(-2, 1000), st.just(10**9))),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fitcost_arguments_keep_the_exit_contract(data):
+    fuzzed = data.draw(st.sets(st.sampled_from(sorted(FITCOST_ARGS)), min_size=1, max_size=2))
+    argv = ["fitcost", "--trace", str(FIXTURE_CSV)]
+    for flag, (valid, anything) in FITCOST_ARGS.items():
+        value = data.draw(anything if flag in fuzzed else valid, label=flag)
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv + ["--out", tmp])
+        text = (Path(tmp) / "cost_chain.json").read_text() if rc == 0 else ""
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert err.getvalue().count("\n") == 1
+        return
+    doc = json.loads(text, parse_constant=_no_constant)
+    P = np.array(doc["matrix"] if "matrix" in doc else doc["matrices"])
+    assert np.all(P >= 0)
+    assert np.allclose(P.sum(axis=-1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--config", str(REPO / "configs" / "toy.json")],
+    ["fitcost", "--trace", str(FIXTURE_CSV)],
+])
+def test_out_that_is_a_file_exits_2(argv, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(argv + ["--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write to --out")
+
+
+def test_linear_penalty_table_indexes_every_state(tmp_path, capsys):
+    """Equal penalty increments round to ones that fall by about 1e-16, which
+    the lead-time-1 knots must absorb rather than refuse."""
+    doc = json.loads((REPO / "configs" / "toy.json").read_text())
+    table = [0, 0.3, 0.6, 0.9, 1.2]
+    assert np.diff(np.diff(table)).min() < 0
+    doc["instance"].update(t_max=4, b_max=4, penalty={"table": table})
+    p = tmp_path / "linear.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main(["index", "--config", str(p), "--out", str(tmp_path / "o"), "--verify-oracle"])
+    assert rc == 0
+    # T = 1..4, B = 0..4, two cost levels: every state goes to the oracle
+    assert "oracle check on 40 states" in capsys.readouterr().out
 
 
 def set_path(doc, path, value):

@@ -6,6 +6,7 @@ import pytest
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.sim import (
+    _mean_ci,
     brute_force_joint_dp,
     default_horizon,
     evaluate_policy_exact,
@@ -227,3 +228,13 @@ class TestExactOracles:
             brute_force_joint_dp(big)
         with pytest.raises(ValueError):
             evaluate_policy_exact(big, policy_kernel("edf", big))
+
+
+def test_t_half_width_matches_scipy_stats_bit_for_bit():
+    from scipy import stats
+
+    rng = np.random.default_rng(7)
+    for n in range(2, 1001):
+        x = rng.normal(size=n)
+        want = float(stats.t.ppf(0.975, n - 1) * x.std(ddof=1) / np.sqrt(n))
+        assert _mean_ci(x)[1] == want, n
