@@ -24,7 +24,6 @@ from .whittle import (
     ExtendedState,
     IndexTable,
     base_g,
-    check_indexability,
     closed_form_index,
     compute_index_table,
     index_by_bisection,

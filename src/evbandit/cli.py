@@ -144,10 +144,10 @@ def cmd_fitcost(args) -> int:
         raise ConfigError(str(e)) from e
     chain = fit.chain
     doc = {"levels": chain.values.tolist(), "retail_price": fit.retail_price}
-    if chain.P is not None:
-        doc["matrix"] = chain.P.tolist()
+    if args.n_periods is None:
+        doc["matrix"] = chain.P[0].tolist()
     else:
-        doc["matrices"] = chain.P_per_period.tolist()
+        doc["matrices"] = chain.P.tolist()
     out = _out_dir(args.out)
     (out / "cost_chain.json").write_text(json.dumps(doc, indent=1) + "\n")
     print(f"fitted {args.k}-state chain from {len(fit.states)} slots "

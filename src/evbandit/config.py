@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ArrivalModel, CostChain, Instance, PenaltyFunction
+from .model import ArrivalModel, CostChain, Instance, PenaltyFunction, charger_law
 from .sim import POLICY_NAMES, default_horizon, world_dtype
 
 __all__ = [
@@ -142,8 +142,15 @@ def _cost_from(block, base_dir: Path, n_periods: int) -> CostChain:
             if ("matrix" in block) == ("matrices" in block):
                 raise ConfigError("cost with levels needs 'matrix' or per-period 'matrices'")
             if "matrix" in block:
-                return CostChain(values=levels, P=_array(block["matrix"], "cost.matrix"))
-            return CostChain(values=levels, P_per_period=_array(block["matrices"], "cost.matrices"))
+                P = _array(block["matrix"], "cost.matrix")
+                if P.ndim != 2:
+                    raise ConfigError("cost.matrix must be one K x K matrix")
+            else:
+                P = _array(block["matrices"], "cost.matrices")
+                if P.ndim != 3 or len(P) != n_periods:
+                    raise ConfigError("cost.matrices must be a list of K x K matrices, one "
+                                      f"per period ({n_periods}, arrivals.n_periods)")
+            return CostChain(values=levels, P=P)
         from .costfit import PriceTrace, fit_cost_chain
 
         if not isinstance(block["file"], str):
@@ -229,22 +236,12 @@ def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
 
 
 def arm_entries(instance: Instance) -> int:
-    """Nonzeros of the two transition matrices of ``arm.build_arm_mdp``.
-
-    Per action and period they are the kron of the move table with the cost
-    matrix.  A move table row holds one entry for a charger that stays
-    (T >= 2) and the arrival row for each of the b_max + 2 states that vacate:
-    1 - rho on the empty charger and rho times the pmf on the arriving types.
-    """
-    inst = instance
-    total = 0
-    for tau in range(inst.n_periods):
-        rho = inst.arrivals.rho_for(tau)
-        types = np.count_nonzero(inst.arrivals.pmf_for(tau)[1:]) if rho > 0 else 0
-        arrival = int(rho < 1) + types
-        move = (inst.t_max - 1) * (inst.b_max + 1) + (inst.b_max + 2) * arrival
-        total += 2 * move * np.count_nonzero(inst.cost.matrix_for(tau))
-    return int(total)
+    """Nonzeros of the two transition matrices of ``arm.build_arm_mdp``: per
+    action and period, the kron of the ``charger_law`` move table with that
+    period's cost matrix."""
+    move = np.count_nonzero(charger_law(instance).move, axis=(0, 2, 3))  # per period
+    cost = [np.count_nonzero(instance.cost.matrix_for(tau)) for tau in range(instance.n_periods)]
+    return int(move @ cost)
 
 
 def check_seeds(seeds, instance: Instance, horizon: int | None, truncation_tol: float) -> list:

@@ -160,10 +160,7 @@ def estimate_chain(
     states, levels, alpha: float = 0.5, n_periods: int | None = None
 ) -> CostChain:
     levels = np.asarray(levels, dtype=float)
-    p = estimate_matrix(states, levels.size, alpha, n_periods)
-    if n_periods is None:
-        return CostChain(values=levels, P=p)
-    return CostChain(values=levels, P_per_period=p)
+    return CostChain(values=levels, P=estimate_matrix(states, levels.size, alpha, n_periods))
 
 
 @dataclass(frozen=True)

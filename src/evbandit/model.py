@@ -73,59 +73,49 @@ class CostChain:
     """Finite Markov chain of normalized electricity cost levels.
 
     ``values`` holds the K cost levels (fractions of the retail price, so a
-    level of 1 means charging at that level breaks even).  Transitions are a
-    single row-stochastic matrix ``P`` applied every slot, or optionally one
-    matrix per period of the cycle (``P_per_period``, shape (N_tau, K, K)),
-    where the matrix of the *current* period governs the step out of it.
+    level of 1 means charging at that level breaks even).  Transitions ``P``
+    are a stack of row-stochastic matrices of shape (n, K, K): one matrix
+    applied every slot (n = 1; a (K, K) argument is taken as that stack), or
+    one per period of the cycle (n = N_tau), where the matrix of the
+    *current* period governs the step out of it.
     """
 
     values: np.ndarray
-    P: np.ndarray | None = None
-    P_per_period: np.ndarray | None = None
+    P: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("cost values must be a non-empty 1-D array")
-        if (self.P is None) == (self.P_per_period is None):
-            raise ValueError("exactly one of P and P_per_period must be given")
-        k = vals.size
-        if self.P is not None:
-            P = np.asarray(self.P, dtype=float)
-            object.__setattr__(self, "P", P)
-            _check_stochastic(P, (k, k))
-        else:
-            Pp = np.asarray(self.P_per_period, dtype=float)
-            object.__setattr__(self, "P_per_period", Pp)
-            if Pp.ndim != 3 or Pp.shape[1:] != (k, k):
-                raise ValueError("P_per_period must have shape (N_tau, K, K)")
-            for m in Pp:
-                _check_stochastic(m, (k, k))
+        P = np.asarray(self.P, dtype=float)
+        if P.ndim == 2:
+            P = P[None]
+        object.__setattr__(self, "P", P)
+        if P.ndim != 3 or P.shape[0] < 1:
+            raise ValueError("P must be one (K, K) matrix or a stack of shape (n, K, K)")
+        for m in P:
+            _check_stochastic(m, (vals.size, vals.size))
 
     @property
     def n_levels(self) -> int:
         return self.values.size
 
     def matrix_for(self, tau: int) -> np.ndarray:
-        if self.P is not None:
-            return self.P
-        return self.P_per_period[tau % self.P_per_period.shape[0]]
+        return self.P[tau % self.P.shape[0]]
 
     def stationary(self) -> np.ndarray:
         """Stationary distribution of the per-slot chain.
 
-        With per-period matrices this is the stationary law of the product
-        chain over one full cycle, averaged over the cycle offset.
+        This is the stationary law of the product chain over one full cycle
+        of the matrices, averaged over the cycle offset.
         """
-        if self.P is not None:
-            return _stationary_of(self.P)
         prod = np.eye(self.n_levels)
-        for m in self.P_per_period:
+        for m in self.P:
             prod = prod @ m
         pi0 = _stationary_of(prod)
         dists = [pi0]
-        for m in self.P_per_period[:-1]:
+        for m in self.P[:-1]:
             dists.append(dists[-1] @ m)
         return np.mean(dists, axis=0)
 
@@ -215,7 +205,7 @@ class Instance:
     """A complete problem instance.
 
     Attributes:
-        n_chargers: number of chargers N.
+        n_chargers: number of chargers N >= 1.
         capacity: per-slot activation budget M (0 <= M <= N).
         discount: per-slot discount factor beta in (0, 1).
         t_max: largest lead time an arriving EV can have.
@@ -235,6 +225,8 @@ class Instance:
     cost: CostChain
 
     def __post_init__(self):
+        if self.n_chargers < 1:
+            raise ValueError("need n_chargers >= 1")
         if not (0 <= self.capacity <= self.n_chargers):
             raise ValueError("need 0 <= capacity <= n_chargers")
         if not (0.0 < self.discount < 1.0):
@@ -247,9 +239,8 @@ class Instance:
             raise ValueError("penalty table must cover 0..b_max")
         if self.arrivals.pmf.shape[1:] != (self.t_max + 1, self.b_max + 1):
             raise ValueError("arrival pmf shape must match (t_max+1, b_max+1)")
-        if self.cost.P_per_period is not None:
-            if self.cost.P_per_period.shape[0] != self.n_periods:
-                raise ValueError("per-period cost matrices must match n_periods")
+        if self.cost.P.shape[0] not in (1, self.n_periods):
+            raise ValueError("per-period cost matrices must match n_periods")
 
     @property
     def n_periods(self) -> int:

@@ -118,14 +118,15 @@ def lllp_kernel(t: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
 class CostForecast:
     """Conditional expected cost k slots ahead, for every (level, period).
 
-    exp_cost[j, tau, k] = E[c at k slots ahead | level j in period tau],
-    propagated through the chain's (possibly per-period) transition matrices.
+    exp_cost[j, tau, k] = E[c at k slots ahead | level j in period tau] for
+    k = 0..t_max (no EV plans further ahead), propagated through the chain's
+    (possibly per-period) transition matrices.
     """
 
-    def __init__(self, instance: Instance, horizon: int | None = None):
+    def __init__(self, instance: Instance):
         k = instance.cost.n_levels
         nt = instance.n_periods
-        h = instance.t_max if horizon is None else horizon
+        h = instance.t_max
         vals = instance.cost.values
         out = np.empty((k, nt, h + 1))
         for tau in range(nt):

@@ -22,6 +22,8 @@ import numpy as np
 
 MERGE_TOL = 1e-12
 CONTINUITY_TOL = 1e-9
+SIMPLIFY_TOL = 1e-13  # relative error within which simplify drops a breakpoint
+MONOTONE_TOL = 1e-9  # relative fall that least_roots still takes as nondecreasing
 
 
 class RowError(ValueError):
@@ -76,9 +78,9 @@ class PiecewiseLinear:
         """
         return float(PWLBatch.of([self]).least_roots()[0])
 
-    def simplify(self, rel_tol: float = 1e-13) -> "PiecewiseLinear":
+    def simplify(self) -> "PiecewiseLinear":
         """Drop interior breakpoints that interpolation reproduces anyway."""
-        return PWLBatch.of([self]).simplify(rel_tol).row(0)
+        return PWLBatch.of([self]).simplify().row(0)
 
 
 def combine(funcs: list[PiecewiseLinear], weights) -> PiecewiseLinear:
@@ -204,9 +206,10 @@ class PWLBatch:
             out = np.where(j < 0, yj + self.left[:, None] * (q - xj), out)
             return np.where(q > xn, yn + self.right[:, None] * (q - xn), out)
 
-    def nondecreasing(self, tol: float = 0.0) -> np.ndarray:
+    def nondecreasing(self) -> np.ndarray:
         """Per row: no tail slope and no step between breakpoints falls by
-        more than ``tol`` (relative to the value, at least 1)."""
+        more than MONOTONE_TOL (relative to the value, at least 1)."""
+        tol = MONOTONE_TOL
         falls = np.diff(self.Y, axis=1) < -tol * np.maximum(1.0, np.abs(self.Y[:, :-1]))
         falls &= self.valid[:, 1:]
         return (self.left >= -tol) & (self.right >= -tol) & ~falls.any(axis=1)
@@ -218,7 +221,7 @@ class PWLBatch:
         X, Y, left, right = self.X, self.Y, self.left, self.right
         nonneg = (Y >= 0.0) & self.valid
         found, up = nonneg.any(axis=1), Y[:, 0] >= 0.0
-        _check(~self.nondecreasing(tol=1e-9), "least_root requires a nondecreasing function")
+        _check(~self.nondecreasing(), "least_root requires a nondecreasing function")
         _check(up & (left <= 0.0) & (Y[:, 0] == 0.0), "zero set is unbounded below")
         _check(up & (left <= 0.0), "function is positive everywhere")
         _check(~found & (right <= 0.0), "function is negative everywhere")
@@ -230,8 +233,9 @@ class PWLBatch:
                            X[r, last] - Y[r, last] / right)
             return np.where(up, X[:, 0] - Y[:, 0] / left, out)
 
-    def simplify(self, rel_tol: float = 1e-13) -> "PWLBatch":
-        """Drop interior breakpoints that interpolation reproduces anyway.
+    def simplify(self) -> "PWLBatch":
+        """Drop interior breakpoints that interpolation reproduces within
+        SIMPLIFY_TOL (relative to the value, at least 1).
 
         The rule is sequential: point i is tested against the line from the
         last point kept before it to point i + 1.  As keep[i] depends only on
@@ -243,7 +247,7 @@ class PWLBatch:
         cols = np.arange(1, width - 1)
         interior = cols < (self.n - 1)[:, None]
         x, y, x_next, y_next = X[:, 1:-1], Y[:, 1:-1], X[:, 2:], Y[:, 2:]
-        tol = rel_tol * np.maximum(1.0, np.abs(y))
+        tol = SIMPLIFY_TOL * np.maximum(1.0, np.abs(y))
 
         def rule(x_prev, y_prev, r=slice(None)):
             with np.errstate(invalid="ignore"):  # the padding

@@ -16,7 +16,9 @@ Three routes to the same number:
    one the g_1 recursion reads, g_2(T-1,B-1), is g_1(T-1,B-1) + g_1(T-1,B).
 3. ``index_by_bisection``: oracle that locates the activation threshold of the
    subsidy problem by bisection on top of plain value iteration.  Slow but
-   independent of the PWL algebra; used to cross-check route 2.
+   independent of the PWL algebra; ``index --verify-oracle`` and the tests
+   use it to cross-check route 2.  The indexability check on a subsidy grid,
+   which only the tests run, lives in ``tests/oracles.py``.
 
 Every occupied state with B = 0 and the empty state have index exactly 0; a
 "dummy" arm used by the policy layer carries that same constant index.
@@ -47,7 +49,6 @@ __all__ = [
     "SubsidySolution",
     "solve_subsidy",
     "index_by_bisection",
-    "check_indexability",
 ]
 
 
@@ -389,7 +390,6 @@ def index_by_bisection(
     state,
     tol: float = 1e-8,
     arm: ArmMDP | None = None,
-    vi_tol: float | None = None,
 ) -> float:
     """Oracle index: bisect the subsidy at which ``state`` turns passive.
 
@@ -404,8 +404,7 @@ def index_by_bisection(
         arm = build_arm_mdp(instance)
     sid = arm.state_id(*state)
     span = 1.0 + instance.penalty.max_increment + float(np.abs(instance.cost.values).max())
-    if vi_tol is None:
-        vi_tol = max(1e-13, tol * (1.0 - instance.discount) / 8.0)
+    vi_tol = max(1e-13, tol * (1.0 - instance.discount) / 8.0)
 
     def active(v: float) -> bool:
         return bool(subsidy_value_iteration(instance, v, tol=vi_tol, arm=arm)[1][sid])
@@ -422,33 +421,3 @@ def index_by_bisection(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def check_indexability(
-    instance: Instance,
-    nu_grid,
-    states=None,
-    vi_tol: float = 1e-10,
-    arm: ArmMDP | None = None,
-) -> bool:
-    """True iff the passive set grows monotonically along the sorted nu grid.
-
-    ``states`` restricts the check to particular extended states (ids or
-    (T,B,j,tau) tuples); default is every state.
-    """
-    if arm is None:
-        arm = build_arm_mdp(instance)
-    grid = np.asarray(nu_grid, dtype=float)
-    if grid.size == 0:
-        return True
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("nu grid must be sorted")
-    acts = np.stack(
-        [subsidy_value_iteration(instance, float(v), tol=vi_tol, arm=arm)[1] for v in grid]
-    )
-    if states is None:
-        cols = acts
-    else:
-        ids = [int(s) if isinstance(s, (int, np.integer)) else arm.state_id(*s) for s in states]
-        cols = acts[:, ids]
-    return not np.any(np.diff(cols.astype(np.int8), axis=0) > 0)

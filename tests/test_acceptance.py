@@ -17,14 +17,15 @@ from evbandit.arm import build_arm_mdp
 from evbandit.bound import solve_bound
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
-from evbandit.sim import brute_force_joint_dp, evaluate_policy_exact, monte_carlo, policy_kernel
+from evbandit.sim import monte_carlo, policy_kernel
 from evbandit.whittle import (
-    check_indexability,
     closed_form_index,
     compute_index_table,
     index_by_bisection,
     solve_subsidy,
 )
+
+from oracles import brute_force_joint_dp, check_indexability, evaluate_policy_exact
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,7 +67,7 @@ def _random_small_instance(rng: np.random.Generator) -> Instance:
     if n_tau > 1 and rng.random() < 0.5:
         cost = CostChain(
             values=levels,
-            P_per_period=np.stack([rng.dirichlet(np.ones(k), size=k) for _ in range(n_tau)]),
+            P=np.stack([rng.dirichlet(np.ones(k), size=k) for _ in range(n_tau)]),
         )
     else:
         cost = CostChain(values=levels, P=rng.dirichlet(np.ones(k), size=k))
@@ -113,7 +114,7 @@ def test_criterion_2_recursion_matches_the_bisection_oracle(capsys):
         arrivals=ArrivalModel.uniform_feasible(4, 3, rho=[0.6, 0.8], n_periods=2),
         cost=CostChain(
             values=[0.2, 0.8],
-            P_per_period=[[[0.9, 0.1], [0.5, 0.5]], [[0.7, 0.3], [0.4, 0.6]]],
+            P=[[[0.9, 0.1], [0.5, 0.5]], [[0.7, 0.3], [0.4, 0.6]]],
         ),
     )
     t0 = time.perf_counter()

@@ -73,7 +73,7 @@ class TestDualEqualsLP:
     def test_periodic_instance(self):
         p0 = np.array([[0.8, 0.2], [0.3, 0.7]])
         p1 = np.array([[0.6, 0.4], [0.5, 0.5]])
-        chain = CostChain(values=np.array([0.2, 0.9]), P_per_period=np.stack([p0, p1]))
+        chain = CostChain(values=np.array([0.2, 0.9]), P=np.stack([p0, p1]))
         inst = make_instance(
             n_chargers=4, capacity=2, t_max=3, b_max=2, cost=chain, n_periods=2, rho=[0.4, 0.9]
         )
@@ -131,7 +131,7 @@ class TestLimits:
     def test_zero_capacity_is_the_never_charge_value(self, toy_dynamic):
         import dataclasses
 
-        from evbandit.sim import brute_force_joint_dp
+        from oracles import brute_force_joint_dp
 
         inst = dataclasses.replace(toy_dynamic, n_chargers=1, capacity=0)
         res = solve_bound(inst, method="both", details=True)
@@ -145,7 +145,7 @@ class TestLimits:
 
 
 def test_bound_dominates_toy_dp(toy_dynamic):
-    from evbandit.sim import brute_force_joint_dp
+    from oracles import brute_force_joint_dp
 
     dp, _ = brute_force_joint_dp(toy_dynamic, tol=1e-9)
     assert solve_bound(toy_dynamic) >= dp - 1e-7

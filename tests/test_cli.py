@@ -292,6 +292,7 @@ def set_path(doc, path, value):
         # the dense 400 x 400 cost matrix would hold about 2.9e8 entries
         ({"instance.t_max": 12, "instance.b_max": 9,
           "instance.cost": {"levels": [0.5] * 400, "matrix": [[1 / 400] * 400] * 400}}, []),
+        ({"instance.n_chargers": 0, "instance.capacity": 0}, []),
     ],
     ids=[
         "negative-seed", "one-seed", "bool-seeds", "unknown-policy", "seeds-flag-1",
@@ -299,6 +300,7 @@ def set_path(doc, path, value):
         "tol-string", "t-max-string", "capacity-null", "n-periods-string", "verify-oracle-string",
         "t-max-huge", "b-max-huge", "n-periods-huge", "n-chargers-huge", "seeds-huge",
         "seeds-flag-huge", "horizon-huge", "fitted-periods-huge", "cost-levels-huge",
+        "no-chargers",
     ],
 )
 def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys, monkeypatch):
@@ -316,6 +318,20 @@ def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["index", "bound"])
+def test_no_chargers_exits_2(command, tmp_path, capsys):
+    """Every command refuses a station without chargers (simulate: the
+    no-chargers case above); the bound used to divide by zero."""
+    doc = json.loads((REPO / "configs" / "toy.json").read_text())
+    doc["instance"].update(n_chargers=0, capacity=0)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: bad instance") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["index", "simulate"])

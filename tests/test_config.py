@@ -121,7 +121,7 @@ class TestCostBlock:
                 "cost": {"levels": [0.2, 0.8], "matrices": [eye, eye]},
             }
         )
-        assert inst.cost.P_per_period.shape == (2, 2, 2)
+        assert inst.cost.P.shape == (2, 2, 2)
 
     def test_exactly_one_mode(self):
         with pytest.raises(ConfigError, match="exactly one"):

@@ -171,12 +171,11 @@ class TestEstimateMatrix:
 class TestEstimateChain:
     def test_single_matrix(self):
         chain = estimate_chain([0, 1, 0], levels=[0.2, 0.8], alpha=0.5)
-        assert chain.P is not None and chain.P_per_period is None
+        assert chain.P.shape == (1, 2, 2)
 
     def test_per_period(self):
         chain = estimate_chain([0, 1, 0, 1], levels=[0.2, 0.8], alpha=0.5, n_periods=2)
-        assert chain.P_per_period is not None
-        assert chain.P_per_period.shape == (2, 2, 2)
+        assert chain.P.shape == (2, 2, 2)
 
 
 @pytest.fixture(scope="module")
@@ -211,8 +210,8 @@ class TestCheckedInFixture:
         assert fit.retail_price == pytest.approx(155.8555, abs=1e-9)
 
     def test_transitions(self, fit):
-        assert fit.chain.P[0] == pytest.approx(self.P_ROW_0, abs=1e-12)
-        assert np.allclose(fit.chain.P.sum(axis=1), 1.0)
+        assert fit.chain.P[0, 0] == pytest.approx(self.P_ROW_0, abs=1e-12)
+        assert np.allclose(fit.chain.P.sum(axis=2), 1.0)
 
     def test_long_run_mean_cost_near_half(self, fit):
         pi = fit.chain.stationary()

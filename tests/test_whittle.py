@@ -11,7 +11,6 @@ from evbandit.pwl import combine
 from evbandit.whittle import (
     IndexTable,
     base_g,
-    check_indexability,
     closed_form_index,
     compute_index_table,
     index_by_bisection,
@@ -19,6 +18,7 @@ from evbandit.whittle import (
     subsidy_value_iteration,
 )
 from conftest import TWO_STATE_COST, make_instance
+from oracles import check_indexability
 
 PEN = PenaltyFunction.quadratic(0.3, 4)
 
@@ -306,4 +306,4 @@ def test_check_indexability_catches_violations(toy_dynamic, toy_arm, monkeypatch
         return np.zeros(2), next(flips)
 
     monkeypatch.setattr(w, "subsidy_value_iteration", fake_vi)
-    assert not w.check_indexability(toy_dynamic, [0.0, 1.0], states=[0, 1], arm=toy_arm)
+    assert not check_indexability(toy_dynamic, [0.0, 1.0], states=[0, 1], arm=toy_arm)
