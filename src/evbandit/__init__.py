@@ -21,7 +21,6 @@ from .model import (
     serve,
 )
 from .whittle import (
-    ExtendedState,
     IndexTable,
     base_g,
     closed_form_index,

@@ -62,27 +62,21 @@ class BoundResult:
     method: str = "dual"
 
 
-def build_occupancy_lp(instance: Instance, initial_distribution=None) -> OccupancyLP:
+def build_occupancy_lp(instance: Instance) -> OccupancyLP:
     """Occupancy LP of the single-charger problem with budget M/N.
 
     Balance: sum_a x(s',a) = (1-beta) mu0(s') + beta sum_{s,a} P_a(s'|s) x(s,a);
     budget: sum_s x(s,1) <= M/N; objective (to maximize):
-    (1/(1-beta)) sum x(s,a) R_a(s).
+    (1/(1-beta)) sum x(s,a) R_a(s).  mu0 is ``ArmMDP.initial_distribution``.
     """
     import scipy.sparse as sp
 
     arm = build_arm_mdp(instance)
     n = arm.n_states
     beta = instance.discount
-    if initial_distribution is None:
-        mu0 = arm.initial_distribution()
-    else:
-        mu0 = np.asarray(initial_distribution, dtype=float)
-        if mu0.shape != (n,) or np.any(mu0 < 0) or abs(mu0.sum() - 1.0) > 1e-9:
-            raise ValueError("initial distribution must be a probability vector over states")
     eye = sp.eye(n, format="csr")
     a_eq = sp.hstack([eye - beta * arm.P0.T, eye - beta * arm.P1.T], format="csr")
-    b_eq = (1.0 - beta) * mu0
+    b_eq = (1.0 - beta) * arm.initial_distribution()
     a_ub = sp.csr_matrix(np.concatenate([np.zeros(n), np.ones(n)])[None, :])
     b_ub = np.array([instance.capacity / instance.n_chargers])
     c = np.concatenate([arm.R0, arm.R1]) / (1.0 - beta)
@@ -142,13 +136,12 @@ def _golden_minimize(fn, lo: float, hi: float, xtol: float) -> tuple[float, floa
     return x, fn(x)
 
 
-def _activation_frequency(instance: Instance, lam: float, arm: ArmMDP | None = None) -> float:
+def _activation_frequency(instance: Instance, lam: float) -> float:
     """Discounted activation frequency of the lambda-greedy policy from mu0."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
 
-    if arm is None:
-        arm = build_arm_mdp(instance)
+    arm = build_arm_mdp(instance)
     sol = solve_subsidy(instance, lam)
     T, B = arm.law.T, arm.law.B
     # sol.actions[T, B] is (n_cs, K, N_tau), which ravels in state-id order

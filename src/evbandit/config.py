@@ -108,15 +108,18 @@ def _penalty_from(block, b_max: int) -> PenaltyFunction:
 def _arrivals_from(block: dict, t_max: int, b_max: int, n_periods: int) -> ArrivalModel:
     rho = block.get("rho", 0.7)
     rho = _array(rho, "arrivals.rho") if isinstance(rho, list) else _number(rho, "arrivals.rho")
-    kind = block.get("kind", "uniform_feasible")
+    # "explicit" takes a pmf, "uniform_feasible" none; without a kind the pmf decides
+    kind = block.get("kind", "explicit" if "pmf" in block else "uniform_feasible")
     try:
-        if "pmf" in block:
-            if kind != "uniform_feasible" and kind != "explicit":
-                raise ConfigError(f"unknown arrivals kind {kind!r}")
+        if kind == "explicit":
+            if "pmf" not in block:
+                raise ConfigError("arrivals kind 'explicit' needs a pmf")
             pmf = _array(block["pmf"], "arrivals.pmf")
             return ArrivalModel(n_periods=n_periods, rho=rho, pmf=pmf)
         if kind != "uniform_feasible":
-            raise ConfigError(f"unknown arrivals kind {kind!r} (or supply an explicit pmf)")
+            raise ConfigError(f"unknown arrivals kind {kind!r}")
+        if "pmf" in block:
+            raise ConfigError("arrivals kind 'uniform_feasible' takes no pmf")
         return ArrivalModel.uniform_feasible(t_max, b_max, rho, n_periods)
     except ConfigError:
         raise

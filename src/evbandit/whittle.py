@@ -14,11 +14,11 @@ Three routes to the same number:
    which is continuous and strictly increasing in nu.  Only g_1 is carried:
    a wider difference telescopes, g_h(T,B) = sum_{i<h} g_1(T,B+i), and the
    one the g_1 recursion reads, g_2(T-1,B-1), is g_1(T-1,B-1) + g_1(T-1,B).
-3. ``index_by_bisection``: oracle that locates the activation threshold of the
-   subsidy problem by bisection on top of plain value iteration.  Slow but
-   independent of the PWL algebra; ``index --verify-oracle`` and the tests
-   use it to cross-check route 2.  The indexability check on a subsidy grid,
-   which only the tests run, lives in ``tests/oracles.py``.
+3. ``index_by_bisection``: oracle that bisects every state's activation
+   threshold at once on ``subsidy_pass``, the exact backward pass that
+   ``solve_subsidy`` (and so the bound's dual) also runs.  Independent of the
+   PWL algebra; ``index --verify-oracle`` checks the whole table against it.
+   The tests also bisect on ``subsidy_value_iteration`` (``tests/oracles.py``).
 
 Every occupied state with B = 0 and the empty state have index exactly 0; a
 "dummy" arm used by the policy layer carries that same constant index.
@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .model import Instance, PenaltyFunction
 from .pwl import PiecewiseLinear, PWLBatch, RowError, combine, stitch  # noqa: F401
 
 __all__ = [
-    "ExtendedState",
     "IndexTable",
     "IndexCheckError",
     "closed_form_index",
@@ -47,9 +45,16 @@ __all__ = [
     "compute_index_table",
     "subsidy_value_iteration",
     "SubsidySolution",
+    "subsidy_pass",
     "solve_subsidy",
     "index_by_bisection",
 ]
+
+# index_by_bisection's chunks of states keep subsidy_pass's arrays, about
+# eight float64 arrays of one lead time per state, under this many bytes,
+# and it bisects each state's subsidy to within this tolerance
+ORACLE_BYTES = 64 << 20
+BISECTION_TOL = 1e-8
 
 
 class IndexCheckError(ValueError):
@@ -57,13 +62,6 @@ class IndexCheckError(ValueError):
     root function that is not nondecreasing or has no root, pieces of a g_1
     that disagree at a knot, or an index that decreases in B past the
     diagonal."""
-
-
-class ExtendedState(NamedTuple):
-    T: int
-    B: int
-    j: int
-    tau: int
 
 
 @dataclass(frozen=True)
@@ -287,6 +285,37 @@ def subsidy_value_iteration(
     return v, (q1 > q0).astype(np.int8)
 
 
+def subsidy_pass(instance: Instance, nu):
+    """Backward pass of the subsidy problem over lead times, for S subsidies.
+
+    Yields, for T = 1..t_max and each only when asked for, the local values
+    U(T) (the continuation after the departure stripped off, as both actions
+    carry it alike) and the optimal actions (ties passive), each of shape
+    (S, b_max + 1, K, N_tau) for the S subsidies ``nu``.
+    """
+    inst = instance
+    b_bar, K, nt = inst.b_max, inst.cost.n_levels, inst.n_periods
+    beta = inst.discount
+    ftab = inst.penalty.table[: b_bar + 1]
+    nu = np.asarray(nu, dtype=float)[:, None, None, None]
+    gain = (1.0 - inst.cost.values)[:, None]  # (K, 1) broadcast over periods
+    p_t = [inst.cost.matrix_for(tau).T for tau in range(nt)]
+
+    # T = 1: the passive arm owes F(B), the active one F(B - 1); F(0) = 0
+    q_pass = nu - ftab[:, None, None] + np.zeros((b_bar + 1, K, nt))
+    q_act = np.concatenate([np.zeros((1, K, nt)),
+                            gain[None] - ftab[:-1, None, None] + np.zeros((b_bar, K, nt))])
+    for t in range(1, inst.t_max + 1):
+        if t > 1:
+            mid = np.empty_like(u)
+            for tau in range(nt):
+                mid[..., tau] = beta * u[..., (tau + 1) % nt] @ p_t[tau]
+            q_pass = nu + mid
+            q_act = np.concatenate([mid[:, :1], gain + mid[:, :-1]], axis=1)
+        u = np.maximum(q_pass, q_act)
+        yield u, q_act > q_pass
+
+
 @dataclass(frozen=True)
 class SubsidySolution:
     """Exact subsidy-problem solution on the (T, B, cost, period) grid.
@@ -308,44 +337,26 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
     The continuation value after a departure enters every state's Bellman
     equation linearly, with the same coefficient under both actions and no
     dependence on B.  Stripping it off leaves a finite-horizon DP over lead
-    times; the continuation itself then solves a (K * N_tau)-dimensional
-    linear system.  No fixed-point iteration, so this is fast even for
-    discount factors very close to 1; ``subsidy_value_iteration`` provides the
-    independent slow path.  The arrival mixing and the reward are written out
-    here on purpose instead of read from ``charger_law``: this is the one
-    coding of the per-charger law independent of that table, which the LP vs
-    dual check and the full-capacity joint DP test compare against.
+    times (``subsidy_pass``, the one the oracle bisects on); the continuation
+    itself then solves a (K * N_tau)-dimensional linear system.  No
+    fixed-point iteration, so this is fast even for discount factors very
+    close to 1; ``subsidy_value_iteration`` provides the independent slow
+    path.  The arrival mixing and the reward are written out here and in
+    ``subsidy_pass`` on purpose instead of read from ``charger_law``: this is
+    the one coding of the per-charger law independent of that table, which
+    the LP vs dual check and the full-capacity joint DP test compare against.
     """
     inst = instance
     t_bar, b_bar = inst.t_max, inst.b_max
     K, nt = inst.cost.n_levels, inst.n_periods
     beta = inst.discount
-    cvals = inst.cost.values
-    ftab = inst.penalty.table[: b_bar + 1]
 
     # local values U (continuation stripped) and greedy actions
     u = np.zeros((t_bar + 1, b_bar + 1, K, nt))
     act = np.zeros((t_bar + 1, b_bar + 1, K, nt), dtype=np.int8)
+    for t, (u_t, act_t) in enumerate(subsidy_pass(inst, [nu]), 1):
+        u[t], act[t] = u_t[0], act_t[0]
     u_empty = np.full((K, nt), max(nu, 0.0))
-    gain = (1.0 - cvals)[:, None]  # (K, 1) broadcast over periods
-
-    q_pass = nu - ftab[1:, None, None] + np.zeros((b_bar, K, nt))
-    q_act = gain[None] - ftab[:-1, None, None] + np.zeros((b_bar, K, nt))
-    u[1, 1:] = np.maximum(q_pass, q_act)
-    act[1, 1:] = q_act > q_pass
-    u[1, 0] = max(nu, 0.0)
-    act[1, 0] = 1 if nu < 0 else 0
-
-    for t in range(2, t_bar + 1):
-        prev = u[t - 1]  # (b_bar+1, K, nt)
-        mid = np.empty_like(prev)
-        for tau in range(nt):
-            p = inst.cost.matrix_for(tau)
-            mid[:, :, tau] = beta * prev[:, :, (tau + 1) % nt] @ p.T
-        q_pass = nu + mid
-        q_act = np.concatenate([mid[:1], gain[None] + mid[:-1]], axis=0)
-        act[t] = q_act > q_pass
-        u[t] = np.maximum(q_pass, q_act)
 
     # continuation: A(k, tau) = E[V of the slot's occupant at period tau after
     # a departure at tau-1]; solves A = a0 + G A with ||G|| <= beta < 1
@@ -385,39 +396,42 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
     return SubsidySolution(values, act, a_vec.reshape(K, nt))
 
 
-def index_by_bisection(
-    instance: Instance,
-    state,
-    tol: float = 1e-8,
-    arm: ArmMDP | None = None,
-) -> float:
-    """Oracle index: bisect the subsidy at which ``state`` turns passive.
+def index_by_bisection(instance: Instance) -> np.ndarray:
+    """Oracle index of every state: bisect the subsidy at which it turns passive.
 
-    The bracket is +/- (1 + max penalty increment + max |cost|), which
-    contains every index because the one-slot activation gain is bounded by
-    that quantity.  A missing flip inside the bracket raises, signalling a
-    non-indexable input (impossible for valid instances).
+    Every state with T >= 1 is bisected at once, one subsidy each, to within
+    BISECTION_TOL on ``subsidy_pass``, reading its action at its own lead
+    time, in chunks whose pass arrays stay under ORACLE_BYTES.  The bracket +/- (1 + max penalty
+    increment + max |cost|) bounds the one-slot activation gain, so a state
+    that does not turn from active to passive in it raises ValueError (a
+    non-indexable input, impossible for valid instances).  Returns an array
+    shaped like ``IndexTable.values``, with row T = 0 zero.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if arm is None:
-        arm = build_arm_mdp(instance)
-    sid = arm.state_id(*state)
-    span = 1.0 + instance.penalty.max_increment + float(np.abs(instance.cost.values).max())
-    vi_tol = max(1e-13, tol * (1.0 - instance.discount) / 8.0)
+    inst = instance
+    shape = (inst.t_max + 1, inst.b_max + 1, inst.cost.n_levels, inst.n_periods)
+    T, B, j, tau = (a.ravel() for a in np.indices(shape))
+    span = 1.0 + inst.penalty.max_increment + float(np.abs(inst.cost.values).max())
+    index = np.zeros(T.size)
+    states = np.flatnonzero(T >= 1)
+    chunk = max(1, ORACLE_BYTES // (8 * 8 * (T.size // shape[0])))
 
-    def active(v: float) -> bool:
-        return bool(subsidy_value_iteration(instance, v, tol=vi_tol, arm=arm)[1][sid])
+    for s in np.split(states, range(chunk, states.size, chunk)):
+        def active(nu):  # stops the pass at the chunk's last lead time
+            on = np.empty(s.size, dtype=bool)
+            for t, (_, act) in zip(range(1, T[s[-1]] + 1), subsidy_pass(inst, nu)):
+                at = np.flatnonzero(T[s] == t)
+                on[at] = act[at, B[s[at]], j[s[at]], tau[s[at]]]
+            return on
 
-    lo, hi = -span, span
-    if not active(lo):
-        raise ValueError("bracket failure: state is passive even at the bottom subsidy")
-    if active(hi):
-        raise ValueError("bracket failure: state is active even at the top subsidy")
-    while hi - lo > 2.0 * tol:
-        mid = 0.5 * (lo + hi)
-        if active(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo, hi = np.full(s.size, -span), np.full(s.size, span)
+        bad = s[~active(lo) | active(hi)]
+        if bad.size:
+            state = tuple(int(a[bad[0]]) for a in (T, B, j, tau))
+            raise ValueError(f"bracket failure: state (T, B, j, tau) = {state} does not "
+                             f"turn from active to passive between -{span:.6g} and {span:.6g}")
+        while np.any(hi - lo > 2.0 * BISECTION_TOL):
+            mid = 0.5 * (lo + hi)
+            on = active(mid)
+            lo, hi = np.where(on, mid, lo), np.where(on, hi, mid)
+        index[s] = 0.5 * (lo + hi)
+    return index.reshape(shape)

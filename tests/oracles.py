@@ -3,7 +3,10 @@
 The joint DP and the exact evaluation of a policy kernel solve the full
 N-charger MDP of a toy instance from the shared per-charger law;
 ``run_episode`` simulates one seed; ``check_indexability`` tests the
-passive-set monotonicity of the subsidy problem on a grid.  Tests import this
+passive-set monotonicity of the subsidy problem on a grid;
+``index_by_vi_bisection`` bisects one state's index on value iteration, the
+slow route independent of both the PWL recursion and the exact backward
+pass of ``whittle.index_by_bisection``.  Tests import this
 module as ``oracles`` (``tests/`` is on ``sys.path``); pytest does not collect
 it.
 """
@@ -68,6 +71,45 @@ def check_indexability(
         ids = [int(s) if isinstance(s, (int, np.integer)) else arm.state_id(*s) for s in states]
         cols = acts[:, ids]
     return not np.any(np.diff(cols.astype(np.int8), axis=0) > 0)
+
+
+def index_by_vi_bisection(
+    instance: Instance,
+    state,
+    tol: float = 1e-8,
+    arm: ArmMDP | None = None,
+) -> float:
+    """Oracle index: bisect the subsidy at which ``state`` turns passive.
+
+    The bracket is +/- (1 + max penalty increment + max |cost|), which
+    contains every index because the one-slot activation gain is bounded by
+    that quantity.  A missing flip inside the bracket raises, signalling a
+    non-indexable input (impossible for valid instances).  The subsidy
+    problem is solved by ``evbandit.whittle.subsidy_value_iteration``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if arm is None:
+        arm = build_arm_mdp(instance)
+    sid = arm.state_id(*state)
+    span = 1.0 + instance.penalty.max_increment + float(np.abs(instance.cost.values).max())
+    vi_tol = max(1e-13, tol * (1.0 - instance.discount) / 8.0)
+
+    def active(v: float) -> bool:
+        return bool(whittle.subsidy_value_iteration(instance, v, tol=vi_tol, arm=arm)[1][sid])
+
+    lo, hi = -span, span
+    if not active(lo):
+        raise ValueError("bracket failure: state is passive even at the bottom subsidy")
+    if active(hi):
+        raise ValueError("bracket failure: state is active even at the top subsidy")
+    while hi - lo > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        if active(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class _JointMDP:

@@ -89,13 +89,6 @@ class TestStructure:
         share = toy_dynamic.capacity / toy_dynamic.n_chargers
         assert x[lp.n_states :].sum() <= share + 1e-8
 
-    def test_bad_initial_distribution_rejected(self, toy_dynamic):
-        arm = build_arm_mdp(toy_dynamic)
-        bad = np.zeros(arm.n_states)
-        bad[0] = 0.5
-        with pytest.raises(ValueError):
-            build_occupancy_lp(toy_dynamic, initial_distribution=bad)
-
     def test_bad_method_rejected(self, toy_dynamic):
         with pytest.raises(ValueError):
             solve_bound(toy_dynamic, method="exact")

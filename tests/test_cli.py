@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evbandit import cli
+from evbandit import cli, whittle
 from evbandit.pwl import PWLBatch
+from evbandit.whittle import IndexTable
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_CSV = REPO / "data" / "sample_rt_prices.csv"
@@ -61,13 +62,65 @@ class TestIndexCommand:
         assert rc == 0
 
     def test_oracle_disagreement_exits_3(self, tiny_config, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "index_by_bisection", lambda inst, st, tol=1e-8: 42.0)
+        monkeypatch.setattr(cli, "index_by_bisection",
+                            lambda inst: np.full((3, 2, 1, 1), 42.0))
         rc = cli.main([
             "index", "--config", str(tiny_config),
             "--out", str(tmp_path / "idx"), "--verify-oracle",
         ])
         assert rc == 3
         assert "verification failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, n_states", [
+        ("toy", 18), ("fig3_constant_cost", 120), ("dynamic_cost", 600),
+    ])
+    def test_oracle_checks_every_state(self, name, n_states, tmp_path, capsys):
+        rc = cli.main([
+            "index", "--config", str(REPO / "configs" / f"{name}.json"),
+            "--out", str(tmp_path / "idx"), "--verify-oracle",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        line = next(x for x in out.splitlines() if x.startswith("oracle check"))
+        assert line.startswith(f"oracle check on {n_states} states: max |err| = ")
+        assert float(line.rsplit("= ", 1)[1]) <= 1e-8
+
+    def test_moved_table_entry_exits_3(self, tmp_path, monkeypatch, capsys):
+        real = cli.compute_index_table
+
+        def moved(inst):
+            v = real(inst).values.copy()
+            v[2, -1, 0, 0] += 2e-6  # the largest B of its row: still nondecreasing
+            return IndexTable(v)
+
+        monkeypatch.setattr(cli, "compute_index_table", moved)
+        rc = cli.main([
+            "index", "--config", str(REPO / "configs" / "toy.json"),
+            "--out", str(tmp_path / "idx"), "--verify-oracle",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "oracle check on 18 states: max |err| = 2.00e-06" in captured.out
+        assert captured.err.startswith("verification failure: index table disagrees")
+
+    def test_oracle_bracket_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        real = whittle.subsidy_pass
+
+        def never_active(instance, nu):
+            for u, act in real(instance, nu):
+                yield u, np.zeros_like(act)
+
+        monkeypatch.setattr(whittle, "subsidy_pass", never_active)
+        rc = cli.main([
+            "index", "--config", str(REPO / "configs" / "toy.json"),
+            "--out", str(tmp_path / "idx"), "--verify-oracle",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("verification failure: bisection oracle: bracket failure: state "
+                              "(T, B, j, tau) = (1, 0, 0, 0) does not turn from active to passive")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSimulateCommand:
@@ -293,6 +346,8 @@ def set_path(doc, path, value):
         ({"instance.t_max": 12, "instance.b_max": 9,
           "instance.cost": {"levels": [0.5] * 400, "matrix": [[1 / 400] * 400] * 400}}, []),
         ({"instance.n_chargers": 0, "instance.capacity": 0}, []),
+        # toy's arrivals say uniform_feasible, which a pmf contradicts
+        ({"instance.arrivals.pmf": [[0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]]}, []),
     ],
     ids=[
         "negative-seed", "one-seed", "bool-seeds", "unknown-policy", "seeds-flag-1",
@@ -300,7 +355,7 @@ def set_path(doc, path, value):
         "tol-string", "t-max-string", "capacity-null", "n-periods-string", "verify-oracle-string",
         "t-max-huge", "b-max-huge", "n-periods-huge", "n-chargers-huge", "seeds-huge",
         "seeds-flag-huge", "horizon-huge", "fitted-periods-huge", "cost-levels-huge",
-        "no-chargers",
+        "no-chargers", "uniform-kind-with-pmf",
     ],
 )
 def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys, monkeypatch):

@@ -97,9 +97,25 @@ class TestArrivalsBlock:
         )
         assert inst.arrivals.pmf_for(0)[2, 1] == 0.5
 
+    def test_explicit_kind_with_pmf(self):
+        pmf = [[0.0, 0.0], [0.0, 0.5], [0.0, 0.5]]
+        inst = instance_from_dict(
+            {"t_max": 2, "b_max": 1, "arrivals": {"kind": "explicit", "pmf": pmf}}
+        )
+        assert inst.arrivals.pmf_for(0)[1, 1] == 0.5
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             instance_from_dict({"arrivals": {"kind": "poisson"}})
+
+    @pytest.mark.parametrize("arrivals, match", [
+        ({"kind": "uniform_feasible", "pmf": [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
+         "'uniform_feasible' takes no pmf"),
+        ({"kind": "explicit"}, "'explicit' needs a pmf"),
+    ], ids=["uniform-with-pmf", "explicit-without-pmf"])
+    def test_kind_contradicting_the_pmf(self, arrivals, match):
+        with pytest.raises(ConfigError, match=match):
+            instance_from_dict({"t_max": 2, "b_max": 1, "arrivals": arrivals})
 
     def test_bad_rho_reported_as_config_error(self):
         with pytest.raises(ConfigError, match="bad arrivals"):

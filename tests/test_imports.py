@@ -52,6 +52,13 @@ def test_import_and_index_load_no_solver(tmp_path):
     assert not loaded_after([["index", "--config", str(TOY)]], tmp_path) & SOLVERS
 
 
+def test_index_oracle_loads_no_solver(tmp_path):
+    """The bisection oracle runs on the exact backward pass, not on the
+    sparse arm MDP."""
+    loaded = loaded_after([["index", "--config", str(TOY), "--verify-oracle"]], tmp_path)
+    assert not loaded & SOLVERS
+
+
 def test_simulate_without_valley_loads_no_lp_or_sparse(tmp_path):
     cfg = without_valley(tmp_path)
     loaded = loaded_after([["simulate", "--config", str(cfg), "--seeds", "4"]], tmp_path)

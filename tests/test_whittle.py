@@ -15,10 +15,11 @@ from evbandit.whittle import (
     compute_index_table,
     index_by_bisection,
     solve_subsidy,
+    subsidy_pass,
     subsidy_value_iteration,
 )
 from conftest import TWO_STATE_COST, make_instance
-from oracles import check_indexability
+from oracles import check_indexability, index_by_vi_bisection
 
 PEN = PenaltyFunction.quadratic(0.3, 4)
 
@@ -115,7 +116,7 @@ class TestFrozenValues:
 
     def test_bisection_agrees(self, toy_dynamic, toy_table, toy_arm):
         for state in [(3, 2, 0, 0), (4, 1, 1, 0)]:
-            ref = index_by_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
+            ref = index_by_vi_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
             assert toy_table.lookup(*state) == pytest.approx(ref, abs=1e-6)
 
 
@@ -139,8 +140,9 @@ class TestTableStructure:
         hi = toy_table.lookup(3, 1, 1, 0)
         lo = toy_table.lookup(3, 2, 1, 0)
         assert hi > lo + 1e-3
-        assert index_by_bisection(toy_dynamic, (3, 1, 1, 0), tol=1e-8, arm=toy_arm) == pytest.approx(hi, abs=1e-6)
-        assert index_by_bisection(toy_dynamic, (3, 2, 1, 0), tol=1e-8, arm=toy_arm) == pytest.approx(lo, abs=1e-6)
+        for state, want in (((3, 1, 1, 0), hi), ((3, 2, 1, 0), lo)):
+            ref = index_by_vi_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
+            assert ref == pytest.approx(want, abs=1e-6)
 
     def test_rejects_nonzero_empty_row(self):
         v = np.zeros((3, 3, 1, 1))
@@ -273,6 +275,18 @@ class TestSubsidySolvers:
             assert below.actions[t, b, j, tau] == 1
             assert above.actions[t, b, j, tau] == 0
 
+    def test_batch_rows_match_single_passes(self, toy_dynamic):
+        nus = [-0.4, 0.0, 0.13, 0.7, 2.0]
+        batch = list(subsidy_pass(toy_dynamic, nus))
+        assert len(batch) == toy_dynamic.t_max
+        for i, nu in enumerate(nus):
+            single = list(subsidy_pass(toy_dynamic, [nu]))
+            actions = solve_subsidy(toy_dynamic, nu).actions
+            for t, ((u, act), (u1, _)) in enumerate(zip(batch, single), 1):
+                assert u.shape == act.shape == (len(nus), 4, 2, 1)
+                np.testing.assert_allclose(u[i], u1[0], rtol=0, atol=1e-12)
+                assert np.array_equal(act[i], actions[t])
+
     def test_arrival_value_is_consistent(self, toy_dynamic):
         # A(j, tau) = (1-rho) V(empty) + rho E_type V(T, B), all at (j, tau)
         nu = 0.2
@@ -284,6 +298,27 @@ class TestSubsidySolvers:
             for (t, b) in zip(*np.nonzero(pmf)):
                 want += rho * pmf[t, b] * sol.values[t, b, j, 0]
             assert sol.arrival_value[j, 0] == pytest.approx(want, rel=1e-9)
+
+
+class TestBisectionOracle:
+    def test_matches_value_iteration_bisection_on_every_state(self, toy_dynamic, toy_arm):
+        ref = index_by_bisection(toy_dynamic)
+        assert ref.shape == (5, 4, 2, 1)
+        assert np.all(ref[0] == 0.0)
+        for state in np.ndindex(ref.shape):
+            if state[0] >= 1:
+                vi = index_by_vi_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
+                assert ref[state] == pytest.approx(vi, abs=1e-6), state
+
+    def test_matches_the_table(self, toy_dynamic, toy_table):
+        assert np.abs(index_by_bisection(toy_dynamic) - toy_table.values).max() <= 1e-8
+
+    def test_chunks_agree_with_one_batch(self, toy_dynamic, monkeypatch):
+        import evbandit.whittle as w
+
+        whole = index_by_bisection(toy_dynamic)
+        monkeypatch.setattr(w, "ORACLE_BYTES", 1)  # one state per chunk
+        np.testing.assert_allclose(index_by_bisection(toy_dynamic), whole, rtol=0, atol=2e-8)
 
 
 def test_check_indexability_passes_on_fixture(toy_dynamic, toy_arm):
