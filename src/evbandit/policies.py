@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _BIG = np.iinfo(np.int64).max
+_NONE = 2**62  # a sweep slot with no waiter: sorts last, dominates nothing
 
 
 def select_by_key(key: np.ndarray, b: np.ndarray, m: int, eligible: np.ndarray) -> np.ndarray:
@@ -78,41 +79,52 @@ def llf_kernel(t: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 def lllp_kernel(t: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Batch LLLP interchange on (S, N) state arrays.
 
-    A waiting charger i dominates an active charger k when its laxity is no
-    larger and its demand no smaller, one of the two strictly.  Repeatedly
-    swap the strongest such pair per seed: dominators scanned by (laxity
-    ascending, demand descending, id), the replaced active charger by (laxity
-    descending, demand ascending, id).  Each swap strictly lowers the active
-    set's (laxity, -demand) rank profile, so this terminates.  Laxity and
-    demand do not change, so the pairwise dominance is built once; each round
-    works only on the rows that still held a dominating pair the round before.
+    A waiting occupied charger i dominates an active charger k when its
+    laxity is no larger and its demand no smaller, one of the two strictly.
+    The rule swaps the strongest such pair until none is left: the dominator
+    first by (laxity ascending, demand descending, id), the charger it
+    replaces last in that order.
+
+    One sweep reaches that fixed point, because a swap never makes a new
+    dominating pair: the charger swapped out dominates no active charger
+    (that one would be weaker, and replaced instead), and a waiter that
+    dominates the one swapped in also dominates the victim and is stronger,
+    so it would have been taken first.  The sweep visits the waiting occupied
+    chargers once, strongest first, and swaps each that still dominates an
+    active charger with the weakest one it dominates.  The largest active
+    laxity only falls and the smallest active demand only rises, so a waiter
+    above the first or below the second never swaps, and when no row has a
+    waiter left, the action comes back as it is.  Work is charger-major, (N, S).
     """
-    act = active.copy()
-    s, n = t.shape
-    lax = t - b
-    occ = (t >= 1) & (b > 0)
-    ids = np.arange(n)
-    b_max = int(b.max(initial=0))
-    l_off = lax - lax.min(initial=0)  # nonnegative laxity ranks
-    l_span = int(l_off.max(initial=0)) + 1
-    fwd = (l_off * (b_max + 1) + (b_max - b)) * n + ids  # small = strong
-    rev = ((l_span - 1 - l_off) * (b_max + 1) + b) * n + ids  # small = weak
-    li, lk, bi, bk = lax[:, :, None], lax[:, None, :], b[:, :, None], b[:, None, :]
-    beats = (li <= lk) & (bi >= bk) & ((li < lk) | (bi > bk)) & occ[:, :, None]
-    rows = np.arange(s)
-    while True:
-        a = act[rows]
-        dom = beats[rows] & ~a[:, :, None] & a[:, None, :]
-        has_victim = dom.any(axis=2)
-        live = has_victim.any(axis=1)
-        if not live.any():
-            return act
-        rows, dom, has_victim = rows[live], dom[live], has_victim[live]
-        i_star = np.argmin(np.where(has_victim, fwd[rows], _BIG), axis=1)
-        victims = dom[np.arange(rows.size), i_star]
-        k_star = np.argmin(np.where(victims, rev[rows], _BIG), axis=1)
-        act[rows, i_star] = True
-        act[rows, k_star] = False
+    waiting = (t >= 1) & (b > 0) & ~active
+    if not waiting.any():
+        return active.copy()
+    n = t.shape[1]
+    bm = int(b.max()) + 1
+    t = t.T.astype(np.int64, order="C")
+    b = np.subtract(bm - 1, b.T, order="C", dtype=np.int64)  # reversed: small = more demand
+    a = active.T.copy()
+    lax = t + b  # laxity + bm - 1 >= 0
+    lax_hi = np.where(a, lax, -1).max(axis=0)  # largest active laxity
+    b_hi = np.where(a, b, -1).max(axis=0)  # smallest active demand, reversed
+    waiting = waiting.T & (lax <= lax_hi) & (b <= b_hi)
+    steps = int(waiting.sum(axis=0).max())
+    if steps == 0:
+        return a.T
+    ids = np.arange(n)[:, None]
+    key = (lax * bm + b) * n  # (laxity, -demand) packed: small = strong
+    weak = key + (n - ids)  # large = weak, ties to the lower id; >= 1
+    code = np.sort(np.where(waiting, key + ids, _NONE), axis=0)[:steps]  # sweep order
+    cell = code // n
+    lax_i, b_i, floor = cell // bm, cell % bm, (cell + 1) * n
+    victim = np.empty(code.shape, dtype=np.int64)  # weak of each step's victim, 0 for none
+    for p in range(steps):
+        v = (((lax >= lax_i[p]) & (b >= b_i[p]) & a) * weak).max(axis=0, out=victim[p])
+        v *= v > floor[p]  # an active charger in the waiter's own cell is not dominated
+        a &= weak != v
+    hit = victim > 0
+    a[code[hit] % n, np.nonzero(hit)[1]] = True
+    return a.T
 
 
 class CostForecast:

@@ -10,8 +10,11 @@ and lead times and the demand of any arriving EV.  Every policy then runs
 against that one world, so common random numbers hold by construction and
 paired comparisons subtract the same noise.
 
-Episodes for all seeds advance together as (n_seeds, n_chargers) arrays; a
-policy is a vectorized kernel over that batch, built by ``policy_kernel``.
+Every policy's episodes advance in one time loop: the demands are one
+(n_policies, n_seeds, n_chargers) array, each slot hands every policy's
+kernel (built by ``policy_kernel``) its (n_seeds, n_chargers) slice, and the
+service and the accounting then run once for all policies.  The world's
+arrival types are looked up only where an EV arrives.
 The exact joint-MDP oracles that check this simulator on toy instances live
 with the tests, in ``tests/oracles.py``.
 """
@@ -43,7 +46,7 @@ __all__ = [
 
 POLICY_NAMES = ("whittle", "whittle+lllp", "edf", "llf", "valley")
 
-_CHUNK = 1024
+_BLOCK = 64  # slots of uniforms held per seed and stream
 
 
 @dataclass
@@ -129,9 +132,10 @@ def _type_tables(instance: Instance):
 def draw_world(instance: Instance, seeds, horizon: int) -> World:
     """The world of ``seeds`` over ``horizon`` slots, from an empty facility.
 
-    The uniforms are drawn per seed and stream in blocks of at most _CHUNK
-    slots; a vacated charger is refilled when its arrival coin falls below
-    rho, with a type drawn by inverting the period's type CDF.
+    The uniforms are drawn per seed and stream in blocks of at most _BLOCK
+    slots (the doubles do not depend on the block size); a vacated charger is
+    refilled when its arrival coin falls below rho, and only then is its type
+    drawn, by inverting the period's type CDF at its type uniform.
     """
     s, n, nt = len(seeds), instance.n_chargers, instance.n_periods
     dtype = world_dtype(instance.t_max, instance.b_max)
@@ -143,29 +147,25 @@ def draw_world(instance: Instance, seeds, horizon: int) -> World:
     types = _type_tables(instance)
 
     lead = np.empty((horizon, s, n), dtype=dtype)
-    arrival = np.empty((horizon, s, n), dtype=dtype)
+    arrival = np.full((horizon, s, n), -1, dtype=dtype)
     t_arr = np.zeros((s, n), dtype=dtype)
-    for start in range(0, horizon, _CHUNK):
-        rows = min(_CHUNK, horizon - start)
-        period = (start + np.arange(rows)) % nt
-        below = rho[period][:, None]
-        slots = [period == tau for tau in range(nt)]
-        u = np.empty((rows, n))
-        coin = np.empty((s, rows, n), dtype=bool)
-        new_t = np.empty((s, rows, n), dtype=dtype)
-        new_b = np.empty((s, rows, n), dtype=dtype)
+    for start in range(0, horizon, _BLOCK):
+        rows = min(_BLOCK, horizon - start)
+        coin = np.empty((s, rows, n))
+        u = np.empty((s, rows, n))
         for i in range(s):
-            arr_gens[i].random(out=u)
-            coin[i] = u < below
-            type_gens[i].random(out=u)
-            for at, (cum, tt, bb) in zip(slots, types):
-                ridx = np.minimum(np.searchsorted(cum, u[at], side="right"), cum.size - 1)
-                new_t[i, at], new_b[i, at] = tt[ridx], bb[ridx]
+            arr_gens[i].random(out=coin[i])
+            type_gens[i].random(out=u[i])
+        coin = (coin < rho[(start + np.arange(rows)) % nt][:, None]).swapaxes(0, 1).copy()
+        u = u.swapaxes(0, 1).copy()  # slot-major, like the world
         for r in range(rows):
+            cum, tt, bb = types[(start + r) % nt]
             lead[start + r] = t_arr
-            arrives = coin[:, r] & (t_arr <= 1)
-            arrival[start + r] = np.where(arrives, new_b[:, r], -1)
-            t_arr = np.where(arrives, new_t[:, r], np.maximum(t_arr - 1, 0))
+            arrives = coin[r] & (t_arr <= 1)
+            k = np.minimum(np.searchsorted(cum, u[r][arrives], side="right"), cum.size - 1)
+            arrival[start + r][arrives] = bb[k]
+            t_arr = np.maximum(t_arr - 1, 0)
+            t_arr[arrives] = tt[k]
     return World(cost, lead, arrival)
 
 
@@ -208,15 +208,17 @@ def policy_kernel(name: str, instance: Instance, table=None, forecast=None):
 
 def _run_batch(
     instance: Instance,
-    policy: str,
+    policies: tuple,
     seeds,
     horizon: int,
     world: World,
     table=None,
     forecast=None,
-) -> list[EpisodeMetrics]:
-    kern = policy_kernel(policy, instance, table, forecast)
-    s = len(seeds)
+) -> list[list[EpisodeMetrics]]:
+    """Every policy's episodes against one world, one list per policy, from
+    one time loop over a (P, S, N) demand array (see the module docstring)."""
+    kerns = [policy_kernel(p, instance, table, forecast) for p in policies]
+    shape = (len(policies), len(seeds))
     n = instance.n_chargers
     m = instance.capacity
     beta = instance.discount
@@ -224,14 +226,15 @@ def _run_batch(
     cvals = instance.cost.values
     ftab = instance.penalty.table
 
-    b_arr = np.zeros((s, n), dtype=np.int64)
-    revenue = np.zeros(s)
-    energy_cost = np.zeros(s)
-    penalty = np.zeros(s)
-    delivered = np.zeros(s, dtype=np.int64)
-    unserved = np.zeros(s, dtype=np.int64)
-    activations = np.zeros(s, dtype=np.int64)
-    interchanges = np.zeros(s, dtype=np.int64)
+    b_arr = np.zeros(shape + (n,), dtype=np.int64)
+    action = np.empty(shape + (n,), dtype=bool)
+    revenue = np.zeros(shape)
+    energy_cost = np.zeros(shape)
+    penalty = np.zeros(shape)
+    delivered = np.zeros(shape, dtype=np.int64)
+    unserved = np.zeros(shape, dtype=np.int64)
+    activations = np.zeros(shape, dtype=np.int64)
+    interchanges = np.zeros(shape, dtype=np.int64)
     disc = 1.0
 
     for t in range(horizon):
@@ -239,20 +242,22 @@ def _run_batch(
         j = world.cost[t]
         c = cvals[j]
 
-        action, swapped = kern(t_arr, b_arr, j, t % nt)
-        interchanges += swapped
-        active = action.sum(axis=1)
-        if np.any(active > m):
-            raise RuntimeError(f"policy {policy!r} violated the capacity limit")
+        for p, kern in enumerate(kerns):
+            action[p], swapped = kern(t_arr, b_arr[p], j, t % nt)
+            interchanges[p] += swapped
+        active = action.sum(axis=2)
+        over = np.any(active > m, axis=1)
+        if over.any():
+            raise RuntimeError(f"policy {policies[over.argmax()]!r} violated the capacity limit")
 
         eff, b_after, _, b_next = serve(t_arr, b_arr, action)
-        served = eff.sum(axis=1)
+        served = eff.sum(axis=2)
         revenue += disc * served
         energy_cost += disc * served * c
-        at_deadline = t_arr == 1
-        penalty += disc * np.where(at_deadline, ftab[b_after], 0.0).sum(axis=1)
+        due = b_after * (t_arr == 1)  # demand still owed in the final slot; F(0) = 0
+        penalty += disc * ftab[due].sum(axis=2)
         delivered += served
-        unserved += (b_after * at_deadline).sum(axis=1)
+        unserved += due.sum(axis=2)
         activations += active
 
         new = world.arrival[t]
@@ -261,25 +266,28 @@ def _run_batch(
 
     arrived = np.maximum(world.arrival, 0).sum(axis=(0, 2), dtype=np.int64)
     out = []
-    for i, sd in enumerate(seeds):
-        comp = 1.0 if arrived[i] == 0 else 1.0 - unserved[i] / arrived[i]
-        out.append(
-            EpisodeMetrics(
-                policy=policy,
-                seed=int(sd),
-                horizon=horizon,
-                discounted_reward=float(revenue[i] - energy_cost[i] - penalty[i]),
-                revenue=float(revenue[i]),
-                energy_cost=float(energy_cost[i]),
-                penalty=float(penalty[i]),
-                delivered_units=int(delivered[i]),
-                arrived_units=int(arrived[i]),
-                unserved_units=int(unserved[i]),
-                completion_fraction=float(comp),
-                activations_per_slot=float(activations[i] / horizon),
-                interchanges=int(interchanges[i]),
+    for p, policy in enumerate(policies):
+        episodes = []
+        for i, sd in enumerate(seeds):
+            comp = 1.0 if arrived[i] == 0 else 1.0 - unserved[p, i] / arrived[i]
+            episodes.append(
+                EpisodeMetrics(
+                    policy=policy,
+                    seed=int(sd),
+                    horizon=horizon,
+                    discounted_reward=float(revenue[p, i] - energy_cost[p, i] - penalty[p, i]),
+                    revenue=float(revenue[p, i]),
+                    energy_cost=float(energy_cost[p, i]),
+                    penalty=float(penalty[p, i]),
+                    delivered_units=int(delivered[p, i]),
+                    arrived_units=int(arrived[i]),
+                    unserved_units=int(unserved[p, i]),
+                    completion_fraction=float(comp),
+                    activations_per_slot=float(activations[p, i] / horizon),
+                    interchanges=int(interchanges[p, i]),
+                )
             )
-        )
+        out.append(episodes)
     return out
 
 
@@ -379,7 +387,6 @@ def monte_carlo(
     table = compute_index_table(instance) if needs_table else None
     forecast = CostForecast(instance) if "valley" in policies else None
     world = draw_world(instance, seeds, horizon)
-    episodes = {}
-    for p in policies:
-        episodes[p] = _run_batch(instance, p, seeds, horizon, world, table, forecast)
+    runs = tuple(dict.fromkeys(policies))
+    episodes = dict(zip(runs, _run_batch(instance, runs, seeds, horizon, world, table, forecast)))
     return ComparisonReport(policies, seeds, horizon, episodes, baseline)

@@ -38,7 +38,7 @@ def run_episode(
     if table is None and policy.startswith("whittle"):
         table = compute_index_table(instance)
     world = draw_world(instance, [seed], horizon)
-    return _run_batch(instance, policy, [seed], horizon, world, table)[0]
+    return _run_batch(instance, (policy,), [seed], horizon, world, table)[0][0]
 
 
 def check_indexability(

@@ -411,16 +411,50 @@ def test_edf_and_llf_match_reference(tb, m):
     assert np.array_equal(llf_kernel(t, b, m), want_llf)
 
 
+@st.composite
+def small_batches(draw):
+    """batch_states with an activation, every entry drawn by hypothesis."""
+    t, b = draw(batch_states())
+    return t, b, bool_array(draw, t.shape)
+
+
+@st.composite
+def wide_batches(draw, max_s=40, max_n=12):
+    """(S, N) lead times, demands and an activation on batch_states' grid,
+    with the entries from a generator that hypothesis seeds: drawing each of
+    up to 480 entries through hypothesis would take seconds per test."""
+    s, n = draw(st.integers(1, max_s)), draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t, b = rng.integers(0, 5, size=(2, s, n))
+    active = rng.random((s, n)) < draw(st.sampled_from([0.2, 0.5, 0.8]))
+    return t, b, active
+
+
 @settings(max_examples=300, deadline=None)
-@given(batch_states(), st.data())
-def test_lllp_matches_reference(tb, data):
-    t, b = tb
-    active = bool_array(data.draw, t.shape)
-    if data.draw(st.booleans()):
+@given(st.one_of(small_batches(), wide_batches()), st.booleans())
+def test_lllp_matches_reference(tba, as_whittle):
+    t, b, active = tba
+    if as_whittle:
         active &= (t >= 1) & (b > 0)  # as the Whittle kernel hands it over
     got = lllp_kernel(t, b, active)
     assert np.array_equal(got, reference_lllp_kernel(t, b, active))
     assert got.sum(axis=1).tolist() == active.sum(axis=1).tolist()
+
+
+def test_lllp_matches_reference_on_fixed_cases():
+    # row 0: each of six waiters (laxity 0, demand 6..11) dominates each of six
+    # active chargers (laxity 6..11, demand 1), so the sweep makes all six
+    # swaps, the longest it can make at N = 12; row 1: the same active
+    # chargers, and no waiting charger is occupied
+    t = np.array([[7, 8, 9, 10, 11, 12, 6, 7, 8, 9, 10, 11],
+                  [7, 8, 9, 10, 11, 12, 0, 5, 0, 3, 0, 9]])
+    b = np.array([[1, 1, 1, 1, 1, 1, 6, 7, 8, 9, 10, 11],
+                  [1, 1, 1, 1, 1, 1, 4, 0, 2, 0, 0, 0]])
+    active = np.arange(12) < 6
+    active = np.stack([active, active])
+    got = lllp_kernel(t, b, active)
+    assert np.array_equal(got, reference_lllp_kernel(t, b, active))
+    assert np.array_equal(got, np.stack([~active[0], active[1]]))
 
 
 @st.composite

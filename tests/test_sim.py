@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
-from evbandit.sim import _mean_ci, default_horizon, monte_carlo, policy_kernel
+from evbandit import sim
+from evbandit.sim import POLICY_NAMES, _mean_ci, default_horizon, draw_world, monte_carlo, policy_kernel
 from evbandit.whittle import compute_index_table, solve_subsidy
 from conftest import make_instance
 from oracles import brute_force_joint_dp, evaluate_policy_exact, run_episode
@@ -101,9 +102,40 @@ class TestCommonRandomNumbers:
                 assert single.delivered_units == e.delivered_units
 
     def test_other_policies_do_not_change_an_episode(self, toy_dynamic):
-        alone = monte_carlo(toy_dynamic, ["edf"], seeds=[3, 8, 21], horizon=150)
-        mixed = monte_carlo(toy_dynamic, ["whittle", "edf", "llf"], seeds=[3, 8, 21], horizon=150)
-        assert alone.episodes["edf"] == mixed.episodes["edf"]
+        # all policies share one time loop and one (P, S, N) demand array
+        mixed = monte_carlo(toy_dynamic, POLICY_NAMES, seeds=[3, 8, 21], horizon=80)
+        assert sum(e.interchanges for e in mixed.episodes["whittle+lllp"]) > 0
+        for p in POLICY_NAMES:
+            alone = monte_carlo(toy_dynamic, [p], seeds=[3, 8, 21], horizon=80)
+            assert alone.episodes[p] == mixed.episodes[p], p
+
+    def test_world_equals_a_whole_horizon_draw(self):
+        # draw_world draws its uniforms in blocks and looks a type up only
+        # where an EV arrives; drawing all of them at once, and mapping every
+        # one, gives the same world
+        pmf = np.zeros((2, 5, 4))
+        pmf[0] = ArrivalModel.uniform_feasible(4, 3, 1.0).pmf[0]
+        pmf[1, 4, 3], pmf[1, 2, 0], pmf[1, 1, 1] = 0.5, 0.2, 0.3
+        inst = dataclasses.replace(
+            make_instance(n_chargers=3, t_max=4, b_max=3),
+            arrivals=ArrivalModel(n_periods=2, rho=[0.6, 0.9], pmf=pmf),
+        )
+        seeds, horizon = [0, 5, 9], 150
+        world = draw_world(inst, seeds, horizon)
+        for i, seed in enumerate(seeds):
+            _, arr_seq, type_seq = np.random.SeedSequence(seed).spawn(3)
+            coin = np.random.default_rng(arr_seq).random((horizon, inst.n_chargers))
+            u = np.random.default_rng(type_seq).random((horizon, inst.n_chargers))
+            t_arr = np.zeros(inst.n_chargers, dtype=int)
+            for t in range(horizon):
+                law = inst.arrivals.pmf_for(t)
+                tt, bb = np.nonzero(law)
+                cum = np.cumsum(law[tt, bb])
+                k = np.minimum(np.searchsorted(cum, u[t], side="right"), cum.size - 1)
+                arrives = (coin[t] < inst.arrivals.rho_for(t)) & (t_arr <= 1)
+                assert world.lead[t, i].tolist() == t_arr.tolist()
+                assert world.arrival[t, i].tolist() == np.where(arrives, bb[k], -1).tolist()
+                t_arr = np.where(arrives, tt[k], np.maximum(t_arr - 1, 0))
 
     def test_duplicate_policy_entries_identical(self, toy_dynamic):
         rep = monte_carlo(toy_dynamic, ["edf", "edf"], seeds=3, horizon=60)
@@ -194,6 +226,11 @@ class TestExactOracles:
         tab = compute_index_table(toy_dynamic)
         v = evaluate_policy_exact(toy_dynamic, policy_kernel("whittle", toy_dynamic, tab), tol=1e-9)
         assert v == pytest.approx(WHITTLE_VALUE, abs=1e-7)
+
+    def test_over_capacity_policy_named(self, toy_dynamic, monkeypatch):
+        monkeypatch.setattr(sim, "llf_kernel", lambda t, b, m: np.ones(t.shape, dtype=bool))
+        with pytest.raises(RuntimeError, match="policy 'llf' violated the capacity limit"):
+            monte_carlo(toy_dynamic, ["edf", "llf"], seeds=3, horizon=20)
 
     def test_over_capacity_kernel_refused(self, toy_dynamic):
         def all_on(t, b, j, tau):
