@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,14 @@ class VerificationError(RuntimeError):
     pass
 
 
+def _say(line: str) -> None:
+    """Print a line, or after the reader has gone (``| head``) to os.devnull."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _out_dir(arg) -> Path:
     out = Path(arg) if arg else Path(".")
     try:
@@ -46,13 +55,13 @@ def cmd_index(args) -> int:
     table = compute_index_table(inst)
     dt = time.time() - t0
     n_states = table.values.size
-    print(f"index table: {n_states} states "
-          f"(T<={inst.t_max}, B<={inst.b_max}, K={inst.cost.n_levels}, "
-          f"periods={inst.n_periods}) in {dt:.2f}s")
+    _say(f"index table: {n_states} states "
+         f"(T<={inst.t_max}, B<={inst.b_max}, K={inst.cost.n_levels}, "
+         f"periods={inst.n_periods}) in {dt:.2f}s")
     out = _out_dir(args.out)
     table.to_csv(out / "index_table.csv")
     table.to_json(out / "index_table.json")
-    print(f"wrote {out / 'index_table.csv'}")
+    _say(f"wrote {out / 'index_table.csv'}")
 
     if args.verify_oracle or cfg.verify_oracle:
         try:
@@ -60,7 +69,7 @@ def cmd_index(args) -> int:
         except ValueError as e:
             raise VerificationError(f"bisection oracle: {e}") from e
         worst = float(np.abs(table.values - ref).max())
-        print(f"oracle check on {table.values[1:].size} states: max |err| = {worst:.2e}")
+        _say(f"oracle check on {table.values[1:].size} states: max |err| = {worst:.2e}")
         if worst > ORACLE_TOL:
             raise VerificationError(
                 f"index table disagrees with the bisection oracle ({worst:.2e} > {ORACLE_TOL})"
@@ -86,8 +95,8 @@ def cmd_simulate(args) -> int:
         baseline=baseline,
         truncation_tol=cfg.truncation_tol,
     )
-    print(f"simulated {len(cfg.policies)} policies x {len(seeds)} seeds "
-          f"x {report.horizon} slots in {time.time() - t0:.1f}s")
+    _say(f"simulated {len(cfg.policies)} policies x {len(seeds)} seeds "
+         f"x {report.horizon} slots in {time.time() - t0:.1f}s")
     out = _out_dir(args.out)
     report.to_csv(out / "episodes.csv")
     report.to_json(out / "summary.json")
@@ -97,8 +106,8 @@ def cmd_simulate(args) -> int:
         if baseline and p != baseline:
             d, dh = report.paired(p)
             line += f"   vs {baseline}: {d:+.3f} +- {dh:.3f}"
-        print(line)
-    print(f"wrote {out / 'episodes.csv'} and {out / 'summary.json'}")
+        _say(line)
+    _say(f"wrote {out / 'episodes.csv'} and {out / 'summary.json'}")
     return 0
 
 
@@ -123,8 +132,8 @@ def cmd_bound(args) -> int:
         doc["dual_value"] = res.dual_value
     out = _out_dir(args.out)
     (out / "bound.json").write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"bound {res.value:.6f} (lambda={res.lam:.6f}) in {time.time() - t0:.2f}s")
-    print(f"wrote {out / 'bound.json'}")
+    _say(f"bound {res.value:.6f} (lambda={res.lam:.6f}) in {time.time() - t0:.2f}s")
+    _say(f"wrote {out / 'bound.json'}")
     return 0
 
 
@@ -149,9 +158,9 @@ def cmd_fitcost(args) -> int:
         doc["matrices"] = chain.P.tolist()
     out = _out_dir(args.out)
     (out / "cost_chain.json").write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"fitted {args.k}-state chain from {len(fit.states)} slots "
-          f"(retail price {fit.retail_price:.4f})")
-    print(f"wrote {out / 'cost_chain.json'}")
+    _say(f"fitted {args.k}-state chain from {len(fit.states)} slots "
+         f"(retail price {fit.retail_price:.4f})")
+    _say(f"wrote {out / 'cost_chain.json'}")
     return 0
 
 

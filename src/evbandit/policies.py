@@ -1,10 +1,13 @@
 """Scheduling policies: Whittle index, LLLP interchange, EDF, LLF, valley filling.
 
-Every policy is a batch kernel on (S, N) arrays of lead times and demands, one
-row per station state (the simulator's rows are seeds), plus precomputed
-tables; it returns an (S, N) boolean activation array with at most M ones per
-row.  ``sim.policy_kernel`` builds the named policies from these kernels.  The
-valley-filling planner solves one LP per station row and is called row by row.
+Every policy works on (S, N) arrays of lead times and demands, one row per
+station state (the simulator's rows are seeds), plus precomputed tables.
+Whittle, EDF and LLF are key rules: (key, eligible) per charger, and
+``select_by_key`` activates up to M eligible chargers per row by smallest
+key, for one rule or for a stack of them (``sim.stack_kernel``).  The
+``*_kernel`` functions are a rule plus that selection.  The LLLP interchange
+refines a Whittle activation; the valley-filling planner solves one LP per
+station row and is called row by row.
 
 Tie-breaking is fixed everywhere: policy criterion first, then larger demand,
 then lower charger id.
@@ -36,44 +39,64 @@ def select_by_key(key: np.ndarray, b: np.ndarray, m: int, eligible: np.ndarray) 
 
     key, b, eligible: (S, N). Ties break toward larger B, then lower id: the
     three are packed into one integer per charger, and a row's m-th smallest
-    packed key is its threshold.
+    packed key is its threshold.  The offsets are shared by all rows, so a
+    stack of several policies' rows selects as each would alone.  A packing
+    that cannot fit in int64 is refused.
     """
     s, n = key.shape
     if m <= 0:
         return np.zeros((s, n), dtype=bool)
     if m >= n:
         return eligible.copy()
-    b_lo, b_hi = int(b.min(initial=0)), int(b.max(initial=0))
-    packed = ((key - key.min(initial=0)) * (b_hi - b_lo + 1) + (b_hi - b)) * n + np.arange(n)
+    k_lo, b_lo, b_hi = int(key.min(initial=0)), int(b.min(initial=0)), int(b.max(initial=0))
+    if (int(key.max(initial=0)) - k_lo + 1) * (b_hi - b_lo + 1) * n > _BIG:
+        raise ValueError("the packed selection key does not fit in int64")
+    packed = ((key - k_lo) * (b_hi - b_lo + 1) + (b_hi - b)) * n + np.arange(n)
     packed = np.where(eligible, packed, _BIG)
     threshold = np.partition(packed, m - 1, axis=1)[:, m - 1 : m]
     return (packed <= threshold) & eligible
 
 
-def whittle_kernel(
-    t: np.ndarray, b: np.ndarray, j: np.ndarray, tau: int, table: IndexTable, m: int
-) -> np.ndarray:
-    """Batch Whittle decision at cost levels j (S,) and period tau.
+def whittle_key(t: np.ndarray, b: np.ndarray, j: np.ndarray, tau: int, table: IndexTable):
+    """Whittle's key rule at cost levels j (S,) and period tau.
 
     Ranking against M dummy arms of constant index 0 plus the strict-positivity
     rule collapses to: activate the top-m chargers by index among those with a
     strictly positive index.  The key is the table's dense rank of the index;
-    an empty charger or B = 0 has index 0, so it is never eligible.
+    an empty charger or B = 0 has index 0, so it is never eligible.  ``b`` may
+    stack several policies' (S, N) demands on ``t``: one gather serves them all.
     """
     _, b_cap, k, nt = table.values.shape
-    comp = ((t * b_cap + b) * k + np.asarray(j).reshape(-1, 1)) * nt + (tau % nt)
-    rank = table.rank.ravel()[comp]
-    return select_by_key(rank, b, m, rank < table.n_positive)
+    base = (t * (b_cap * k) + np.asarray(j).reshape(-1, 1)) * nt + tau % nt
+    rank = table.rank.ravel()[base + b * (k * nt)]
+    return rank, rank < table.n_positive
+
+
+def edf_key(t: np.ndarray, b: np.ndarray):
+    cand = (t >= 1) & (b > 0)
+    return np.where(cand, t, 0), cand
+
+
+def llf_key(t: np.ndarray, b: np.ndarray):
+    cand = (t >= 1) & (b > 0)
+    return np.where(cand, t - b, 0), cand
+
+
+def whittle_kernel(
+    t: np.ndarray, b: np.ndarray, j: np.ndarray, tau: int, table: IndexTable, m: int
+) -> np.ndarray:
+    key, eligible = whittle_key(t, b, j, tau, table)
+    return select_by_key(key, b, m, eligible)
 
 
 def edf_kernel(t: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    cand = (t >= 1) & (b > 0)
-    return select_by_key(np.where(cand, t, 0), b, m, cand)
+    key, eligible = edf_key(t, b)
+    return select_by_key(key, b, m, eligible)
 
 
 def llf_kernel(t: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    cand = (t >= 1) & (b > 0)
-    return select_by_key(np.where(cand, t - b, 0), b, m, cand)
+    key, eligible = llf_key(t, b)
+    return select_by_key(key, b, m, eligible)
 
 
 def lllp_kernel(t: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -91,40 +114,43 @@ def lllp_kernel(t: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
     dominates the one swapped in also dominates the victim and is stronger,
     so it would have been taken first.  The sweep visits the waiting occupied
     chargers once, strongest first, and swaps each that still dominates an
-    active charger with the weakest one it dominates.  The largest active
-    laxity only falls and the smallest active demand only rises, so a waiter
-    above the first or below the second never swaps, and when no row has a
-    waiter left, the action comes back as it is.  Work is charger-major, (N, S).
+    active charger with the weakest one it dominates.  The chargers swapped
+    in before a waiter's turn are stronger than it, so its victims are
+    initially active: only a waiter that dominates an initially active
+    charger enters the sweep (one test of every waiter against every charger,
+    in the smallest integer type that holds the cells below), and when none
+    does, the action comes back as it is.  With (laxity, -demand) packed into
+    one cell number, small = strong, i dominates k exactly when k's cell is
+    larger and its demand no larger.  Work is charger-major, (N, S).
     """
     waiting = (t >= 1) & (b > 0) & ~active
     if not waiting.any():
         return active.copy()
     n = t.shape[1]
     bm = int(b.max()) + 1
-    t = t.T.astype(np.int64, order="C")
-    b = np.subtract(bm - 1, b.T, order="C", dtype=np.int64)  # reversed: small = more demand
-    a = active.T.copy()
-    lax = t + b  # laxity + bm - 1 >= 0
-    lax_hi = np.where(a, lax, -1).max(axis=0)  # largest active laxity
-    b_hi = np.where(a, b, -1).max(axis=0)  # smallest active demand, reversed
-    waiting = waiting.T & (lax <= lax_hi) & (b <= b_hi)
-    steps = int(waiting.sum(axis=0).max())
-    if steps == 0:
-        return a.T
     ids = np.arange(n)[:, None]
-    key = (lax * bm + b) * n  # (laxity, -demand) packed: small = strong
-    weak = key + (n - ids)  # large = weak, ties to the lower id; >= 1
-    code = np.sort(np.where(waiting, key + ids, _NONE), axis=0)[:steps]  # sweep order
-    cell = code // n
-    lax_i, b_i, floor = cell // bm, cell % bm, (cell + 1) * n
+    b = b.T.astype(np.int64, order="C")
+    # (laxity, -demand) packed into one cell number: small = strong
+    cell = np.multiply(t.T, bm, dtype=np.int64) - b * (bm + 1) + (bm * bm - 1)
+    small = np.min_scalar_type(-int(cell.max()) - 2)  # holds every cell + 1: a cheap cube
+    c, bc = (cell + 1).astype(small), b.astype(small)
+    enters = ((bc[None] <= bc[:, None]) & ((c * active.T)[None] > c[:, None])).any(axis=1)
+    enters &= waiting.T  # waiter i (axis 0) dominates some active charger (axis 1)
+    steps = int(enters.sum(axis=0).max())
+    if steps == 0:
+        return active.copy()
+    cell *= n
+    weak = (cell + (n - ids)) * active.T  # large = weak, ties to the lower id; 0 when off
+    code = np.sort(np.where(enters, cell + ids, _NONE), axis=0)[:steps]  # sweep order
+    b_i, floor = bm - 1 - code // n % bm, (code // n + 1) * n
     victim = np.empty(code.shape, dtype=np.int64)  # weak of each step's victim, 0 for none
     for p in range(steps):
-        v = (((lax >= lax_i[p]) & (b >= b_i[p]) & a) * weak).max(axis=0, out=victim[p])
-        v *= v > floor[p]  # an active charger in the waiter's own cell is not dominated
-        a &= weak != v
-    hit = victim > 0
-    a[code[hit] % n, np.nonzero(hit)[1]] = True
-    return a.T
+        v = ((b <= b_i[p]) * weak).max(axis=0, out=victim[p])
+        v *= v > floor[p]  # the weakest active charger of no larger demand, if in a larger cell
+        weak *= weak != v
+    a = np.zeros((n + 1, t.shape[0]), dtype=bool)  # row n takes the waiters that did not swap
+    a[np.where(victim > 0, code % n, n), np.arange(t.shape[0])] = True
+    return (a[:n] | (weak > 0)).T
 
 
 class CostForecast:

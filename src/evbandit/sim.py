@@ -11,10 +11,10 @@ against that one world, so common random numbers hold by construction and
 paired comparisons subtract the same noise.
 
 Every policy's episodes advance in one time loop: the demands are one
-(n_policies, n_seeds, n_chargers) array, each slot hands every policy's
-kernel (built by ``policy_kernel``) its (n_seeds, n_chargers) slice, and the
-service and the accounting then run once for all policies.  The world's
-arrival types are looked up only where an EV arrives.
+(n_policies, n_seeds, n_chargers) array, and each slot ``stack_kernel``
+decides for all policies at once (one selection for every ranking policy),
+then the service and the accounting run once for all.  The world's arrival
+types are looked up only where an EV arrives.
 The exact joint-MDP oracles that check this simulator on toy instances live
 with the tests, in ``tests/oracles.py``.
 """
@@ -26,13 +26,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import Instance, serve
-from .policies import (
+from .policies import (  # the *_kernel names are not called here; perfbench/spans.py traces them
     CostForecast,
     edf_kernel,
+    edf_key,
     llf_kernel,
+    llf_key,
     lllp_kernel,
+    select_by_key,
     valley_filling_policy,
     whittle_kernel,
+    whittle_key,
 )
 from .whittle import compute_index_table
 
@@ -40,7 +44,7 @@ __all__ = [
     "EpisodeMetrics",
     "ComparisonReport",
     "default_horizon",
-    "policy_kernel",
+    "stack_kernel",
     "monte_carlo",
 ]
 
@@ -169,41 +173,50 @@ def draw_world(instance: Instance, seeds, horizon: int) -> World:
     return World(cost, lead, arrival)
 
 
-def policy_kernel(name: str, instance: Instance, table=None, forecast=None):
-    """The named policy as a batch kernel ``kern(t, b, j, tau)``.
+def stack_kernel(runs, instance: Instance, table=None):
+    """The policies ``runs``, in POLICY_NAMES order, as one batch kernel.
 
-    ``t``, ``b``: (S, N) lead times and demands, ``j``: (S,) cost levels,
-    ``tau``: the period.  Returns (action, swapped_rows): the (S, N) boolean
-    activation and an (S,) mask of the rows the LLLP interchange changed.
-    "whittle+lllp" is the Whittle choice refined by the interchange; this is
-    the one place the two are composed.  Whittle policies need the index
-    table; valley builds its cost forecast unless one is given.
+    ``kern(t, b, j, tau)`` takes (S, N) lead times, (P, S, N) demands (one
+    slice per policy), (S,) cost levels and the period, and returns the
+    (P, S, N) activation and the (P, S) rows the LLLP interchange changed.
+    The ranking policies' keys are stacked, and one ``select_by_key`` call
+    selects for all of them; "whittle+lllp" is the Whittle choice refined by
+    ``lllp_kernel`` (the one place the two are composed), and valley plans
+    row by row.  Whittle policies need the index table.
     """
-    m = instance.capacity
-    if name.startswith("whittle") and table is None:
+    if list(runs) != sorted(runs, key=POLICY_NAMES.index):  # .index refuses unknown names
+        raise ValueError(f"policies {runs!r} are not in POLICY_NAMES order")
+    n_whittle = sum(p.startswith("whittle") for p in runs)
+    if n_whittle and table is None:
         raise ValueError("whittle policies need an index table")
-    if name == "whittle+lllp":
+    ranked = len(runs) - ("valley" in runs)
+    plain = [edf_key if p == "edf" else llf_key for p in runs[n_whittle:ranked]]
+    lllp = runs.index("whittle+lllp") if "whittle+lllp" in runs else None
+    forecast = CostForecast(instance) if ranked < len(runs) else None
+    m = instance.capacity
 
-        def kern(t, b, j, tau):
-            action = whittle_kernel(t, b, j, tau, table, m)
-            swapped = lllp_kernel(t, b, action)
-            return swapped, np.any(swapped != action, axis=1)
+    def kern(t, b, j, tau):
+        n = t.shape[1]
+        action = np.empty(b.shape, dtype=bool)
+        swapped = np.zeros(b.shape[:2], dtype=bool)
+        keyed = [whittle_key(t, b[:n_whittle], j, tau, table)] if n_whittle else []
+        keyed += [rule(t, b[p : p + 1]) for p, rule in enumerate(plain, n_whittle)]
+        if keyed:  # one selection for every ranking policy, on the (P * S, N) stack
+            key, eligible = (np.concatenate(x).reshape(-1, n) for x in zip(*keyed))
+            action[:ranked] = select_by_key(key, b[:ranked].reshape(-1, n), m, eligible).reshape(
+                ranked, -1, n)
+        if lllp is not None:
+            refined = lllp_kernel(t, b[lllp], action[lllp])
+            swapped[lllp] = np.any(refined != action[lllp], axis=1)
+            action[lllp] = refined
+        if ranked < len(runs):
+            action[-1] = [
+                valley_filling_policy(t[s], b[-1, s], int(j[s]), tau, instance, forecast)[0]
+                for s in range(t.shape[0])
+            ]
+        return action, swapped
 
-        return kern
-    if name == "valley" and forecast is None:
-        forecast = CostForecast(instance)
-    rules = {
-        "whittle": lambda t, b, j, tau: whittle_kernel(t, b, j, tau, table, m),
-        "edf": lambda t, b, j, tau: edf_kernel(t, b, m),
-        "llf": lambda t, b, j, tau: llf_kernel(t, b, m),
-        "valley": lambda t, b, j, tau: np.array(
-            [valley_filling_policy(t[s], b[s], int(j[s]), tau, instance, forecast)[0]
-             for s in range(t.shape[0])], dtype=bool).reshape(t.shape),
-    }
-    if name not in rules:
-        raise ValueError(f"unknown policy {name!r}")
-    rule = rules[name]
-    return lambda t, b, j, tau: (rule(t, b, j, tau), np.zeros(t.shape[0], dtype=bool))
+    return kern
 
 
 def _run_batch(
@@ -213,21 +226,21 @@ def _run_batch(
     horizon: int,
     world: World,
     table=None,
-    forecast=None,
 ) -> list[list[EpisodeMetrics]]:
     """Every policy's episodes against one world, one list per policy, from
     one time loop over a (P, S, N) demand array (see the module docstring)."""
-    kerns = [policy_kernel(p, instance, table, forecast) for p in policies]
-    shape = (len(policies), len(seeds))
+    runs = sorted(policies, key=POLICY_NAMES.index)
+    kern = stack_kernel(runs, instance, table)
+    shape = (len(runs), len(seeds))
     n = instance.n_chargers
     m = instance.capacity
     beta = instance.discount
     nt = instance.n_periods
     cvals = instance.cost.values
     ftab = instance.penalty.table
+    count = np.ones(n, dtype=np.int64)  # x @ count sums x over chargers, faster than x.sum(axis=2)
 
     b_arr = np.zeros(shape + (n,), dtype=np.int64)
-    action = np.empty(shape + (n,), dtype=bool)
     revenue = np.zeros(shape)
     energy_cost = np.zeros(shape)
     penalty = np.zeros(shape)
@@ -242,22 +255,22 @@ def _run_batch(
         j = world.cost[t]
         c = cvals[j]
 
-        for p, kern in enumerate(kerns):
-            action[p], swapped = kern(t_arr, b_arr[p], j, t % nt)
-            interchanges[p] += swapped
-        active = action.sum(axis=2)
-        over = np.any(active > m, axis=1)
-        if over.any():
-            raise RuntimeError(f"policy {policies[over.argmax()]!r} violated the capacity limit")
+        action, swapped = kern(t_arr, b_arr, j, t % nt)
+        interchanges += swapped
+        active = action @ count
+        if active.max() > m:
+            first = min((p for p, a in zip(runs, active.max(axis=1)) if a > m), key=policies.index)
+            raise RuntimeError(f"policy {first!r} violated the capacity limit")
 
         eff, b_after, _, b_next = serve(t_arr, b_arr, action)
-        served = eff.sum(axis=2)
-        revenue += disc * served
-        energy_cost += disc * served * c
+        served = eff @ count
+        paid = disc * served
+        revenue += paid
+        energy_cost += paid * c
         due = b_after * (t_arr == 1)  # demand still owed in the final slot; F(0) = 0
         penalty += disc * ftab[due].sum(axis=2)
         delivered += served
-        unserved += due.sum(axis=2)
+        unserved += due @ count
         activations += active
 
         new = world.arrival[t]
@@ -266,7 +279,7 @@ def _run_batch(
 
     arrived = np.maximum(world.arrival, 0).sum(axis=(0, 2), dtype=np.int64)
     out = []
-    for p, policy in enumerate(policies):
+    for p, policy in enumerate(runs):
         episodes = []
         for i, sd in enumerate(seeds):
             comp = 1.0 if arrived[i] == 0 else 1.0 - unserved[p, i] / arrived[i]
@@ -288,7 +301,7 @@ def _run_batch(
                 )
             )
         out.append(episodes)
-    return out
+    return [out[runs.index(p)] for p in policies]
 
 
 def _mean_ci(x: np.ndarray) -> tuple[float, float]:
@@ -385,8 +398,7 @@ def monte_carlo(
         horizon = default_horizon(instance, truncation_tol)
     needs_table = any(p.startswith("whittle") for p in policies)
     table = compute_index_table(instance) if needs_table else None
-    forecast = CostForecast(instance) if "valley" in policies else None
     world = draw_world(instance, seeds, horizon)
     runs = tuple(dict.fromkeys(policies))
-    episodes = dict(zip(runs, _run_batch(instance, runs, seeds, horizon, world, table, forecast)))
+    episodes = dict(zip(runs, _run_batch(instance, runs, seeds, horizon, world, table)))
     return ComparisonReport(policies, seeds, horizon, episodes, baseline)

@@ -2,6 +2,7 @@
 
 The joint DP and the exact evaluation of a policy kernel solve the full
 N-charger MDP of a toy instance from the shared per-charger law;
+``policy_kernel`` is the simulator's stacked kernel for one policy;
 ``run_episode`` simulates one seed; ``check_indexability`` tests the
 passive-set monotonicity of the subsidy problem on a grid;
 ``index_by_vi_bisection`` bisects one state's index on value iteration, the
@@ -20,8 +21,16 @@ import numpy as np
 from evbandit import whittle
 from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from evbandit.model import Instance, charger_law
-from evbandit.sim import EpisodeMetrics, _run_batch, default_horizon, draw_world
+from evbandit.sim import EpisodeMetrics, _run_batch, default_horizon, draw_world, stack_kernel
 from evbandit.whittle import IndexTable, compute_index_table
+
+
+def policy_kernel(name: str, instance: Instance, table: IndexTable | None = None):
+    """The named policy as a batch kernel ``kern(t, b, j, tau)`` on (S, N) lead
+    times and demands: ``sim.stack_kernel`` for one policy.  Returns the
+    (S, N) activation and the (S,) rows the LLLP interchange changed."""
+    kern = stack_kernel((name,), instance, table)
+    return lambda t, b, j, tau: tuple(x[0] for x in kern(t, b[None], j, tau))
 
 
 def run_episode(

@@ -17,7 +17,7 @@ from evbandit.arm import build_arm_mdp
 from evbandit.bound import solve_bound
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
-from evbandit.sim import monte_carlo, policy_kernel
+from evbandit.sim import monte_carlo
 from evbandit.whittle import (
     closed_form_index,
     compute_index_table,
@@ -30,6 +30,7 @@ from oracles import (
     check_indexability,
     evaluate_policy_exact,
     index_by_vi_bisection,
+    policy_kernel,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

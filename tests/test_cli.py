@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -156,6 +159,27 @@ class TestSimulateCommand:
         ])
         assert rc == 0
         assert "vs edf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_still_writes_and_exits_0(self, tiny_config, tmp_path, unbuffered):
+        # the reader leaves before the first line, as ``| head -0`` does; with
+        # stdout buffered or not, every print after that meets a closed pipe
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        paths = [str(REPO / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        out = tmp_path / "sim"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "evbandit", "simulate", "--config", str(tiny_config),
+             "--out", str(out), "--seeds", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == ""
+        assert (out / "episodes.csv").read_text().count("\n") == 1 + 2 * 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["policies"]) == {"whittle", "edf"}
 
     def test_unknown_baseline_exits_2(self, tiny_config, tmp_path, capsys):
         rc = cli.main([

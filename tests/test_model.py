@@ -219,7 +219,11 @@ class TestSystemStep:
         assert runs[0] == runs[1]
 
     def test_capacity_violation_rejected(self, toy_dynamic, monkeypatch):
-        monkeypatch.setattr(sim, "edf_kernel", lambda t, b, m: np.ones(t.shape, dtype=bool))
+        # the simulator selects for every ranking policy in one select_by_key call
+        def all_on(key, b, m, eligible):
+            return np.ones(key.shape, dtype=bool)
+
+        monkeypatch.setattr(sim, "select_by_key", all_on)
         with pytest.raises(RuntimeError, match="capacity"):
             oracles.run_episode(toy_dynamic, "edf", seed=0, horizon=5)
 

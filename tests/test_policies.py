@@ -10,15 +10,17 @@ from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.policies import (
     CostForecast,
     edf_kernel,
+    edf_key,
     llf_kernel,
+    llf_key,
     lllp_kernel,
     select_by_key,
     valley_filling_policy,
     whittle_kernel,
 )
-from evbandit.sim import policy_kernel
 from evbandit.whittle import IndexTable, compute_index_table
 from conftest import TWO_STATE_COST, make_instance
+from oracles import policy_kernel
 
 
 def table_1x2(lo, hi):
@@ -445,16 +447,94 @@ def test_lllp_matches_reference_on_fixed_cases():
     # row 0: each of six waiters (laxity 0, demand 6..11) dominates each of six
     # active chargers (laxity 6..11, demand 1), so the sweep makes all six
     # swaps, the longest it can make at N = 12; row 1: the same active
-    # chargers, and no waiting charger is occupied
+    # chargers, and no waiting charger is occupied; row 2: a waiter (laxity 3,
+    # demand 3) within the largest active laxity (6) and above the smallest
+    # active demand (1) that dominates neither active charger (laxity 6 with
+    # demand 6, laxity 1 with demand 1); row 3: a waiter in the same (laxity,
+    # demand) cell as the active charger; row 4: laxities and demands above
+    # 127, where both waiters swap, the first with the weakest active charger
     t = np.array([[7, 8, 9, 10, 11, 12, 6, 7, 8, 9, 10, 11],
-                  [7, 8, 9, 10, 11, 12, 0, 5, 0, 3, 0, 9]])
+                  [7, 8, 9, 10, 11, 12, 0, 5, 0, 3, 0, 9],
+                  [12, 2, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                  [6, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                  [400, 330, 390, 500, 0, 0, 0, 0, 0, 0, 0, 0]])
     b = np.array([[1, 1, 1, 1, 1, 1, 6, 7, 8, 9, 10, 11],
-                  [1, 1, 1, 1, 1, 1, 4, 0, 2, 0, 0, 0]])
-    active = np.arange(12) < 6
-    active = np.stack([active, active])
+                  [1, 1, 1, 1, 1, 1, 4, 0, 2, 0, 0, 0],
+                  [6, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                  [3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                  [200, 200, 250, 129, 0, 0, 0, 0, 0, 0, 0, 0]])
+    six = np.arange(12) < 6
+    active = np.stack([six, six, np.arange(12) < 2, np.arange(12) < 1, np.isin(np.arange(12), [0, 3])])
     got = lllp_kernel(t, b, active)
     assert np.array_equal(got, reference_lllp_kernel(t, b, active))
-    assert np.array_equal(got, np.stack([~active[0], active[1]]))
+    want = active.copy()
+    want[0] = ~six
+    want[4] = np.isin(np.arange(12), [1, 2])
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def key_stacks(draw, max_p=4, max_s=5, max_n=8):
+    """(P, S, N) keys, demands and eligibility, each slice keyed by one rule
+    as the simulator stacks them: Whittle ranks, EDF's lead times or LLF's
+    laxities (negative where B > T), each slice with its own demand range."""
+    p, s, n = (draw(st.integers(1, hi)) for hi in (max_p, max_s, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys, bs, eligible = [], [], []
+    for rule in draw(st.lists(st.sampled_from(["whittle", "edf", "llf"]), min_size=p, max_size=p)):
+        b_lo = draw(st.integers(0, 3))
+        t = rng.integers(0, 6, size=(s, n))
+        b = rng.integers(b_lo, b_lo + draw(st.integers(0, 6)) + 1, size=(s, n))
+        if rule == "whittle":
+            key = rng.integers(0, 8, size=(s, n))
+            elig = key < draw(st.integers(0, 8))
+        else:
+            key, elig = (edf_key if rule == "edf" else llf_key)(t, b)
+        keys.append(key)
+        bs.append(b)
+        eligible.append(elig)
+    return np.stack(keys), np.stack(bs), np.stack(eligible)
+
+
+def assert_one_selection_serves_the_stack(key, b, eligible, m):
+    p, s, n = key.shape
+    got = select_by_key(key.reshape(-1, n), b.reshape(-1, n), m, eligible.reshape(-1, n))
+    each = [select_by_key(key[i], b[i], m, eligible[i]) for i in range(p)]
+    assert np.array_equal(got.reshape(p, s, n), np.stack(each))
+    want = reference_select_by_key(key.reshape(-1, n), b.reshape(-1, n), m, eligible.reshape(-1, n))
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_stacks(), st.integers(0, 9))
+def test_one_stacked_selection_equals_per_policy_selection(stack, m):
+    assert_one_selection_serves_the_stack(*stack, m)
+
+
+def test_stacked_selection_at_160_chargers_with_full_size_ranks():
+    # a full-size table, T <= 12, B <= 9, K = 5 cost levels and 24 periods,
+    # has at most 13 * 10 * 5 * 24 ranks; a Whittle slice with keys at both
+    # ends of that count sits on an LLF slice whose keys go down to 1 - 9
+    n, ranks = 160, 13 * 10 * 5 * 24
+    rng = np.random.default_rng(7)
+    t = rng.integers(0, 13, size=(3, n))
+    b = rng.integers(0, 10, size=(3, n))
+    whittle_rank = np.where(rng.random((3, n)) < 0.5, 0, ranks - 1)
+    llf, llf_ok = llf_key(t, b)
+    key = np.stack([whittle_rank, llf])
+    eligible = np.stack([whittle_rank < ranks - 1, llf_ok])
+    assert_one_selection_serves_the_stack(key, np.stack([b, b[::-1]]), eligible, 80)
+
+
+def test_select_by_key_refuses_a_packed_key_beyond_int64():
+    b = np.zeros((1, 2), dtype=np.int64)
+    widest = np.array([[2**62 - 2, 0]])  # (range + 1) * 2 chargers = 2**63 - 2 packed keys
+    assert select_by_key(widest, b, 1, np.array([[True, True]])).tolist() == [[False, True]]
+    assert select_by_key(widest, b, 1, np.array([[True, False]])).tolist() == [[True, False]]
+    with pytest.raises(ValueError, match="int64"):
+        select_by_key(widest + np.array([[1, 0]]), b, 1, np.array([[True, True]]))
+    with pytest.raises(ValueError, match="int64"):
+        select_by_key(np.array([[0, 2**40]]), np.array([[0, 2**22]]), 1, np.array([[True, True]]))
 
 
 @st.composite

@@ -6,10 +6,10 @@ import pytest
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit import sim
-from evbandit.sim import POLICY_NAMES, _mean_ci, default_horizon, draw_world, monte_carlo, policy_kernel
+from evbandit.sim import POLICY_NAMES, _mean_ci, default_horizon, draw_world, monte_carlo
 from evbandit.whittle import compute_index_table, solve_subsidy
 from conftest import make_instance
-from oracles import brute_force_joint_dp, evaluate_policy_exact, run_episode
+from oracles import brute_force_joint_dp, evaluate_policy_exact, policy_kernel, run_episode
 
 DP_VALUE = 5.169744218015056  # brute-force optimum on the toy_dynamic fixture
 WHITTLE_VALUE = 5.092267152900652  # exact policy evaluation, same fixture
@@ -228,9 +228,24 @@ class TestExactOracles:
         assert v == pytest.approx(WHITTLE_VALUE, abs=1e-7)
 
     def test_over_capacity_policy_named(self, toy_dynamic, monkeypatch):
-        monkeypatch.setattr(sim, "llf_kernel", lambda t, b, m: np.ones(t.shape, dtype=bool))
+        select = sim.select_by_key
+
+        def llf_over(key, b, m, eligible):
+            # one selection serves the stack of ranking policies, edf's 3 seeds
+            # then llf's 3 (stacked in POLICY_NAMES order): switch on all of llf's
+            action = select(key, b, m, eligible)
+            action[3:] = True
+            return action
+
+        monkeypatch.setattr(sim, "select_by_key", llf_over)
         with pytest.raises(RuntimeError, match="policy 'llf' violated the capacity limit"):
             monte_carlo(toy_dynamic, ["edf", "llf"], seeds=3, horizon=20)
+
+    def test_stack_kernel_refuses_unordered_or_unknown_policies(self, toy_dynamic):
+        tab = compute_index_table(toy_dynamic)
+        for runs in (("edf", "whittle"), ("edf", "fifo")):
+            with pytest.raises(ValueError):
+                sim.stack_kernel(runs, toy_dynamic, tab)
 
     def test_over_capacity_kernel_refused(self, toy_dynamic):
         def all_on(t, b, j, tau):
