@@ -15,15 +15,18 @@ from pathlib import Path
 import numpy as np
 
 from .model import ArrivalModel, CostChain, Instance, PenaltyFunction, charger_law
-from .sim import POLICY_NAMES, default_horizon, world_dtype
+from .sim import _BLOCK, POLICY_NAMES, default_horizon
 
 __all__ = [
     "ConfigError", "RunConfig", "load_run_config", "load_instance", "instance_from_dict",
-    "check_seeds", "check_size", "arm_entries", "MEMORY_BUDGET",
+    "check_seeds", "check_size", "arm_entries", "MEMORY_BUDGET", "WORK_BUDGET",
 ]
 
 # bytes the largest arrays of one command may take; check_size refuses more
 MEMORY_BUDGET = 1 << 30
+# charger-slots (seeds x horizon x chargers) one policy may simulate, about
+# 140 times full-size fig3; check_size refuses more
+WORK_BUDGET = 1 << 32
 
 
 class ConfigError(ValueError):
@@ -212,30 +215,34 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
 
 def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
                n_seeds: int = 0, horizon: int = 0, arm: int = 0) -> None:
-    """Refuse, before they are built, arrays of more than MEMORY_BUDGET bytes.
+    """Refuse, before they are built, arrays of more than MEMORY_BUDGET bytes,
+    and simulations of more than WORK_BUDGET charger-slots per policy.
 
     The estimate counts the bytes of the largest arrays a command builds.  As
     float64 entries: the dense move table of ``charger_law``, 2 n_periods
     n_cs^2 with n_cs = 1 + t_max (b_max + 1); the arrival pmf, n_periods
     (t_max + 1) (b_max + 1); the ``arm`` nonzeros of the arm MDP's transition
-    matrices (``arm_entries``); and per simulated seed the cost path's
-    uniforms, horizon + 1.  Per seed, too, the simulator's world of lead times
-    and arriving demands: 2 horizon n_chargers entries of ``sim.world_dtype``.
+    matrices (``arm_entries``); and per simulated seed the block of uniforms
+    ``sim.world_slots`` holds, a cost uniform and two per charger for each of
+    its _BLOCK slots.  No array grows with the horizon; the work does.
     """
     n_cs = 1 + t_max * (b_max + 1)
     floats = n_periods * (2 * n_cs**2 + (t_max + 1) * (b_max + 1)) + arm
-    world = 2 * horizon * n_chargers * world_dtype(t_max, b_max).itemsize
-    size = 8 * floats + n_seeds * (8 * (horizon + 1) + world)
-    if size > MEMORY_BUDGET:
+    size = 8 * (floats + n_seeds * _BLOCK * (1 + 2 * n_chargers))
+    work = n_seeds * horizon * n_chargers
+    if size > MEMORY_BUDGET or work > WORK_BUDGET:
         sizes = f"t_max={t_max}, b_max={b_max}, n_periods={n_periods}"
         if arm:
             sizes += f", arm MDP nonzeros={arm:,}"
         if n_seeds:
             sizes += f", n_chargers={n_chargers}, seeds={n_seeds}, horizon={horizon}"
-        raise ConfigError(
-            f"run too large: its arrays would need about {size >> 20:,} MiB, "
-            f"over the {MEMORY_BUDGET >> 20:,} MiB budget ({sizes})"
-        )
+        if size > MEMORY_BUDGET:
+            why = f"its arrays would need about {size >> 20:,} MiB"
+            budget = f"{MEMORY_BUDGET >> 20:,} MiB"
+        else:
+            why = f"it would simulate {work:,} charger-slots per policy"
+            budget = f"{WORK_BUDGET:,} charger-slot"
+        raise ConfigError(f"run too large: {why}, over the {budget} budget ({sizes})")
 
 
 def arm_entries(instance: Instance) -> int:

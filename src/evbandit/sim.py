@@ -3,18 +3,19 @@
 All exogenous randomness is action-independent: the cost chain moves on its
 own, lead times tick down deterministically, and a charger's occupancy in the
 next slot is decided by arrival/type draws only when it vacates.  Only the
-remaining demand B depends on the actions.  ``monte_carlo`` therefore draws
+remaining demand B depends on the actions.  ``world_slots`` therefore draws
 the rest once per seed set, from three named streams per seed (cost path,
-arrival coin flips, EV type draws), as a ``World``: each slot's cost level
-and lead times and the demand of any arriving EV.  Every policy then runs
-against that one world, so common random numbers hold by construction and
-paired comparisons subtract the same noise.
+arrival coin flips, EV type draws), and yields it slot by slot as the time
+loop reaches it: each slot's cost level and lead times and the demand of any
+arriving EV.  Every policy runs against that one world, so common random
+numbers hold by construction and paired comparisons subtract the same noise.
+No array has a horizon axis: the world is drawn in blocks of _BLOCK slots.
 
 Every policy's episodes advance in one time loop: the demands are one
 (n_policies, n_seeds, n_chargers) array, and each slot ``stack_kernel``
 decides for all policies at once (one selection for every ranking policy),
-then the service and the accounting run once for all.  The world's arrival
-types are looked up only where an EV arrives.
+then the service and the accounting run once for all.  An arrival's type is
+looked up only where an EV arrives.
 The exact joint-MDP oracles that check this simulator on toy instances live
 with the tests, in ``tests/oracles.py``.
 """
@@ -81,48 +82,6 @@ def default_horizon(instance: Instance, tol: float = 1e-3) -> int:
     return max(1, int(np.ceil(np.log(tol / scale) / np.log(beta))))
 
 
-def _streams(seed: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(int(seed)).spawn(3)
-
-
-def world_dtype(t_max: int, b_max: int) -> np.dtype:
-    """Smallest signed integer dtype that holds -1 and every T and B."""
-    return np.min_scalar_type(-max(t_max, b_max) - 1)
-
-
-@dataclass
-class World:
-    """The action-independent part of a batch of episodes, one row per seed.
-
-    ``cost[t, s]``: the cost level in slot t.  ``lead[t, s, i]``: the lead
-    time of charger i in slot t.  ``arrival[t, s, i]``: the demand of the EV
-    that takes charger i at the end of slot t, -1 when none does.
-    """
-
-    cost: np.ndarray
-    lead: np.ndarray
-    arrival: np.ndarray
-
-
-def _cost_paths(instance: Instance, gens, horizon: int) -> np.ndarray:
-    """(horizon, n_seeds) cost-level paths; start from the stationary law."""
-    s = len(gens)
-    k = instance.cost.n_levels
-    u = np.empty((s, horizon + 1))
-    for i, g in enumerate(gens):
-        u[i] = g.random(horizon + 1)
-    path = np.empty((max(horizon, 1), s), dtype=np.int16)
-    cum0 = np.cumsum(instance.cost.stationary())
-    path[0] = np.minimum(np.searchsorted(cum0, u[:, 0], side="right"), k - 1)
-    cums = [
-        np.cumsum(instance.cost.matrix_for(tau), axis=1) for tau in range(instance.n_periods)
-    ]
-    for t in range(horizon - 1):
-        rows = cums[t % instance.n_periods][path[t]]
-        path[t + 1] = np.minimum((u[:, t + 1, None] > rows).sum(axis=1), k - 1)
-    return path
-
-
 def _type_tables(instance: Instance):
     out = []
     for tau in range(instance.n_periods):
@@ -133,44 +92,54 @@ def _type_tables(instance: Instance):
     return out
 
 
-def draw_world(instance: Instance, seeds, horizon: int) -> World:
-    """The world of ``seeds`` over ``horizon`` slots, from an empty facility.
+def world_slots(instance: Instance, seeds, horizon: int):
+    """The world of ``seeds`` over ``horizon`` slots, from an empty facility,
+    one slot at a time.
 
-    The uniforms are drawn per seed and stream in blocks of at most _BLOCK
-    slots (the doubles do not depend on the block size); a vacated charger is
-    refilled when its arrival coin falls below rho, and only then is its type
-    drawn, by inverting the period's type CDF at its type uniform.
+    Yields each slot's (S, N) lead times, (S,) cost levels and (S, N)
+    arrivals: the demand of the EV that takes charger i at the end of the
+    slot, 0 when none does.  The uniforms are drawn per seed and stream in
+    blocks of at most _BLOCK slots (the doubles do not depend on the block
+    size).  The cost level starts from the stationary law and then steps by
+    the current period's matrix; a vacated charger is refilled when its
+    arrival coin falls below rho, and only then is its type drawn, by
+    inverting the period's type CDF at its type uniform.
     """
     s, n, nt = len(seeds), instance.n_chargers, instance.n_periods
-    dtype = world_dtype(instance.t_max, instance.b_max)
-    streams = [_streams(sd) for sd in seeds]
-    cost = _cost_paths(instance, [np.random.default_rng(st[0]) for st in streams], horizon)
-    arr_gens = [np.random.default_rng(st[1]) for st in streams]
-    type_gens = [np.random.default_rng(st[2]) for st in streams]
+    streams = [np.random.SeedSequence(int(sd)).spawn(3) for sd in seeds]  # cost, coin, type
+    gens = [[np.random.default_rng(st) for st in three] for three in streams]
+    k = instance.cost.n_levels
+    cum0 = np.cumsum(instance.cost.stationary())
+    cums = [np.cumsum(instance.cost.matrix_for(tau), axis=1) for tau in range(nt)]
     rho = np.array([instance.arrivals.rho_for(tau) for tau in range(nt)])
     types = _type_tables(instance)
 
-    lead = np.empty((horizon, s, n), dtype=dtype)
-    arrival = np.full((horizon, s, n), -1, dtype=dtype)
-    t_arr = np.zeros((s, n), dtype=dtype)
+    t_arr = np.zeros((s, n), dtype=np.int64)
     for start in range(0, horizon, _BLOCK):
         rows = min(_BLOCK, horizon - start)
+        cost_u = np.empty((s, rows))
         coin = np.empty((s, rows, n))
         u = np.empty((s, rows, n))
-        for i in range(s):
-            arr_gens[i].random(out=coin[i])
-            type_gens[i].random(out=u[i])
+        for i, (cost_gen, arr_gen, type_gen) in enumerate(gens):
+            cost_gen.random(out=cost_u[i])
+            arr_gen.random(out=coin[i])
+            type_gen.random(out=u[i])
         coin = (coin < rho[(start + np.arange(rows)) % nt][:, None]).swapaxes(0, 1).copy()
-        u = u.swapaxes(0, 1).copy()  # slot-major, like the world
+        u = u.swapaxes(0, 1).copy()  # slot-major, as the loop reads them
         for r in range(rows):
-            cum, tt, bb = types[(start + r) % nt]
-            lead[start + r] = t_arr
+            slot = start + r
+            if slot == 0:
+                j = np.minimum(np.searchsorted(cum0, cost_u[:, r], side="right"), k - 1)
+            else:
+                j = np.minimum((cost_u[:, r, None] > cums[(slot - 1) % nt][j]).sum(axis=1), k - 1)
+            cum, tt, bb = types[slot % nt]
             arrives = coin[r] & (t_arr <= 1)
-            k = np.minimum(np.searchsorted(cum, u[r][arrives], side="right"), cum.size - 1)
-            arrival[start + r][arrives] = bb[k]
+            kind = np.minimum(np.searchsorted(cum, u[r][arrives], side="right"), cum.size - 1)
+            arrival = np.zeros((s, n), dtype=np.int64)
+            arrival[arrives] = bb[kind]
+            yield t_arr, j, arrival
             t_arr = np.maximum(t_arr - 1, 0)
-            t_arr[arrives] = tt[k]
-    return World(cost, lead, arrival)
+            t_arr[arrives] = tt[kind]
 
 
 def stack_kernel(runs, instance: Instance, table=None):
@@ -224,7 +193,6 @@ def _run_batch(
     policies: tuple,
     seeds,
     horizon: int,
-    world: World,
     table=None,
 ) -> list[list[EpisodeMetrics]]:
     """Every policy's episodes against one world, one list per policy, from
@@ -248,11 +216,10 @@ def _run_batch(
     unserved = np.zeros(shape, dtype=np.int64)
     activations = np.zeros(shape, dtype=np.int64)
     interchanges = np.zeros(shape, dtype=np.int64)
+    arrived = np.zeros((len(seeds), n), dtype=np.int64)
     disc = 1.0
 
-    for t in range(horizon):
-        t_arr = world.lead[t].astype(np.int64)
-        j = world.cost[t]
+    for t, (t_arr, j, new) in enumerate(world_slots(instance, seeds, horizon)):
         c = cvals[j]
 
         action, swapped = kern(t_arr, b_arr, j, t % nt)
@@ -273,11 +240,11 @@ def _run_batch(
         unserved += due @ count
         activations += active
 
-        new = world.arrival[t]
-        b_arr = np.where(new >= 0, new, b_next)
+        b_arr = b_next + new  # an EV takes only a charger whose b_next is 0 (t <= 1)
+        arrived += new
         disc *= beta
 
-    arrived = np.maximum(world.arrival, 0).sum(axis=(0, 2), dtype=np.int64)
+    arrived = arrived.sum(axis=1)
     out = []
     for p, policy in enumerate(runs):
         episodes = []
@@ -381,7 +348,7 @@ def monte_carlo(
     baseline: str | None = None,
     truncation_tol: float = 1e-3,
 ) -> ComparisonReport:
-    """Run every policy over the same seeds against one drawn world."""
+    """Run every policy over the same seeds against one world."""
     if isinstance(seeds, (int, np.integer)):
         seeds = list(range(int(seeds)))
     else:
@@ -396,9 +363,10 @@ def monte_carlo(
         raise ValueError("baseline must be one of the policies")
     if horizon is None:
         horizon = default_horizon(instance, truncation_tol)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     needs_table = any(p.startswith("whittle") for p in policies)
     table = compute_index_table(instance) if needs_table else None
-    world = draw_world(instance, seeds, horizon)
     runs = tuple(dict.fromkeys(policies))
-    episodes = dict(zip(runs, _run_batch(instance, runs, seeds, horizon, world, table)))
+    episodes = dict(zip(runs, _run_batch(instance, runs, seeds, horizon, table)))
     return ComparisonReport(policies, seeds, horizon, episodes, baseline)

@@ -21,7 +21,7 @@ import numpy as np
 from evbandit import whittle
 from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from evbandit.model import Instance, charger_law
-from evbandit.sim import EpisodeMetrics, _run_batch, default_horizon, draw_world, stack_kernel
+from evbandit.sim import EpisodeMetrics, _run_batch, default_horizon, stack_kernel
 from evbandit.whittle import IndexTable, compute_index_table
 
 
@@ -46,8 +46,7 @@ def run_episode(
         horizon = default_horizon(instance, truncation_tol)
     if table is None and policy.startswith("whittle"):
         table = compute_index_table(instance)
-    world = draw_world(instance, [seed], horizon)
-    return _run_batch(instance, (policy,), [seed], horizon, world, table)[0][0]
+    return _run_batch(instance, (policy,), [seed], horizon, table)[0][0]
 
 
 def check_indexability(

@@ -9,6 +9,7 @@ from conftest import TWO_STATE_COST, make_instance
 from evbandit.arm import build_arm_mdp
 from evbandit.config import (
     MEMORY_BUDGET,
+    WORK_BUDGET,
     ConfigError,
     arm_entries,
     check_size,
@@ -16,6 +17,7 @@ from evbandit.config import (
     load_instance,
     load_run_config,
 )
+from evbandit.sim import _BLOCK
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FIXTURE_CSV = Path(__file__).resolve().parent.parent / "data" / "sample_rt_prices.csv"
@@ -197,11 +199,21 @@ class TestRunFields:
 class TestSizeBudget:
     def test_budget_is_inclusive(self):
         # t_max = b_max = 1: 3 charger states, so the move table and the pmf
-        # hold 2 * 9 + 4 floats; the rest of the budget goes to cost paths
-        left = MEMORY_BUDGET // 8 - 22
-        check_size(1, 1, 1, n_seeds=left, horizon=0)
-        with pytest.raises(ConfigError, match="run too large"):
-            check_size(1, 1, 1, n_seeds=left + 1, horizon=0)
+        # hold 2 * 9 + 4 floats; each seed of one charger holds a block of 3
+        # uniforms a slot, and the arm entries take the rest of the budget
+        seeds = 1 << 18
+        arm = MEMORY_BUDGET // 8 - 22 - seeds * 3 * _BLOCK
+        check_size(1, 1, 1, n_chargers=1, n_seeds=seeds, horizon=1, arm=arm)
+        with pytest.raises(ConfigError, match="run too large: its arrays"):
+            check_size(1, 1, 1, n_chargers=1, n_seeds=seeds + 1, horizon=1, arm=arm)
+        with pytest.raises(ConfigError, match="run too large: its arrays"):
+            check_size(1, 1, 1, n_chargers=1, n_seeds=seeds, horizon=1, arm=arm + 1)
+
+    def test_work_budget_is_inclusive(self):
+        # no array grows with the horizon, but the charger-slots do
+        check_size(1, 1, 1, n_chargers=2, n_seeds=4, horizon=WORK_BUDGET // 8)
+        with pytest.raises(ConfigError, match="run too large: it would simulate"):
+            check_size(1, 1, 1, n_chargers=2, n_seeds=4, horizon=WORK_BUDGET // 8 + 1)
 
     def test_default_horizon_is_counted(self, tmp_path):
         # two seeds, but the discount-tail cutoff is about 7e11 slots

@@ -1,14 +1,15 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit import sim
-from evbandit.sim import POLICY_NAMES, _mean_ci, default_horizon, draw_world, monte_carlo
+from evbandit.sim import POLICY_NAMES, _mean_ci, default_horizon, monte_carlo
 from evbandit.whittle import compute_index_table, solve_subsidy
-from conftest import make_instance
+from conftest import TWO_STATE_COST, make_instance
 from oracles import brute_force_joint_dp, evaluate_policy_exact, policy_kernel, run_episode
 
 DP_VALUE = 5.169744218015056  # brute-force optimum on the toy_dynamic fixture
@@ -110,32 +111,58 @@ class TestCommonRandomNumbers:
             assert alone.episodes[p] == mixed.episodes[p], p
 
     def test_world_equals_a_whole_horizon_draw(self):
-        # draw_world draws its uniforms in blocks and looks a type up only
-        # where an EV arrives; drawing all of them at once, and mapping every
-        # one, gives the same world
+        # world_slots draws its uniforms, the cost stream's too, in blocks and
+        # looks a type up only where an EV arrives; drawing all of them at
+        # once, and mapping every one, gives the same world
         pmf = np.zeros((2, 5, 4))
         pmf[0] = ArrivalModel.uniform_feasible(4, 3, 1.0).pmf[0]
         pmf[1, 4, 3], pmf[1, 2, 0], pmf[1, 1, 1] = 0.5, 0.2, 0.3
+        cost = CostChain(
+            values=[0.1, 0.5, 0.9],
+            P=[[[0.2, 0.5, 0.3], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]],
+               [[0.9, 0.0, 0.1], [0.0, 0.4, 0.6], [0.3, 0.3, 0.4]]],
+        )
         inst = dataclasses.replace(
             make_instance(n_chargers=3, t_max=4, b_max=3),
             arrivals=ArrivalModel(n_periods=2, rho=[0.6, 0.9], pmf=pmf),
+            cost=cost,
         )
         seeds, horizon = [0, 5, 9], 150
-        world = draw_world(inst, seeds, horizon)
+        world = list(sim.world_slots(inst, seeds, horizon))
+        assert len(world) == horizon
         for i, seed in enumerate(seeds):
-            _, arr_seq, type_seq = np.random.SeedSequence(seed).spawn(3)
+            cost_seq, arr_seq, type_seq = np.random.SeedSequence(seed).spawn(3)
+            v = np.random.default_rng(cost_seq).random(horizon)
             coin = np.random.default_rng(arr_seq).random((horizon, inst.n_chargers))
             u = np.random.default_rng(type_seq).random((horizon, inst.n_chargers))
+            top = cost.n_levels - 1
+            level = min(np.searchsorted(np.cumsum(cost.stationary()), v[0], side="right"), top)
             t_arr = np.zeros(inst.n_chargers, dtype=int)
-            for t in range(horizon):
+            for t, (lead, j, arrival) in enumerate(world):
+                if t:
+                    level = min(np.searchsorted(np.cumsum(cost.matrix_for(t - 1)[level]), v[t]), top)
                 law = inst.arrivals.pmf_for(t)
                 tt, bb = np.nonzero(law)
                 cum = np.cumsum(law[tt, bb])
                 k = np.minimum(np.searchsorted(cum, u[t], side="right"), cum.size - 1)
                 arrives = (coin[t] < inst.arrivals.rho_for(t)) & (t_arr <= 1)
-                assert world.lead[t, i].tolist() == t_arr.tolist()
-                assert world.arrival[t, i].tolist() == np.where(arrives, bb[k], -1).tolist()
+                assert j[i] == level
+                assert lead[i].tolist() == t_arr.tolist()
+                assert arrival[i].tolist() == np.where(arrives, bb[k], 0).tolist()
                 t_arr = np.where(arrives, tt[k], np.maximum(t_arr - 1, 0))
+        assert len({int(w[1][i]) for w in world for i in range(len(seeds))}) == cost.n_levels
+
+    def test_first_slot_of_an_endless_horizon_is_small(self):
+        # nothing world_slots holds grows with the horizon
+        inst = make_instance(n_chargers=10, cost=TWO_STATE_COST)
+        tracemalloc.start()
+        try:
+            lead, j, arrival = next(sim.world_slots(inst, [0, 1], 10**12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lead.shape == arrival.shape == (2, 10) and j.shape == (2,)
+        assert peak < 2 << 20
 
     def test_duplicate_policy_entries_identical(self, toy_dynamic):
         rep = monte_carlo(toy_dynamic, ["edf", "edf"], seeds=3, horizon=60)
@@ -162,6 +189,11 @@ class TestValidation:
     def test_baseline_must_be_included(self, toy_dynamic):
         with pytest.raises(ValueError):
             monte_carlo(toy_dynamic, ["edf"], seeds=4, baseline="llf")
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_must_be_positive(self, toy_dynamic, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            monte_carlo(toy_dynamic, ["edf"], seeds=4, horizon=horizon)
 
 
 @pytest.fixture(scope="module")
