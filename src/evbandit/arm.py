@@ -1,10 +1,10 @@
 """Single-charger MDP on the extended state space (T, B, cost level, period).
 
-Everything downstream of the index theory (subsidy value iteration, the
-bisection oracle, the occupancy LP and its Lagrangian dual) works on one
-charger in isolation.  This module lifts the shared per-charger law onto the
-extended states: two transition matrices and reward vectors, once per
-instance.
+Lifts the shared per-charger law onto the extended states: two sparse
+transition matrices and reward vectors.  Only the occupancy LP of ``bound
+--verify-oracle`` and the tests' ``whittle.subsidy_value_iteration`` build
+it (``config.arm_entries`` sizes it); the index, the dual bound and the
+simulator work on lead-time grids instead.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ Relaxing the per-slot capacity constraint to a discounted time-average budget
 decouples the chargers; the resulting single-charger constrained MDP is
 solved two independent ways:
 
-* occupancy-measure LP over (extended state, action) visitation frequencies;
+* occupancy-measure LP over (extended state, action) visitation frequencies,
+  on the sparse arm MDP and scipy's HiGHS;
 * Lagrangian dual: price the budget at lambda, solve the unconstrained
-  subsidy problem, and minimize the convex dual by golden section.
+  subsidy problem exactly, and find the convex dual's exact minimiser among
+  its kinks, the index table's values, without scipy.
 
 N times the optimal value upper-bounds every admissible policy of the real
 system.  The two routes agreeing is one of the package's acceptance checks.
@@ -14,6 +16,7 @@ system.  The two routes agreeing is one of the package's acceptance checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -21,14 +24,12 @@ import numpy as np
 
 from .arm import ArmMDP, build_arm_mdp
 from .model import Instance
-from .whittle import solve_subsidy
+from .whittle import compute_index_table, solve_subsidy
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = ["OccupancyLP", "BoundResult", "build_occupancy_lp", "solve_bound"]
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -54,6 +55,11 @@ class OccupancyLP:
 
 @dataclass
 class BoundResult:
+    """``value``, ``lp_value`` and ``dual_value`` are N times per-charger
+    values.  With the dual, ``lam`` is its exact minimiser and
+    ``activation_frequency`` the per-charger (1-beta) E sum beta^t a_t of the
+    lam-greedy policy, ties passive, so at most M/N; both None for "lp"."""
+
     value: float
     lam: float | None = None
     lp_value: float | None = None
@@ -105,63 +111,63 @@ def _solve_lp(lp: OccupancyLP) -> tuple[float, np.ndarray]:
     return -res.fun, res.x
 
 
-def _dual_value(instance: Instance, lam: float) -> float:
-    """dual(lambda) = V^lambda(mu0) - lambda (1 - M/N) / (1 - beta).
+def _dual(instance: Instance, lam: float) -> tuple[float, float]:
+    """(dual(lambda), f): dual(lambda) = V^lambda(mu0) - lambda (1 - M/N) / (1 - beta).
 
     Pricing activations at lambda is the subsidy problem shifted by a
-    constant: R_a - lambda a = (R_a + lambda (1-a)) - lambda.
+    constant: R_a - lambda a = (R_a + lambda (1-a)) - lambda.  f is the
+    lambda-greedy activation frequency; the slope is (M/N - f) / (1 - beta).
     """
     sol = solve_subsidy(instance, lam)
     pi = instance.cost.stationary()
-    v0 = float(pi @ sol.values[0, 0, :, 0])
-    share = instance.capacity / instance.n_chargers
-    return v0 - lam * (1.0 - share) / (1.0 - instance.discount)
-
-
-def _golden_minimize(fn, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = fn(x2)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _activation_frequency(instance: Instance, lam: float) -> float:
-    """Discounted activation frequency of the lambda-greedy policy from mu0."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
-
-    arm = build_arm_mdp(instance)
-    sol = solve_subsidy(instance, lam)
-    T, B = arm.law.T, arm.law.B
-    # sol.actions[T, B] is (n_cs, K, N_tau), which ravels in state-id order
-    act = ((B > 0)[:, None, None] & (sol.actions[T, B] > 0)).ravel()
-    rows = sp.diags(~act * 1.0) @ arm.P0 + sp.diags(act * 1.0) @ arm.P1
-    rows.eliminate_zeros()
     beta = instance.discount
-    occ = spsolve(
-        (sp.eye(arm.n_states, format="csc") - beta * rows.T).tocsc(),
-        (1.0 - beta) * arm.initial_distribution(),
-    )
-    return float(occ[act].sum())
+    v0 = float(pi @ sol.values[0, 0, :, 0])
+    f = (1.0 - beta) * float(pi @ sol.activations[0, 0, :, 0])
+    share = instance.capacity / instance.n_chargers
+    return v0 - lam * (1.0 - share) / (1.0 - beta), f
+
+
+def _exact_dual(instance: Instance) -> tuple[float, float, float]:
+    """(lambda*, dual(lambda*), f) by a search over the dual's kinks.
+
+    The dual is convex and piecewise linear, with its kinks at the index
+    values: the greedy policy changes only where some state's index equals
+    lambda.  At the midpoints between consecutive distinct positive values
+    (and past the largest) no state is indifferent, up to the table's
+    rounding.  lambda* is 0 if f just above 0 is at most M/N, else the kink
+    where f falls to M/N, found by bisection over the pieces and placed where
+    the lines of its two pieces meet, not at the table's rounded value.  The
+    dual is evaluated at lambda* itself, an upper bound whatever that
+    rounding; f is that of the piece right of lambda*, so f <= M/N.
+    """
+    share = instance.capacity / instance.n_chargers
+    values = compute_index_table(instance).values
+    kinks = np.unique(values[values > 0])
+    edges = np.concatenate([[0.0], kinks, [kinks.max(initial=0.0) + 1.0]])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    piece = functools.cache(lambda i: _dual(instance, float(mids[i])))
+
+    if piece(0)[1] <= share:
+        return 0.0, _dual(instance, 0.0)[0], piece(0)[1]
+    lo, hi = 0, mids.size - 1  # f > M/N on piece lo; past every index f = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if piece(mid)[1] > share else (lo, mid)
+    (d_lo, f_lo), (d_hi, f_hi) = piece(lo), piece(hi)
+    # the two lines d + (M/N - f) (lambda - mid) / (1 - beta) meet at lambda*
+    lam = ((d_hi - d_lo) * (1.0 - instance.discount) + (share - f_lo) * mids[lo]
+           - (share - f_hi) * mids[hi]) / (f_hi - f_lo)
+    lam = float(np.clip(lam, mids[lo], mids[hi]))
+    return lam, _dual(instance, lam)[0], f_hi
 
 
 def solve_bound(instance: Instance, method: str = "dual", details: bool = False):
     """Upper bound on the N-charger discounted reward: N x relaxed value.
 
-    method: "dual" (golden section over the activation price, each evaluation
-    an exact subsidy solve), "lp" (occupancy LP), or "both" (computes the two
-    and checks they agree within 1e-4 per charger).
+    method: "dual" (the exact search of ``_exact_dual`` over the index
+    table's kinks, each evaluation an exact subsidy solve), "lp" (occupancy
+    LP), or "both" (computes the two and checks they agree within 1e-4 per
+    charger).
     """
     if method not in ("dual", "lp", "both"):
         raise ValueError("method must be dual, lp or both")
@@ -170,29 +176,10 @@ def solve_bound(instance: Instance, method: str = "dual", details: bool = False)
     dual_value = None
     lam = None
     freq = None
-    x = None
     if method in ("lp", "both"):
-        lp = build_occupancy_lp(instance)
-        v, x = _solve_lp(lp)
-        lp_value = v
-        # count only activations that do something (B>0); LP mass on
-        # indifferent B=0 activations is degenerate noise
-        busy = np.repeat(lp.arm.law.B > 0, lp.n_states // lp.arm.law.B.size)
-        freq = float(x[lp.n_states :][busy].sum())
+        lp_value, _ = _solve_lp(build_occupancy_lp(instance))
     if method in ("dual", "both"):
-        if instance.capacity == instance.n_chargers:
-            lam = 0.0  # budget can never bind; dual is nondecreasing
-            dual_value = _dual_value(instance, 0.0)
-        else:
-            hi = 1.0 + instance.penalty.max_increment
-            cmin = float(instance.cost.values.min())
-            if cmin < 0:
-                hi += -cmin
-            lam, dual_value = _golden_minimize(
-                lambda v: _dual_value(instance, v), 0.0, hi, xtol=1e-9
-            )
-        if freq is None:
-            freq = _activation_frequency(instance, lam)
+        lam, dual_value, freq = _exact_dual(instance)
     if method == "both" and abs(lp_value - dual_value) > 1e-4:
         raise RuntimeError(
             f"bound cross-check failed: LP {lp_value} vs dual {dual_value}"

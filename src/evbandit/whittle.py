@@ -324,11 +324,14 @@ class SubsidySolution:
     and zero.  ``actions`` holds the optimal action (ties passive).
     ``arrival_value[j, tau]`` is the expected value of the state occupying a
     slot at period tau right after a departure in period tau - 1.
+    ``activations`` (laid out like ``values``) is E sum_t beta^t a_t under
+    ``actions``, so the slope of ``values`` in nu is 1/(1 - beta) minus it.
     """
 
     values: np.ndarray
     actions: np.ndarray
     arrival_value: np.ndarray
+    activations: np.ndarray
 
 
 def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
@@ -351,15 +354,20 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
     K, nt = inst.cost.n_levels, inst.n_periods
     beta = inst.discount
 
-    # local values U (continuation stripped) and greedy actions
-    u = np.zeros((t_bar + 1, b_bar + 1, K, nt))
+    # local parts (continuation stripped) of two grids: the values U, and the
+    # activation counts n(T, B) = a + beta E n(T-1, B-a) of the greedy actions
+    local = np.zeros((2, t_bar + 1, b_bar + 1, K, nt))
     act = np.zeros((t_bar + 1, b_bar + 1, K, nt), dtype=np.int8)
     for t, (u_t, act_t) in enumerate(subsidy_pass(inst, [nu]), 1):
-        u[t], act[t] = u_t[0], act_t[0]
-    u_empty = np.full((K, nt), max(nu, 0.0))
+        local[0, t], act[t] = u_t[0], act_t[0]
+        nxt = beta * np.stack([local[1, t - 1, ..., (tau + 1) % nt] @ inst.cost.matrix_for(tau).T
+                               for tau in range(nt)], axis=-1)
+        local[1, t] = np.where(act_t[0], 1.0 + np.concatenate([nxt[:1], nxt[:-1]]), nxt)
+    empty = np.stack([np.full((K, nt), max(nu, 0.0)), np.full((K, nt), float(nu < 0.0))])
 
     # continuation: A(k, tau) = E[V of the slot's occupant at period tau after
-    # a departure at tau-1]; solves A = a0 + G A with ||G|| <= beta < 1
+    # a departure at tau-1]; solves A = a0 + G A with ||G|| <= beta < 1, for
+    # the values and the activation counts alike
     e = K * nt
     m1 = np.zeros((e, e))
     for tau in range(nt):
@@ -372,7 +380,7 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
         powers.append(powers[-1] @ m1)
 
     g_mat = np.zeros((e, e))
-    a0 = np.zeros((K, nt))
+    a0 = np.zeros((2, K, nt))
     for tau in range(nt):
         src = (tau - 1) % nt
         rho = inst.arrivals.rho_for(src)
@@ -383,17 +391,15 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
         for tp in range(1, t_bar + 1):
             if qt[tp] > 0:
                 g_mat[rows] += rho * qt[tp] * powers[tp][rows]
-        a0[:, tau] = (1.0 - rho) * u_empty[:, tau]
+        a0[..., tau] = (1.0 - rho) * empty[..., tau]
         for (tp, bp) in zip(*np.nonzero(pmf)):
-            a0[:, tau] += rho * pmf[tp, bp] * u[tp, bp, :, tau]
-    a_vec = np.linalg.solve(np.eye(e) - g_mat, a0.ravel())
+            a0[..., tau] += rho * pmf[tp, bp] * local[:, tp, bp, :, tau]
+    a_vec = np.linalg.solve(np.eye(e) - g_mat, a0.reshape(2, e).T)
 
-    d = np.array([(powers[t] @ a_vec).reshape(K, nt) for t in range(t_bar + 1)])
-    values = u.copy()
-    for t in range(1, t_bar + 1):
-        values[t] += d[t][None]
-    values[0, 0] = u_empty + d[1]
-    return SubsidySolution(values, act, a_vec.reshape(K, nt))
+    d = np.array([(powers[t] @ a_vec).T.reshape(2, K, nt) for t in range(t_bar + 1)])
+    local[:, 1:] += d[1:].transpose(1, 0, 2, 3)[:, :, None]  # the continuation back on
+    local[:, 0, 0] = empty + d[1]
+    return SubsidySolution(local[0], act, a_vec[:, 0].reshape(K, nt), local[1])
 
 
 def index_by_bisection(instance: Instance) -> np.ndarray:

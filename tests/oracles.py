@@ -7,7 +7,9 @@ N-charger MDP of a toy instance from the shared per-charger law;
 passive-set monotonicity of the subsidy problem on a grid;
 ``index_by_vi_bisection`` bisects one state's index on value iteration, the
 slow route independent of both the PWL recursion and the exact backward
-pass of ``whittle.index_by_bisection``.  Tests import this
+pass of ``whittle.index_by_bisection``; ``activation_frequency`` solves the
+occupancy of the subsidy problem's greedy policy on the sparse arm MDP, the
+reference for ``SubsidySolution.activations``.  Tests import this
 module as ``oracles`` (``tests/`` is on ``sys.path``); pytest does not collect
 it.
 """
@@ -235,3 +237,26 @@ def evaluate_policy_exact(instance: Instance, kern, tol: float = 1e-8) -> float:
             vn[..., tau] = acc
         v = vn
     return jm.start_value(v)
+
+
+def activation_frequency(instance: Instance, lam: float) -> float:
+    """Discounted activation frequency (1-beta) E sum beta^t a_t of the
+    lam-greedy policy (ties passive) from mu0, by a sparse solve of its
+    occupancy on the arm MDP.  Only activations with B > 0 count, which is
+    every activation for lam >= 0."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    arm = build_arm_mdp(instance)
+    sol = whittle.solve_subsidy(instance, lam)
+    T, B = arm.law.T, arm.law.B
+    # sol.actions[T, B] is (n_cs, K, N_tau), which ravels in state-id order
+    act = ((B > 0)[:, None, None] & (sol.actions[T, B] > 0)).ravel()
+    rows = sp.diags(~act * 1.0) @ arm.P0 + sp.diags(act * 1.0) @ arm.P1
+    rows.eliminate_zeros()
+    beta = instance.discount
+    occ = spsolve(
+        (sp.eye(arm.n_states, format="csc") - beta * rows.T).tocsc(),
+        (1.0 - beta) * arm.initial_distribution(),
+    )
+    return float(occ[act].sum())

@@ -1,13 +1,32 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evbandit import bound
 from evbandit.arm import build_arm_mdp
-from evbandit.bound import BoundResult, build_occupancy_lp, solve_bound, _solve_lp
+from evbandit.bound import BoundResult, build_occupancy_lp, solve_bound, _dual, _solve_lp
+from evbandit.config import load_run_config
 from evbandit.model import CostChain
-from evbandit.whittle import solve_subsidy
+from evbandit.whittle import compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance
+from oracles import activation_frequency
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped(name: str):
+    return load_run_config(CONFIGS / name).instance
+
+
+def periodic_instance():
+    p0 = np.array([[0.8, 0.2], [0.3, 0.7]])
+    p1 = np.array([[0.6, 0.4], [0.5, 0.5]])
+    chain = CostChain(values=np.array([0.2, 0.9]), P=np.stack([p0, p1]))
+    return make_instance(
+        n_chargers=4, capacity=2, t_max=3, b_max=2, cost=chain, n_periods=2, rho=[0.4, 0.9]
+    )
 
 
 def enumerate_deterministic_optimum(instance) -> float:
@@ -71,14 +90,57 @@ class TestDualEqualsLP:
         assert res.lp_value == pytest.approx(res.dual_value, abs=1e-4 * inst.n_chargers)
 
     def test_periodic_instance(self):
-        p0 = np.array([[0.8, 0.2], [0.3, 0.7]])
-        p1 = np.array([[0.6, 0.4], [0.5, 0.5]])
-        chain = CostChain(values=np.array([0.2, 0.9]), P=np.stack([p0, p1]))
-        inst = make_instance(
-            n_chargers=4, capacity=2, t_max=3, b_max=2, cost=chain, n_periods=2, rho=[0.4, 0.9]
-        )
-        res = solve_bound(inst, method="both", details=True)
+        res = solve_bound(periodic_instance(), method="both", details=True)
         assert res.lp_value == pytest.approx(res.dual_value, abs=4e-4)
+
+
+class TestExactDual:
+    @pytest.mark.parametrize("name,pieces", [("toy_dynamic", None), ("periodic", None),
+                                             ("fig3_constant_cost.json", 2)])
+    def test_activations_match_the_sparse_occupancy(self, name, pieces, toy_dynamic):
+        """f from ``SubsidySolution.activations`` against the sparse solve, at
+        the midpoints of the dual's pieces: every piece of the two small
+        instances, both sides of fig3's first kink."""
+        if name == "toy_dynamic":
+            inst = toy_dynamic
+        else:
+            inst = periodic_instance() if name == "periodic" else shipped(name)
+        values = compute_index_table(inst).values
+        kinks = np.unique(values[values > 0])
+        edges = np.concatenate([[0.0], kinks, [kinks[-1] + 1.0]])
+        lams = (0.5 * (edges[:-1] + edges[1:]))[:pieces]
+        pi, beta = inst.cost.stationary(), inst.discount
+        got = [(1 - beta) * pi @ solve_subsidy(inst, lam).activations[0, 0, :, 0] for lam in lams]
+        want = [activation_frequency(inst, lam) for lam in lams]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.max(-np.diff(want)) > 1e-4  # a kink among them moves f
+
+    @pytest.mark.parametrize("name", ["fig3_constant_cost.json", "toy.json"])
+    def test_lambda_is_exactly_zero_where_the_budget_is_slack(self, name):
+        inst = shipped(name)
+        res = solve_bound(inst, details=True)
+        assert res.lam == 0.0
+        assert res.activation_frequency <= inst.capacity / inst.n_chargers
+
+    def test_lambda_minimizes_the_dual_on_dynamic_cost(self):
+        inst = shipped("dynamic_cost.json")
+        res = solve_bound(inst, details=True)
+        assert res.lam > 0.0
+        assert res.activation_frequency <= inst.capacity / inst.n_chargers
+        for step in (-1e-7, 1e-7):
+            assert res.dual_value <= inst.n_chargers * _dual(inst, res.lam + step)[0]
+
+    @pytest.mark.parametrize("name", ["fig3_constant_cost.json", "dynamic_cost.json"])
+    def test_at_most_ten_subsidy_solves(self, name, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_subsidy(*args, **kwargs)
+
+        monkeypatch.setattr(bound, "solve_subsidy", counted)
+        solve_bound(shipped(name))
+        assert 1 <= len(calls) <= 10
 
 
 class TestStructure:

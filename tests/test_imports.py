@@ -65,9 +65,11 @@ def test_simulate_without_valley_loads_no_lp_or_sparse(tmp_path):
     assert not loaded & {"scipy.optimize", "scipy.sparse", "scipy.stats"}
 
 
-def test_bound_without_oracle_loads_no_lp(tmp_path):
+def test_bound_without_oracle_loads_no_solver(tmp_path):
+    """The dual reads its kinks from the index table and its activation
+    frequency from the exact subsidy solve, not from the sparse arm MDP."""
     loaded = loaded_after([["bound", "--config", str(TOY)]], tmp_path)
-    assert not loaded & {"scipy.optimize", "scipy.stats"}
+    assert not loaded & SOLVERS
 
 
 def test_no_command_loads_scipy_stats(tmp_path):
