@@ -12,6 +12,8 @@ a command loads only those on its own path: together they take about a
 second to import.
 """
 
+__version__ = "0.1.0"  # before the imports: whittle keys its table files with it
+
 from .model import (
     ArrivalModel,
     CostChain,
@@ -28,5 +30,3 @@ from .whittle import (
     index_by_bisection,
     subsidy_value_iteration,
 )
-
-__version__ = "0.1.0"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .arm import ArmMDP, build_arm_mdp
 from .model import Instance
-from .whittle import compute_index_table, solve_subsidy
+from .whittle import IndexTable, compute_index_table, solve_subsidy
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -127,7 +127,7 @@ def _dual(instance: Instance, lam: float) -> tuple[float, float]:
     return v0 - lam * (1.0 - share) / (1.0 - beta), f
 
 
-def _exact_dual(instance: Instance) -> tuple[float, float, float]:
+def _exact_dual(instance: Instance, table: IndexTable | None) -> tuple[float, float, float]:
     """(lambda*, dual(lambda*), f) by a search over the dual's kinks.
 
     The dual is convex and piecewise linear, with its kinks at the index
@@ -138,10 +138,11 @@ def _exact_dual(instance: Instance) -> tuple[float, float, float]:
     where f falls to M/N, found by bisection over the pieces and placed where
     the lines of its two pieces meet, not at the table's rounded value.  The
     dual is evaluated at lambda* itself, an upper bound whatever that
-    rounding; f is that of the piece right of lambda*, so f <= M/N.
+    rounding; f is that of the piece right of lambda*, so f <= M/N.  A
+    ``table`` of None is built.
     """
     share = instance.capacity / instance.n_chargers
-    values = compute_index_table(instance).values
+    values = (compute_index_table(instance) if table is None else table).values
     kinks = np.unique(values[values > 0])
     edges = np.concatenate([[0.0], kinks, [kinks.max(initial=0.0) + 1.0]])
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -161,25 +162,23 @@ def _exact_dual(instance: Instance) -> tuple[float, float, float]:
     return lam, _dual(instance, lam)[0], f_hi
 
 
-def solve_bound(instance: Instance, method: str = "dual", details: bool = False):
+def solve_bound(instance: Instance, method: str = "dual", details: bool = False,
+                table: IndexTable | None = None):
     """Upper bound on the N-charger discounted reward: N x relaxed value.
 
     method: "dual" (the exact search of ``_exact_dual`` over the index
     table's kinks, each evaluation an exact subsidy solve), "lp" (occupancy
     LP), or "both" (computes the two and checks they agree within 1e-4 per
-    charger).
+    charger).  The dual builds the index table when ``table`` is None.
     """
     if method not in ("dual", "lp", "both"):
         raise ValueError("method must be dual, lp or both")
     n = instance.n_chargers
-    lp_value = None
-    dual_value = None
-    lam = None
-    freq = None
+    lp_value = dual_value = lam = freq = None
     if method in ("lp", "both"):
         lp_value, _ = _solve_lp(build_occupancy_lp(instance))
     if method in ("dual", "both"):
-        lam, dual_value, freq = _exact_dual(instance)
+        lam, dual_value, freq = _exact_dual(instance, table)
     if method == "both" and abs(lp_value - dual_value) > 1e-4:
         raise RuntimeError(
             f"bound cross-check failed: LP {lp_value} vs dual {dual_value}"

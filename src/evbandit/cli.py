@@ -5,6 +5,9 @@ oracle disagreement or a failed check of the index recursion).
 
 ``index --verify-oracle`` checks every table entry with T >= 1 against the
 oracle ``index_by_bisection``; ``bound --verify-oracle`` checks the dual by the LP.
+``index`` always builds the index table; ``bound``, and ``simulate`` with a
+Whittle policy, reuse the one ``index`` wrote to ``--out`` when it is keyed to
+this version and instance (``IndexTable.from_json``), else build it, and say which.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .bound import solve_bound
 from .config import ConfigError, check_seeds, load_run_config
 from .costfit import PriceTrace, fit_cost_chain
 from .sim import monte_carlo
-from .whittle import IndexCheckError, compute_index_table, index_by_bisection
+from .whittle import IndexCheckError, IndexTable, compute_index_table, index_by_bisection
 
 ORACLE_TOL = 1e-6
 
@@ -48,19 +51,26 @@ def _out_dir(arg) -> Path:
     return out
 
 
+def _saved_table(out: Path, instance) -> IndexTable | None:
+    path = out / "index_table.json"
+    table = IndexTable.from_json(path, instance)
+    _say(f"reused {path}" if table is not None
+         else f"building the index table: no {path} for this instance")
+    return table
+
+
 def cmd_index(args) -> int:
     cfg = load_run_config(args.config)
     inst = cfg.instance
-    t0 = time.time()
+    t0 = time.perf_counter()
     table = compute_index_table(inst)
-    dt = time.time() - t0
-    n_states = table.values.size
-    _say(f"index table: {n_states} states "
+    dt = time.perf_counter() - t0
+    _say(f"index table: {table.values.size} states "
          f"(T<={inst.t_max}, B<={inst.b_max}, K={inst.cost.n_levels}, "
          f"periods={inst.n_periods}) in {dt:.2f}s")
     out = _out_dir(args.out)
     table.to_csv(out / "index_table.csv")
-    table.to_json(out / "index_table.json")
+    table.to_json(out / "index_table.json", inst)
     _say(f"wrote {out / 'index_table.csv'}")
 
     if args.verify_oracle or cfg.verify_oracle:
@@ -86,7 +96,9 @@ def cmd_simulate(args) -> int:
     baseline = args.paired_baseline or cfg.baseline
     if baseline is not None and baseline not in cfg.policies:
         raise ConfigError("paired baseline must be one of the configured policies")
-    t0 = time.time()
+    out = _out_dir(args.out)
+    t0 = time.perf_counter()
+    needs_table = any(p.startswith("whittle") for p in cfg.policies)
     report = monte_carlo(
         cfg.instance,
         cfg.policies,
@@ -94,10 +106,10 @@ def cmd_simulate(args) -> int:
         horizon=cfg.horizon,
         baseline=baseline,
         truncation_tol=cfg.truncation_tol,
+        table=_saved_table(out, cfg.instance) if needs_table else None,
     )
     _say(f"simulated {len(cfg.policies)} policies x {len(seeds)} seeds "
-         f"x {report.horizon} slots in {time.time() - t0:.1f}s")
-    out = _out_dir(args.out)
+         f"x {report.horizon} slots in {time.perf_counter() - t0:.1f}s")
     report.to_csv(out / "episodes.csv")
     report.to_json(out / "summary.json")
     for p in report.policies:
@@ -114,9 +126,11 @@ def cmd_simulate(args) -> int:
 def cmd_bound(args) -> int:
     cfg = load_run_config(args.config)
     method = "both" if args.verify_oracle else "dual"
-    t0 = time.time()
+    out = _out_dir(args.out)
+    t0 = time.perf_counter()
+    table = _saved_table(out, cfg.instance)
     try:
-        res = solve_bound(cfg.instance, method=method, details=True)
+        res = solve_bound(cfg.instance, method=method, details=True, table=table)
     except RuntimeError as e:
         raise VerificationError(str(e)) from e
     doc = {
@@ -130,9 +144,8 @@ def cmd_bound(args) -> int:
         doc["lp_value"] = res.lp_value
     if res.dual_value is not None:
         doc["dual_value"] = res.dual_value
-    out = _out_dir(args.out)
     (out / "bound.json").write_text(json.dumps(doc, indent=1) + "\n")
-    _say(f"bound {res.value:.6f} (lambda={res.lam:.6f}) in {time.time() - t0:.2f}s")
+    _say(f"bound {res.value:.6f} (lambda={res.lam:.6f}) in {time.perf_counter() - t0:.2f}s")
     _say(f"wrote {out / 'bound.json'}")
     return 0
 

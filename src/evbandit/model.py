@@ -13,7 +13,8 @@ here; the arm MDP, the joint DP and the simulator all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "CostChain",
     "ArrivalModel",
     "Instance",
+    "instance_sha256",
     "ChargerLaw",
     "serve",
     "charger_law",
@@ -252,6 +254,20 @@ class Instance:
         arrays."""
         t = np.asarray(t)
         return np.where(t >= 1, (t - 1) * (self.b_max + 1) + b + 1, 0)
+
+
+def instance_sha256(instance: Instance, h=None) -> str:
+    """sha256 of each field's name and value's dtype, shape and bytes, nested ones too."""
+    h = hashlib.sha256() if h is None else h
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        h.update(f.name.encode())
+        if is_dataclass(value):
+            instance_sha256(value, h)
+        else:
+            a = np.asarray(value)
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

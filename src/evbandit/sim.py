@@ -39,7 +39,7 @@ from .policies import (  # the *_kernel names are not called here; perfbench/spa
     whittle_kernel,
     whittle_key,
 )
-from .whittle import compute_index_table
+from .whittle import IndexTable, compute_index_table
 
 __all__ = [
     "EpisodeMetrics",
@@ -347,8 +347,10 @@ def monte_carlo(
     horizon: int | None = None,
     baseline: str | None = None,
     truncation_tol: float = 1e-3,
+    table: IndexTable | None = None,
 ) -> ComparisonReport:
-    """Run every policy over the same seeds against one world."""
+    """Run every policy over the same seeds against one world; ``table``, the
+    instance's index table, is built when None and a Whittle policy runs."""
     if isinstance(seeds, (int, np.integer)):
         seeds = list(range(int(seeds)))
     else:
@@ -365,8 +367,8 @@ def monte_carlo(
         horizon = default_horizon(instance, truncation_tol)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    needs_table = any(p.startswith("whittle") for p in policies)
-    table = compute_index_table(instance) if needs_table else None
+    if table is None and any(p.startswith("whittle") for p in policies):
+        table = compute_index_table(instance)
     runs = tuple(dict.fromkeys(policies))
     episodes = dict(zip(runs, _run_batch(instance, runs, seeds, horizon, table)))
     return ComparisonReport(policies, seeds, horizon, episodes, baseline)

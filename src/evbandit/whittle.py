@@ -27,13 +27,15 @@ Every occupied state with B = 0 and the empty state have index exactly 0; a
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
-from .model import Instance, PenaltyFunction
+from .model import Instance, PenaltyFunction, instance_sha256
 # combine and stitch stay importable from here: perfbench/spans.py traces them
 from .pwl import PiecewiseLinear, PWLBatch, RowError, combine, stitch  # noqa: F401
 
@@ -87,14 +89,8 @@ class IndexTable:
             raise ValueError("index table must be 4-D (T, B, cost, period)")
         if np.any(np.abs(v[0]) > 0) or np.any(np.abs(v[:, 0]) > 0):
             raise ValueError("index must be 0 for empty chargers and B = 0")
-        t_max = v.shape[0] - 1
-        b_max = v.shape[1] - 1
-        for t in range(1, t_max + 1):
-            lo = max(t, 1)
-            if lo + 1 > b_max:
-                continue
-            seg = v[t, lo:]
-            if np.any(np.diff(seg, axis=0) < -1e-9):
+        for t in range(1, v.shape[0]):
+            if np.any(np.diff(v[t, t:], axis=0) < -1e-9):
                 raise ValueError("index not nondecreasing in B on the B >= T range")
         neg_unique, rank = np.unique(-v.ravel(), return_inverse=True)
         object.__setattr__(self, "rank", rank.reshape(v.shape))
@@ -110,17 +106,41 @@ class IndexTable:
             for state in np.ndindex(self.values.shape):
                 w.writerow([*state, repr(float(self.values[state]))])
 
-    def to_json(self, path) -> None:
+    def to_json(self, path, instance: Instance) -> None:
+        """Write the table and its ``key`` (see ``_table_key``)."""
         t_max, b_max, k, nt = self.values.shape
         doc = {
             "t_max": t_max - 1,
             "b_max": b_max - 1,
             "cost_levels": k,
             "periods": nt,
+            "key": _table_key(instance, self.values),
             "index": self.values.tolist(),
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
+
+    @classmethod
+    def from_json(cls, path, instance: Instance) -> IndexTable | None:
+        """The table ``to_json`` wrote for ``instance``, bit for bit (JSON floats
+        round-trip), or None if the file is unreadable or malformed, its shape is
+        not the instance's, the constructor refuses it, or its key differs from
+        ``_table_key`` of this version, ``instance`` and the loaded values."""
+        shape = (instance.t_max + 1, instance.b_max + 1, instance.cost.n_levels, instance.n_periods)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            values = np.asarray(doc["index"], dtype=float)
+            table = cls(values) if values.shape == shape else None
+        except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError):
+            return None
+        return table if table is not None and doc.get("key") == _table_key(instance, values) else None
+
+
+def _table_key(instance: Instance, values: np.ndarray) -> str:
+    """sha256 of the package version, ``instance_sha256`` and the values' bytes."""
+    text = (__version__ + instance_sha256(instance)).encode()
+    return hashlib.sha256(text + values.tobytes()).hexdigest()
 
 
 def closed_form_index(T: int, B: int, c0: float, beta: float, penalty: PenaltyFunction) -> float:

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evbandit import cli, whittle
+from evbandit import bound, cli, sim, whittle
+from evbandit.config import load_run_config
 from evbandit.pwl import PWLBatch
 from evbandit.whittle import IndexTable
 
@@ -210,7 +211,7 @@ class TestBoundCommand:
         assert doc["lp_value"] == pytest.approx(doc["dual_value"], abs=1e-4)
 
     def test_cross_check_failure_exits_3(self, tiny_config, tmp_path, monkeypatch, capsys):
-        def boom(inst, method="dual", details=False):
+        def boom(inst, method="dual", details=False, table=None):
             raise RuntimeError("LP and dual disagree")
 
         monkeypatch.setattr(cli, "solve_bound", boom)
@@ -544,6 +545,111 @@ def test_outputs_match_pinned_hashes(tmp_path):
             assert cli.main(argv + (["--seeds", "8"] if command == "simulate" else [])) == 0
         got[(command, config, name)] = hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert got == PINNED
+
+
+def count_builds(monkeypatch, *modules):
+    """Record each module's calls of ``compute_index_table`` by module name."""
+    calls = []
+    for mod in modules:
+        real = mod.compute_index_table
+
+        def counted(inst, real=real, name=mod.__name__):
+            calls.append(name)
+            return real(inst)
+
+        monkeypatch.setattr(mod, "compute_index_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("config", ["toy", "fig3_constant_cost"])
+def test_simulate_and_bound_reuse_the_written_table(config, tmp_path, monkeypatch, capsys):
+    """After ``index`` into one --out, simulate and bound build no table and
+    write what cold runs write: the pinned simulate hashes, the cold bound."""
+    path = str(REPO / "configs" / f"{config}.json")
+    warm, cold = str(tmp_path / "warm"), str(tmp_path / "cold")
+    assert cli.main(["bound", "--config", path, "--out", cold, "--verify-oracle"]) == 0
+    assert cli.main(["index", "--config", path, "--out", warm]) == 0
+    builds = count_builds(monkeypatch, sim, bound)
+    assert cli.main(["simulate", "--config", path, "--out", warm, "--seeds", "8"]) == 0
+    assert cli.main(["bound", "--config", path, "--out", warm, "--verify-oracle"]) == 0
+    assert builds == []
+    assert capsys.readouterr().out.count(f"reused {warm}/index_table.json\n") == 2
+    for name in ("episodes.csv", "summary.json"):
+        got = hashlib.sha256((tmp_path / "warm" / name).read_bytes()).hexdigest()
+        assert got == PINNED[("simulate", config, name)]
+    assert (tmp_path / "warm" / "bound.json").read_bytes() == \
+        (tmp_path / "cold" / "bound.json").read_bytes()
+
+
+def _other_discount(path, inst, mp):
+    other = dataclasses.replace(inst, discount=0.8)
+    whittle.compute_index_table(other).to_json(path, other)
+
+
+def _edit_value(path, inst, mp):
+    doc = json.loads(path.read_text())
+    doc["index"][2][-1][0][0] += 2e-6  # the largest B of its row: still nondecreasing
+    path.write_text(json.dumps(doc))
+
+
+def _drop_key(path, inst, mp):
+    doc = json.loads(path.read_text())
+    del doc["key"]
+    path.write_text(json.dumps(doc))
+
+
+def _wrong_shape(path, inst, mp):
+    # keyed for this instance, so only the shape check turns it away
+    IndexTable(IndexTable.from_json(path, inst).values[:-1]).to_json(path, inst)
+
+
+def _failed_check(path, inst, mp):
+    # keyed for this instance, so only the constructor's checks turn it away
+    doc = json.loads(path.read_text())
+    doc["index"][0][1][0][0] = 1.0
+    doc["key"] = whittle._table_key(inst, np.asarray(doc["index"], dtype=float))
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("damage", [
+    _other_discount,
+    _edit_value,
+    lambda path, inst, mp: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    lambda path, inst, mp: path.write_bytes(b"\xff\x00 not json"),
+    lambda path, inst, mp: path.write_text(json.dumps(json.loads(path.read_text())["index"])),
+    _drop_key,
+    lambda path, inst, mp: mp.setattr(whittle, "__version__", "0.0.0"),
+    _wrong_shape,
+    _failed_check,
+    lambda path, inst, mp: (path.unlink(), path.mkdir()),
+], ids=["other-discount", "edited-value", "truncated", "garbage", "json-list", "no-key",
+        "other-version", "wrong-shape", "failed-check", "directory"])
+def test_unmatched_table_is_rebuilt(damage, tiny_config, tmp_path, monkeypatch, capsys):
+    """A table that is not provably the instance's is built again, and the
+    outputs are those of cold runs."""
+    out = tmp_path / "warm"
+    assert cli.main(["index", "--config", str(tiny_config), "--out", str(out)]) == 0
+    damage(out / "index_table.json", load_run_config(tiny_config).instance, monkeypatch)
+    builds = count_builds(monkeypatch, sim, bound)
+    for d in (out, tmp_path / "cold"):
+        assert cli.main(["simulate", "--config", str(tiny_config), "--out", str(d)]) == 0
+        assert cli.main(["bound", "--config", str(tiny_config), "--out", str(d)]) == 0
+    captured = capsys.readouterr()
+    assert builds == ["evbandit.sim", "evbandit.bound"] * 2
+    assert captured.out.count("building the index table: no ") == 4
+    assert captured.err == ""
+    for name in ("episodes.csv", "summary.json", "bound.json"):
+        assert (out / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+def test_index_builds_over_a_matching_table(tiny_config, tmp_path, monkeypatch):
+    out = tmp_path / "idx"
+    argv = ["index", "--config", str(tiny_config), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert IndexTable.from_json(out / "index_table.json", load_run_config(tiny_config).instance)
+    builds = count_builds(monkeypatch, cli)
+    assert cli.main(argv) == 0
+    assert builds == ["evbandit.cli"]
 
 
 # No shipped config has more than one period, so this pins the periodic branch

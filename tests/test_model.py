@@ -10,6 +10,7 @@ from evbandit.model import (
     Instance,
     PenaltyFunction,
     charger_law,
+    instance_sha256,
     serve,
 )
 import oracles
@@ -125,6 +126,25 @@ class TestInstance:
         cost = CostChain(values=np.array([0.1, 0.9]), P=np.stack([p, p, p]))
         with pytest.raises(ValueError):
             make_instance(cost=cost, n_periods=2)
+
+    def test_hash_reads_every_field_down_to_the_arrays(self):
+        base = make_instance(cost=TWO_STATE_COST)
+        assert instance_sha256(base) == instance_sha256(make_instance(cost=TWO_STATE_COST))
+        pmf = base.arrivals.pmf.copy()
+        pmf[0, 1, 1] += 1e-12
+        pmf[0, 2, 1] -= 1e-12
+        P = TWO_STATE_COST.P.copy()
+        P[0, 0] = [0.8, 0.2]
+        variants = [
+            make_instance(cost=TWO_STATE_COST, capacity=2),
+            make_instance(cost=TWO_STATE_COST, discount=0.9 + 1e-15),
+            make_instance(cost=TWO_STATE_COST, kappa=0.5),
+            make_instance(cost=CostChain(values=TWO_STATE_COST.values, P=P)),
+            make_instance(cost=CostChain(values=np.array([0.2, 0.7]), P=TWO_STATE_COST.P)),
+            Instance(**{**vars(base), "arrivals": ArrivalModel(1, base.arrivals.rho, pmf)}),
+        ]
+        hashes = {instance_sha256(v) for v in variants} | {instance_sha256(base)}
+        assert len(hashes) == len(variants) + 1
 
 
 def reward_at(inst, a, t, b, j):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -170,14 +171,19 @@ class TestSerialization:
                 got[int(t), int(b), int(j), int(tau)] = float(val)
         assert np.array_equal(got, toy_table.values)
 
-    def test_json_shape(self, toy_table, tmp_path):
+    def test_json_shape(self, toy_table, toy_dynamic, tmp_path):
         import json
 
         p = tmp_path / "idx.json"
-        toy_table.to_json(p)
+        toy_table.to_json(p, toy_dynamic)
         doc = json.loads(p.read_text())
         assert doc["t_max"] == 4 and doc["b_max"] == 3
         assert np.allclose(doc["index"], toy_table.values)
+        # read back for the same instance bit for bit, for another not at all
+        got = IndexTable.from_json(p, toy_dynamic)
+        assert got.values.tobytes() == toy_table.values.tobytes()
+        assert np.array_equal(got.rank, toy_table.rank)
+        assert IndexTable.from_json(p, dataclasses.replace(toy_dynamic, discount=0.8)) is None
 
 
 class TestGeometryOfG:
