@@ -24,7 +24,6 @@ from .model import (
 )
 from .whittle import (
     IndexTable,
-    base_g,
     closed_form_index,
     compute_index_table,
     index_by_bisection,

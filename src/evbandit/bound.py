@@ -1,17 +1,16 @@
 """Performance upper bound from the budget-relaxed single-charger MDP.
 
 Relaxing the per-slot capacity constraint to a discounted time-average budget
-decouples the chargers; the resulting single-charger constrained MDP is
-solved two independent ways:
-
-* occupancy-measure LP over (extended state, action) visitation frequencies,
-  on the sparse arm MDP and scipy's HiGHS;
-* Lagrangian dual: price the budget at lambda, solve the unconstrained
-  subsidy problem exactly, and find the convex dual's exact minimiser among
-  its kinks, the index table's values, without scipy.
+decouples the chargers.  The bound is the Lagrangian dual of the resulting
+single-charger constrained MDP: price the budget at lambda, solve the
+unconstrained subsidy problem exactly, and find the convex dual's exact
+minimiser among its kinks, the index table's values, without scipy.  The
+occupancy-measure LP over (extended state, action) visitation frequencies, on
+the sparse arm MDP and scipy's HiGHS, solves the same problem independently;
+``solve_bound(..., verify=True)`` checks the two agree.
 
 N times the optimal value upper-bounds every admissible policy of the real
-system.  The two routes agreeing is one of the package's acceptance checks.
+system.
 """
 
 from __future__ import annotations
@@ -48,23 +47,20 @@ class OccupancyLP:
     b_ub: np.ndarray
     arm: ArmMDP
 
-    @property
-    def n_states(self) -> int:
-        return self.arm.n_states
-
 
 @dataclass
 class BoundResult:
-    """``value``, ``lp_value`` and ``dual_value`` are N times per-charger
-    values.  With the dual, ``lam`` is its exact minimiser and
+    """``value``, ``dual_value`` and ``lp_value`` are N times per-charger
+    values.  ``lam`` is the dual's exact minimiser and
     ``activation_frequency`` the per-charger (1-beta) E sum beta^t a_t of the
-    lam-greedy policy, ties passive, so at most M/N; both None for "lp"."""
+    lam-greedy policy, ties passive, so at most M/N.  ``lp_value`` is set only
+    when the LP was solved as a check, and ``method`` is then "both"."""
 
     value: float
-    lam: float | None = None
+    lam: float
+    dual_value: float
+    activation_frequency: float
     lp_value: float | None = None
-    dual_value: float | None = None
-    activation_frequency: float | None = None
     method: str = "dual"
 
 
@@ -162,34 +158,23 @@ def _exact_dual(instance: Instance, table: IndexTable | None) -> tuple[float, fl
     return lam, _dual(instance, lam)[0], f_hi
 
 
-def solve_bound(instance: Instance, method: str = "dual", details: bool = False,
-                table: IndexTable | None = None):
+def solve_bound(instance: Instance, verify: bool = False,
+                table: IndexTable | None = None) -> BoundResult:
     """Upper bound on the N-charger discounted reward: N x relaxed value.
 
-    method: "dual" (the exact search of ``_exact_dual`` over the index
-    table's kinks, each evaluation an exact subsidy solve), "lp" (occupancy
-    LP), or "both" (computes the two and checks they agree within 1e-4 per
-    charger).  The dual builds the index table when ``table`` is None.
+    The exact dual of ``_exact_dual``: a search over the index table's kinks
+    (built when ``table`` is None), each evaluation an exact subsidy solve.
+    With ``verify`` the occupancy LP is solved too, and a RuntimeError raised
+    if the two differ by more than 1e-4 per charger.
     """
-    if method not in ("dual", "lp", "both"):
-        raise ValueError("method must be dual, lp or both")
     n = instance.n_chargers
-    lp_value = dual_value = lam = freq = None
-    if method in ("lp", "both"):
+    lam, dual_value, freq = _exact_dual(instance, table)
+    result = BoundResult(n * dual_value, lam, n * dual_value, freq)
+    if verify:
         lp_value, _ = _solve_lp(build_occupancy_lp(instance))
-    if method in ("dual", "both"):
-        lam, dual_value, freq = _exact_dual(instance, table)
-    if method == "both" and abs(lp_value - dual_value) > 1e-4:
-        raise RuntimeError(
-            f"bound cross-check failed: LP {lp_value} vs dual {dual_value}"
-        )
-    per_charger = dual_value if dual_value is not None else lp_value
-    result = BoundResult(
-        value=n * per_charger,
-        lam=lam,
-        lp_value=None if lp_value is None else n * lp_value,
-        dual_value=None if dual_value is None else n * dual_value,
-        activation_frequency=freq,
-        method=method,
-    )
-    return result if details else result.value
+        if abs(lp_value - dual_value) > 1e-4:
+            raise RuntimeError(
+                f"bound cross-check failed: LP {lp_value} vs dual {dual_value}"
+            )
+        result.lp_value, result.method = n * lp_value, "both"
+    return result

@@ -5,6 +5,7 @@ oracle disagreement or a failed check of the index recursion).
 
 ``index --verify-oracle`` checks every table entry with T >= 1 against the
 oracle ``index_by_bisection``; ``bound --verify-oracle`` checks the dual by the LP.
+A config's ``"verify_oracle": true`` turns the check on for both commands.
 ``index`` always builds the index table; ``bound``, and ``simulate`` with a
 Whittle policy, reuse the one ``index`` wrote to ``--out`` when it is keyed to
 this version and instance (``IndexTable.from_json``), else build it, and say which.
@@ -125,12 +126,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = load_run_config(args.config)
-    method = "both" if args.verify_oracle else "dual"
     out = _out_dir(args.out)
     t0 = time.perf_counter()
     table = _saved_table(out, cfg.instance)
     try:
-        res = solve_bound(cfg.instance, method=method, details=True, table=table)
+        res = solve_bound(cfg.instance, args.verify_oracle or cfg.verify_oracle, table)
     except RuntimeError as e:
         raise VerificationError(str(e)) from e
     doc = {
@@ -142,8 +142,7 @@ def cmd_bound(args) -> int:
     }
     if res.lp_value is not None:
         doc["lp_value"] = res.lp_value
-    if res.dual_value is not None:
-        doc["dual_value"] = res.dual_value
+    doc["dual_value"] = res.dual_value
     (out / "bound.json").write_text(json.dumps(doc, indent=1) + "\n")
     _say(f"bound {res.value:.6f} (lambda={res.lam:.6f}) in {time.perf_counter() - t0:.2f}s")
     _say(f"wrote {out / 'bound.json'}")

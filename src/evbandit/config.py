@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ArrivalModel, CostChain, Instance, PenaltyFunction, charger_law
+from .model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from .sim import _BLOCK, POLICY_NAMES, default_horizon
 
 __all__ = [
-    "ConfigError", "RunConfig", "load_run_config", "load_instance", "instance_from_dict",
+    "ConfigError", "RunConfig", "load_run_config", "instance_from_dict",
     "check_seeds", "check_size", "arm_entries", "MEMORY_BUDGET", "WORK_BUDGET",
 ]
 
@@ -248,9 +248,14 @@ def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
 def arm_entries(instance: Instance) -> int:
     """Nonzeros of the two transition matrices of ``arm.build_arm_mdp``: per
     action and period, the kron of the ``charger_law`` move table with that
-    period's cost matrix."""
-    move = np.count_nonzero(charger_law(instance).move, axis=(0, 2, 3))  # per period
-    cost = [np.count_nonzero(instance.cost.matrix_for(tau)) for tau in range(instance.n_periods)]
+    period's cost matrix.  A move row holds one entry for a state with T >= 2
+    and the arrival row, built here alone, for each of the b_max + 2 states
+    with T <= 1 (the empty one and the final slot's)."""
+    nt, rho = instance.n_periods, instance.arrivals.rho[:, None]
+    arrival = np.hstack([1.0 - rho, rho * instance.arrivals.pmf[:, 1:].reshape(nt, -1)])
+    rows = (instance.t_max - 1) * (instance.b_max + 1)
+    move = 2 * (rows + (instance.b_max + 2) * np.count_nonzero(arrival, axis=1))
+    cost = [np.count_nonzero(instance.cost.matrix_for(tau)) for tau in range(nt)]
     return int(move @ cost)
 
 
@@ -274,10 +279,6 @@ def check_seeds(seeds, instance: Instance, horizon: int | None, truncation_tol: 
     if len(set(seeds)) < len(seeds):
         raise ConfigError("seeds must be distinct")
     return list(seeds)
-
-
-def load_instance(path) -> Instance:
-    return load_run_config(path).instance
 
 
 def load_run_config(path) -> RunConfig:

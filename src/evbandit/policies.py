@@ -7,7 +7,8 @@ Whittle, EDF and LLF are key rules: (key, eligible) per charger, and
 key, for one rule or for a stack of them (``sim.stack_kernel``).  The
 ``*_kernel`` functions are a rule plus that selection.  The LLLP interchange
 refines a Whittle activation; the valley-filling planner solves one LP per
-station row and is called row by row.
+station row, its arrays laid out EV by EV, and is called row by row on the
+forecasts of ``expected_costs``.
 
 Tie-breaking is fixed everywhere: policy criterion first, then larger demand,
 then lower charger id.
@@ -27,7 +28,7 @@ __all__ = [
     "llf_kernel",
     "lllp_kernel",
     "valley_filling_policy",
-    "CostForecast",
+    "expected_costs",
 ]
 
 _BIG = np.iinfo(np.int64).max
@@ -153,30 +154,23 @@ def lllp_kernel(t: np.ndarray, b: np.ndarray, active: np.ndarray) -> np.ndarray:
     return (a[:n] | (weak > 0)).T
 
 
-class CostForecast:
+def expected_costs(instance: Instance) -> np.ndarray:
     """Conditional expected cost k slots ahead, for every (level, period).
 
-    exp_cost[j, tau, k] = E[c at k slots ahead | level j in period tau] for
+    out[j, tau, k] = E[c at k slots ahead | level j in period tau] for
     k = 0..t_max (no EV plans further ahead), propagated through the chain's
     (possibly per-period) transition matrices.
     """
-
-    def __init__(self, instance: Instance):
-        k = instance.cost.n_levels
-        nt = instance.n_periods
-        h = instance.t_max
-        vals = instance.cost.values
-        out = np.empty((k, nt, h + 1))
-        for tau in range(nt):
-            row = np.eye(k)
-            out[:, tau, 0] = vals
-            for step in range(1, h + 1):
-                row = row @ instance.cost.matrix_for(tau + step - 1)
-                out[:, tau, step] = row @ vals
-        self.exp_cost = out
-
-    def forecast(self, j: int, tau: int, k: int) -> float:
-        return float(self.exp_cost[j, tau % self.exp_cost.shape[1], k])
+    k = instance.cost.n_levels
+    vals = instance.cost.values
+    out = np.empty((k, instance.n_periods, instance.t_max + 1))
+    for tau in range(instance.n_periods):
+        row = np.eye(k)
+        out[:, tau, 0] = vals
+        for step in range(1, instance.t_max + 1):
+            row = row @ instance.cost.matrix_for(tau + step - 1)
+            out[:, tau, step] = row @ vals
+    return out
 
 
 def valley_filling_policy(
@@ -185,7 +179,7 @@ def valley_filling_policy(
     j: int,
     tau: int,
     instance: Instance,
-    cost_forecast: CostForecast,
+    exp_cost: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Plan all outstanding demand into expected-cheapest future slots.
 
@@ -196,8 +190,10 @@ def valley_filling_policy(
     the simplex solver is integral.  Only slot 0 of the plan is executed;
     everything is replanned next slot (no future arrivals assumed).
 
-    ``t``, ``b``: one station row (N,) at cost level j and period tau.  Returns
-    the activation (N,) and the plan, one row per occupied charger in id order
+    ``t``, ``b``: one station row (N,) at cost level j and period tau;
+    ``exp_cost``: the ``expected_costs`` array.  The LP's columns run EV by
+    EV, each EV's slots 0..T-1 and then its penalty units 1..B.  Returns the
+    activation (N,) and the plan, one row per occupied charger in id order
     and one column per slot (None when nothing is planned).
     """
     from scipy.optimize import linprog
@@ -207,29 +203,22 @@ def valley_filling_policy(
     action = np.zeros(t.shape, dtype=bool)
     if occupied.size == 0 or m == 0:
         return action, None
-    horizon = int(t[occupied].max())
-    ec = np.array([cost_forecast.forecast(j, tau, k) for k in range(horizon)])
-    cols = []  # (ev_row, slot or None, cost)
-    for row, i in enumerate(occupied):
-        for k in range(int(t[i])):
-            cols.append((row, k, -(1.0 - ec[k])))
-        for u in range(1, int(b[i]) + 1):
-            cols.append((row, None, float(instance.penalty.delta(u))))
-    nv = len(cols)
-    c_obj = np.array([c for _, _, c in cols])
-    a_eq = np.zeros((occupied.size, nv))
-    b_eq = b[occupied].astype(float)
-    a_ub = np.zeros((horizon, nv))
-    for v, (row, k, _) in enumerate(cols):
-        a_eq[row, v] = 1.0
-        if k is not None:
-            a_ub[k, v] = 1.0
+    t_occ = t[occupied].astype(np.intp)
+    horizon = int(t_occ.max())
+    ec = exp_cost[j, tau % exp_cost.shape[1], :horizon]
+    width = t_occ + b[occupied]
+    ev = np.repeat(np.arange(occupied.size), width)  # each column's EV
+    pos = np.arange(ev.size) - np.repeat(np.cumsum(width) - width, width)
+    slot = pos < t_occ[ev]  # else penalty unit pos - T + 1
+    k = np.where(slot, pos, 0)
+    c_obj = np.where(slot, -(1.0 - ec[k]),
+                     instance.penalty.delta(np.where(slot, 1, pos - t_occ[ev] + 1)))
     res = linprog(
         c_obj,
-        A_ub=a_ub,
+        A_ub=((k == np.arange(horizon)[:, None]) & slot).astype(float),  # slot k's load
         b_ub=np.full(horizon, float(m)),
-        A_eq=a_eq,
-        b_eq=b_eq,
+        A_eq=(ev == np.arange(occupied.size)[:, None]).astype(float),  # each EV's demand
+        b_eq=b[occupied].astype(float),
         bounds=(0.0, 1.0),
         method="highs",
     )
@@ -239,8 +228,7 @@ def valley_filling_policy(
     if np.any(np.abs(x - np.round(x)) > 1e-7):
         raise RuntimeError("valley-filling plan is not integral")
     plan = np.zeros((occupied.size, horizon))
-    for v, (row, k, _) in enumerate(cols):
-        if k is not None and x[v] > 0.5:
-            plan[row, k] = 1.0
+    chosen = slot & (x > 0.5)
+    plan[ev[chosen], k[chosen]] = 1.0
     action[occupied] = plan[:, 0] > 0.5
     return action, plan

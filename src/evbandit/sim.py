@@ -28,9 +28,9 @@ import numpy as np
 
 from .model import Instance, serve
 from .policies import (  # the *_kernel names are not called here; perfbench/spans.py traces them
-    CostForecast,
     edf_kernel,
     edf_key,
+    expected_costs,
     llf_kernel,
     llf_key,
     lllp_kernel,
@@ -161,7 +161,7 @@ def stack_kernel(runs, instance: Instance, table=None):
     ranked = len(runs) - ("valley" in runs)
     plain = [edf_key if p == "edf" else llf_key for p in runs[n_whittle:ranked]]
     lllp = runs.index("whittle+lllp") if "whittle+lllp" in runs else None
-    forecast = CostForecast(instance) if ranked < len(runs) else None
+    exp_cost = expected_costs(instance) if ranked < len(runs) else None
     m = instance.capacity
 
     def kern(t, b, j, tau):
@@ -180,7 +180,7 @@ def stack_kernel(runs, instance: Instance, table=None):
             action[lllp] = refined
         if ranked < len(runs):
             action[-1] = [
-                valley_filling_policy(t[s], b[-1, s], int(j[s]), tau, instance, forecast)[0]
+                valley_filling_policy(t[s], b[-1, s], int(j[s]), tau, instance, exp_cost)[0]
                 for s in range(t.shape[0])
             ]
         return action, swapped

@@ -37,13 +37,12 @@ from . import __version__
 from .arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from .model import Instance, PenaltyFunction, instance_sha256
 # combine and stitch stay importable from here: perfbench/spans.py traces them
-from .pwl import PiecewiseLinear, PWLBatch, RowError, combine, stitch  # noqa: F401
+from .pwl import PWLBatch, RowError, combine, stitch  # noqa: F401
 
 __all__ = [
     "IndexTable",
     "IndexCheckError",
     "closed_form_index",
-    "base_g",
     "compute_index_table",
     "subsidy_value_iteration",
     "SubsidySolution",
@@ -185,16 +184,6 @@ def _base_rows(instance: Instance, h: int, B, j) -> PWLBatch:
                         np.where(busy | pays, -1.0, 1.0)),
         PWLBatch.affine(np.where(busy, F[B] - F[B + h], -F[h]), flat),
     ], knots)
-
-
-def base_g(instance: Instance, h: int, B: int, j: int, tau: int) -> PiecewiseLinear:
-    """g_h at lead time 1: V(1, B+h) - V(1, B) as a PWL function of the subsidy."""
-    b_max = instance.b_max
-    if not (0 <= B <= b_max) or not (1 <= h <= b_max - B):
-        raise ValueError(f"need 0 <= B <= {b_max} and 1 <= h <= b_max - B; got B={B}, h={h}")
-    if not (0 <= j < instance.cost.n_levels) or not (0 <= tau < instance.n_periods):
-        raise ValueError("cost level or period out of range")
-    return _base_rows(instance, h, np.array([B]), np.array([j])).row(0)
 
 
 def compute_index_table(instance: Instance, collect_g: bool = False):
@@ -390,11 +379,8 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
     # the values and the activation counts alike
     e = K * nt
     m1 = np.zeros((e, e))
-    for tau in range(nt):
-        p = inst.cost.matrix_for(tau)
-        for j in range(K):
-            for k in range(K):
-                m1[j * nt + tau, k * nt + (tau + 1) % nt] = beta * p[j, k]
+    for tau in range(nt):  # row (j, tau) to column (k, tau + 1) of the (K, nt, K, nt) view
+        m1.reshape(K, nt, K, nt)[:, tau, :, (tau + 1) % nt] = beta * inst.cost.matrix_for(tau)
     powers = [np.eye(e)]
     for _ in range(t_bar):
         powers.append(powers[-1] @ m1)

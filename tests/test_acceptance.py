@@ -47,7 +47,7 @@ def _benchmark(config_name: str):
     report = monte_carlo(
         cfg.instance, cfg.policies, cfg.seeds, horizon=cfg.horizon, baseline=cfg.baseline
     )
-    bound = solve_bound(cfg.instance)
+    bound = solve_bound(cfg.instance).value
     return cfg.instance, report, bound
 
 
@@ -203,7 +203,7 @@ def test_criterion_5_no_policy_beats_the_bound(capsys, fig3, fig4, dyn, toy_dyna
     best_heur = max(
         evaluate_policy_exact(toy_dynamic, d, tol=1e-9) for d in deciders.values()
     )
-    toy_bound = solve_bound(toy_dynamic)
+    toy_bound = solve_bound(toy_dynamic).value
     sandwich = best_heur <= dp + 1e-7 and dp <= toy_bound + 1e-7
     ok = margin >= 0.0 and sandwich
     scorecard(capsys, 5, "every simulated mean stays under its bound; toy DP sits between heuristics and bound",
@@ -252,7 +252,7 @@ def test_criterion_8_lp_and_dual_agree(capsys):
     worst = 0.0
     for _ in range(10):
         inst = _random_small_instance(rng)
-        res = solve_bound(inst, method="both", details=True)
+        res = solve_bound(inst, verify=True)
         worst = max(worst, abs(res.lp_value - res.dual_value))
     ok = worst <= 1e-4
     scorecard(capsys, 8, "occupancy LP and Lagrangian dual agree on 10 random instances",

@@ -61,12 +61,12 @@ def tiny():
 
 class TestAgainstEnumeration:
     def test_lp_matches_policy_enumeration_at_full_capacity(self, tiny):
-        res = solve_bound(tiny, method="lp", details=True)
+        lp_value, _ = _solve_lp(build_occupancy_lp(tiny))
         want = tiny.n_chargers * enumerate_deterministic_optimum(tiny)
-        assert res.lp_value == pytest.approx(want, abs=1e-6)
+        assert tiny.n_chargers * lp_value == pytest.approx(want, abs=1e-6)
 
     def test_dual_matches_policy_enumeration_at_full_capacity(self, tiny):
-        res = solve_bound(tiny, method="dual", details=True)
+        res = solve_bound(tiny)
         want = tiny.n_chargers * enumerate_deterministic_optimum(tiny)
         assert res.dual_value == pytest.approx(want, abs=1e-6)
         assert res.lam == 0.0
@@ -86,11 +86,11 @@ class TestDualEqualsLP:
         if kwargs.get("b_max", 2) > 2:
             kwargs["kappa"] = kwargs.get("kappa", 0.4)
         inst = make_instance(**kwargs)
-        res = solve_bound(inst, method="both", details=True)
+        res = solve_bound(inst, verify=True)
         assert res.lp_value == pytest.approx(res.dual_value, abs=1e-4 * inst.n_chargers)
 
     def test_periodic_instance(self):
-        res = solve_bound(periodic_instance(), method="both", details=True)
+        res = solve_bound(periodic_instance(), verify=True)
         assert res.lp_value == pytest.approx(res.dual_value, abs=4e-4)
 
 
@@ -118,13 +118,13 @@ class TestExactDual:
     @pytest.mark.parametrize("name", ["fig3_constant_cost.json", "toy.json"])
     def test_lambda_is_exactly_zero_where_the_budget_is_slack(self, name):
         inst = shipped(name)
-        res = solve_bound(inst, details=True)
+        res = solve_bound(inst)
         assert res.lam == 0.0
         assert res.activation_frequency <= inst.capacity / inst.n_chargers
 
     def test_lambda_minimizes_the_dual_on_dynamic_cost(self):
         inst = shipped("dynamic_cost.json")
-        res = solve_bound(inst, details=True)
+        res = solve_bound(inst)
         assert res.lam > 0.0
         assert res.activation_frequency <= inst.capacity / inst.n_chargers
         for step in (-1e-7, 1e-7):
@@ -149,27 +149,28 @@ class TestStructure:
         _, x = _solve_lp(lp)
         assert x.sum() == pytest.approx(1.0, abs=1e-8)
         share = toy_dynamic.capacity / toy_dynamic.n_chargers
-        assert x[lp.n_states :].sum() <= share + 1e-8
-
-    def test_bad_method_rejected(self, toy_dynamic):
-        with pytest.raises(ValueError):
-            solve_bound(toy_dynamic, method="exact")
+        assert x[lp.arm.n_states :].sum() <= share + 1e-8
 
     def test_details_toggle(self, toy_dynamic):
-        plain = solve_bound(toy_dynamic, method="dual")
-        rich = solve_bound(toy_dynamic, method="dual", details=True)
-        assert isinstance(plain, float)
-        assert isinstance(rich, BoundResult)
-        assert rich.value == pytest.approx(plain)
-        assert rich.lam >= 0.0
-        assert rich.activation_frequency <= toy_dynamic.capacity / toy_dynamic.n_chargers + 1e-6
+        # every field is set but the LP's, which verify adds
+        res = solve_bound(toy_dynamic)
+        assert isinstance(res, BoundResult)
+        assert all(isinstance(x, float) for x in (res.value, res.lam, res.dual_value,
+                                                   res.activation_frequency))
+        assert res.value == res.dual_value
+        assert (res.lp_value, res.method) == (None, "dual")
+        assert res.lam >= 0.0
+        assert res.activation_frequency <= toy_dynamic.capacity / toy_dynamic.n_chargers + 1e-6
+        checked = solve_bound(toy_dynamic, verify=True)
+        assert isinstance(checked.lp_value, float) and checked.method == "both"
+        assert (checked.value, checked.lam) == (res.value, res.lam)
 
     def test_monotone_in_budget(self, toy_dynamic):
         import dataclasses
 
         tighter = dataclasses.replace(toy_dynamic, capacity=1)
         looser = dataclasses.replace(toy_dynamic, capacity=2)
-        assert solve_bound(tighter) <= solve_bound(looser) + 1e-9
+        assert solve_bound(tighter).value <= solve_bound(looser).value + 1e-9
 
 
 class TestLimits:
@@ -177,7 +178,7 @@ class TestLimits:
         import dataclasses
 
         inst = dataclasses.replace(toy_dynamic, capacity=toy_dynamic.n_chargers)
-        res = solve_bound(inst, method="both", details=True)
+        res = solve_bound(inst, verify=True)
         sol = solve_subsidy(inst, 0.0)
         pi = inst.cost.stationary()
         v0 = float(pi @ sol.values[0, 0, :, 0])
@@ -189,18 +190,18 @@ class TestLimits:
         from oracles import brute_force_joint_dp
 
         inst = dataclasses.replace(toy_dynamic, n_chargers=1, capacity=0)
-        res = solve_bound(inst, method="both", details=True)
+        res = solve_bound(inst, verify=True)
         dp, _ = brute_force_joint_dp(inst, tol=1e-10)
         assert res.value == pytest.approx(dp, abs=1e-6)
         assert res.value < 0  # penalties only
 
     def test_value_pinned_on_fixture(self, toy_dynamic):
         # frozen after LP and dual agreed to 8 figures
-        assert solve_bound(toy_dynamic) == pytest.approx(6.777090163505587, abs=1e-5)
+        assert solve_bound(toy_dynamic).value == pytest.approx(6.777090163505587, abs=1e-5)
 
 
 def test_bound_dominates_toy_dp(toy_dynamic):
     from oracles import brute_force_joint_dp
 
     dp, _ = brute_force_joint_dp(toy_dynamic, tol=1e-9)
-    assert solve_bound(toy_dynamic) >= dp - 1e-7
+    assert solve_bound(toy_dynamic).value >= dp - 1e-7

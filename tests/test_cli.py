@@ -200,18 +200,20 @@ class TestBoundCommand:
         assert {"bound", "per_charger", "lambda", "activation_frequency", "method"} <= set(doc)
         assert doc["per_charger"] == pytest.approx(doc["bound"] / 2)
 
-    def test_verify_oracle_records_both_routes(self, tiny_config, tmp_path):
+    @pytest.mark.parametrize("via", ["flag", "key"])
+    def test_verify_oracle_records_both_routes(self, via, tmp_path):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({**TINY, "verify_oracle": via == "key"}))
         out = tmp_path / "bnd"
-        rc = cli.main([
-            "bound", "--config", str(tiny_config), "--out", str(out), "--verify-oracle",
-        ])
+        flag = ["--verify-oracle"] if via == "flag" else []
+        rc = cli.main(["bound", "--config", str(config), "--out", str(out), *flag])
         assert rc == 0
         doc = json.loads((out / "bound.json").read_text())
         assert doc["method"] == "both"
         assert doc["lp_value"] == pytest.approx(doc["dual_value"], abs=1e-4)
 
     def test_cross_check_failure_exits_3(self, tiny_config, tmp_path, monkeypatch, capsys):
-        def boom(inst, method="dual", details=False, table=None):
+        def boom(inst, verify=False, table=None):
             raise RuntimeError("LP and dual disagree")
 
         monkeypatch.setattr(cli, "solve_bound", boom)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from evbandit.config import (
     arm_entries,
     check_size,
     instance_from_dict,
-    load_instance,
     load_run_config,
 )
 from evbandit.sim import _BLOCK
@@ -43,10 +43,6 @@ class TestDefaults:
         assert cfg.horizon is None and cfg.baseline is None
         assert cfg.truncation_tol == 1e-3
         assert cfg.verify_oracle is False
-
-    def test_load_instance_shortcut(self, tmp_path):
-        p = write_config(tmp_path, {"instance": {"n_chargers": 3, "capacity": 2}})
-        assert load_instance(p).n_chargers == 3
 
 
 class TestStrictKeys:
@@ -221,11 +217,23 @@ class TestSizeBudget:
         with pytest.raises(ConfigError, match="run too large"):
             load_run_config(write_config(tmp_path, doc))
 
-    @pytest.mark.parametrize("rho", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 1.0, [1.0, 0.0]])
     def test_arm_entries_count_the_built_matrices(self, rho):
-        inst = make_instance(t_max=4, b_max=3, rho=rho, cost=TWO_STATE_COST)
+        n_periods = len(rho) if isinstance(rho, list) else 1
+        inst = make_instance(t_max=4, b_max=3, rho=rho, cost=TWO_STATE_COST, n_periods=n_periods)
         arm = build_arm_mdp(inst)
         assert arm_entries(inst) == arm.P0.nnz + arm.P1.nnz
+
+    def test_counting_arm_entries_builds_no_move_table(self, tmp_path):
+        # the move table would hold 2 * (1 + 60 * 41)^2 floats, about 92 MiB
+        path = write_config(tmp_path, {"instance": {"t_max": 60, "b_max": 40}})
+        tracemalloc.start()
+        try:
+            load_run_config(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
 
     def test_fitted_periods_must_match_the_arrivals(self):
         doc = {"cost": {"file": str(FIXTURE_CSV), "k": 2, "n_periods": 24}}

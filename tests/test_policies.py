@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.policies import (
-    CostForecast,
     edf_kernel,
     edf_key,
+    expected_costs,
     llf_kernel,
     llf_key,
     lllp_kernel,
@@ -197,9 +197,9 @@ def vf_instance(cost, t_max=2, b_max=1, capacity=1, kappa=0.2, n=1):
     )
 
 
-def valley(pairs, inst, fc=None, j=0, tau=0):
+def valley(pairs, inst, j=0, tau=0):
     t, b = station(pairs)
-    action, plan = valley_filling_policy(t[0], b[0], j, tau, inst, fc or CostForecast(inst))
+    action, plan = valley_filling_policy(t[0], b[0], j, tau, inst, expected_costs(inst))
     return action.astype(int), plan
 
 
@@ -239,14 +239,13 @@ class TestValleyFilling:
         pairs = [(t, min(b, t)) for t, b in raw]
         chain = CostChain(values=np.array([c0, c1]), P=np.array([[0.5, 0.5], [0.5, 0.5]]))
         inst = vf_instance(chain, t_max=2, b_max=2, capacity=1, kappa=kappa, n=len(pairs))
-        fc = CostForecast(inst)
-        action, plan = valley(pairs, inst, fc)
+        action, plan = valley(pairs, inst)
         occupied = [i for i, (t, b) in enumerate(pairs) if t >= 1 and b > 0]
         if not occupied:
             assert action.sum() == 0
             return
         horizon = max(pairs[i][0] for i in occupied)
-        ec = [fc.forecast(0, 0, k) for k in range(horizon)]
+        ec = expected_costs(inst)[0, 0, :horizon]
         F = inst.penalty
 
         def value(plan):
@@ -284,24 +283,142 @@ class TestValleyFilling:
 class TestCostForecast:
     def test_matches_matrix_powers(self):
         inst = make_instance(cost=TWO_STATE_COST, t_max=3, b_max=2)
-        fc = CostForecast(inst)
+        ec = expected_costs(inst)
+        assert ec.shape == (2, 1, 4)
         P = TWO_STATE_COST.P[0]
         vals = TWO_STATE_COST.values
         for k in range(4):
             want = np.linalg.matrix_power(P, k) @ vals
             for j in range(2):
-                assert fc.forecast(j, 0, k) == pytest.approx(want[j])
+                assert ec[j, 0, k] == pytest.approx(want[j])
 
     def test_periodic_chain_uses_the_right_matrices(self):
         p0 = np.array([[0.9, 0.1], [0.5, 0.5]])
         p1 = np.array([[0.2, 0.8], [0.6, 0.4]])
         chain = CostChain(values=np.array([0.3, 1.2]), P=np.stack([p0, p1]))
         inst = make_instance(cost=chain, n_periods=2, t_max=3, b_max=2)
-        fc = CostForecast(inst)
+        ec = expected_costs(inst)
         vals = chain.values
-        assert fc.forecast(0, 1, 1) == pytest.approx((p1 @ vals)[0])
-        assert fc.forecast(1, 1, 2) == pytest.approx((p1 @ p0 @ vals)[1])
-        assert fc.forecast(0, 0, 2) == pytest.approx((p0 @ p1 @ vals)[0])
+        assert ec[0, 1, 1] == pytest.approx((p1 @ vals)[0])
+        assert ec[1, 1, 2] == pytest.approx((p1 @ p0 @ vals)[1])
+        assert ec[0, 0, 2] == pytest.approx((p0 @ p1 @ vals)[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference valley LP: the column-by-column builder that the array layout
+# replaced, copied verbatim but for the forecast: an ``expected_costs`` array
+# in place of the deleted CostForecast object, and the line that reads it.
+# The arrays handed to linprog must be equal element for element, so the
+# plans are too.
+
+
+def reference_valley_filling_policy(
+    t: np.ndarray,
+    b: np.ndarray,
+    j: int,
+    tau: int,
+    instance: Instance,
+    exp_cost: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    from scipy.optimize import linprog
+
+    m = instance.capacity
+    occupied = np.nonzero((t >= 1) & (b > 0))[0]
+    action = np.zeros(t.shape, dtype=bool)
+    if occupied.size == 0 or m == 0:
+        return action, None
+    horizon = int(t[occupied].max())
+    ec = np.array([float(exp_cost[j, tau % exp_cost.shape[1], k]) for k in range(horizon)])
+    cols = []  # (ev_row, slot or None, cost)
+    for row, i in enumerate(occupied):
+        for k in range(int(t[i])):
+            cols.append((row, k, -(1.0 - ec[k])))
+        for u in range(1, int(b[i]) + 1):
+            cols.append((row, None, float(instance.penalty.delta(u))))
+    nv = len(cols)
+    c_obj = np.array([c for _, _, c in cols])
+    a_eq = np.zeros((occupied.size, nv))
+    b_eq = b[occupied].astype(float)
+    a_ub = np.zeros((horizon, nv))
+    for v, (row, k, _) in enumerate(cols):
+        a_eq[row, v] = 1.0
+        if k is not None:
+            a_ub[k, v] = 1.0
+    res = linprog(
+        c_obj,
+        A_ub=a_ub,
+        b_ub=np.full(horizon, float(m)),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"valley-filling plan failed: {res.message}")
+    x = res.x
+    if np.any(np.abs(x - np.round(x)) > 1e-7):
+        raise RuntimeError("valley-filling plan is not integral")
+    plan = np.zeros((occupied.size, horizon))
+    for v, (row, k, _) in enumerate(cols):
+        if k is not None and x[v] > 0.5:
+            plan[row, k] = 1.0
+    action[occupied] = plan[:, 0] > 0.5
+    return action, plan
+
+
+@st.composite
+def valley_cases(draw):
+    n = draw(st.integers(1, 4))
+    t = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    n_periods = draw(st.integers(1, 2))
+    unit = st.floats(0.0, 1.0)
+    levels = np.array([draw(st.floats(0.0, 1.5)) for _ in range(2)])
+    stay = np.array([[draw(unit) for _ in range(2)] for _ in range(n_periods)])
+    P = np.stack([stay, 1.0 - stay], axis=-1)  # from level j to level 0 w.p. stay[tau, j]
+    inst = Instance(  # one charger more than the row, so that m may exceed its length
+        n_chargers=n + 1,
+        capacity=draw(st.integers(0, n + 1)),
+        discount=0.9,
+        t_max=4,
+        b_max=4,
+        penalty=PenaltyFunction.quadratic(draw(st.floats(0.05, 0.6)), 4),
+        arrivals=ArrivalModel.uniform_feasible(4, 4, 0.5, n_periods),
+        cost=CostChain(values=levels, P=P),
+    )
+    return t, b, draw(st.integers(0, 1)), draw(st.integers(0, 3)), inst
+
+
+@settings(max_examples=60, deadline=None)
+@given(valley_cases())
+def test_valley_lp_arrays_match_the_reference(case):
+    import scipy.optimize
+
+    t, b, j, tau, inst = case
+    real, calls = scipy.optimize.linprog, []
+
+    def recording(c, **kwargs):
+        calls.append((c, kwargs))
+        return real(c, **kwargs)
+
+    exp_cost = expected_costs(inst)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "linprog", recording)
+        action, plan = valley_filling_policy(t, b, j, tau, inst, exp_cost)
+        want_action, want_plan = reference_valley_filling_policy(t, b, j, tau, inst, exp_cost)
+    assert np.array_equal(action, want_action)
+    if want_plan is None:
+        assert plan is None and not calls
+        return
+    assert np.array_equal(plan, want_plan)
+    (got_c, got), (want_c, want) = calls
+    assert got_c.dtype == want_c.dtype and np.array_equal(got_c, want_c)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].dtype == value.dtype and np.array_equal(got[name], value), name
+        else:
+            assert got[name] == value, name
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from evbandit.model import PenaltyFunction
 from evbandit.pwl import combine
 from evbandit.whittle import (
     IndexTable,
-    base_g,
+    _base_rows,
     closed_form_index,
     compute_index_table,
     index_by_bisection,
@@ -193,7 +193,7 @@ class TestGeometryOfG:
             for j in range(2):
                 for b in range(0, 3):
                     for h in range(1, 3 - b + 1):
-                        g = base_g(toy_dynamic, h, b, j, 0)
+                        g = _base_rows(toy_dynamic, h, np.array([b]), np.array([j])).row(0)
                         want = sol.values[1, b + h, j, 0] - sol.values[1, b, j, 0]
                         assert g(nu) == pytest.approx(want, abs=1e-9), (b, h, j, nu)
 
@@ -229,14 +229,6 @@ class TestGeometryOfG:
             sol = solve_subsidy(toy_dynamic, nu)
             want = sol.values[t, b + 1, j, tau] - sol.values[t, b, j, tau]
             assert gs[(t, b, j, tau)](nu) == pytest.approx(want, abs=1e-8), (t, b, j, tau)
-
-    def test_base_g_domain_checked(self, toy_dynamic):
-        with pytest.raises(ValueError):
-            base_g(toy_dynamic, 0, 1, 0, 0)
-        with pytest.raises(ValueError):
-            base_g(toy_dynamic, 4, 0, 0, 0)
-        with pytest.raises(ValueError):
-            base_g(toy_dynamic, 1, 1, 5, 0)
 
     def test_constant_cost_slopes_stay_in_band(self, toy_constant):
         # Constant cost: every g_h is nonincreasing with slopes in [-h, 0] and
