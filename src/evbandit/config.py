@@ -19,7 +19,7 @@ from .sim import _BLOCK, POLICY_NAMES, default_horizon
 
 __all__ = [
     "ConfigError", "RunConfig", "load_run_config", "instance_from_dict",
-    "check_seeds", "check_size", "arm_entries", "MEMORY_BUDGET", "WORK_BUDGET",
+    "check_seeds", "check_size", "arm_entries", "MEMORY_BUDGET", "WORK_BUDGET", "INDEX_BUDGET",
 ]
 
 # bytes the largest arrays of one command may take; check_size refuses more
@@ -27,6 +27,11 @@ MEMORY_BUDGET = 1 << 30
 # charger-slots (seeds x horizon x chargers) one policy may simulate, about
 # 140 times full-size fig3; check_size refuses more
 WORK_BUDGET = 1 << 32
+# index work, states x (1 + states) over the (T, B, cost level, period) grid:
+# the states times the breakpoint bound of a g_1.  The recursion does 1e7 to
+# 3e7 of these units a second on a 2-core host, so the budget is a few
+# minutes of table building; check_size refuses more
+INDEX_BUDGET = 1 << 31
 
 
 class ConfigError(ValueError):
@@ -209,14 +214,15 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
         )
     except ValueError as e:
         raise ConfigError(f"bad instance: {e}") from e
-    check_size(t_max, b_max, n_periods, arm=arm_entries(inst))
+    check_size(t_max, b_max, n_periods, arm=arm_entries(inst), n_levels=inst.cost.n_levels)
     return inst
 
 
 def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
-               n_seeds: int = 0, horizon: int = 0, arm: int = 0) -> None:
+               n_seeds: int = 0, horizon: int = 0, arm: int = 0, n_levels: int = 0) -> None:
     """Refuse, before they are built, arrays of more than MEMORY_BUDGET bytes,
-    and simulations of more than WORK_BUDGET charger-slots per policy.
+    simulations of more than WORK_BUDGET charger-slots per policy, and index
+    tables of more than INDEX_BUDGET work.
 
     The estimate counts the bytes of the largest arrays a command builds.  As
     float64 entries: the dense move table of ``charger_law``, 2 n_periods
@@ -224,24 +230,33 @@ def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
     (t_max + 1) (b_max + 1); the ``arm`` nonzeros of the arm MDP's transition
     matrices (``arm_entries``); and per simulated seed the block of uniforms
     ``sim.world_slots`` holds, a cost uniform and two per charger for each of
-    its _BLOCK slots.  No array grows with the horizon; the work does.
+    its _BLOCK slots.  No array grows with the horizon; the work does.  The
+    index work is the number of index states, t_max b_max n_levels n_periods,
+    times the bound 1 + t_max b_max n_levels n_periods on a g_1's breakpoints.
     """
     n_cs = 1 + t_max * (b_max + 1)
     floats = n_periods * (2 * n_cs**2 + (t_max + 1) * (b_max + 1)) + arm
     size = 8 * (floats + n_seeds * _BLOCK * (1 + 2 * n_chargers))
     work = n_seeds * horizon * n_chargers
-    if size > MEMORY_BUDGET or work > WORK_BUDGET:
+    states = t_max * b_max * n_levels * n_periods
+    index = states * (1 + states)
+    if size > MEMORY_BUDGET or work > WORK_BUDGET or index > INDEX_BUDGET:
         sizes = f"t_max={t_max}, b_max={b_max}, n_periods={n_periods}"
         if arm:
             sizes += f", arm MDP nonzeros={arm:,}"
+        if n_levels:
+            sizes += f", cost levels={n_levels}"
         if n_seeds:
             sizes += f", n_chargers={n_chargers}, seeds={n_seeds}, horizon={horizon}"
         if size > MEMORY_BUDGET:
             why = f"its arrays would need about {size >> 20:,} MiB"
             budget = f"{MEMORY_BUDGET >> 20:,} MiB"
-        else:
+        elif work > WORK_BUDGET:
             why = f"it would simulate {work:,} charger-slots per policy"
             budget = f"{WORK_BUDGET:,} charger-slot"
+        else:
+            why = f"its index table would take up to {index:,} units (states x breakpoint bound)"
+            budget = f"{INDEX_BUDGET:,}-unit index"
         raise ConfigError(f"run too large: {why}, over the {budget} budget ({sizes})")
 
 

@@ -95,9 +95,6 @@ class IndexTable:
         object.__setattr__(self, "rank", rank.reshape(v.shape))
         object.__setattr__(self, "n_positive", int(np.count_nonzero(neg_unique < 0)))
 
-    def lookup(self, T: int, B: int, j: int, tau: int) -> float:
-        return float(self.values[T, B, j, tau])
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

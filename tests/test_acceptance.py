@@ -101,7 +101,7 @@ def test_criterion_1_closed_form_matches_the_recursion(capsys):
     for T in range(1, inst.t_max + 1):
         for B in range(inst.b_max + 1):
             ref = closed_form_index(T, B, 0.5, inst.discount, inst.penalty)
-            worst = max(worst, abs(table.lookup(T, B, 0, 0) - ref))
+            worst = max(worst, abs(float(table.values[T, B, 0, 0]) - ref))
     ok = worst < 1e-9 and dt < 5.0
     scorecard(capsys, 1, "closed form == recursion on the constant-cost grid",
               ok, f"max err {worst:.2e}, {dt:.2f}s")
@@ -133,7 +133,7 @@ def test_criterion_2_recursion_matches_the_bisection_oracle(capsys):
             for j in range(inst.cost.n_levels):
                 for tau in range(inst.n_periods):
                     ref = index_by_vi_bisection(inst, (T, B, j, tau), tol=1e-8, arm=arm)
-                    worst = max(worst, abs(table.lookup(T, B, j, tau) - ref))
+                    worst = max(worst, abs(float(table.values[T, B, j, tau]) - ref))
                     n += 1
     # the every-state oracle of index --verify-oracle, on the exact backward pass
     exact = float(np.abs(table.values - index_by_bisection(inst)).max())
@@ -161,7 +161,7 @@ def test_criterion_3_indexability_and_index_structure(capsys):
             for B in range(T, inst.b_max):
                 for j in range(inst.cost.n_levels):
                     for tau in range(inst.n_periods):
-                        gap = table.lookup(T, B, j, tau) - table.lookup(T, B + 1, j, tau)
+                        gap = float(table.values[T, B, j, tau]) - float(table.values[T, B + 1, j, tau])
                         worst_mono = max(worst_mono, gap)
         for nu in (-0.5, 0.0, 0.5):
             V = solve_subsidy(inst, nu).values

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,11 @@ def set_path(doc, path, value):
     doc[path[-1]] = value
 
 
+# T <= 60, B <= 40, 10 cost levels and 4 periods: 96,000 index states
+INDEX_TOO_LARGE = {"instance.t_max": 60, "instance.b_max": 40, "instance.arrivals.n_periods": 4,
+                   "instance.cost": {"levels": [0.5] * 10, "matrix": np.eye(10).tolist()}}
+
+
 @pytest.mark.parametrize(
     "changes, flags",
     [
@@ -372,6 +378,8 @@ def set_path(doc, path, value):
         # the dense 400 x 400 cost matrix would hold about 2.9e8 entries
         ({"instance.t_max": 12, "instance.b_max": 9,
           "instance.cost": {"levels": [0.5] * 400, "matrix": [[1 / 400] * 400] * 400}}, []),
+        # its arrays fit, but the index recursion's work bound is 9.2e9 units
+        (INDEX_TOO_LARGE, []),
         ({"instance.n_chargers": 0, "instance.capacity": 0}, []),
         # toy's arrivals say uniform_feasible, which a pmf contradicts
         ({"instance.arrivals.pmf": [[0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]]}, []),
@@ -382,7 +390,7 @@ def set_path(doc, path, value):
         "tol-string", "t-max-string", "capacity-null", "n-periods-string", "verify-oracle-string",
         "t-max-huge", "b-max-huge", "n-periods-huge", "n-chargers-huge", "seeds-huge",
         "seeds-flag-huge", "horizon-huge", "fitted-periods-huge", "cost-levels-huge",
-        "no-chargers", "uniform-kind-with-pmf",
+        "index-work-huge", "no-chargers", "uniform-kind-with-pmf",
     ],
 )
 def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys, monkeypatch):
@@ -400,6 +408,28 @@ def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_index_over_its_work_budget_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    def not_refused(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "compute_index_table", not_refused)
+    doc = json.loads((REPO / "configs" / "toy.json").read_text())
+    for path, value in INDEX_TOO_LARGE.items():
+        set_path(doc, path.split("."), value)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["index", "--config", str(p), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: run too large: its index table") and err.count("\n") == 1
+    assert peak < 5 << 20
 
 
 @pytest.mark.parametrize("command", ["index", "bound"])
@@ -524,7 +554,7 @@ PINNED = {
     ("simulate", "toy", "episodes.csv"):
         "cd8175b9edc4421263861bdd7b3274b94b96929e9c57bf025b1765e9826d9a7f",
     ("simulate", "toy", "summary.json"):
-        "8528dbc3c2556be72b687e442ef8bed973594bffb7deae7d235f1c6c3711cefd",
+        "6b0a8e6fb78e4fe05fdf4eb83107e798d4bdec9c5d957753b2616c477f609db6",
     ("index", "toy", "index_table.csv"):
         "21e478d8e21ab78f41f0d480d673f6ec56713ecb3305f1338eb065bb3e10aa67",
     ("index", "fig3_constant_cost", "index_table.csv"):
@@ -534,7 +564,7 @@ PINNED = {
     ("simulate", "fig3_constant_cost", "episodes.csv"):
         "3081844ae0d668702919f28db6c9d3d5aaa51e25d8f16402bf344b9922eba84a",
     ("simulate", "fig3_constant_cost", "summary.json"):
-        "748b5babc5cab2b56140222d68b4ef765ee72c8e7b81743f853fd8166335d10d",
+        "e242e73a2abb78b498dce545ac57ced3e5d898dddeedf6383808fe8d3bacbe77",
 }
 
 

@@ -9,6 +9,7 @@ from conftest import TWO_STATE_COST, make_instance
 
 from evbandit.arm import build_arm_mdp
 from evbandit.config import (
+    INDEX_BUDGET,
     MEMORY_BUDGET,
     WORK_BUDGET,
     ConfigError,
@@ -210,6 +211,13 @@ class TestSizeBudget:
         check_size(1, 1, 1, n_chargers=2, n_seeds=4, horizon=WORK_BUDGET // 8)
         with pytest.raises(ConfigError, match="run too large: it would simulate"):
             check_size(1, 1, 1, n_chargers=2, n_seeds=4, horizon=WORK_BUDGET // 8 + 1)
+
+    def test_index_budget_is_inclusive(self):
+        # 46,340 states x (1 + 46,340) is just within the budget, one more state is over
+        assert 46_340 * 46_341 <= INDEX_BUDGET < 46_341 * 46_342
+        check_size(1, 1, 1, n_levels=46_340)
+        with pytest.raises(ConfigError, match="run too large: its index table"):
+            check_size(1, 1, 1, n_levels=46_341)
 
     def test_default_horizon_is_counted(self, tmp_path):
         # two seeds, but the discount-tail cutoff is about 7e11 slots

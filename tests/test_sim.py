@@ -307,11 +307,42 @@ class TestExactOracles:
             evaluate_policy_exact(big, policy_kernel("edf", big))
 
 
-def test_t_half_width_matches_scipy_stats_bit_for_bit():
-    from scipy import stats
+def mpmath_t_quantile_975(df: int):
+    """The 0.975 quantile of Student's t at 40 digits: the root of the tail
+    I_{df / (df + t^2)}(df / 2, 1 / 2) / 2 = 0.025."""
+    import mpmath
 
+    with mpmath.workdps(40):
+        tail = lambda t: mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, df / (df + t * t),
+                                        regularized=True) / 2 - mpmath.mpf("0.025")
+        return mpmath.findroot(tail, mpmath.mpf(sim.t_quantile_975(df)))
+
+
+LOG_SPACED_DF = sorted({round(d) for d in np.geomspace(31, 1e6, 15)})
+
+
+@pytest.mark.parametrize("df", [*range(1, 31), *LOG_SPACED_DF, 10_000, 10_001])
+def test_t_quantile_is_within_an_ulp_of_the_40_digit_root(df):
+    """Odd and even df, and both sides of the switch to the 1/df expansion
+    above df = 10^4."""
+    root = mpmath_t_quantile_975(df)
+    assert abs(sim.t_quantile_975(df) - root) <= np.spacing(float(root))
+
+
+def test_t_quantile_is_close_to_scipy_stdtrit():
+    """scipy's stdtrit is not correctly rounded (19 ulps off at df = 6), so
+    the in-package quantile agrees with it only to a few ulps."""
+    from scipy.special import stdtrit
+
+    df = np.arange(1, 1001)
+    want = stdtrit(df, 0.975)
+    got = np.array([sim.t_quantile_975(int(d)) for d in df])
+    assert np.all(np.abs(got - want) <= 32 * np.spacing(want))
+
+
+def test_half_width_is_the_t_quantile_times_the_standard_error():
     rng = np.random.default_rng(7)
-    for n in range(2, 1001):
+    for n in [2, 3, 8, 40, 199, 200, 1001]:
         x = rng.normal(size=n)
-        want = float(stats.t.ppf(0.975, n - 1) * x.std(ddof=1) / np.sqrt(n))
-        assert _mean_ci(x)[1] == want, n
+        want = sim.t_quantile_975(n - 1) * x.std(ddof=1) / np.sqrt(n)
+        assert _mean_ci(x) == (x.mean(), want), n

@@ -75,7 +75,7 @@ class TestClosedForm:
         for t in range(1, inst.t_max + 1):
             for b in range(inst.b_max + 1):
                 want = closed_form_index(t, b, c0, inst.discount, inst.penalty)
-                assert tab.lookup(t, b, 0, 0) == pytest.approx(want, abs=1e-10)
+                assert float(tab.values[t, b, 0, 0]) == pytest.approx(want, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -96,7 +96,7 @@ def test_recursion_matches_closed_form_randomized(t_max, b_rel, kappa, c0, beta,
     for t in range(1, t_max + 1):
         for b in range(b_max + 1):
             want = closed_form_index(t, b, c0, beta, inst.penalty)
-            assert tab.lookup(t, b, 0, 0) == pytest.approx(want, abs=1e-9)
+            assert float(tab.values[t, b, 0, 0]) == pytest.approx(want, abs=1e-9)
 
 
 class TestFrozenValues:
@@ -113,12 +113,12 @@ class TestFrozenValues:
 
     def test_pinned_values(self, toy_table):
         for state, want in self.CASES:
-            assert toy_table.lookup(*state) == pytest.approx(want, abs=1e-9)
+            assert float(toy_table.values[state]) == pytest.approx(want, abs=1e-9)
 
     def test_bisection_agrees(self, toy_dynamic, toy_table, toy_arm):
         for state in [(3, 2, 0, 0), (4, 1, 1, 0)]:
             ref = index_by_vi_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
-            assert toy_table.lookup(*state) == pytest.approx(ref, abs=1e-6)
+            assert float(toy_table.values[state]) == pytest.approx(ref, abs=1e-6)
 
 
 class TestTableStructure:
@@ -138,8 +138,8 @@ class TestTableStructure:
         # at the expensive level, one unit of slack lets the arm wait out the
         # price, so (3,1) outranks (3,2).  Confirm against the oracle so a
         # future "fix" cannot silently flatten this.
-        hi = toy_table.lookup(3, 1, 1, 0)
-        lo = toy_table.lookup(3, 2, 1, 0)
+        hi = float(toy_table.values[3, 1, 1, 0])
+        lo = float(toy_table.values[3, 2, 1, 0])
         assert hi > lo + 1e-3
         for state, want in (((3, 1, 1, 0), hi), ((3, 2, 1, 0), lo)):
             ref = index_by_vi_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
@@ -267,7 +267,7 @@ class TestSubsidySolvers:
         # just below the index the state is worth activating, just above not
         for state in [(3, 2, 0, 0), (2, 1, 1, 0), (4, 3, 1, 0)]:
             t, b, j, tau = state
-            star = toy_table.lookup(*state)
+            star = float(toy_table.values[state])
             below = solve_subsidy(toy_dynamic, star - 1e-6)
             above = solve_subsidy(toy_dynamic, star + 1e-6)
             assert below.actions[t, b, j, tau] == 1
