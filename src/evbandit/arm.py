@@ -40,10 +40,6 @@ class ArmMDP:
     def n_states(self) -> int:
         return self.R0.size
 
-    def state_id(self, T: int, B: int, j: int, tau: int) -> int:
-        inst = self.instance
-        return int((inst.charger_index(T, B) * inst.cost.n_levels + j) * inst.n_periods + tau)
-
     def initial_distribution(self) -> np.ndarray:
         """Empty charger, period 0, cost level at its stationary law."""
         mu = np.zeros(self.n_states)

@@ -113,12 +113,13 @@ def cmd_simulate(args) -> int:
          f"x {report.horizon} slots in {time.perf_counter() - t0:.1f}s")
     report.to_csv(out / "episodes.csv")
     report.to_json(out / "summary.json")
+    rows = report.summary()["policies"]
     for p in report.policies:
-        mean, half = report.mean_ci(p)
-        line = f"  {p:14s} {mean:12.3f} +- {half:.3f}"
-        if baseline and p != baseline:
-            d, dh = report.paired(p)
-            line += f"   vs {baseline}: {d:+.3f} +- {dh:.3f}"
+        row = rows[p]
+        line = f"  {p:14s} {row['mean_reward']:12.3f} +- {row['ci95_half_width']:.3f}"
+        diff = row.get(f"paired_diff_vs_{baseline}")
+        if diff is not None:
+            line += f"   vs {baseline}: {diff:+.3f} +- {row['paired_ci95_half_width']:.3f}"
         _say(line)
     _say(f"wrote {out / 'episodes.csv'} and {out / 'summary.json'}")
     return 0

@@ -15,7 +15,9 @@ Every policy's episodes advance in one time loop: the demands are one
 (n_policies, n_seeds, n_chargers) array, and each slot ``stack_kernel``
 decides for all policies at once (one selection for every ranking policy),
 then the service and the accounting run once for all.  An arrival's type is
-looked up only where an EV arrives.
+looked up only where an EV arrives.  The per-episode sums stay the
+(n_policies, n_seeds) arrays the loop adds into, from ``_run_batch`` through
+``ComparisonReport.metrics`` to ``episodes.csv`` and ``summary.json``.
 The exact joint-MDP oracles that check this simulator on toy instances live
 with the tests, in ``tests/oracles.py``.
 """
@@ -23,7 +25,7 @@ with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cache
 
@@ -45,7 +47,6 @@ from .policies import (  # the *_kernel names are not called here; perfbench/spa
 from .whittle import IndexTable, compute_index_table
 
 __all__ = [
-    "EpisodeMetrics",
     "ComparisonReport",
     "default_horizon",
     "stack_kernel",
@@ -55,27 +56,6 @@ __all__ = [
 POLICY_NAMES = ("whittle", "whittle+lllp", "edf", "llf", "valley")
 
 _BLOCK = 64  # slots of uniforms held per seed and stream
-
-
-@dataclass
-class EpisodeMetrics:
-    """Per-episode accounting.  discounted_reward is revenue − cost − penalty
-    by construction; the three parts are accumulated with the same discount
-    weights the reward definition uses."""
-
-    policy: str
-    seed: int
-    horizon: int
-    discounted_reward: float
-    revenue: float
-    energy_cost: float
-    penalty: float
-    delivered_units: int
-    arrived_units: int
-    unserved_units: int
-    completion_fraction: float
-    activations_per_slot: float
-    interchanges: int
 
 
 def default_horizon(instance: Instance, tol: float = 1e-3) -> int:
@@ -197,10 +177,11 @@ def _run_batch(
     seeds,
     horizon: int,
     table=None,
-) -> list[list[EpisodeMetrics]]:
-    """Every policy's episodes against one world, one list per policy, from
-    one time loop over a (P, S, N) demand array (see the module docstring)."""
-    runs = sorted(policies, key=POLICY_NAMES.index)
+) -> dict[str, np.ndarray]:
+    """Every policy's episodes against one world, from one time loop over a
+    (P, S, N) demand array (see the module docstring): ``{metric: (P, S)
+    array}``, a row per entry of ``policies`` (a policy listed twice runs once)."""
+    runs = sorted(set(policies), key=POLICY_NAMES.index)
     kern = stack_kernel(runs, instance, table)
     shape = (len(runs), len(seeds))
     n = instance.n_chargers
@@ -247,31 +228,21 @@ def _run_batch(
         arrived += new
         disc *= beta
 
-    arrived = arrived.sum(axis=1)
-    out = []
-    for p, policy in enumerate(runs):
-        episodes = []
-        for i, sd in enumerate(seeds):
-            comp = 1.0 if arrived[i] == 0 else 1.0 - unserved[p, i] / arrived[i]
-            episodes.append(
-                EpisodeMetrics(
-                    policy=policy,
-                    seed=int(sd),
-                    horizon=horizon,
-                    discounted_reward=float(revenue[p, i] - energy_cost[p, i] - penalty[p, i]),
-                    revenue=float(revenue[p, i]),
-                    energy_cost=float(energy_cost[p, i]),
-                    penalty=float(penalty[p, i]),
-                    delivered_units=int(delivered[p, i]),
-                    arrived_units=int(arrived[i]),
-                    unserved_units=int(unserved[p, i]),
-                    completion_fraction=float(comp),
-                    activations_per_slot=float(activations[p, i] / horizon),
-                    interchanges=int(interchanges[p, i]),
-                )
-            )
-        out.append(episodes)
-    return [out[runs.index(p)] for p in policies]
+    arrived = np.broadcast_to(arrived.sum(axis=1), shape)
+    metrics = {
+        "discounted_reward": revenue - energy_cost - penalty,
+        "revenue": revenue,
+        "energy_cost": energy_cost,
+        "penalty": penalty,
+        "delivered_units": delivered,
+        "arrived_units": arrived,
+        "unserved_units": unserved,
+        "completion_fraction": 1.0 - unserved / np.maximum(arrived, 1),  # unserved <= arrived
+        "activations_per_slot": activations / horizon,
+        "interchanges": interchanges,
+    }
+    rows = [runs.index(p) for p in policies]
+    return {k: v[rows] for k, v in metrics.items()}
 
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
@@ -340,18 +311,19 @@ def _mean_ci(x: np.ndarray) -> tuple[float, float]:
     return float(x.mean()), half
 
 
-@dataclass
+@dataclass(eq=False)  # == on a dict of arrays would raise; reports compare by identity
 class ComparisonReport:
-    """Per-policy episode metrics over a common seed set, plus paired stats."""
+    """Per-episode metrics over a common seed set, plus paired stats:
+    ``metrics[name][r, i]`` is ``policies[r]`` on ``seeds[i]``."""
 
     policies: list[str]
     seeds: list[int]
     horizon: int
-    episodes: dict[str, list[EpisodeMetrics]]
+    metrics: dict[str, np.ndarray]
     baseline: str | None = None
 
     def rewards(self, policy: str) -> np.ndarray:
-        return np.array([e.discounted_reward for e in self.episodes[policy]])
+        return self.metrics["discounted_reward"][self.policies.index(policy)]
 
     def mean_ci(self, policy: str) -> tuple[float, float]:
         """(mean, 95% half-width) of the discounted reward."""
@@ -381,16 +353,13 @@ class ComparisonReport:
         return out
 
     def to_csv(self, path) -> None:
-        cols = [f.name for f in fields(EpisodeMetrics)]
+        cols = [v.tolist() for v in self.metrics.values()]  # str() of a float is its repr
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for p in self.policies:
-                for e in self.episodes[p]:
-                    vals = []
-                    for cname in cols:
-                        v = getattr(e, cname)
-                        vals.append(repr(v) if isinstance(v, float) else str(v))
-                    fh.write(",".join(vals) + "\n")
+            fh.write(",".join(["policy", "seed", "horizon", *self.metrics]) + "\n")
+            for r, p in enumerate(self.policies):
+                for i, sd in enumerate(self.seeds):
+                    row = [p, sd, self.horizon, *(c[r][i] for c in cols)]
+                    fh.write(",".join(map(str, row)) + "\n")
 
     def to_json(self, path) -> None:
         import json
@@ -428,6 +397,5 @@ def monte_carlo(
         raise ValueError("horizon must be >= 1")
     if table is None and any(p.startswith("whittle") for p in policies):
         table = compute_index_table(instance)
-    runs = tuple(dict.fromkeys(policies))
-    episodes = dict(zip(runs, _run_batch(instance, runs, seeds, horizon, table)))
-    return ComparisonReport(policies, seeds, horizon, episodes, baseline)
+    metrics = _run_batch(instance, tuple(policies), seeds, horizon, table)
+    return ComparisonReport(policies, seeds, horizon, metrics, baseline)

@@ -157,29 +157,28 @@ def closed_form_index(T: int, B: int, c0: float, beta: float, penalty: PenaltyFu
     return 1.0 - c0 + beta ** (T - 1) * float(penalty.delta(B - T + 1))
 
 
-def _base_rows(instance: Instance, h: int, B, j) -> PWLBatch:
-    """g_h at lead time 1 for arrays of demands B and cost levels j, a row each.
+def _base_rows(instance: Instance, B, j) -> PWLBatch:
+    """g_1 at lead time 1 for arrays of demands B and cost levels j, a row each.
 
     Explicit three-piece construction; constant tails, middle slope -1 (or +1
     in the degenerate branch where activating the larger demand never pays).
-    The busy knots 1 - c + dF(B) <= 1 - c + dF(B+h) may cross by a rounding
+    The busy knots 1 - c + dF(B) <= 1 - c + dF(B+1) may cross by a rounding
     error, as PenaltyFunction lets increments fall by up to 1e-12 (a linear
     table); the upper one is raised to the lower, emptying the middle piece.
     """
-    F = instance.penalty.table
+    F = instance.penalty.table  # F[0] == 0.0
     gain = 1.0 - instance.cost.values[j]
     busy, Bm = B >= 1, np.maximum(B, 1)  # F(B - 1) is used only where B >= 1
-    t_h = gain + (F[h] - F[h - 1])
-    pays, head, flat = t_h > 0, gain - F[h - 1], np.zeros_like(gain)
+    t_1 = gain + F[1]
+    pays, flat = t_1 > 0, np.zeros_like(gain)
     lo = gain + (F[Bm] - F[Bm - 1])
     knots = np.where(busy[:, None],
-                     np.stack([lo, np.maximum(lo, gain + (F[B + h] - F[B + h - 1]))], 1),
-                     np.stack([np.where(pays, flat, t_h), np.where(pays, t_h, flat)], 1))
+                     np.stack([lo, np.maximum(lo, gain + (F[B + 1] - F[B]))], 1),
+                     np.stack([np.where(pays, flat, t_1), np.where(pays, t_1, flat)], 1))
     return PWLBatch.stitch([
-        PWLBatch.affine(np.where(busy, F[Bm - 1] - F[B + h - 1], head), flat),
-        PWLBatch.affine(np.where(busy, gain + (F[B] - F[B + h - 1]), np.where(pays, head, -F[h])),
-                        np.where(busy | pays, -1.0, 1.0)),
-        PWLBatch.affine(np.where(busy, F[B] - F[B + h], -F[h]), flat),
+        PWLBatch.affine(np.where(busy, F[Bm - 1] - F[B], gain), flat),
+        PWLBatch.affine(np.where(busy | pays, gain, -F[1]), np.where(busy | pays, -1.0, 1.0)),
+        PWLBatch.affine(np.where(busy, F[B] - F[B + 1], -F[1]), flat),
     ], knots)
 
 
@@ -217,7 +216,7 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
             s = e.row
             raise IndexCheckError(f"{what} at T={T}, B={B[s]}, j={j[s]}, tau={tau[s]}: {e}") from e
 
-    g = checked(1, "g_1", b, lambda: _base_rows(inst, 1, b, j))
+    g = checked(1, "g_1", b, lambda: _base_rows(inst, b, j))
     levels = [g]  # the g_1 batch of each lead time, for collect_g
     # rows appended to a level's E g's: R + j is nu - (1 - c_j), R + K + j the
     # constant 1 - c_j, R + 2K + j is 1 - c_j - nu, R + 3K is nu and R + 3K + 1

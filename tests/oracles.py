@@ -17,14 +17,20 @@ it.
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
 from evbandit import whittle
 from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from evbandit.model import Instance, charger_law
-from evbandit.sim import EpisodeMetrics, _run_batch, default_horizon, stack_kernel
+from evbandit.sim import _run_batch, default_horizon, stack_kernel
 from evbandit.whittle import IndexTable, compute_index_table
+
+
+def state_id(instance: Instance, T: int, B: int, j: int, tau: int) -> int:
+    """The ArmMDP id of extended state (T, B, cost level j, period tau)."""
+    return int((instance.charger_index(T, B) * instance.cost.n_levels + j) * instance.n_periods + tau)
 
 
 def policy_kernel(name: str, instance: Instance, table: IndexTable | None = None):
@@ -42,13 +48,15 @@ def run_episode(
     horizon: int | None = None,
     table: IndexTable | None = None,
     truncation_tol: float = 1e-3,
-) -> EpisodeMetrics:
-    """One seeded episode from an empty facility; see monte_carlo for batches."""
+) -> SimpleNamespace:
+    """One seeded episode from an empty facility, its metrics as attributes
+    (Python scalars); see monte_carlo for batches."""
     if horizon is None:
         horizon = default_horizon(instance, truncation_tol)
     if table is None and policy.startswith("whittle"):
         table = compute_index_table(instance)
-    return _run_batch(instance, (policy,), [seed], horizon, table)[0][0]
+    metrics = _run_batch(instance, (policy,), [seed], horizon, table)
+    return SimpleNamespace(**{k: v.item() for k, v in metrics.items()})
 
 
 def check_indexability(
@@ -78,7 +86,7 @@ def check_indexability(
     if states is None:
         cols = acts
     else:
-        ids = [int(s) if isinstance(s, (int, np.integer)) else arm.state_id(*s) for s in states]
+        ids = [int(s) if isinstance(s, (int, np.integer)) else state_id(instance, *s) for s in states]
         cols = acts[:, ids]
     return not np.any(np.diff(cols.astype(np.int8), axis=0) > 0)
 
@@ -101,7 +109,7 @@ def index_by_vi_bisection(
         raise ValueError("tol must be positive")
     if arm is None:
         arm = build_arm_mdp(instance)
-    sid = arm.state_id(*state)
+    sid = state_id(instance, *state)
     span = 1.0 + instance.penalty.max_increment + float(np.abs(instance.cost.values).max())
     vi_tol = max(1e-13, tol * (1.0 - instance.discount) / 8.0)
 

@@ -179,7 +179,7 @@ def test_criterion_3_indexability_and_index_structure(capsys):
 def test_criterion_4_full_capacity_hits_the_bound(capsys, fig4):
     inst, report, bound = fig4
     mean, half = report.mean_ci("whittle")
-    interchanges = sum(e.interchanges for e in report.episodes["whittle+lllp"])
+    interchanges = int(report.metrics["interchanges"][report.policies.index("whittle+lllp")].sum())
     ok = abs(mean - bound) <= half and interchanges == 0
     scorecard(capsys, 4, "at full capacity the index policy matches the relaxation bound",
               ok, f"MC {mean:.2f} +- {half:.2f} vs bound {bound:.2f}; {interchanges} interchanges")

@@ -162,6 +162,25 @@ class TestSimulateCommand:
         assert rc == 0
         assert "vs edf" in capsys.readouterr().out
 
+    def test_printed_table_is_summary_json(self, tmp_path, capsys):
+        # the table on stdout shows summary.json's numbers, rounded as printed
+        config = tmp_path / "three.json"
+        config.write_text(json.dumps({**TINY, "policies": ["llf", "whittle", "edf"]}))
+        out = tmp_path / "sim"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out),
+                       "--paired-baseline", "edf"])
+        assert rc == 0
+        rows = json.loads((out / "summary.json").read_text())["policies"]
+        want = []
+        for p in ("llf", "whittle", "edf"):
+            line = f"  {p:14s} {rows[p]['mean_reward']:12.3f} +- {rows[p]['ci95_half_width']:.3f}"
+            if p != "edf":
+                line += (f"   vs edf: {rows[p]['paired_diff_vs_edf']:+.3f}"
+                         f" +- {rows[p]['paired_ci95_half_width']:.3f}")
+            want.append(line)
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+        assert printed == want
+
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_closed_stdout_still_writes_and_exits_0(self, tiny_config, tmp_path, unbuffered):
         # the reader leaves before the first line, as ``| head -0`` does; with

@@ -84,6 +84,12 @@ class TestAccounting:
         assert m.interchanges == 0
 
 
+@pytest.fixture(scope="module")
+def alone(toy_dynamic):
+    """Each policy run on its own on the seeds and horizon of the order tests."""
+    return {p: monte_carlo(toy_dynamic, [p], seeds=[3, 8, 21], horizon=80) for p in POLICY_NAMES}
+
+
 class TestCommonRandomNumbers:
     def test_runs_are_reproducible(self, toy_dynamic):
         a = monte_carlo(toy_dynamic, ["edf", "llf"], seeds=6, horizon=100)
@@ -94,21 +100,34 @@ class TestCommonRandomNumbers:
     def test_batch_equals_single_episode(self, toy_dynamic):
         rep = monte_carlo(toy_dynamic, ["whittle", "edf"], seeds=4, horizon=90)
         tab = compute_index_table(toy_dynamic)
-        for p in ("whittle", "edf"):
-            for e in rep.episodes[p]:
-                single = run_episode(
-                    toy_dynamic, p, seed=e.seed, horizon=90, table=tab
-                )
-                assert single.discounted_reward == e.discounted_reward
-                assert single.delivered_units == e.delivered_units
+        for r, p in enumerate(rep.policies):
+            for i, seed in enumerate(rep.seeds):
+                single = run_episode(toy_dynamic, p, seed=seed, horizon=90, table=tab)
+                assert single.discounted_reward == rep.metrics["discounted_reward"][r, i]
+                assert single.delivered_units == rep.metrics["delivered_units"][r, i]
 
-    def test_other_policies_do_not_change_an_episode(self, toy_dynamic):
+    def test_other_policies_do_not_change_an_episode(self, toy_dynamic, alone):
         # all policies share one time loop and one (P, S, N) demand array
         mixed = monte_carlo(toy_dynamic, POLICY_NAMES, seeds=[3, 8, 21], horizon=80)
-        assert sum(e.interchanges for e in mixed.episodes["whittle+lllp"]) > 0
-        for p in POLICY_NAMES:
-            alone = monte_carlo(toy_dynamic, [p], seeds=[3, 8, 21], horizon=80)
-            assert alone.episodes[p] == mixed.episodes[p], p
+        assert mixed.metrics["interchanges"][POLICY_NAMES.index("whittle+lllp")].sum() > 0
+        for k, v in mixed.metrics.items():
+            assert np.array_equal(v, np.stack([alone[p].metrics[k][0] for p in POLICY_NAMES])), k
+
+    @pytest.mark.parametrize("order", [POLICY_NAMES[::-1], ("llf", "whittle+lllp", "edf", "llf")],
+                             ids=["reversed", "duplicate"])
+    def test_rows_follow_the_callers_order(self, toy_dynamic, alone, order, tmp_path):
+        # _run_batch runs the policies in POLICY_NAMES order, once each, and
+        # hands back a row per entry of the caller's list
+        mixed = monte_carlo(toy_dynamic, order, seeds=[3, 8, 21], horizon=80)
+        assert mixed.policies == list(order)
+        for k, v in mixed.metrics.items():
+            assert np.array_equal(v, np.stack([alone[p].metrics[k][0] for p in order])), k
+        mixed.to_csv(tmp_path / "mixed.csv")
+        want = []
+        for p in order:
+            alone[p].to_csv(tmp_path / "alone.csv")
+            want += (tmp_path / "alone.csv").read_text().splitlines()[1:]
+        assert (tmp_path / "mixed.csv").read_text().splitlines()[1:] == want
 
     def test_world_equals_a_whole_horizon_draw(self):
         # world_slots draws its uniforms, the cost stream's too, in blocks and

@@ -20,7 +20,7 @@ from evbandit.whittle import (
     subsidy_value_iteration,
 )
 from conftest import TWO_STATE_COST, make_instance
-from oracles import check_indexability, index_by_vi_bisection
+from oracles import check_indexability, index_by_vi_bisection, state_id
 
 PEN = PenaltyFunction.quadratic(0.3, 4)
 
@@ -192,10 +192,9 @@ class TestGeometryOfG:
             sol = solve_subsidy(toy_dynamic, nu)
             for j in range(2):
                 for b in range(0, 3):
-                    for h in range(1, 3 - b + 1):
-                        g = _base_rows(toy_dynamic, h, np.array([b]), np.array([j])).row(0)
-                        want = sol.values[1, b + h, j, 0] - sol.values[1, b, j, 0]
-                        assert g(nu) == pytest.approx(want, abs=1e-9), (b, h, j, nu)
+                    g = _base_rows(toy_dynamic, np.array([b]), np.array([j])).row(0)
+                    want = sol.values[1, b + 1, j, 0] - sol.values[1, b, j, 0]
+                    assert g(nu) == pytest.approx(want, abs=1e-9), (b, j, nu)
 
     def test_recursion_g_matches_value_differences(self, toy_dynamic):
         # g_1 is collected for every level below t_max; every g_h is their
@@ -254,11 +253,11 @@ class TestSubsidySolvers:
         v, _ = subsidy_value_iteration(toy_dynamic, nu, tol=1e-9, arm=toy_arm)
         for j in range(2):
             for tau in range(1):
-                sid = toy_arm.state_id(0, 0, j, tau)
+                sid = state_id(toy_dynamic, 0, 0, j, tau)
                 assert sol.values[0, 0, j, tau] == pytest.approx(v[sid], abs=1e-7)
                 for t in range(1, 5):
                     for b in range(4):
-                        sid = toy_arm.state_id(t, b, j, tau)
+                        sid = state_id(toy_dynamic, t, b, j, tau)
                         assert sol.values[t, b, j, tau] == pytest.approx(
                             v[sid], abs=1e-7
                         ), (t, b, j, nu)
