@@ -5,7 +5,8 @@ oracle disagreement or a failed check of the index recursion).
 
 ``index --verify-oracle`` checks every table entry with T >= 1 against the
 oracle ``index_by_bisection``; ``bound --verify-oracle`` checks the dual by the LP.
-A config's ``"verify_oracle": true`` turns the check on for both commands.
+A flag given replaces its config key (``load_run_config``'s overrides), and a
+config's ``"verify_oracle": true`` turns the check on for both commands.
 ``index`` always builds the index table; ``bound``, and ``simulate`` with a
 Whittle policy, reuse the one ``index`` wrote to ``--out`` when it is keyed to
 this version and instance (``IndexTable.from_json``), else build it, and say which.
@@ -23,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .bound import solve_bound
-from .config import ConfigError, check_seeds, load_run_config
-from .costfit import PriceTrace, fit_cost_chain
+from .config import ConfigError, load_run_config
+from .costfit import FIT_OPTIONS, PriceTrace, fit_cost_chain
 from .sim import monte_carlo
 from .whittle import IndexCheckError, IndexTable, compute_index_table, index_by_bisection
 
@@ -61,7 +62,7 @@ def _saved_table(out: Path, instance) -> IndexTable | None:
 
 
 def cmd_index(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_run_config(args.config, verify_oracle=args.verify_oracle)
     inst = cfg.instance
     t0 = time.perf_counter()
     table = compute_index_table(inst)
@@ -74,7 +75,7 @@ def cmd_index(args) -> int:
     table.to_json(out / "index_table.json", inst)
     _say(f"wrote {out / 'index_table.csv'}")
 
-    if args.verify_oracle or cfg.verify_oracle:
+    if cfg.verify_oracle:
         try:
             ref = index_by_bisection(inst)
         except ValueError as e:
@@ -89,27 +90,20 @@ def cmd_index(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seeds is None:
-        seeds = cfg.seeds
-    else:
-        seeds = check_seeds(args.seeds, cfg.instance, cfg.horizon, cfg.truncation_tol)
-    baseline = args.paired_baseline or cfg.baseline
-    if baseline is not None and baseline not in cfg.policies:
-        raise ConfigError("paired baseline must be one of the configured policies")
+    cfg = load_run_config(args.config, seeds=args.seeds, baseline=args.paired_baseline)
     out = _out_dir(args.out)
     t0 = time.perf_counter()
     needs_table = any(p.startswith("whittle") for p in cfg.policies)
     report = monte_carlo(
         cfg.instance,
         cfg.policies,
-        seeds,
+        cfg.seeds,
         horizon=cfg.horizon,
-        baseline=baseline,
+        baseline=cfg.baseline,
         truncation_tol=cfg.truncation_tol,
         table=_saved_table(out, cfg.instance) if needs_table else None,
     )
-    _say(f"simulated {len(cfg.policies)} policies x {len(seeds)} seeds "
+    _say(f"simulated {len(cfg.policies)} policies x {len(cfg.seeds)} seeds "
          f"x {report.horizon} slots in {time.perf_counter() - t0:.1f}s")
     report.to_csv(out / "episodes.csv")
     report.to_json(out / "summary.json")
@@ -117,21 +111,21 @@ def cmd_simulate(args) -> int:
     for p in report.policies:
         row = rows[p]
         line = f"  {p:14s} {row['mean_reward']:12.3f} +- {row['ci95_half_width']:.3f}"
-        diff = row.get(f"paired_diff_vs_{baseline}")
+        diff = row.get(f"paired_diff_vs_{cfg.baseline}")
         if diff is not None:
-            line += f"   vs {baseline}: {diff:+.3f} +- {row['paired_ci95_half_width']:.3f}"
+            line += f"   vs {cfg.baseline}: {diff:+.3f} +- {row['paired_ci95_half_width']:.3f}"
         _say(line)
     _say(f"wrote {out / 'episodes.csv'} and {out / 'summary.json'}")
     return 0
 
 
 def cmd_bound(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = load_run_config(args.config, verify_oracle=args.verify_oracle)
     out = _out_dir(args.out)
     t0 = time.perf_counter()
     table = _saved_table(out, cfg.instance)
     try:
-        res = solve_bound(cfg.instance, args.verify_oracle or cfg.verify_oracle, table)
+        res = solve_bound(cfg.instance, cfg.verify_oracle, table)
     except RuntimeError as e:
         raise VerificationError(str(e)) from e
     doc = {
@@ -151,16 +145,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_fitcost(args) -> int:
+    # a flag left out takes fit_cost_chain's default
+    options = {name: getattr(args, name) for name in FIT_OPTIONS if getattr(args, name) is not None}
     try:
-        trace = PriceTrace.from_csv(args.trace)
-        fit = fit_cost_chain(
-            trace,
-            k=args.k,
-            slot_minutes=args.slot_minutes,
-            alpha=args.alpha,
-            retail_price=args.retail_price,
-            n_periods=args.n_periods,
-        )
+        fit = fit_cost_chain(PriceTrace.from_csv(args.trace), **options)
     except (ValueError, OSError) as e:
         raise ConfigError(str(e)) from e
     chain = fit.chain
@@ -171,7 +159,7 @@ def cmd_fitcost(args) -> int:
         doc["matrices"] = chain.P.tolist()
     out = _out_dir(args.out)
     (out / "cost_chain.json").write_text(json.dumps(doc, indent=1) + "\n")
-    _say(f"fitted {args.k}-state chain from {len(fit.states)} slots "
+    _say(f"fitted {chain.n_levels}-state chain from {len(fit.states)} slots "
          f"(retail price {fit.retail_price:.4f})")
     _say(f"wrote {out / 'cost_chain.json'}")
     return 0
@@ -187,32 +175,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="precompute the activation index table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory (default .)")
-    p.add_argument("--verify-oracle", action="store_true",
+    p.add_argument("--verify-oracle", action="store_true", default=None,
                    help="cross-check every state against the bisection oracle")
     p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser("simulate", help="run the policy bake-off")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seeds", type=int, default=None, help="override the seed count")
-    p.add_argument("--paired-baseline", default=None)
+    p.add_argument("--seeds", type=int, help="override the seed count")
+    p.add_argument("--paired-baseline")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("bound", help="compute the relaxation upper bound")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--verify-oracle", action="store_true",
+    p.add_argument("--verify-oracle", action="store_true", default=None,
                    help="also solve the occupancy LP and cross-check")
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("fitcost", help="fit a cost chain from a price trace CSV")
     p.add_argument("--trace", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--slot-minutes", type=float, default=60.0)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--retail-price", type=float, default=None)
-    p.add_argument("--n-periods", type=int, default=None)
     p.add_argument("--out", default=None)
+    for name, kind in FIT_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.set_defaults(fn=cmd_fitcost)
     return parser
 

@@ -1,9 +1,11 @@
-"""JSON run configuration with strict schema checking.
+"""JSON run configuration with strict schema checking, the one reader of a
+run's settings (``load_run_config`` takes the command line's flags as keys).
 
-Unknown keys are rejected everywhere so a typo fails loudly instead of
-silently falling back to a default.  Defaults mirror the constant-cost
-benchmark setup: N=10, M=5, beta=0.999, T_max=12, B_max=9, quadratic
-penalty 0.2 B^2, uniform feasible arrivals at rho=0.7, constant cost 0.5.
+Unknown keys are rejected everywhere, and a cost block takes only its mode's,
+so a typo fails loudly instead of silently falling back to a default.
+Defaults mirror the constant-cost benchmark setup: N=10, M=5, beta=0.999,
+T_max=12, B_max=9, quadratic penalty 0.2 B^2, uniform feasible arrivals at
+rho=0.7, constant cost 0.5; a fitted chain's are ``fit_cost_chain``'s.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import costfit
 from .model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from .sim import _BLOCK, POLICY_NAMES, default_horizon
 
 __all__ = [
-    "ConfigError", "RunConfig", "load_run_config", "instance_from_dict",
-    "check_seeds", "check_size", "arm_entries", "MEMORY_BUDGET", "WORK_BUDGET", "INDEX_BUDGET",
+    "ConfigError", "RunConfig", "load_run_config", "instance_from_dict", "check_size",
+    "arm_entries", "MEMORY_BUDGET", "WORK_BUDGET", "INDEX_BUDGET", "MAGNITUDE_BUDGET",
 ]
 
 # bytes the largest arrays of one command may take; check_size refuses more
@@ -32,6 +35,10 @@ WORK_BUDGET = 1 << 32
 # 3e7 of these units a second on a 2-core host, so the budget is a few
 # minutes of table building; check_size refuses more
 INDEX_BUDGET = 1 << 31
+# largest (1 + max |c| + F(b_max)) / (1 - beta), a bound on one charger's
+# discounted reward and penalty; with N and the seeds each at most WORK_BUDGET,
+# the squared deviations that the confidence intervals sum stay below 1e230
+MAGNITUDE_BUDGET = 1e100
 
 
 class ConfigError(ValueError):
@@ -67,6 +74,12 @@ _RUN_KEYS = {
     "baseline",
     "truncation_tol",
     "verify_oracle",
+}
+# the keys each cost mode takes; levels also take the retail price fitcost writes, unused
+_COST_KEYS = {
+    "constant": {"constant"},
+    "levels": {"levels", "matrix", "matrices", "retail_price"},
+    "file": {"file", *costfit.FIT_OPTIONS},
 }
 
 
@@ -136,15 +149,10 @@ def _arrivals_from(block: dict, t_max: int, b_max: int, n_periods: int) -> Arriv
 
 
 def _cost_from(block, base_dir: Path, n_periods: int) -> CostChain:
-    _check_keys(
-        block,
-        {"constant", "levels", "matrix", "matrices", "file", "k", "slot_minutes", "alpha",
-         "retail_price", "n_periods"},
-        "cost",
-    )
-    modes = [name for name in ("constant", "levels", "file") if name in block]
+    modes = [mode for mode in _COST_KEYS if mode in block] if isinstance(block, dict) else []
     if len(modes) != 1:
         raise ConfigError("cost needs exactly one of 'constant', 'levels', or 'file'")
+    _check_keys(block, _COST_KEYS[modes[0]], f"cost ('{modes[0]}' mode)")
     try:
         if "constant" in block:
             return CostChain.constant(_number(block["constant"], "cost.constant"))
@@ -162,25 +170,17 @@ def _cost_from(block, base_dir: Path, n_periods: int) -> CostChain:
                     raise ConfigError("cost.matrices must be a list of K x K matrices, one "
                                       f"per period ({n_periods}, arrivals.n_periods)")
             return CostChain(values=levels, P=P)
-        from .costfit import PriceTrace, fit_cost_chain
-
         if not isinstance(block["file"], str):
             raise ConfigError("cost.file must be a path")
         path = Path(block["file"])
         if not path.is_absolute():
             path = base_dir / path
-        retail, fit_periods = block.get("retail_price"), block.get("n_periods")
-        if fit_periods is not None and _number(fit_periods, "cost.n_periods", int) != n_periods:
+        # a fit option left out or null takes fit_cost_chain's default
+        options = {name: _number(block[name], f"cost.{name}", kind)
+                   for name, kind in costfit.FIT_OPTIONS.items() if block.get(name) is not None}
+        if options.get("n_periods", n_periods) != n_periods:
             raise ConfigError("cost.n_periods must equal arrivals.n_periods")
-        fit = fit_cost_chain(
-            PriceTrace.from_csv(path),
-            k=_number(block.get("k", 5), "cost.k", int),
-            slot_minutes=_number(block.get("slot_minutes", 60.0), "cost.slot_minutes"),
-            alpha=_number(block.get("alpha", 0.5), "cost.alpha"),
-            retail_price=None if retail is None else _number(retail, "cost.retail_price"),
-            n_periods=None if fit_periods is None else n_periods,
-        )
-        return fit.chain
+        return costfit.fit_cost_chain(costfit.PriceTrace.from_csv(path), **options).chain
     except ConfigError:
         raise
     except (ValueError, OSError) as e:
@@ -215,6 +215,10 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
     except ValueError as e:
         raise ConfigError(f"bad instance: {e}") from e
     check_size(t_max, b_max, n_periods, arm=arm_entries(inst), n_levels=inst.cost.n_levels)
+    scale = (1 + float(np.abs(cost.values).max()) + float(penalty(b_max))) / (1 - inst.discount)
+    if not scale <= MAGNITUDE_BUDGET:
+        raise ConfigError(f"magnitudes too large: (1 + max |c| + F(b_max)) / (1 - beta) = "
+                          f"{scale:.3g}, over {MAGNITUDE_BUDGET:.0e}")
     return inst
 
 
@@ -274,29 +278,10 @@ def arm_entries(instance: Instance) -> int:
     return int(move @ cost)
 
 
-def check_seeds(seeds, instance: Instance, horizon: int | None, truncation_tol: float) -> list:
-    """Seed list from a count n (seeds 0..n-1) or an explicit list.
-
-    A paired comparison needs at least two distinct seeds, each a
-    non-negative int (bools are not ints here).  Simulating that many seeds
-    over ``horizon`` slots (None: the discount-tail cutoff at
-    ``truncation_tol``) must pass ``check_size``.
-    """
-    n_seeds = seeds if type(seeds) is int else len(seeds) if isinstance(seeds, list) else 0
-    check_size(instance.t_max, instance.b_max, instance.n_periods, instance.n_chargers,
-               n_seeds, horizon or default_horizon(instance, truncation_tol))
-    if type(seeds) is int:
-        seeds = list(range(seeds))
-    if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):
-        raise ConfigError("seeds must be a count or a list of non-negative ints")
-    if len(seeds) < 2:
-        raise ConfigError("seeds: need at least 2 for a paired comparison")
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError("seeds must be distinct")
-    return list(seeds)
-
-
-def load_run_config(path) -> RunConfig:
+def load_run_config(path, **overrides) -> RunConfig:
+    """Read and check the run config at ``path``.  Each of ``overrides`` (the
+    command line's ``seeds``, ``baseline`` and ``verify_oracle``) that is not
+    None replaces the file's key before the one validation pass."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -305,6 +290,7 @@ def load_run_config(path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     _check_keys(doc, _RUN_KEYS, "config")
+    doc.update({key: value for key, value in overrides.items() if value is not None})
     inst = instance_from_dict(doc.get("instance", {}), path.parent)
 
     policies = doc.get("policies", ["whittle+lllp", "edf", "llf"])
@@ -326,7 +312,19 @@ def load_run_config(path) -> RunConfig:
     tol = _number(doc.get("truncation_tol", 1e-3), "truncation_tol")
     if tol <= 0:
         raise ConfigError("truncation_tol must be positive")
-    seeds = check_seeds(doc.get("seeds", 20), inst, horizon, tol)
+    seeds = doc.get("seeds", 20)
+    n_seeds = seeds if type(seeds) is int else len(seeds) if isinstance(seeds, list) else 0
+    check_size(inst.t_max, inst.b_max, inst.n_periods, inst.n_chargers,
+               n_seeds, horizon or default_horizon(inst, tol))
+    if type(seeds) is int:
+        seeds = list(range(seeds))
+    # bools are not ints here
+    if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):
+        raise ConfigError("seeds must be a count or a list of non-negative ints")
+    if len(seeds) < 2:
+        raise ConfigError("seeds: need at least 2 for a paired comparison")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError("seeds must be distinct")
     verify_oracle = doc.get("verify_oracle", False)
     if not isinstance(verify_oracle, bool):
         raise ConfigError("verify_oracle must be true or false")

@@ -5,14 +5,14 @@ into K equal-count bins, then estimate the transition matrix from the state
 sequence by smoothed frequency counts.  Levels are normalized by a retail
 price so that a charging payment of 1 per slot corresponds to the retail
 rate; by default the retail price is twice the trace mean, putting the mean
-normalized cost near 0.5.
+normalized cost near 0.5.  ``fit_cost_chain``'s signature holds the fit defaults.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -26,11 +26,17 @@ __all__ = [
     "estimate_matrix",
     "estimate_chain",
     "fit_cost_chain",
+    "FIT_OPTIONS",
 ]
 
 # entries of the largest array a fit builds (the slot grid, the transition
 # counts); a longer grid or a larger period stack is refused
 MAX_ENTRIES = 1 << 22
+# from_csv counts seconds from these; a timestamp without a UTC offset is UTC
+NAIVE_EPOCH, EPOCH = datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.utc)
+# the options of fit_cost_chain that a run config or a fitcost flag may set
+FIT_OPTIONS = {"k": int, "slot_minutes": float, "alpha": float, "retail_price": float,
+               "n_periods": int}
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,8 @@ class PriceTrace:
 
     @classmethod
     def from_csv(cls, path) -> "PriceTrace":
-        """Read a `timestamp,price` CSV with ISO-8601 timestamps."""
+        """Read a `timestamp,price` CSV with ISO-8601 timestamps; one without
+        a UTC offset is read as UTC, whatever the host's time zone."""
         ts, px = [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -68,12 +75,13 @@ class PriceTrace:
                     continue
                 if len(row) < 2:
                     raise ValueError(f"line {reader.line_num}: expected timestamp,price")
-                ts.append(datetime.fromisoformat(row[0].strip()).timestamp())
+                stamp = datetime.fromisoformat(row[0].strip())
+                ts.append((stamp - (EPOCH if stamp.tzinfo else NAIVE_EPOCH)).total_seconds())
                 px.append(float(row[1]))
         return cls(np.array(ts), np.array(px))
 
 
-def resample(trace: PriceTrace, slot_minutes: float = 60.0) -> np.ndarray:
+def resample(trace: PriceTrace, slot_minutes: float) -> np.ndarray:
     """Mean price per slot on a grid anchored at the first sample.
 
     Slots without samples repeat the previous slot's value.
@@ -126,7 +134,7 @@ def quantize(
 
 
 def estimate_matrix(
-    states, k: int, alpha: float = 0.5, n_periods: int | None = None
+    states, k: int, alpha: float, n_periods: int | None = None
 ) -> np.ndarray:
     """Smoothed transition frequencies: (count(j,k) + a) / (count(j,.) + aK).
 
@@ -157,7 +165,7 @@ def estimate_matrix(
 
 
 def estimate_chain(
-    states, levels, alpha: float = 0.5, n_periods: int | None = None
+    states, levels, alpha: float, n_periods: int | None = None
 ) -> CostChain:
     levels = np.asarray(levels, dtype=float)
     return CostChain(values=levels, P=estimate_matrix(states, levels.size, alpha, n_periods))
@@ -173,7 +181,7 @@ class FitResult:
 
 def fit_cost_chain(
     trace: PriceTrace,
-    k: int,
+    k: int = 5,
     slot_minutes: float = 60.0,
     alpha: float = 0.5,
     retail_price: float | None = None,

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evbandit import bound, cli, sim, whittle
-from evbandit.config import load_run_config
+from evbandit.config import instance_from_dict, load_run_config
 from evbandit.pwl import PWLBatch
 from evbandit.whittle import IndexTable
 
@@ -202,6 +202,15 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["policies"]) == {"whittle", "edf"}
 
+    def test_seeds_flag_replaces_an_over_budget_count(self, tmp_path):
+        # 10**9 seeds x 50 slots x 2 chargers is over WORK_BUDGET; --seeds 4 is what runs
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({**TINY, "seeds": 10**9}))
+        out = tmp_path / "sim"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out), "--seeds", "4"])
+        assert rc == 0
+        assert (out / "episodes.csv").read_text().count("\n") == 1 + 2 * 4
+
     def test_unknown_baseline_exits_2(self, tiny_config, tmp_path, capsys):
         rc = cli.main([
             "simulate", "--config", str(tiny_config),
@@ -264,6 +273,21 @@ class TestFitcostCommand:
         assert rc == 0
         doc = json.loads((out / "cost_chain.json").read_text())
         assert "matrices" in doc and len(doc["matrices"]) == 24
+
+    @pytest.mark.parametrize("periods", [None, 4], ids=["one-matrix", "four-periods"])
+    def test_written_chain_loads_as_the_fitted_one(self, periods, tmp_path):
+        """cost_chain.json, as a config's cost block, is the chain the file
+        mode fits (a null n_periods is left out, so one matrix)."""
+        flags = [] if periods is None else ["--n-periods", str(periods)]
+        out = tmp_path / "fit"
+        assert cli.main(["fitcost", "--trace", str(FIXTURE_CSV), *flags, "--out", str(out)]) == 0
+        written = json.loads((out / "cost_chain.json").read_text())
+        fitted = {"file": str(FIXTURE_CSV), "n_periods": periods}
+        arrivals = {"n_periods": periods or 1}
+        got, want = (instance_from_dict({"arrivals": arrivals, "cost": cost}).cost
+                     for cost in (written, fitted))
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.P, want.P)
 
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         rc = cli.main([
@@ -400,6 +424,12 @@ INDEX_TOO_LARGE = {"instance.t_max": 60, "instance.b_max": 40, "instance.arrival
         # its arrays fit, but the index recursion's work bound is 9.2e9 units
         (INDEX_TOO_LARGE, []),
         ({"instance.n_chargers": 0, "instance.capacity": 0}, []),
+        # a cost block takes only its own mode's keys
+        ({"instance.cost": {"constant": 0.5, "k": 7}}, []),
+        ({"instance.cost.alpha": 0.5}, []),
+        ({"instance.cost": {"file": str(FIXTURE_CSV), "matrix": [[1.0]]}}, []),
+        # (1 + max |c| + F(b_max)) / (1 - beta) = 1e309 overflows a float
+        ({"instance.n_chargers": 3, "instance.penalty": {"table": [0, 1e300, 1e308]}}, []),
         # toy's arrivals say uniform_feasible, which a pmf contradicts
         ({"instance.arrivals.pmf": [[0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]]}, []),
     ],
@@ -409,7 +439,8 @@ INDEX_TOO_LARGE = {"instance.t_max": 60, "instance.b_max": 40, "instance.arrival
         "tol-string", "t-max-string", "capacity-null", "n-periods-string", "verify-oracle-string",
         "t-max-huge", "b-max-huge", "n-periods-huge", "n-chargers-huge", "seeds-huge",
         "seeds-flag-huge", "horizon-huge", "fitted-periods-huge", "cost-levels-huge",
-        "index-work-huge", "no-chargers", "uniform-kind-with-pmf",
+        "index-work-huge", "no-chargers", "constant-with-k", "levels-with-alpha",
+        "file-with-matrix", "magnitude-huge", "uniform-kind-with-pmf",
     ],
 )
 def test_bad_run_settings_exit_2(changes, flags, tmp_path, capsys, monkeypatch):

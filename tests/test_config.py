@@ -144,6 +144,24 @@ class TestCostBlock:
         with pytest.raises(ConfigError, match="exactly one"):
             instance_from_dict({"cost": {"constant": 0.5, "levels": [0.5]}})
 
+    @pytest.mark.parametrize("block", [
+        {"constant": 0.5, "k": 7},
+        {"constant": 0.5, "matrix": [[1.0]]},
+        {"levels": [0.5], "matrix": [[1.0]], "slot_minutes": 60},
+        {"file": str(FIXTURE_CSV), "matrices": [[[1.0]]]},
+    ], ids=["constant-k", "constant-matrix", "levels-slot-minutes", "file-matrices"])
+    def test_each_mode_takes_only_its_own_keys(self, block):
+        mode = next(m for m in ("constant", "levels", "file") if m in block)
+        with pytest.raises(ConfigError, match=f"unknown key.*'{mode}' mode"):
+            instance_from_dict({"cost": block})
+
+    def test_null_fit_options_take_the_fit_defaults(self):
+        null = {name: None for name in ("k", "slot_minutes", "alpha", "retail_price", "n_periods")}
+        got = instance_from_dict({"cost": {"file": str(FIXTURE_CSV), **null}}).cost
+        want = instance_from_dict({"cost": {"file": str(FIXTURE_CSV)}}).cost
+        assert got.n_levels == 5
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.P, want.P)
+
     def test_levels_need_exactly_one_matrix_key(self):
         with pytest.raises(ConfigError, match="matrix"):
             instance_from_dict({"cost": {"levels": [0.2, 0.8]}})

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,36 @@ class TestPriceTrace:
         p.write_text("timestamp,price\n2026-01-01T00:00,10\n2026-01-01T01:00,20\n")
         tr = PriceTrace.from_csv(p)
         assert tr.prices.tolist() == [10.0, 20.0]
+        assert tr.timestamps[1] - tr.timestamps[0] == HOUR
+
+    def test_naive_times_are_utc_in_any_time_zone(self, tmp_path, monkeypatch):
+        """72 hourly samples over the night when New York's clocks skip
+        02:00 (8 March 2026) fit the same chain in every host time zone;
+        zones as POSIX rules, so that no time zone database is needed."""
+        p = tmp_path / "t.csv"
+        hours = np.arange(72)
+        rows = [f"2026-03-{7 + h // 24:02d}T{h % 24:02d}:00,{10 + h % 7}" for h in hours]
+        p.write_text("timestamp,price\n" + "\n".join(rows) + "\n")
+        fits = []
+        try:
+            for zone in ("UTC0", "EST5EDT,M3.2.0,M11.1.0", "IST-5:30"):
+                monkeypatch.setenv("TZ", zone)
+                time.tzset()
+                trace = PriceTrace.from_csv(p)
+                fits.append(fit_cost_chain(trace, k=3, n_periods=4))
+                assert np.array_equal(trace.timestamps - trace.timestamps[0], hours * HOUR)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        for fit in fits[1:]:
+            assert np.array_equal(fit.chain.values, fits[0].chain.values)
+            assert np.array_equal(fit.chain.P, fits[0].chain.P)
+
+    def test_offsets_are_kept(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("timestamp,price\n2026-01-01T00:00+01:00,10\n2026-01-01T00:00+00:00,20\n")
+        tr = PriceTrace.from_csv(p)
+        assert tr.timestamps[0] == 1767222000.0
         assert tr.timestamps[1] - tr.timestamps[0] == HOUR
 
     def test_from_csv_requires_header(self, tmp_path):
@@ -138,11 +169,11 @@ class TestEstimateMatrix:
 
     def test_state_out_of_range(self):
         with pytest.raises(ValueError):
-            estimate_matrix([0, 3], k=2)
+            estimate_matrix([0, 3], k=2, alpha=0.5)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            estimate_matrix([0], k=2)
+            estimate_matrix([0], k=2, alpha=0.5)
 
     @settings(max_examples=50)
     @given(
