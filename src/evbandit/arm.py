@@ -1,10 +1,11 @@
 """Single-charger MDP on the extended state space (T, B, cost level, period).
 
 Lifts the shared per-charger law onto the extended states: two sparse
-transition matrices and reward vectors.  Only the occupancy LP of ``bound
---verify-oracle`` and the tests' ``whittle.subsidy_value_iteration`` build
-it (``config.arm_entries`` sizes it); the index, the dual bound and the
-simulator work on lead-time grids instead.
+transition matrices and reward vectors.  Only the tests build it, for
+``whittle.subsidy_value_iteration`` and for the Kronecker-form occupancy LP
+that checks ``bound.build_occupancy_lp`` (``config.arm_entries`` sizes it);
+the index, the dual bound and the simulator work on lead-time grids, and the
+bound's LP on the shared law, instead.
 """
 
 from __future__ import annotations

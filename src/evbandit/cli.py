@@ -1,7 +1,8 @@
 """Command-line interface: index tables, simulations, bounds, cost fitting.
 
 Exit codes: 0 success, 2 configuration error, 3 verification failure (an
-oracle disagreement or a failed check of the index recursion).
+oracle disagreement, a failed check of the index recursion, or a solver that
+gave up: the bound's LP or the valley planner's).
 
 ``index --verify-oracle`` checks every table entry with T >= 1 against the
 oracle ``index_by_bisection``; ``bound --verify-oracle`` checks the dual by the LP.
@@ -94,15 +95,19 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args.out)
     t0 = time.perf_counter()
     needs_table = any(p.startswith("whittle") for p in cfg.policies)
-    report = monte_carlo(
-        cfg.instance,
-        cfg.policies,
-        cfg.seeds,
-        horizon=cfg.horizon,
-        baseline=cfg.baseline,
-        truncation_tol=cfg.truncation_tol,
-        table=_saved_table(out, cfg.instance) if needs_table else None,
-    )
+    table = _saved_table(out, cfg.instance) if needs_table else None
+    try:
+        report = monte_carlo(
+            cfg.instance,
+            cfg.policies,
+            cfg.seeds,
+            horizon=cfg.horizon,
+            baseline=cfg.baseline,
+            truncation_tol=cfg.truncation_tol,
+            table=table,
+        )
+    except RuntimeError as e:  # the valley planner's LP failed
+        raise VerificationError(str(e)) from e
     _say(f"simulated {len(cfg.policies)} policies x {len(cfg.seeds)} seeds "
          f"x {report.horizon} slots in {time.perf_counter() - t0:.1f}s")
     report.to_csv(out / "episodes.csv")

@@ -232,7 +232,8 @@ def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
     float64 entries: the dense move table of ``charger_law``, 2 n_periods
     n_cs^2 with n_cs = 1 + t_max (b_max + 1); the arrival pmf, n_periods
     (t_max + 1) (b_max + 1); the ``arm`` nonzeros of the arm MDP's transition
-    matrices (``arm_entries``); and per simulated seed the block of uniforms
+    matrices (``arm_entries``), of the order of those of the occupancy LP that
+    ``bound --verify-oracle`` builds; and per simulated seed the block of uniforms
     ``sim.world_slots`` holds, a cost uniform and two per charger for each of
     its _BLOCK slots.  No array grows with the horizon; the work does.  The
     index work is the number of index states, t_max b_max n_levels n_periods,

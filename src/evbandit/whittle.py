@@ -408,8 +408,9 @@ def index_by_bisection(instance: Instance) -> np.ndarray:
     """Oracle index of every state: bisect the subsidy at which it turns passive.
 
     Every state with T >= 1 is bisected at once, one subsidy each, to within
-    BISECTION_TOL on ``subsidy_pass``, reading its action at its own lead
-    time, in chunks whose pass arrays stay under ORACLE_BYTES.  The bracket +/- (1 + max penalty
+    BISECTION_TOL, or to adjacent floats where those lie further apart, on
+    ``subsidy_pass``, reading its action at its own lead time, in chunks
+    whose pass arrays stay under ORACLE_BYTES.  The bracket +/- (1 + max penalty
     increment + max |cost|) bounds the one-slot activation gain, so a state
     that does not turn from active to passive in it raises ValueError (a
     non-indexable input, impossible for valid instances).  Returns an array
@@ -437,9 +438,12 @@ def index_by_bisection(instance: Instance) -> np.ndarray:
             state = tuple(int(a[bad[0]]) for a in (T, B, j, tau))
             raise ValueError(f"bracket failure: state (T, B, j, tau) = {state} does not "
                              f"turn from active to passive between -{span:.6g} and {span:.6g}")
-        while np.any(hi - lo > 2.0 * BISECTION_TOL):
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        # a bracket of adjacent floats wider than the tolerance (|index| above
+        # about 1.3e8) has no midpoint inside it, and halving stops there
+        while np.any((hi - lo > 2.0 * BISECTION_TOL) & (lo < mid) & (mid < hi)):
             on = active(mid)
             lo, hi = np.where(on, mid, lo), np.where(on, hi, mid)
+            mid = 0.5 * (lo + hi)
         index[s] = 0.5 * (lo + hi)
     return index.reshape(shape)

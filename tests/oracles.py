@@ -9,7 +9,9 @@ passive-set monotonicity of the subsidy problem on a grid;
 slow route independent of both the PWL recursion and the exact backward
 pass of ``whittle.index_by_bisection``; ``activation_frequency`` solves the
 occupancy of the subsidy problem's greedy policy on the sparse arm MDP, the
-reference for ``SubsidySolution.activations``.  Tests import this
+reference for ``SubsidySolution.activations``; ``kronecker_occupancy_lp`` is
+the occupancy LP on the arm MDP's transition matrices, the reference for
+``bound.build_occupancy_lp``'s vacancy form.  Tests import this
 module as ``oracles`` (``tests/`` is on ``sys.path``); pytest does not collect
 it.
 """
@@ -23,6 +25,7 @@ import numpy as np
 
 from evbandit import whittle
 from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
+from evbandit.bound import OccupancyLP
 from evbandit.model import Instance, charger_law
 from evbandit.sim import _run_batch, default_horizon, stack_kernel
 from evbandit.whittle import IndexTable, compute_index_table
@@ -268,3 +271,24 @@ def activation_frequency(instance: Instance, lam: float) -> float:
         (1.0 - beta) * arm.initial_distribution(),
     )
     return float(occ[act].sum())
+
+
+def kronecker_occupancy_lp(instance: Instance) -> OccupancyLP:
+    """The occupancy LP on the arm MDP, one column per (state, action) only.
+
+    Balance: sum_a x(s',a) = (1-beta) mu0(s') + beta sum_{s,a} P_a(s'|s) x(s,a);
+    budget: sum_s x(s,1) <= M/N; objective (to maximize):
+    (1/(1-beta)) sum x(s,a) R_a(s).  Each departing state's column carries
+    the whole refill, arrival law times the next cost level's law."""
+    import scipy.sparse as sp
+
+    arm = build_arm_mdp(instance)
+    n = arm.n_states
+    beta = instance.discount
+    eye = sp.eye(n, format="csr")
+    a_eq = sp.hstack([eye - beta * arm.P0.T, eye - beta * arm.P1.T], format="csr")
+    b_eq = (1.0 - beta) * arm.initial_distribution()
+    a_ub = sp.csr_matrix(np.concatenate([np.zeros(n), np.ones(n)])[None, :])
+    b_ub = np.array([instance.capacity / instance.n_chargers])
+    c = np.concatenate([arm.R0, arm.R1]) / (1.0 - beta)
+    return OccupancyLP(c, a_eq, b_eq, a_ub, b_ub, n)

@@ -11,7 +11,7 @@ from evbandit.config import load_run_config
 from evbandit.model import CostChain
 from evbandit.whittle import compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance
-from oracles import activation_frequency
+from oracles import activation_frequency, kronecker_occupancy_lp
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,6 +26,31 @@ def periodic_instance():
     chain = CostChain(values=np.array([0.2, 0.9]), P=np.stack([p0, p1]))
     return make_instance(
         n_chargers=4, capacity=2, t_max=3, b_max=2, cost=chain, n_periods=2, rho=[0.4, 0.9]
+    )
+
+
+def four_period_instance():
+    mats = [[[0.8, 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.5, 0.5]],
+            [[1.0, 0.0], [0.9, 0.1]], [[0.2, 0.8], [0.0, 1.0]]]
+    chain = CostChain(values=np.array([0.2, 0.9]), P=np.array(mats))
+    return make_instance(
+        n_chargers=4, capacity=2, t_max=3, b_max=2, cost=chain, n_periods=4,
+        rho=[0.4, 0.9, 0.6, 0.0],
+    )
+
+
+def random_chain_instance(seed: int, n_periods: int):
+    """A 2-3 level cost chain with one random matrix per period, some entries zero."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    P = rng.dirichlet(np.ones(k), size=(n_periods, k))
+    P = np.where((rng.random(P.shape) < 0.3) & ~np.eye(k, dtype=bool), 0.0, P)
+    chain = CostChain(values=rng.uniform(0.0, 1.0, k), P=P / P.sum(axis=2, keepdims=True))
+    t_max = int(rng.integers(2, 5))
+    return make_instance(
+        n_chargers=4, capacity=int(rng.integers(1, 4)), discount=float(rng.uniform(0.8, 0.97)),
+        t_max=t_max, b_max=int(rng.integers(1, t_max + 1)), kappa=float(rng.uniform(0.1, 1.0)),
+        rho=rng.uniform(0.3, 1.0, n_periods).tolist(), cost=chain, n_periods=n_periods,
     )
 
 
@@ -149,7 +174,7 @@ class TestStructure:
         _, x = _solve_lp(lp)
         assert x.sum() == pytest.approx(1.0, abs=1e-8)
         share = toy_dynamic.capacity / toy_dynamic.n_chargers
-        assert x[lp.arm.n_states :].sum() <= share + 1e-8
+        assert x[lp.n_states :].sum() <= share + 1e-8
 
     def test_details_toggle(self, toy_dynamic):
         # every field is set but the LP's, which verify adds
@@ -171,6 +196,38 @@ class TestStructure:
         tighter = dataclasses.replace(toy_dynamic, capacity=1)
         looser = dataclasses.replace(toy_dynamic, capacity=2)
         assert solve_bound(tighter).value <= solve_bound(looser).value + 1e-9
+
+
+class TestVacancyForm:
+    """``build_occupancy_lp``'s vacancy form against the Kronecker form of
+    ``oracles.kronecker_occupancy_lp``: one optimum, and the vacancy solution's
+    x part is a feasible point of the Kronecker form with that value."""
+
+    @pytest.mark.parametrize("name", [
+        "toy.json", "fig3_constant_cost.json", "dynamic_cost.json", "periodic", "four_period",
+        *(f"random-{nt}-{seed}" for nt in (1, 2, 3) for seed in range(3)),
+    ])
+    def test_same_optimum_and_a_feasible_x(self, name):
+        if name.endswith(".json"):
+            inst = shipped(name)
+        elif name.startswith("random"):
+            _, nt, seed = name.split("-")
+            inst = random_chain_instance(int(seed), int(nt))
+        else:
+            inst = periodic_instance() if name == "periodic" else four_period_instance()
+        lp, ref = build_occupancy_lp(inst), kronecker_occupancy_lp(inst)
+        value, x = _solve_lp(lp)
+        want, _ = _solve_lp(ref)
+        assert value == pytest.approx(want, rel=1e-9)
+        assert lp.n_states == ref.n_states and x.size == 2 * ref.n_states
+        np.testing.assert_array_equal(lp.c, np.concatenate([ref.c, np.zeros(lp.c.size - x.size)]))
+        assert np.abs(ref.A_eq @ x - ref.b_eq).max() <= 1e-9
+        assert (ref.A_ub @ x - ref.b_ub).max() <= 1e-9
+        assert x.min() >= 0.0
+
+    def test_under_half_the_nonzeros(self):
+        inst = periodic_instance()
+        assert 2 * build_occupancy_lp(inst).A_eq.nnz < kronecker_occupancy_lp(inst).A_eq.nnz
 
 
 class TestLimits:

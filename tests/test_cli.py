@@ -575,6 +575,41 @@ def test_mutated_config_keeps_the_exit_contract(mutations):
         assert err.getvalue().count("\n") == 1
 
 
+@pytest.fixture
+def huge_penalty_toy(tmp_path):
+    """toy with a quadratic penalty of 2e98: its indices lie near 1e99, where
+    adjacent floats are far more than the oracle's 2e-8 apart, and HiGHS
+    gives up on its valley plans."""
+    doc = json.loads(json.dumps(TOY))
+    doc["instance"]["penalty"] = {"quadratic": 2e98}
+    p = tmp_path / "huge_penalty.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+def test_huge_penalty_oracle_ends_within_the_contract(huge_penalty_toy, tmp_path):
+    # a fresh process, so that a bisection that never ends fails on the timeout
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "evbandit", "index",
+         "--config", str(huge_penalty_toy), "--verify-oracle", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_huge_penalty_valley_failure_exits_3(huge_penalty_toy, tmp_path, capsys):
+    rc = cli.main(["simulate", "--config", str(huge_penalty_toy), "--out", str(tmp_path),
+                   "--seeds", "2"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("verification failure: valley-filling plan failed")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"polices": ["edf"]}))
