@@ -31,9 +31,9 @@ MEMORY_BUDGET = 1 << 30
 # 140 times full-size fig3; check_size refuses more
 WORK_BUDGET = 1 << 32
 # index work, states x (1 + states) over the (T, B, cost level, period) grid:
-# the states times the breakpoint bound of a g_1.  The recursion does 1e7 to
-# 3e7 of these units a second on a 2-core host, so the budget is a few
-# minutes of table building; check_size refuses more
+# the states times the breakpoint bound of a g_1.  The bound is loose: on a
+# 2-core host a table of 12,960 states (1.7e8 units) took 0.55 s, and the
+# budget is 12.8 times those units; check_size refuses more
 INDEX_BUDGET = 1 << 31
 # largest (1 + max |c| + F(b_max)) / (1 - beta), a bound on one charger's
 # discounted reward and penalty; with N and the seeds each at most WORK_BUDGET,

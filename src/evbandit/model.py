@@ -277,17 +277,16 @@ def instance_sha256(instance: Instance, h=None) -> str:
 def serve(t, b, a):
     """One slot of a charger in state (t, b) under action a, on arrays of any shape.
 
-    Returns (eff, b_after, t_next, b_next): the service that takes effect
-    (only an occupied charger with demand left draws power), the demand left
-    after it, and the next (T, B) of a charger that stays.  A charger in its
-    final slot, or an empty one, maps to (0, 0); an arrival may replace it.
-    Serving earns 1 - c; demand still owed after service in the final slot
-    (t == 1) pays F(b_after).
+    Returns (eff, due, b_next): the service that takes effect (only an
+    occupied charger with demand left draws power), the demand still owed
+    after it in the final slot (t == 1), which pays F(due), and the next B of
+    a charger that stays (t > 1; its T falls by one, whatever the action).  A
+    charger in its final slot, or an empty one, maps to (0, 0); an arrival may
+    replace it.  Serving earns 1 - c.
     """
     eff = a & (b > 0) & (t >= 1)
     b_after = b - eff
-    stay = t > 1
-    return eff, b_after, np.where(stay, t - 1, 0), np.where(stay, b_after, 0)
+    return eff, b_after * (t == 1), b_after * (t > 1)
 
 
 @dataclass(frozen=True)
@@ -313,17 +312,16 @@ def charger_law(instance: Instance) -> ChargerLaw:
     nt = inst.n_periods
     t = np.concatenate([[0], np.repeat(np.arange(1, inst.t_max + 1), inst.b_max + 1)])
     b = np.concatenate([[0], np.tile(np.arange(inst.b_max + 1), inst.t_max)])
-    eff, b_after, t_next, b_next = serve(t, b, np.array([[False], [True]]))
+    eff, due, b_next = serve(t, b, np.array([[False], [True]]))
 
     arrival = np.zeros((nt, t.size))
     arrival[:, 0] = 1.0 - inst.arrivals.rho
     arrival[:, 1:] = inst.arrivals.rho[:, None] * inst.arrivals.pmf[:, 1:].reshape(nt, -1)
     move = np.zeros((2, nt, t.size, t.size))
-    nxt = inst.charger_index(t_next, b_next)  # 0 where the charger departs
+    nxt = inst.charger_index(np.maximum(t - 1, 0), b_next)  # 0 where the charger departs
     a, i = np.nonzero(nxt)
     move[a, :, i, nxt[a, i]] = 1.0
     move[:, :, t <= 1] = arrival[:, None]
 
-    pen = np.where(t == 1, inst.penalty.table[b_after], 0.0)
-    reward = np.where(eff[..., None], 1.0 - inst.cost.values, 0.0) - pen[..., None]
+    reward = np.where(eff[..., None], 1.0 - inst.cost.values, 0.0) - inst.penalty.table[due, None]
     return ChargerLaw(t, b, move, reward)

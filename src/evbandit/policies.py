@@ -2,10 +2,10 @@
 
 Every policy works on (S, N) arrays of lead times and demands, one row per
 station state (the simulator's rows are seeds), plus precomputed tables.
-Whittle, EDF and LLF are key rules: (key, eligible) per charger, and
+Whittle, EDF and LLF are key rules: (key, eligible) per charger.
 ``select_by_key`` activates up to M eligible chargers per row by smallest
-key, for one rule or for a stack of them (``sim.stack_kernel``).  The
-``*_kernel`` functions are a rule plus that selection.  The LLLP interchange
+key (the ``*_kernel`` functions are a rule plus it); ``sim.stack_kernel``
+packs the rules' keys over every state into one table.  The LLLP interchange
 refines a Whittle activation; the valley-filling planner solves one LP per
 station row, its arrays laid out EV by EV, and is called row by row on the
 forecasts of ``expected_costs``.
@@ -65,7 +65,8 @@ def whittle_key(t: np.ndarray, b: np.ndarray, j: np.ndarray, tau: int, table: In
     rule collapses to: activate the top-m chargers by index among those with a
     strictly positive index.  The key is the table's dense rank of the index;
     an empty charger or B = 0 has index 0, so it is never eligible.  ``b`` may
-    stack several policies' (S, N) demands on ``t``: one gather serves them all.
+    stack several policies' (S, N) demands on ``t``, and ``tau`` may be an
+    array that broadcasts against them: one gather serves them all.
     """
     _, b_cap, k, nt = table.values.shape
     base = (t * (b_cap * k) + np.asarray(j).reshape(-1, 1)) * nt + tau % nt

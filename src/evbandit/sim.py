@@ -13,8 +13,9 @@ No array has a horizon axis: the world is drawn in blocks of _BLOCK slots.
 
 Every policy's episodes advance in one time loop: the demands are one
 (n_policies, n_seeds, n_chargers) array, and each slot ``stack_kernel``
-decides for all policies at once (one selection for every ranking policy),
-then the service and the accounting run once for all.  An arrival's type is
+decides for all policies at once (every ranking policy selects by one gather
+from a table of packed keys and one partition), then the service and the
+accounting run once for all.  An arrival's type is
 looked up only where an EV arrives.  The per-episode sums stay the
 (n_policies, n_seeds) arrays the loop adds into, from ``_run_batch`` through
 ``ComparisonReport.metrics`` to ``episodes.csv`` and ``summary.json``.
@@ -39,7 +40,6 @@ from .policies import (  # the *_kernel names are not called here; perfbench/spa
     llf_kernel,
     llf_key,
     lllp_kernel,
-    select_by_key,
     valley_filling_policy,
     whittle_kernel,
     whittle_key,
@@ -131,32 +131,50 @@ def stack_kernel(runs, instance: Instance, table=None):
     ``kern(t, b, j, tau)`` takes (S, N) lead times, (P, S, N) demands (one
     slice per policy), (S,) cost levels and the period, and returns the
     (P, S, N) activation and the (P, S) rows the LLLP interchange changed.
-    The ranking policies' keys are stacked, and one ``select_by_key`` call
-    selects for all of them; "whittle+lllp" is the Whittle choice refined by
+    The ranking policies select from one table of packed keys, built once by
+    their key rules on every (period, cost level, state id T * (b_max + 1) + B):
+    ``select_by_key``'s (key, -B) packing times N, ineligible states above every
+    eligible key.  A slot gathers the keys, adds the charger ids and takes one
+    partition for all of them; "whittle+lllp" is the Whittle choice refined by
     ``lllp_kernel`` (the one place the two are composed), and valley plans
     row by row.  Whittle policies need the index table.
     """
     if list(runs) != sorted(runs, key=POLICY_NAMES.index):  # .index refuses unknown names
         raise ValueError(f"policies {runs!r} are not in POLICY_NAMES order")
-    n_whittle = sum(p.startswith("whittle") for p in runs)
-    if n_whittle and table is None:
+    if table is None and any(p.startswith("whittle") for p in runs):
         raise ValueError("whittle policies need an index table")
     ranked = len(runs) - ("valley" in runs)
-    plain = [edf_key if p == "edf" else llf_key for p in runs[n_whittle:ranked]]
     lllp = runs.index("whittle+lllp") if "whittle+lllp" in runs else None
     exp_cost = expected_costs(instance) if ranked < len(runs) else None
-    m = instance.capacity
+    n, m, k, nt = instance.n_chargers, instance.capacity, instance.cost.n_levels, instance.n_periods
+    bw = instance.b_max + 1
+    t_grid, b_grid = np.divmod(np.arange((instance.t_max + 1) * bw), bw)  # (T, B) by state id
+    key, eligible = np.zeros((2, ranked, nt, k, t_grid.size), dtype=np.int64)  # eligible: 0 or 1
+    for p, name in enumerate(runs[:ranked]):  # whittle_key takes every period and level at once
+        key[p], eligible[p] = (
+            whittle_key(t_grid, b_grid, np.arange(k), np.arange(nt)[:, None, None], table)
+            if name.startswith("whittle")
+            else (edf_key if name == "edf" else llf_key)(t_grid, b_grid))
+    lo = int(key.min(initial=0))
+    limit = (int(key.max(initial=0)) - lo + 1) * bw * n  # every eligible packed key is below
+    if limit + n - 1 > np.iinfo(np.int64).max:
+        raise ValueError("the packed selection key does not fit in int64")
+    packed = np.where(eligible, ((key - lo) * bw + (bw - 1 - b_grid)) * n, limit).ravel()
+    base = np.arange(ranked)[:, None] * (nt * k)
+    ids = np.arange(n)
+    cap = limit - 1 if m else -1  # the threshold when m = 0 or m >= n
 
     def kern(t, b, j, tau):
-        n = t.shape[1]
         action = np.empty(b.shape, dtype=bool)
         swapped = np.zeros(b.shape[:2], dtype=bool)
-        keyed = [whittle_key(t, b[:n_whittle], j, tau, table)] if n_whittle else []
-        keyed += [rule(t, b[p : p + 1]) for p, rule in enumerate(plain, n_whittle)]
-        if keyed:  # one selection for every ranking policy, on the (P * S, N) stack
-            key, eligible = (np.concatenate(x).reshape(-1, n) for x in zip(*keyed))
-            action[:ranked] = select_by_key(key, b[:ranked].reshape(-1, n), m, eligible).reshape(
-                ranked, -1, n)
+        if ranked:  # one gather, the charger ids and one partition for every ranking policy
+            at = (base + (tau % nt * k + j)) * t_grid.size  # (ranked, S) row starts
+            key = packed.take(at[..., None] + t * bw + b[:ranked])
+            key += ids
+            threshold = cap
+            if 0 < m < n:  # capped for rows with fewer than m eligible chargers
+                threshold = np.minimum(np.partition(key, m - 1, axis=2)[..., m - 1 : m], cap)
+            np.less_equal(key, threshold, out=action[:ranked])
         if lllp is not None:
             refined = lllp_kernel(t, b[lllp], action[lllp])
             swapped[lllp] = np.any(refined != action[lllp], axis=1)
@@ -204,27 +222,24 @@ def _run_batch(
     disc = 1.0
 
     for t, (t_arr, j, new) in enumerate(world_slots(instance, seeds, horizon)):
-        c = cvals[j]
-
         action, swapped = kern(t_arr, b_arr, j, t % nt)
-        interchanges += swapped
         active = action @ count
         if active.max() > m:
             first = min((p for p, a in zip(runs, active.max(axis=1)) if a > m), key=policies.index)
             raise RuntimeError(f"policy {first!r} violated the capacity limit")
 
-        eff, b_after, _, b_next = serve(t_arr, b_arr, action)
+        eff, due, b_arr = serve(t_arr, b_arr, action)
         served = eff @ count
         paid = disc * served
         revenue += paid
-        energy_cost += paid * c
-        due = b_after * (t_arr == 1)  # demand still owed in the final slot; F(0) = 0
+        energy_cost += paid * cvals[j]
         penalty += disc * ftab[due].sum(axis=2)
         delivered += served
         unserved += due @ count
         activations += active
+        interchanges += swapped
 
-        b_arr = b_next + new  # an EV takes only a charger whose b_next is 0 (t <= 1)
+        b_arr += new  # an EV takes only a charger whose next demand is 0 (t <= 1)
         arrived += new
         disc *= beta
 

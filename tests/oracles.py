@@ -2,7 +2,9 @@
 
 The joint DP and the exact evaluation of a policy kernel solve the full
 N-charger MDP of a toy instance from the shared per-charger law;
-``policy_kernel`` is the simulator's stacked kernel for one policy;
+``policy_kernel`` is the simulator's stacked kernel for one policy, and
+``reference_stack_kernel`` the ranking policies' kernel as it was before the
+packed-key table, each key rule and then one ``select_by_key`` call;
 ``run_episode`` simulates one seed; ``check_indexability`` tests the
 passive-set monotonicity of the subsidy problem on a grid;
 ``index_by_vi_bisection`` bisects one state's index on value iteration, the
@@ -27,6 +29,7 @@ from evbandit import whittle
 from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from evbandit.bound import OccupancyLP
 from evbandit.model import Instance, charger_law
+from evbandit.policies import edf_key, llf_key, lllp_kernel, select_by_key, whittle_key
 from evbandit.sim import _run_batch, default_horizon, stack_kernel
 from evbandit.whittle import IndexTable, compute_index_table
 
@@ -42,6 +45,34 @@ def policy_kernel(name: str, instance: Instance, table: IndexTable | None = None
     (S, N) activation and the (S,) rows the LLLP interchange changed."""
     kern = stack_kernel((name,), instance, table)
     return lambda t, b, j, tau: tuple(x[0] for x in kern(t, b[None], j, tau))
+
+
+def reference_stack_kernel(runs, instance: Instance, table: IndexTable | None = None):
+    """``sim.stack_kernel`` for the ranking policies ``runs`` (in POLICY_NAMES
+    order, valley left out) as it was before its packed-key table: each
+    policy's key rule on the slot's states, one ``select_by_key`` call on the
+    stacked keys, and ``lllp_kernel`` on whittle+lllp's Whittle choice.
+    ``kern(t, b, j, tau)`` returns the same (P, S, N) activation and (P, S)
+    rows the interchange changed."""
+    n_whittle = sum(p.startswith("whittle") for p in runs)
+    plain = [edf_key if p == "edf" else llf_key for p in runs[n_whittle:]]
+    lllp = runs.index("whittle+lllp") if "whittle+lllp" in runs else None
+    m = instance.capacity
+
+    def kern(t, b, j, tau):
+        n = t.shape[1]
+        swapped = np.zeros(b.shape[:2], dtype=bool)
+        keyed = [whittle_key(t, b[:n_whittle], j, tau, table)] if n_whittle else []
+        keyed += [rule(t, b[p : p + 1]) for p, rule in enumerate(plain, n_whittle)]
+        key, eligible = (np.concatenate(x).reshape(-1, n) for x in zip(*keyed))
+        action = select_by_key(key, b.reshape(-1, n), m, eligible).reshape(b.shape)
+        if lllp is not None:
+            refined = lllp_kernel(t, b[lllp], action[lllp])
+            swapped[lllp] = np.any(refined != action[lllp], axis=1)
+            action[lllp] = refined
+        return action, swapped
+
+    return kern
 
 
 def run_episode(

@@ -633,8 +633,10 @@ def test_shipped_toy_config_end_to_end(tmp_path):
 # per-charger law was shared by the arm MDP, the joint DP and the simulator
 # (the dynamic_cost table, the one Markov-cost pin, before the index recursion
 # dropped g_h for h > 1; the fig3_constant_cost simulation, where the LLLP
-# interchange swaps, before the simulator drew one world for all policies);
-# a refactor must leave them byte-identical
+# interchange swaps, before the simulator drew one world for all policies;
+# the dynamic_cost and fig4_full_capacity simulations, the K=5, 4-period
+# Whittle lookup and the M >= N selection, before the simulator selected by a
+# packed-key table); a refactor must leave them byte-identical
 PINNED = {
     ("simulate", "toy", "episodes.csv"):
         "cd8175b9edc4421263861bdd7b3274b94b96929e9c57bf025b1765e9826d9a7f",
@@ -650,6 +652,14 @@ PINNED = {
         "3081844ae0d668702919f28db6c9d3d5aaa51e25d8f16402bf344b9922eba84a",
     ("simulate", "fig3_constant_cost", "summary.json"):
         "e242e73a2abb78b498dce545ac57ced3e5d898dddeedf6383808fe8d3bacbe77",
+    ("simulate", "dynamic_cost", "episodes.csv"):
+        "f85b7a40c042bda564aa2e314dca138c76ba4e40d824f5d41d21deee758891b0",
+    ("simulate", "dynamic_cost", "summary.json"):
+        "fc31c7042735c22bd5d79bfd452dfd11a75bb201bc635ffcd956ca248f08885f",
+    ("simulate", "fig4_full_capacity", "episodes.csv"):
+        "54f496934b7ac4e99b7870bd441b02b8c3cc9019dca0f5f882b01e74e3f5873a",
+    ("simulate", "fig4_full_capacity", "summary.json"):
+        "1cc56c25fb4163443d3acbf278b9ad32d0ac9e03d00fdfb7f1265e7788c85e76",
 }
 
 

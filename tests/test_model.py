@@ -239,11 +239,19 @@ class TestSystemStep:
         assert runs[0] == runs[1]
 
     def test_capacity_violation_rejected(self, toy_dynamic, monkeypatch):
-        # the simulator selects for every ranking policy in one select_by_key call
-        def all_on(key, b, m, eligible):
-            return np.ones(key.shape, dtype=bool)
+        # the simulator decides each slot by the kernel that stack_kernel returns
+        stack = sim.stack_kernel
 
-        monkeypatch.setattr(sim, "select_by_key", all_on)
+        def all_on(runs, instance, table=None):
+            kern = stack(runs, instance, table)
+
+            def on(t, b, j, tau):
+                action, swapped = kern(t, b, j, tau)
+                return np.ones_like(action), swapped
+
+            return on
+
+        monkeypatch.setattr(sim, "stack_kernel", all_on)
         with pytest.raises(RuntimeError, match="capacity"):
             oracles.run_episode(toy_dynamic, "edf", seed=0, horizon=5)
 
@@ -252,11 +260,11 @@ class TestSystemStep:
         b = np.array([[2, 1]])
         action = np.array([[True, False]])
         c = float(toy_dynamic.cost.values[1])
-        eff, b_after, t_next, b_next = serve(t, b, action)
+        eff, due, b_next = serve(t, b, action)
         assert eff.shape == t.shape
-        assert (t_next.tolist(), b_next.tolist()) == ([[0, 2]], [[0, 1]])
+        assert (due.tolist(), b_next.tolist()) == ([[1, 0]], [[0, 1]])
         # the simulator's accounting: revenue - energy cost - deadline penalty
-        got = eff.sum() * (1.0 - c) - np.where(t == 1, toy_dynamic.penalty.table[b_after], 0.0).sum()
+        got = eff.sum() * (1.0 - c) - toy_dynamic.penalty.table[due].sum()
         want = reward_at(toy_dynamic, 1, 1, 2, 1) + reward_at(toy_dynamic, 0, 3, 1, 1)
         assert got == pytest.approx(want)
         assert want == pytest.approx((1.0 - c) - toy_dynamic.penalty(1))

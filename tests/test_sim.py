@@ -1,16 +1,25 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit import sim
 from evbandit.sim import POLICY_NAMES, _mean_ci, default_horizon, monte_carlo
-from evbandit.whittle import compute_index_table, solve_subsidy
+from evbandit.whittle import IndexTable, compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance
-from oracles import brute_force_joint_dp, evaluate_policy_exact, policy_kernel, run_episode
+from oracles import (
+    brute_force_joint_dp,
+    evaluate_policy_exact,
+    policy_kernel,
+    reference_stack_kernel,
+    run_episode,
+)
 
 DP_VALUE = 5.169744218015056  # brute-force optimum on the toy_dynamic fixture
 WHITTLE_VALUE = 5.092267152900652  # exact policy evaluation, same fixture
@@ -279,16 +288,21 @@ class TestExactOracles:
         assert v == pytest.approx(WHITTLE_VALUE, abs=1e-7)
 
     def test_over_capacity_policy_named(self, toy_dynamic, monkeypatch):
-        select = sim.select_by_key
+        stack = sim.stack_kernel
 
-        def llf_over(key, b, m, eligible):
-            # one selection serves the stack of ranking policies, edf's 3 seeds
-            # then llf's 3 (stacked in POLICY_NAMES order): switch on all of llf's
-            action = select(key, b, m, eligible)
-            action[3:] = True
-            return action
+        def llf_over(runs, instance, table=None):
+            kern = stack(runs, instance, table)
 
-        monkeypatch.setattr(sim, "select_by_key", llf_over)
+            def over(t, b, j, tau):
+                # one kernel decides for edf then llf (POLICY_NAMES order):
+                # switch on all of llf's chargers
+                action, swapped = kern(t, b, j, tau)
+                action[1] = True
+                return action, swapped
+
+            return over
+
+        monkeypatch.setattr(sim, "stack_kernel", llf_over)
         with pytest.raises(RuntimeError, match="policy 'llf' violated the capacity limit"):
             monte_carlo(toy_dynamic, ["edf", "llf"], seeds=3, horizon=20)
 
@@ -297,6 +311,12 @@ class TestExactOracles:
         for runs in (("edf", "whittle"), ("edf", "fifo")):
             with pytest.raises(ValueError):
                 sim.stack_kernel(runs, toy_dynamic, tab)
+
+    def test_stack_kernel_refuses_a_packed_key_beyond_int64(self, toy_dynamic):
+        # edf's keys 0..t_max, times b_max + 1 demands, times 2**61 chargers
+        huge = dataclasses.replace(toy_dynamic, n_chargers=2**61)
+        with pytest.raises(ValueError, match="the packed selection key does not fit in int64"):
+            sim.stack_kernel(("edf",), huge)
 
     def test_over_capacity_kernel_refused(self, toy_dynamic):
         def all_on(t, b, j, tau):
@@ -365,3 +385,50 @@ def test_half_width_is_the_t_quantile_times_the_standard_error():
         x = rng.normal(size=n)
         want = sim.t_quantile_975(n - 1) * x.std(ddof=1) / np.sqrt(n)
         assert _mean_ci(x) == (x.mean(), want), n
+
+
+RANKING = ("whittle", "whittle+lllp", "edf", "llf")
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random instance (K 1-4 cost levels, 1-3 periods, N 1-12 chargers, M
+    0..N+1), an index table whose values come from a few levels (rank ties),
+    and one slot's states for each ranking policy: lead times shared, demands
+    per policy, row 0 possibly empty (no eligible charger)."""
+    k, nt, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    t_max = draw(st.integers(1, 5))
+    b_max = draw(st.integers(1, t_max))
+    m = draw(st.integers(0, n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cost = CostChain(values=np.linspace(0.1, 0.9, k), P=np.full((nt, k, k), 1.0 / k))
+    inst = make_instance(n_chargers=n, capacity=min(m, n), t_max=t_max, b_max=b_max,
+                         cost=cost, n_periods=nt)
+    object.__setattr__(inst, "capacity", m)  # M = N + 1 too, past Instance's check
+    v = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0], size=(t_max + 1, b_max + 1, k, nt))
+    v[0] = v[:, 0] = 0.0
+    for t in range(1, b_max + 1):
+        v[t, t:] = np.maximum.accumulate(v[t, t:], axis=0)
+    s = draw(st.integers(1, 5))
+    t = rng.integers(0, t_max + 1, size=(s, n))
+    b = rng.integers(0, b_max + 1, size=(len(RANKING), s, n))
+    if draw(st.booleans()):
+        t[0] = 0
+    j = rng.integers(0, k, size=s)
+    tau = int(rng.integers(0, 2 * nt))  # the kernel takes the period modulo N_tau
+    return inst, IndexTable(v), t, b, j, tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_packed_key_table_matches_per_policy_selection(case):
+    """Every ordered subset of the ranking policies decides as the key rules,
+    select_by_key and lllp_kernel decide, bit for bit."""
+    inst, tab, t, b, j, tau = case
+    for size in range(1, len(RANKING) + 1):
+        for runs in itertools.combinations(RANKING, size):
+            rows = b[[RANKING.index(p) for p in runs]]
+            got = sim.stack_kernel(runs, inst, tab)(t, rows, j, tau)
+            want = reference_stack_kernel(runs, inst, tab)(t, rows, j, tau)
+            assert np.array_equal(got[0], want[0]), runs
+            assert np.array_equal(got[1], want[1]), runs
