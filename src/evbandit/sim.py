@@ -19,6 +19,12 @@ accounting run once for all.  An arrival's type is
 looked up only where an EV arrives.  The per-episode sums stay the
 (n_policies, n_seeds) arrays the loop adds into, from ``_run_batch`` through
 ``ComparisonReport.metrics`` to ``episodes.csv`` and ``summary.json``.
+
+``monte_carlo`` splits the seeds into contiguous shards, one per usable core,
+and runs one time loop per shard, each shard but the first in a forked child.
+Common random numbers still hold, and the results do not depend on the split:
+a seed's world comes from its own three streams, and every step of the loop
+acts on each seed's row alone.
 The exact joint-MDP oracles that check this simulator on toy instances live
 with the tests, in ``tests/oracles.py``.
 """
@@ -26,6 +32,8 @@ with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cache
@@ -56,6 +64,7 @@ __all__ = [
 POLICY_NAMES = ("whittle", "whittle+lllp", "edf", "llf", "valley")
 
 _BLOCK = 64  # slots of uniforms held per seed and stream
+SHARD_MIN_SEEDS = 50  # seeds a process runs at least, to repay a fork (about 4 ms)
 
 
 def default_horizon(instance: Instance, tol: float = 1e-3) -> int:
@@ -71,6 +80,7 @@ def _type_tables(instance: Instance):
         pmf = instance.arrivals.pmf_for(tau)
         tt, bb = np.nonzero(pmf)
         cum = np.cumsum(pmf[tt, bb])
+        cum[-1] = np.inf  # a uniform never passes the last type
         out.append((cum, tt, bb))
     return out
 
@@ -91,9 +101,10 @@ def world_slots(instance: Instance, seeds, horizon: int):
     s, n, nt = len(seeds), instance.n_chargers, instance.n_periods
     streams = [np.random.SeedSequence(int(sd)).spawn(3) for sd in seeds]  # cost, coin, type
     gens = [[np.random.default_rng(st) for st in three] for three in streams]
-    k = instance.cost.n_levels
     cum0 = np.cumsum(instance.cost.stationary())
     cums = [np.cumsum(instance.cost.matrix_for(tau), axis=1) for tau in range(nt)]
+    for cdf in (cum0, *cums):  # the CDFs are nondecreasing: inf in place of a clamp
+        cdf[..., -1] = np.inf
     rho = np.array([instance.arrivals.rho_for(tau) for tau in range(nt)])
     types = _type_tables(instance)
 
@@ -112,17 +123,17 @@ def world_slots(instance: Instance, seeds, horizon: int):
         for r in range(rows):
             slot = start + r
             if slot == 0:
-                j = np.minimum(np.searchsorted(cum0, cost_u[:, r], side="right"), k - 1)
+                j = np.searchsorted(cum0, cost_u[:, r], side="right")
             else:
-                j = np.minimum((cost_u[:, r, None] > cums[(slot - 1) % nt][j]).sum(axis=1), k - 1)
+                j = (cost_u[:, r, None] > cums[(slot - 1) % nt][j]).sum(axis=1)
             cum, tt, bb = types[slot % nt]
-            arrives = coin[r] & (t_arr <= 1)
-            kind = np.minimum(np.searchsorted(cum, u[r][arrives], side="right"), cum.size - 1)
+            at = np.flatnonzero(coin[r] & (t_arr <= 1))  # where an EV arrives
+            kind = np.searchsorted(cum, u[r].take(at), side="right")
             arrival = np.zeros((s, n), dtype=np.int64)
-            arrival[arrives] = bb[kind]
+            arrival.flat[at] = bb[kind]
             yield t_arr, j, arrival
             t_arr = np.maximum(t_arr - 1, 0)
-            t_arr[arrives] = tt[kind]
+            t_arr.flat[at] = tt[kind]
 
 
 def stack_kernel(runs, instance: Instance, table=None):
@@ -258,6 +269,59 @@ def _run_batch(
     }
     rows = [runs.index(p) for p in policies]
     return {k: v[rows] for k, v in metrics.items()}
+
+
+def _shard_count(n_seeds: int) -> int:
+    """Processes that share ``n_seeds`` seeds: one per core this process may
+    run on (``taskset`` limits them), each with SHARD_MIN_SEEDS seeds or
+    more; 1 where there is no ``fork`` or ``sched_getaffinity``, and beside
+    other threads, which a forked child would lack (with any lock they hold)."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not forks or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_seeds // SHARD_MIN_SEEDS))
+
+
+def _send_shard(conn, args) -> None:
+    try:
+        conn.send(_run_batch(*args))
+    except Exception as e:  # raised again by the parent
+        conn.send(e)
+
+
+def _run_shards(instance: Instance, policies: tuple, seeds, horizon: int, table, cuts) -> dict:
+    """``_run_batch`` on the seed ranges that the indices ``cuts`` split
+    ``seeds`` into, the first here and each other in a forked child, joined in
+    seed order.  Every child is joined; the error raised is the first failing
+    shard's in seed order, or a RuntimeError for a child that died."""
+    bounds = [0, *cuts, len(seeds)]
+    shards = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        if cuts:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
+        for part in shards[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_shard,
+                               args=(send, (instance, policies, part, horizon, table)))
+            proc.start()
+            send.close()  # else recv would wait forever on a child that died
+            children.append((proc, recv))
+        parts = [_run_batch(instance, policies, shards[0], horizon, table)]
+        for proc, recv in children:
+            try:
+                parts.append(recv.recv())
+            except EOFError:
+                raise RuntimeError("a simulation worker ended before sending its results") from None
+            if isinstance(parts[-1], Exception):
+                raise parts[-1]
+    finally:  # a child has nothing left to do once its part is in, or once a shard failed
+        for proc, _ in children:
+            proc.terminate()
+            proc.join()
+    return {k: np.concatenate([part[k] for part in parts], axis=1) for k in parts[0]}
 
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
@@ -412,5 +476,7 @@ def monte_carlo(
         raise ValueError("horizon must be >= 1")
     if table is None and any(p.startswith("whittle") for p in policies):
         table = compute_index_table(instance)
-    metrics = _run_batch(instance, tuple(policies), seeds, horizon, table)
+    shards = _shard_count(len(seeds))
+    cuts = [len(seeds) * i // shards for i in range(1, shards)]
+    metrics = _run_shards(instance, tuple(policies), seeds, horizon, table, cuts)
     return ComparisonReport(policies, seeds, horizon, metrics, baseline)

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -52,3 +56,24 @@ def toy_dynamic():
 @pytest.fixture(scope="session")
 def toy_constant():
     return make_instance()
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails a test that still waits on a child process after a minute, or
+    that leaves one running or unreaped."""
+    def hung(signum, frame):
+        raise TimeoutError("still waiting on a child process after 60 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert multiprocessing.active_children() == []
+    try:  # reaps and returns a zombie; (0, 0) while only live children remain
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    except ChildProcessError:  # no child at all
+        pass

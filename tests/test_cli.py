@@ -610,6 +610,21 @@ def test_huge_penalty_valley_failure_exits_3(huge_penalty_toy, tmp_path, capsys)
     assert "Traceback" not in err
 
 
+@pytest.mark.usefixtures("no_child_left")
+def test_huge_penalty_valley_failure_in_two_shards_exits_3(huge_penalty_toy, tmp_path, capfd,
+                                                          monkeypatch):
+    """Every shard's planner fails; the parent joins its child and reports
+    the serial run's error, and neither process prints a traceback."""
+    argv = ["simulate", "--config", str(huge_penalty_toy), "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    serial = capfd.readouterr().err
+    monkeypatch.setattr(sim, "_shard_count", lambda n_seeds: 2)
+    assert cli.main(argv) == 3
+    err = capfd.readouterr().err
+    assert err == serial and err.startswith("verification failure: valley-filling plan failed")
+    assert "Traceback" not in err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"polices": ["edf"]}))

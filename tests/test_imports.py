@@ -3,8 +3,9 @@
 ``scipy.optimize`` and ``scipy.sparse`` are imported by the functions that
 call them (``scipy.optimize`` brings ``scipy.special`` with it), and
 ``scipy.stats`` never, so that a command starts without paying for solvers it
-does not use.  Each case runs in its own process, because the test run has
-long since imported everything.
+does not use; ``multiprocessing`` only by a simulation that shards its seeds.
+Each case runs in its own process, because the test run has long since
+imported everything.
 """
 
 import json
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from evbandit.sim import SHARD_MIN_SEEDS
 
 REPO = Path(__file__).resolve().parent.parent
 TOY = REPO / "configs" / "toy.json"
@@ -23,17 +26,18 @@ import evbandit, evbandit.cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert evbandit.cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(sys.argv[2]))))
 """
 
 
-def loaded_after(commands, tmp_path) -> set:
-    """scipy modules loaded after importing the CLI and running ``commands``."""
+def loaded_after(commands, tmp_path, prefix="scipy.") -> set:
+    """Modules named ``prefix``... loaded after importing the CLI and running
+    ``commands``."""
     commands = [argv + ["--out", str(tmp_path)] for argv in commands]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", RUN, json.dumps(commands)],
+        [sys.executable, "-c", RUN, json.dumps(commands), prefix],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -83,3 +87,14 @@ def test_no_command_loads_scipy_stats(tmp_path):
     ], tmp_path)
     assert {"scipy.optimize", "scipy.sparse", "scipy.special"} <= loaded
     assert "scipy.stats" not in loaded
+
+
+def test_plain_commands_load_no_multiprocessing(tmp_path):
+    """Below SHARD_MIN_SEEDS seeds a simulation runs in this process alone."""
+    cfg = without_valley(tmp_path)
+    loaded = loaded_after([
+        ["index", "--config", str(cfg)],
+        ["bound", "--config", str(cfg)],
+        ["simulate", "--config", str(cfg), "--seeds", str(SHARD_MIN_SEEDS * 2 - 1)],
+    ], tmp_path, prefix="multiprocessing")
+    assert loaded == set()

@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
 import json
+import os
+import threading
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit import sim
+from evbandit.config import load_run_config
 from evbandit.sim import POLICY_NAMES, _mean_ci, default_horizon, monte_carlo
 from evbandit.whittle import IndexTable, compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance
@@ -21,6 +26,7 @@ from oracles import (
     run_episode,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 DP_VALUE = 5.169744218015056  # brute-force optimum on the toy_dynamic fixture
 WHITTLE_VALUE = 5.092267152900652  # exact policy evaluation, same fixture
 
@@ -432,3 +438,124 @@ def test_packed_key_table_matches_per_policy_selection(case):
             want = reference_stack_kernel(runs, inst, tab)(t, rows, j, tau)
             assert np.array_equal(got[0], want[0]), runs
             assert np.array_equal(got[1], want[1]), runs
+
+
+def assert_bit_identical(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].dtype == want[k].dtype and got[k].shape == want[k].shape, k
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
+@st.composite
+def shard_cases(draw):
+    """A random small instance (K 1-3 cost levels with a random chain, 1-2
+    periods, N 1-6), every ranking policy plus valley where N <= 4, an
+    unsorted list of distinct seeds and 0-3 cuts that split it into shards of
+    unequal sizes."""
+    k, nt, n = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    t_max = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random((nt, k, k)) + 0.1
+    cost = CostChain(values=np.linspace(0.1, 0.9, k), P=p / p.sum(axis=2, keepdims=True))
+    inst = make_instance(n_chargers=n, capacity=draw(st.integers(0, n)), t_max=t_max,
+                         b_max=draw(st.integers(1, t_max)), cost=cost, n_periods=nt)
+    policies = POLICY_NAMES if n <= 4 and draw(st.booleans()) else POLICY_NAMES[:-1]
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=8, unique=True))
+    if seeds == sorted(seeds):
+        seeds.reverse()
+    cuts = sorted(draw(st.sets(st.integers(1, len(seeds) - 1), max_size=3)))
+    return inst, policies, seeds, draw(st.integers(1, 8)), cuts
+
+
+@pytest.mark.usefixtures("no_child_left")
+@settings(max_examples=20, deadline=None)
+@given(shard_cases())
+def test_sharded_runs_equal_the_serial_run_bit_for_bit(case):
+    """Each seed draws from its own streams and every step of the time loop
+    is row-wise, so any split of the seeds gives the serial metrics."""
+    inst, policies, seeds, horizon, cuts = case
+    tab = compute_index_table(inst)
+    want = sim._run_batch(inst, policies, seeds, horizon, tab)
+    assert_bit_identical(sim._run_shards(inst, policies, seeds, horizon, tab, cuts), want)
+    with mock.patch.object(sim, "_shard_count", lambda n_seeds: len(cuts) + 1):
+        report = monte_carlo(inst, policies, seeds, horizon, table=tab)
+    assert report.seeds == seeds
+    assert_bit_identical(report.metrics, want)
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestSharding:
+    def test_shard_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [sim._shard_count(n) for n in (2, 99, 100, 199, 200, 10**6)] == [1, 1, 2, 3, 4, 4]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:  # a forked child would have no copy of the other thread
+            assert sim._shard_count(10**6) == 1
+        finally:
+            release.set()
+            other.join()
+
+    def test_dynamic_cost_at_200_seeds(self):
+        cfg = load_run_config(REPO / "configs" / "dynamic_cost.json")
+        tab = compute_index_table(cfg.instance)
+        args = (cfg.instance, tuple(cfg.policies), cfg.seeds, 30, tab)
+        assert len(cfg.seeds) == 200
+        assert_bit_identical(sim._run_shards(*args, [70, 140]), sim._run_batch(*args))
+
+    @staticmethod
+    def llf_over_capacity(monkeypatch, bad_seed=None):
+        """Switch on all of llf's chargers in every slot: on ``bad_seed``'s row
+        only, or on every row when it is None."""
+        stack, world, shard = sim.stack_kernel, sim.world_slots, {}
+
+        def seen(instance, seeds, horizon):
+            shard["seeds"] = list(seeds)
+            return world(instance, seeds, horizon)
+
+        def over_stack(runs, instance, table=None):
+            kern = stack(runs, instance, table)
+
+            def over(t, b, j, tau):
+                action, swapped = kern(t, b, j, tau)  # rows: edf, then llf
+                if bad_seed is None:
+                    action[1] = True
+                elif bad_seed in shard["seeds"]:
+                    action[1, shard["seeds"].index(bad_seed)] = True
+                return action, swapped
+
+            return over
+
+        monkeypatch.setattr(sim, "world_slots", seen)
+        monkeypatch.setattr(sim, "stack_kernel", over_stack)
+
+    @pytest.mark.parametrize("bad_seed,cuts", [(13, [3]), (None, [2, 4])],
+                             ids=["in-a-child", "in-every-shard"])
+    def test_a_shards_error_is_the_serial_error(self, toy_dynamic, monkeypatch, bad_seed, cuts):
+        self.llf_over_capacity(monkeypatch, bad_seed)
+        args = (toy_dynamic, ("edf", "llf"), [5, 9, 2, 7, 13, 1], 20)
+        with pytest.raises(RuntimeError) as serial:
+            sim._run_shards(*args, None, [])
+        with pytest.raises(RuntimeError) as sharded:
+            sim._run_shards(*args, None, cuts)
+        assert type(sharded.value) is type(serial.value)
+        assert str(sharded.value) == str(serial.value) == "policy 'llf' violated the capacity limit"
+
+    def test_a_child_that_dies_is_an_error(self, toy_dynamic, monkeypatch):
+        stack, parent = sim.stack_kernel, os.getpid()
+
+        def dying_stack(runs, instance, table=None):
+            kern = stack(runs, instance, table)
+
+            def dying(t, b, j, tau):
+                if os.getpid() != parent:
+                    os._exit(7)
+                return kern(t, b, j, tau)
+
+            return dying
+
+        monkeypatch.setattr(sim, "stack_kernel", dying_stack)
+        with pytest.raises(RuntimeError, match="ended before sending its results"):
+            sim._run_shards(toy_dynamic, ("edf",), list(range(6)), 20, None, [3])
