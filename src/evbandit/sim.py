@@ -20,11 +20,10 @@ looked up only where an EV arrives.  The per-episode sums stay the
 (n_policies, n_seeds) arrays the loop adds into, from ``_run_batch`` through
 ``ComparisonReport.metrics`` to ``episodes.csv`` and ``summary.json``.
 
-``monte_carlo`` splits the seeds into contiguous shards, one per usable core,
-and runs one time loop per shard, each shard but the first in a forked child.
-Common random numbers still hold, and the results do not depend on the split:
-a seed's world comes from its own three streams, and every step of the loop
-acts on each seed's row alone.
+``monte_carlo`` runs one time loop per shard of contiguous seeds, one shard per
+usable core, each but the first in a forked child.  Common random numbers hold
+and the split changes no result: a seed's world comes from its own three
+streams, and every step of the loop acts on each seed's row alone.
 The exact joint-MDP oracles that check this simulator on toy instances live
 with the tests, in ``tests/oracles.py``.
 """
@@ -64,7 +63,9 @@ __all__ = [
 POLICY_NAMES = ("whittle", "whittle+lllp", "edf", "llf", "valley")
 
 _BLOCK = 64  # slots of uniforms held per seed and stream
-SHARD_MIN_SEEDS = 50  # seeds a process runs at least, to repay a fork (about 4 ms)
+# charger-slots (summed over policies) a process runs at least: on a 2-core host
+# a second process then saves about the 25 ms it costs to import and start
+SHARD_MIN_WORK = 600_000
 
 
 def default_horizon(instance: Instance, tol: float = 1e-3) -> int:
@@ -271,56 +272,39 @@ def _run_batch(
     return {k: v[rows] for k, v in metrics.items()}
 
 
-def _shard_count(n_seeds: int) -> int:
-    """Processes that share ``n_seeds`` seeds: one per core this process may
-    run on (``taskset`` limits them), each with SHARD_MIN_SEEDS seeds or
-    more; 1 where there is no ``fork`` or ``sched_getaffinity``, and beside
-    other threads, which a forked child would lack (with any lock they hold)."""
+def _shard_count(n_seeds: int, work: int) -> int:
+    """One process per core this one may use (``taskset`` limits them), each
+    with a seed and SHARD_MIN_WORK of the ``work`` charger-slots or more; one
+    without ``fork``, and beside other threads, which a forked child lacks."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     if not forks or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_seeds // SHARD_MIN_SEEDS))
-
-
-def _send_shard(conn, args) -> None:
-    try:
-        conn.send(_run_batch(*args))
-    except Exception as e:  # raised again by the parent
-        conn.send(e)
+    return max(1, min(len(os.sched_getaffinity(0)), n_seeds, work // SHARD_MIN_WORK))
 
 
 def _run_shards(instance: Instance, policies: tuple, seeds, horizon: int, table, cuts) -> dict:
-    """``_run_batch`` on the seed ranges that the indices ``cuts`` split
-    ``seeds`` into, the first here and each other in a forked child, joined in
-    seed order.  Every child is joined; the error raised is the first failing
-    shard's in seed order, or a RuntimeError for a child that died."""
-    bounds = [0, *cuts, len(seeds)]
-    shards = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
-    children = []
-    try:
-        if cuts:
-            import multiprocessing
+    """``_run_batch`` on the ranges that ``cuts`` splits ``seeds`` into, the first
+    here and each other in a forked worker, joined in seed order.  After a shard
+    fails, a serial run raises the error that comes first in slot order; a worker
+    that dies is a BrokenProcessPool (a RuntimeError)."""
+    if not cuts:
+        return _run_batch(instance, policies, seeds, horizon, table)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-            ctx = multiprocessing.get_context("fork")
-        for part in shards[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_shard,
-                               args=(send, (instance, policies, part, horizon, table)))
-            proc.start()
-            send.close()  # else recv would wait forever on a child that died
-            children.append((proc, recv))
-        parts = [_run_batch(instance, policies, shards[0], horizon, table)]
-        for proc, recv in children:
-            try:
-                parts.append(recv.recv())
-            except EOFError:
-                raise RuntimeError("a simulation worker ended before sending its results") from None
-            if isinstance(parts[-1], Exception):
-                raise parts[-1]
-    finally:  # a child has nothing left to do once its part is in, or once a shard failed
-        for proc, _ in children:
-            proc.terminate()
-            proc.join()
+    shards = [seeds[a:b] for a, b in zip([0, *cuts], [*cuts, len(seeds)])]
+    try:
+        with ProcessPoolExecutor(len(cuts), mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_batch, instance, policies, part, horizon, table)
+                       for part in shards[1:]]
+            parts = [_run_batch(instance, policies, shards[0], horizon, table)]
+            parts += [f.result() for f in futures]
+    except BrokenProcessPool:
+        raise
+    except Exception:  # a later shard may fail at an earlier slot than the first failing shard
+        _run_batch(instance, policies, seeds, horizon, table)
+        raise
     return {k: np.concatenate([part[k] for part in parts], axis=1) for k in parts[0]}
 
 
@@ -476,7 +460,8 @@ def monte_carlo(
         raise ValueError("horizon must be >= 1")
     if table is None and any(p.startswith("whittle") for p in policies):
         table = compute_index_table(instance)
-    shards = _shard_count(len(seeds))
+    work = len(seeds) * horizon * instance.n_chargers * len(set(policies))  # charger-slots
+    shards = _shard_count(len(seeds), work)
     cuts = [len(seeds) * i // shards for i in range(1, shards)]
     metrics = _run_shards(instance, tuple(policies), seeds, horizon, table, cuts)
     return ComparisonReport(policies, seeds, horizon, metrics, baseline)

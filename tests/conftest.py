@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def toy_constant():
 @pytest.fixture
 def no_child_left():
     """Fails a test that still waits on a child process after a minute, or
-    that leaves one running or unreaped."""
+    that leaves one running or unreaped, or a thread running."""
     def hung(signum, frame):
         raise TimeoutError("still waiting on a child process after 60 s")
 
@@ -73,6 +74,7 @@ def no_child_left():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
     assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
     try:  # reaps and returns a zombie; (0, 0) while only live children remain
         assert os.waitpid(-1, os.WNOHANG) == (0, 0)
     except ChildProcessError:  # no child at all

@@ -618,7 +618,7 @@ def test_huge_penalty_valley_failure_in_two_shards_exits_3(huge_penalty_toy, tmp
     argv = ["simulate", "--config", str(huge_penalty_toy), "--out", str(tmp_path)]
     assert cli.main(argv) == 3
     serial = capfd.readouterr().err
-    monkeypatch.setattr(sim, "_shard_count", lambda n_seeds: 2)
+    monkeypatch.setattr(sim, "_shard_count", lambda n_seeds, work: 2)
     assert cli.main(argv) == 3
     err = capfd.readouterr().err
     assert err == serial and err.startswith("verification failure: valley-filling plan failed")

@@ -14,7 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from evbandit.sim import SHARD_MIN_SEEDS
+from evbandit.config import load_run_config
+from evbandit.sim import SHARD_MIN_WORK, default_horizon
 
 REPO = Path(__file__).resolve().parent.parent
 TOY = REPO / "configs" / "toy.json"
@@ -89,12 +90,25 @@ def test_no_command_loads_scipy_stats(tmp_path):
     assert "scipy.stats" not in loaded
 
 
+def seeds_for_work(cfg: Path, work: int) -> int:
+    """The most seeds with which ``simulate`` on ``cfg`` runs at most
+    ``work`` charger-slots, summed over its policies."""
+    run = load_run_config(cfg)
+    horizon = run.horizon or default_horizon(run.instance, run.truncation_tol)
+    return work // (horizon * run.instance.n_chargers * len(set(run.policies)))
+
+
 def test_plain_commands_load_no_multiprocessing(tmp_path):
-    """Below SHARD_MIN_SEEDS seeds a simulation runs in this process alone."""
+    """Below 2 * SHARD_MIN_WORK charger-slots a simulation runs in this
+    process alone; at it, on more than one core, it shards its seeds."""
     cfg = without_valley(tmp_path)
+    below = seeds_for_work(cfg, 2 * SHARD_MIN_WORK - 1)
     loaded = loaded_after([
         ["index", "--config", str(cfg)],
         ["bound", "--config", str(cfg)],
-        ["simulate", "--config", str(cfg), "--seeds", str(SHARD_MIN_SEEDS * 2 - 1)],
+        ["simulate", "--config", str(cfg), "--seeds", str(below)],
     ], tmp_path, prefix="multiprocessing")
     assert loaded == set()
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        at = ["simulate", "--config", str(cfg), "--seeds", str(below + 1)]
+        assert "multiprocessing" in loaded_after([at], tmp_path, prefix="multiprocessing")

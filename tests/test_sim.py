@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from unittest import mock
 
@@ -478,7 +479,7 @@ def test_sharded_runs_equal_the_serial_run_bit_for_bit(case):
     tab = compute_index_table(inst)
     want = sim._run_batch(inst, policies, seeds, horizon, tab)
     assert_bit_identical(sim._run_shards(inst, policies, seeds, horizon, tab, cuts), want)
-    with mock.patch.object(sim, "_shard_count", lambda n_seeds: len(cuts) + 1):
+    with mock.patch.object(sim, "_shard_count", lambda n_seeds, work: len(cuts) + 1):
         report = monte_carlo(inst, policies, seeds, horizon, table=tab)
     assert report.seeds == seeds
     assert_bit_identical(report.metrics, want)
@@ -488,15 +489,23 @@ def test_sharded_runs_equal_the_serial_run_bit_for_bit(case):
 class TestSharding:
     def test_shard_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        assert [sim._shard_count(n) for n in (2, 99, 100, 199, 200, 10**6)] == [1, 1, 2, 3, 4, 4]
+        w = sim.SHARD_MIN_WORK
+        cases = [(200, 2 * w - 1), (200, 2 * w), (200, 3 * w), (200, 10**9), (3, 10**9), (2, w)]
+        assert [sim._shard_count(*c) for c in cases] == [1, 2, 3, 4, 3, 1]
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:  # a forked child would have no copy of the other thread
-            assert sim._shard_count(10**6) == 1
+            assert sim._shard_count(200, 10**9) == 1
         finally:
             release.set()
             other.join()
+
+    def test_work_counts_each_distinct_policy_once(self, toy_dynamic):
+        asked = []
+        with mock.patch.object(sim, "_shard_count", lambda *a: asked.append(a) or 1):
+            monte_carlo(toy_dynamic, ["edf", "llf", "edf"], 3, horizon=5)
+        assert asked == [(3, 3 * 5 * toy_dynamic.n_chargers * 2)]
 
     def test_dynamic_cost_at_200_seeds(self):
         cfg = load_run_config(REPO / "configs" / "dynamic_cost.json")
@@ -506,24 +515,29 @@ class TestSharding:
         assert_bit_identical(sim._run_shards(*args, [70, 140]), sim._run_batch(*args))
 
     @staticmethod
-    def llf_over_capacity(monkeypatch, bad_seed=None):
-        """Switch on all of llf's chargers in every slot: on ``bad_seed``'s row
-        only, or on every row when it is None."""
+    def over_capacity(monkeypatch, bad):
+        """From slot ``bad[seed][1]`` on, switch on all of a policy's chargers
+        on ``seed``'s row: the policy whose kernel row is ``bad[seed][0]``
+        (0 edf, 1 llf); on every row where ``bad`` is {None: (row, slot)}."""
         stack, world, shard = sim.stack_kernel, sim.world_slots, {}
 
         def seen(instance, seeds, horizon):
-            shard["seeds"] = list(seeds)
+            shard["seeds"], shard["slot"] = list(seeds), 0
             return world(instance, seeds, horizon)
 
         def over_stack(runs, instance, table=None):
             kern = stack(runs, instance, table)
 
             def over(t, b, j, tau):
-                action, swapped = kern(t, b, j, tau)  # rows: edf, then llf
-                if bad_seed is None:
-                    action[1] = True
-                elif bad_seed in shard["seeds"]:
-                    action[1, shard["seeds"].index(bad_seed)] = True
+                action, swapped = kern(t, b, j, tau)
+                for seed, (row, slot) in bad.items():
+                    if shard["slot"] < slot:
+                        continue
+                    if seed is None:
+                        action[row] = True
+                    elif seed in shard["seeds"]:
+                        action[row, shard["seeds"].index(seed)] = True
+                shard["slot"] += 1
                 return action, swapped
 
             return over
@@ -531,17 +545,24 @@ class TestSharding:
         monkeypatch.setattr(sim, "world_slots", seen)
         monkeypatch.setattr(sim, "stack_kernel", over_stack)
 
-    @pytest.mark.parametrize("bad_seed,cuts", [(13, [3]), (None, [2, 4])],
-                             ids=["in-a-child", "in-every-shard"])
-    def test_a_shards_error_is_the_serial_error(self, toy_dynamic, monkeypatch, bad_seed, cuts):
-        self.llf_over_capacity(monkeypatch, bad_seed)
+    @pytest.mark.parametrize("bad,cuts,policy", [
+        ({13: (1, 0)}, [3], "llf"),
+        ({None: (1, 0)}, [2, 4], "llf"),
+        ({5: (0, 5), 13: (1, 0)}, [3], "llf"),
+        ({5: (1, 0), 13: (0, 0)}, [3], "edf"),
+    ], ids=["in-a-child", "in-every-shard", "earlier-in-a-later-shard", "same-slot-two-shards"])
+    def test_a_shards_error_is_the_serial_error(self, toy_dynamic, monkeypatch, bad, cuts, policy):
+        """The serial run raises at the first slot that fails, naming the
+        first failing policy in the caller's order, whichever shard holds
+        the seed."""
+        self.over_capacity(monkeypatch, bad)
         args = (toy_dynamic, ("edf", "llf"), [5, 9, 2, 7, 13, 1], 20)
         with pytest.raises(RuntimeError) as serial:
             sim._run_shards(*args, None, [])
         with pytest.raises(RuntimeError) as sharded:
             sim._run_shards(*args, None, cuts)
         assert type(sharded.value) is type(serial.value)
-        assert str(sharded.value) == str(serial.value) == "policy 'llf' violated the capacity limit"
+        assert str(sharded.value) == str(serial.value) == f"policy {policy!r} violated the capacity limit"
 
     def test_a_child_that_dies_is_an_error(self, toy_dynamic, monkeypatch):
         stack, parent = sim.stack_kernel, os.getpid()
@@ -557,5 +578,6 @@ class TestSharding:
             return dying
 
         monkeypatch.setattr(sim, "stack_kernel", dying_stack)
-        with pytest.raises(RuntimeError, match="ended before sending its results"):
+        with pytest.raises(BrokenProcessPool) as died:
             sim._run_shards(toy_dynamic, ("edf",), list(range(6)), 20, None, [3])
+        assert isinstance(died.value, RuntimeError)  # the CLI's exit 3
