@@ -215,10 +215,9 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
     except ValueError as e:
         raise ConfigError(f"bad instance: {e}") from e
     check_size(t_max, b_max, n_periods, arm=arm_entries(inst), n_levels=inst.cost.n_levels)
-    scale = (1 + float(np.abs(cost.values).max()) + float(penalty(b_max))) / (1 - inst.discount)
-    if not scale <= MAGNITUDE_BUDGET:
+    if not inst.scale <= MAGNITUDE_BUDGET:
         raise ConfigError(f"magnitudes too large: (1 + max |c| + F(b_max)) / (1 - beta) = "
-                          f"{scale:.3g}, over {MAGNITUDE_BUDGET:.0e}")
+                          f"{inst.scale:.3g}, over {MAGNITUDE_BUDGET:.0e}")
     return inst
 
 

@@ -248,6 +248,13 @@ class Instance:
     def n_periods(self) -> int:
         return self.arrivals.n_periods
 
+    @property
+    def scale(self) -> float:
+        """(1 + max |c| + F(b_max)) / (1 - beta), a bound on one charger's
+        discounted reward or penalty."""
+        top = 1.0 + float(np.abs(self.cost.values).max()) + float(self.penalty(self.b_max))
+        return top / (1.0 - self.discount)
+
     def charger_index(self, t, b):
         """Position of (T, B) on the charger-state grid of ``charger_law``: the
         empty charger (0, 0) is 0, then occupied (T, B) row-major.  Works on

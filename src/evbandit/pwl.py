@@ -150,11 +150,16 @@ class PWLBatch:
 
     @classmethod
     def concat(cls, batches: list["PWLBatch"]) -> "PWLBatch":
-        width = max(b.X.shape[1] for b in batches)
-        X, Y = ([np.pad(getattr(b, k), ((0, 0), (0, width - b.X.shape[1])), constant_values=fill)
-                 for b in batches] for k, fill in (("X", np.inf), ("Y", 0.0)))
-        rest = (np.concatenate([getattr(b, k) for b in batches]) for k in ("n", "left", "right"))
-        return cls(np.concatenate(X), np.concatenate(Y), *rest)
+        """The rows of all batches in order, in arrays preallocated to the
+        widest batch: X padded with +inf, Y with 0."""
+        n, left, right = (np.concatenate([getattr(b, k) for b in batches])
+                          for k in ("n", "left", "right"))
+        X = np.full((n.size, max(b.X.shape[1] for b in batches)), np.inf)
+        Y = np.zeros_like(X)
+        for b, lo in zip(batches, np.cumsum([0] + [b.n.size for b in batches])):
+            at = np.s_[lo : lo + b.n.size, : b.X.shape[1]]
+            X[at], Y[at] = b.X, b.Y
+        return cls(X, Y, n, left, right)
 
     @classmethod
     def _pack(cls, X, Y, keep, left, right) -> "PWLBatch":
@@ -259,13 +264,16 @@ class PWLBatch:
         todo = np.flatnonzero(~keep.all(axis=1))
         while todo.size:
             kept_at = np.where(keep[todo], cols, 0)
-            prev = np.maximum.accumulate(np.pad(kept_at[:, :-1], ((0, 0), (1, 0))), axis=1)
+            prev = np.zeros_like(kept_at)
+            prev[:, 1:] = kept_at[:, :-1]
+            np.maximum.accumulate(prev, axis=1, out=prev)
             new = rule(X[todo[:, None], prev], Y[todo[:, None], prev], todo)
             changed = np.any(new != keep[todo], axis=1)
             keep[todo] = new
             todo = todo[changed]
-        keep = np.pad(keep, ((0, 0), (1, 1)), constant_values=True)[:, :width] & self.valid
-        return PWLBatch._pack(X, Y, keep, self.left, self.right)
+        padded = np.ones((rows, width), dtype=bool)
+        padded[:, 1:-1] = keep
+        return PWLBatch._pack(X, Y, padded & self.valid, self.left, self.right)
 
     def combine(self, members, weights, group=None) -> "PWLBatch":
         """Weighted sums of rows, simplified.
@@ -298,13 +306,15 @@ class PWLBatch:
         A row's knots must be nondecreasing; equal knots make the pieces
         between them empty.  At each knot the nearest non-empty piece to its
         left and the piece to its right must agree within CONTINUITY_TOL.
-        RowError names the first row that breaks a rule.
+        RowError names the first row that breaks a rule.  All pieces are
+        evaluated at the knots in one call on their concatenation.
         """
         knots = np.asarray(knots, dtype=float)
         _check(np.any(np.diff(knots, axis=1) < 0, axis=1), "knots must be nondecreasing")
         # piece i spans edges i and i + 1; at[i][r, e] is piece i at edge e
-        edges = np.pad(knots, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
-        at = [p(edges) for p in pieces]
+        edges = np.full((knots.shape[0], knots.shape[1] + 2), np.inf)
+        edges[:, 0], edges[:, 1:-1] = -np.inf, knots
+        at = cls.concat(pieces)(np.tile(edges, (len(pieces), 1))).reshape(len(pieces), *edges.shape)
         for k in range(1, len(pieces)):
             a, b = at[k - 1][:, k], at[k][:, k]
             for i in range(k - 2, -1, -1):  # an empty piece i + 1 hands over to piece i

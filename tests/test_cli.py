@@ -596,8 +596,34 @@ def test_huge_penalty_oracle_ends_within_the_contract(huge_penalty_toy, tmp_path
          "--config", str(huge_penalty_toy), "--verify-oracle", "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_huge_penalty_table_off_by_a_thousand_tolerances_exits_3(huge_penalty_toy, tmp_path,
+                                                                 monkeypatch, capsys):
+    """The table and the oracle agree near 1e99 to about 3e-17 relative; the
+    tolerance scales with the instance, but a table moved by a thousand
+    tolerances still fails."""
+    real = cli.compute_index_table
+
+    def shifted(inst):
+        v = real(inst).values.copy()
+        v[1:, 1:] += 1e3 * cli.ORACLE_REL * inst.scale
+        return IndexTable(v)
+
+    monkeypatch.setattr(cli, "compute_index_table", shifted)
+    rc = cli.main(["index", "--config", str(huge_penalty_toy), "--verify-oracle",
+                   "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("verification failure: index table disagrees")
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json"))
+                         + sorted((REPO / "perfbench" / "workloads").glob("*.json")),
+                         ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_shipped_oracle_tolerance_is_absolute(path):
+    assert cli.oracle_tolerance(load_run_config(path).instance) == cli.ORACLE_TOL == 1e-6
 
 
 def test_huge_penalty_valley_failure_exits_3(huge_penalty_toy, tmp_path, capsys):

@@ -312,6 +312,23 @@ def test_batch_evaluation_wants_sorted_queries():
         PWLBatch.of([PiecewiseLinear.affine(0.0, 1.0)])(np.array([[1.0, 0.0]]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(rows_strategy(max_points=9), min_size=0, max_size=3), min_size=1,
+                max_size=4).filter(lambda parts: any(parts)))
+def test_batch_concat_pads_with_inf_and_zero(parts):
+    """Rows of unequal width come back in order, each padded to the widest
+    with +inf in X and 0 in Y; a batch may hold no row."""
+    empty = PWLBatch.of([PiecewiseLinear.constant(0.0)]).take(np.arange(0))
+    batches = [PWLBatch.of(p) if p else empty for p in parts]
+    funcs = [f for p in parts for f in p]
+    out = PWLBatch.concat(batches)
+    assert out.X.shape == (len(funcs), max(f.xs.size for f in funcs))
+    for r, f in enumerate(funcs):
+        assert same_bits(out.row(r), f)
+        assert np.all(out.X[r, f.xs.size:] == np.inf)
+        assert out.Y[r, f.xs.size:].tobytes() == np.zeros(out.X.shape[1] - f.xs.size).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(rows_strategy(max_points=9), min_size=1, max_size=5))
 def test_batch_simplify_matches_loop(funcs):
@@ -323,15 +340,19 @@ def test_batch_simplify_matches_loop(funcs):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(rows_strategy(), min_size=1, max_size=6), st.data())
 def test_batch_combine_matches_loop(funcs, data):
-    """Groups of members, several weight vectors per group."""
-    n_groups = data.draw(st.integers(1, 3))
+    """Groups of members, several weight vectors per group.  No group at all
+    and an empty ``group`` are drawn too: the recursion's combine of crossed
+    indexes has that shape on a level where no two indexes cross."""
+    n_groups = data.draw(st.integers(0, 3))
     m = data.draw(st.integers(1, 3))
     members = np.array([[data.draw(st.integers(0, len(funcs) - 1)) for _ in range(m)]
-                        for _ in range(n_groups)])
-    group = np.array(data.draw(st.lists(st.integers(0, n_groups - 1), min_size=1, max_size=5)))
+                        for _ in range(n_groups)], dtype=int).reshape(n_groups, m)
+    group = np.array(data.draw(st.lists(st.integers(0, max(n_groups - 1, 0)),
+                                        max_size=5 * min(n_groups, 1))), dtype=int)
     weights = np.array([[data.draw(st.sampled_from([1.0, 0.0, 0.3, 0.9, -0.7]))
-                         for _ in range(m)] for _ in group])
+                         for _ in range(m)] for _ in group]).reshape(group.size, m)
     out = PWLBatch.of(funcs).combine(members, weights, group)
+    assert out.n.size == group.size
     for o, g in enumerate(group):
         assert same_bits(out.row(o), reference_combine([funcs[i] for i in members[g]], weights[o]))
 
@@ -341,10 +362,11 @@ def lifted(f: PiecewiseLinear, c: float) -> PiecewiseLinear:
 
 
 @st.composite
-def stitch_case(draw):
+def stitch_case(draw, widths=(7, 7, 7)):
     """Three pieces lifted to meet at two knots, up to offsets near and past
-    CONTINUITY_TOL.  Equal knots are common; there the outer pieces meet."""
-    p0, p1, p2 = (draw(rows_strategy()) for _ in range(3))
+    CONTINUITY_TOL.  Equal knots are common; there the outer pieces meet.
+    Piece i has at most ``widths[i]`` breakpoints."""
+    p0, p1, p2 = (draw(rows_strategy(max_points=w)) for w in widths)
     k1 = draw(st.floats(-5, 5)) + 0.0
     k2 = k1 if draw(st.booleans()) else k1 + draw(GAP)
     off = st.sampled_from([0.0, 0.0, 6e-10, -6e-10, 1.0])
@@ -353,17 +375,28 @@ def stitch_case(draw):
     return [p0, p1, p2], [k1, k2]
 
 
+def widened(batch: PWLBatch, extra: int) -> PWLBatch:
+    """The same rows with ``extra`` more columns of padding."""
+    return PWLBatch(np.pad(batch.X, ((0, 0), (0, extra)), constant_values=np.inf),
+                    np.pad(batch.Y, ((0, 0), (0, extra))), batch.n, batch.left, batch.right)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(stitch_case(), min_size=1, max_size=4))
-def test_batch_stitch_matches_loop(cases):
-    """Same rows bit for bit, or a RowError naming a row the loop rejects."""
+@given(st.data())
+def test_batch_stitch_matches_loop(data):
+    """Same rows bit for bit, or a RowError naming a row the loop rejects.
+    The pieces differ in width, by their breakpoints and by extra padding, as
+    a stitch evaluates them all in one call on the widest."""
+    widths = data.draw(st.tuples(*[st.sampled_from([1, 3, 9])] * 3))
+    cases = data.draw(st.lists(stitch_case(widths), min_size=1, max_size=4))
     want = []
     for ps, knots in cases:
         try:
             want.append(reference_stitch(ps, knots))
         except ValueError as e:
             want.append(e)
-    pieces = [PWLBatch.of([c[0][i] for c in cases]) for i in range(3)]
+    pieces = [widened(PWLBatch.of([c[0][i] for c in cases]), data.draw(st.sampled_from([0, 0, 2])))
+              for i in range(3)]
     knots = np.array([c[1] for c in cases])
     if any(isinstance(w, ValueError) for w in want):
         with pytest.raises(RowError) as err:
