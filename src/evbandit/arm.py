@@ -1,11 +1,11 @@
 """Single-charger MDP on the extended state space (T, B, cost level, period).
 
 Lifts the shared per-charger law onto the extended states: two sparse
-transition matrices and reward vectors.  Only the tests build it, for
-``whittle.subsidy_value_iteration`` and for the Kronecker-form occupancy LP
-that checks ``bound.build_occupancy_lp`` (``config.arm_entries`` sizes it);
-the index, the dual bound and the simulator work on lead-time grids, and the
-bound's LP on the shared law, instead.
+transition matrices from ``model.extended_moves``, and reward vectors.  Only
+the tests build it, for ``whittle.subsidy_value_iteration`` and for the
+Kronecker-form occupancy LP that checks ``bound.build_occupancy_lp``; the
+index, the dual bound and the simulator work on lead-time grids, and the
+bound's LP on ``extended_moves`` itself, instead.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ChargerLaw, Instance, charger_law
+from .model import Instance, charger_law, extended_moves
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -31,7 +31,6 @@ class ArmMDP:
     """
 
     instance: Instance
-    law: ChargerLaw
     R0: np.ndarray
     R1: np.ndarray
     P0: sp.csr_matrix
@@ -65,20 +64,13 @@ def build_arm_mdp(instance: Instance) -> ArmMDP:
 
     inst = instance
     law = charger_law(inst)
-    nt = inst.n_periods
-    n = law.T.size * inst.cost.n_levels * nt
-    P = []
-    for a in (0, 1):
-        rows, cols, data = [], [], []
-        for tau in range(nt):
-            kb = sp.kron(
-                sp.csr_matrix(law.move[a, tau]), sp.csr_matrix(inst.cost.matrix_for(tau))
-            ).tocoo()
-            rows.append(kb.row * nt + tau)
-            cols.append(kb.col * nt + (tau + 1) % nt)
-            data.append(kb.data)
-        P.append(sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        ))
-    R0, R1 = (np.repeat(law.reward[a].ravel(), nt) for a in (0, 1))
-    return ArmMDP(inst, law, R0, R1, P[0], P[1])
+    m = inst.cost.n_levels * inst.n_periods
+    n = law.T.size * m
+    (a, s, s2, p), (v, r2, q), vacant = extended_moves(inst, law)
+    # every vacant state takes the refill row of its price state
+    refill = (sp.csr_matrix((np.ones(vacant.size), (vacant, vacant % m)), shape=(n, m))
+              @ sp.csr_matrix((q, (v, r2)), shape=(m, n)))
+    P0, P1 = (sp.csr_matrix((p[a == act], (s[a == act], s2[a == act])), shape=(n, n)) + refill
+              for act in (0, 1))
+    R0, R1 = (np.repeat(law.reward[act].ravel(), inst.n_periods) for act in (0, 1))
+    return ArmMDP(inst, R0, R1, P0, P1)

@@ -16,7 +16,7 @@ refill enters the balance rows once per price state instead of once per
 departing state and action.  This is an exact change of variables: the
 optimum is that of the LP on the arm MDP's transition matrices, whose
 constraint matrix has two to four times as many nonzeros on the shipped
-configs.
+configs.  Both build from ``model.extended_moves``, the law's sparse steps.
 
 N times the optimal value upper-bounds every admissible policy of the real
 system.
@@ -30,13 +30,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Instance, charger_law
+from .model import Instance, charger_law, extended_moves
 from .whittle import IndexTable, compute_index_table, solve_subsidy
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-__all__ = ["OccupancyLP", "BoundResult", "build_occupancy_lp", "solve_bound"]
+__all__ = ["OccupancyLP", "BoundResult", "build_occupancy_lp", "lp_entries", "solve_bound"]
 
 # HiGHS's interior point (with its crossover) against its default simplex on
 # the vacancy form, 20 alternating pairs on a 2-core x86 host: 58 against
@@ -53,7 +53,7 @@ class OccupancyLP:
     states s = (cs, j, tau) in ``arm.ArmMDP``'s id order and the K * N_tau
     price states (j, tau); x(s,a) is the discounted visitation frequency
     (1-beta) E sum beta^t 1{state s, action a}, and z(j, tau) the sum of
-    x(s,a) over the states of (j, tau) with T <= 1.
+    x(s,a) over the states of (j, tau) with T <= 1.  ``lp_entries`` counts A_eq.
     """
 
     c: np.ndarray
@@ -87,7 +87,7 @@ def build_occupancy_lp(instance: Instance) -> OccupancyLP:
     sum_a x(s',a) = (1-beta) mu0(s')
                     + beta sum_{cs: T>=2, j, a} 1{cs' = next_a(cs)} P_tau(j,j') x(cs,j,tau,a)
                     + beta sum_j arrival_tau(cs') P_tau(j,j') z(j,tau),
-    where next_a is ``serve``'s next state of a staying charger,
+    where next_a and arrival_tau are the law's ``next[a]`` and ``arrival[tau]``,
     arrival_tau(0) = 1 - rho_tau and arrival_tau(cs') = rho_tau pmf_tau(cs'),
     and z(j,tau) = sum_{cs: T<=1, a} x(cs,j,tau,a) is a row of its own.
     Budget: sum_s x(s,1) <= M/N; objective (to maximize):
@@ -98,26 +98,16 @@ def build_occupancy_lp(instance: Instance) -> OccupancyLP:
 
     inst = instance
     law = charger_law(inst)
-    k, nt, beta = inst.cost.n_levels, inst.n_periods, inst.discount
-    m = k * nt
+    nt, beta = inst.n_periods, inst.discount
+    m = inst.cost.n_levels * nt
     n = law.T.size * m
     s = np.arange(n)
-    gone = law.T <= 1
-    vacant = np.flatnonzero(np.repeat(gone, m))
+    (a, stay, s2, p), (v, r2, q), vacant = extended_moves(inst, law)
     z = n + vacant % m  # the row of the z(j, tau) each vacant state counts in
-    rows = [s, s, z, z, n + np.arange(m)]
-    cols = [s, n + s, vacant, n + vacant, 2 * n + np.arange(m)]
-    data = [np.ones(n), np.ones(n), -np.ones(vacant.size), -np.ones(vacant.size), np.ones(m)]
-    for tau in range(nt):
-        cost = sp.csr_matrix(inst.cost.matrix_for(tau))
-        step = [sp.kron(sp.csr_matrix(law.move[a, tau] * ~gone[:, None]), cost) for a in (0, 1)]
-        # the empty charger's row is the arrival law, the refill of z(., tau)
-        step.append(sp.kron(sp.csr_matrix(law.move[0, tau, :1]), cost))
-        for offset, block in zip((0, n, 2 * n), step):
-            block = block.tocoo()
-            rows.append(block.col * nt + (tau + 1) % nt)
-            cols.append(offset + block.row * nt + tau)
-            data.append(-beta * block.data)
+    rows = [s, s, z, z, n + np.arange(m), s2, r2]
+    cols = [s, n + s, vacant, n + vacant, 2 * n + np.arange(m), a * n + stay, 2 * n + v]
+    data = [np.ones(n), np.ones(n), -np.ones(vacant.size), -np.ones(vacant.size), np.ones(m),
+            -beta * p, -beta * q]
     entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
     a_eq = sp.csr_matrix(entries, shape=(n + m, 2 * n + m))
     b_eq = np.zeros(n + m)
@@ -126,6 +116,18 @@ def build_occupancy_lp(instance: Instance) -> OccupancyLP:
     b_ub = np.array([inst.capacity / inst.n_chargers])
     c = np.concatenate([np.repeat(law.reward.reshape(2, -1), nt, axis=1).ravel(), np.zeros(m)])
     return OccupancyLP(c / (1.0 - beta), a_eq, b_eq, a_ub, b_ub, n)
+
+
+def lp_entries(instance: Instance) -> int:
+    """Nonzeros of ``build_occupancy_lp``'s A_eq, counted from ``charger_law``'s
+    arrays without building it: per price state, a one for each x and for z
+    and a -1 for each vacant state's x; and one per staying (cs, a), or per
+    arrival entry, and cost move of its period."""
+    law = charger_law(instance)
+    moves = np.count_nonzero(instance.cost.matrix_for(np.arange(instance.n_periods)), axis=(1, 2))
+    steps = np.count_nonzero(law.next) * moves.sum() + np.count_nonzero(law.arrival, axis=1) @ moves
+    cells = 2 * law.T.size + 2 * np.count_nonzero(law.T <= 1) + 1
+    return int(cells * instance.cost.n_levels * instance.n_periods + steps)
 
 
 def linprog(c, *args, **kwargs):

@@ -16,17 +16,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import costfit
+from . import bound, costfit
 from .model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from .sim import _BLOCK, POLICY_NAMES, default_horizon
 
 __all__ = [
     "ConfigError", "RunConfig", "load_run_config", "instance_from_dict", "check_size",
-    "arm_entries", "MEMORY_BUDGET", "WORK_BUDGET", "INDEX_BUDGET", "MAGNITUDE_BUDGET",
+    "MEMORY_BUDGET", "LP_ENTRY_BYTES", "WORK_BUDGET", "INDEX_BUDGET", "MAGNITUDE_BUDGET",
 ]
 
 # bytes the largest arrays of one command may take; check_size refuses more
 MEMORY_BUDGET = 1 << 30
+# bytes bound.build_occupancy_lp holds at its peak per nonzero of A_eq (its rows,
+# columns and values, joined and as a sparse matrix): 86 to 95 by tracemalloc
+LP_ENTRY_BYTES = 96
 # charger-slots (seeds x horizon x chargers) one policy may simulate, about
 # 140 times full-size fig3; check_size refuses more
 WORK_BUDGET = 1 << 32
@@ -197,10 +200,10 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
     arrivals = block.get("arrivals", {})
     _check_keys(arrivals, {"rho", "n_periods", "kind", "pmf"}, "arrivals")
     n_periods = _number(arrivals.get("n_periods", 1), "arrivals.n_periods", int)
-    check_size(t_max, b_max, n_periods)
+    cost = _cost_from(block.get("cost", {"constant": 0.5}), base_dir, n_periods)
+    check_size(t_max, b_max, n_periods, n_levels=cost.n_levels)
     penalty = _penalty_from(block.get("penalty", {"quadratic": 0.2}), b_max)
     arrivals = _arrivals_from(arrivals, t_max, b_max, n_periods)
-    cost = _cost_from(block.get("cost", {"constant": 0.5}), base_dir, n_periods)
     try:
         inst = Instance(
             n_chargers=_number(block.get("n_chargers", 10), "n_chargers", int),
@@ -214,7 +217,7 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
         )
     except ValueError as e:
         raise ConfigError(f"bad instance: {e}") from e
-    check_size(t_max, b_max, n_periods, arm=arm_entries(inst), n_levels=inst.cost.n_levels)
+    check_size(t_max, b_max, n_periods, lp=bound.lp_entries(inst), n_levels=inst.cost.n_levels)
     if not inst.scale <= MAGNITUDE_BUDGET:
         raise ConfigError(f"magnitudes too large: (1 + max |c| + F(b_max)) / (1 - beta) = "
                           f"{inst.scale:.3g}, over {MAGNITUDE_BUDGET:.0e}")
@@ -222,32 +225,30 @@ def instance_from_dict(block: dict, base_dir: Path | None = None) -> Instance:
 
 
 def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
-               n_seeds: int = 0, horizon: int = 0, arm: int = 0, n_levels: int = 0) -> None:
+               n_seeds: int = 0, horizon: int = 0, lp: int = 0, n_levels: int = 0) -> None:
     """Refuse, before they are built, arrays of more than MEMORY_BUDGET bytes,
     simulations of more than WORK_BUDGET charger-slots per policy, and index
     tables of more than INDEX_BUDGET work.
 
-    The estimate counts the bytes of the largest arrays a command builds.  As
-    float64 entries: the dense move table of ``charger_law``, 2 n_periods
-    n_cs^2 with n_cs = 1 + t_max (b_max + 1); the arrival pmf, n_periods
-    (t_max + 1) (b_max + 1); the ``arm`` nonzeros of the arm MDP's transition
-    matrices (``arm_entries``), of the order of those of the occupancy LP that
-    ``bound --verify-oracle`` builds; and per simulated seed the block of uniforms
-    ``sim.world_slots`` holds, a cost uniform and two per charger for each of
-    its _BLOCK slots.  No array grows with the horizon; the work does.  The
-    index work is the number of index states, t_max b_max n_levels n_periods,
-    times the bound 1 + t_max b_max n_levels n_periods on a g_1's breakpoints.
+    The estimate counts the bytes of the largest arrays a command builds:
+    LP_ENTRY_BYTES for each of the ``lp`` nonzeros of the occupancy LP that
+    ``bound --verify-oracle`` builds (``bound.lp_entries``), and as float64 entries
+    the arrival pmf, n_periods (t_max + 1) (b_max + 1), and per simulated
+    seed the block of uniforms ``sim.world_slots`` holds, a cost uniform and
+    two per charger for each of its _BLOCK slots.  No array grows with the
+    horizon; the work does.  The index work is the number of index states,
+    t_max b_max n_levels n_periods, times the bound 1 + t_max b_max n_levels
+    n_periods on a g_1's breakpoints.
     """
-    n_cs = 1 + t_max * (b_max + 1)
-    floats = n_periods * (2 * n_cs**2 + (t_max + 1) * (b_max + 1)) + arm
-    size = 8 * (floats + n_seeds * _BLOCK * (1 + 2 * n_chargers))
+    floats = n_periods * (t_max + 1) * (b_max + 1) + n_seeds * _BLOCK * (1 + 2 * n_chargers)
+    size = 8 * floats + LP_ENTRY_BYTES * lp
     work = n_seeds * horizon * n_chargers
     states = t_max * b_max * n_levels * n_periods
     index = states * (1 + states)
     if size > MEMORY_BUDGET or work > WORK_BUDGET or index > INDEX_BUDGET:
         sizes = f"t_max={t_max}, b_max={b_max}, n_periods={n_periods}"
-        if arm:
-            sizes += f", arm MDP nonzeros={arm:,}"
+        if lp:
+            sizes += f", occupancy LP nonzeros={lp:,}"
         if n_levels:
             sizes += f", cost levels={n_levels}"
         if n_seeds:
@@ -262,20 +263,6 @@ def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
             why = f"its index table would take up to {index:,} units (states x breakpoint bound)"
             budget = f"{INDEX_BUDGET:,}-unit index"
         raise ConfigError(f"run too large: {why}, over the {budget} budget ({sizes})")
-
-
-def arm_entries(instance: Instance) -> int:
-    """Nonzeros of the two transition matrices of ``arm.build_arm_mdp``: per
-    action and period, the kron of the ``charger_law`` move table with that
-    period's cost matrix.  A move row holds one entry for a state with T >= 2
-    and the arrival row, built here alone, for each of the b_max + 2 states
-    with T <= 1 (the empty one and the final slot's)."""
-    nt, rho = instance.n_periods, instance.arrivals.rho[:, None]
-    arrival = np.hstack([1.0 - rho, rho * instance.arrivals.pmf[:, 1:].reshape(nt, -1)])
-    rows = (instance.t_max - 1) * (instance.b_max + 1)
-    move = 2 * (rows + (instance.b_max + 2) * np.count_nonzero(arrival, axis=1))
-    cost = [np.count_nonzero(instance.cost.matrix_for(tau)) for tau in range(nt)]
-    return int(move @ cost)
 
 
 def load_run_config(path, **overrides) -> RunConfig:

@@ -26,6 +26,7 @@ __all__ = [
     "ChargerLaw",
     "serve",
     "charger_law",
+    "extended_moves",
 ]
 
 
@@ -103,7 +104,7 @@ class CostChain:
     def n_levels(self) -> int:
         return self.values.size
 
-    def matrix_for(self, tau: int) -> np.ndarray:
+    def matrix_for(self, tau) -> np.ndarray:
         return self.P[tau % self.P.shape[0]]
 
     def stationary(self) -> np.ndarray:
@@ -300,35 +301,50 @@ def serve(t, b, a):
 class ChargerLaw:
     """``serve`` tabulated over the charger-state grid (see ``charger_index``).
 
-    ``T[i]``, ``B[i]``: the state at grid index i.  ``move[a, tau, i, i2]``:
-    probability that a charger in state i, under action a in period tau, is
-    in state i2 in the next slot; a departing or empty charger is refilled
-    with probability rho(tau) * pmf(tau).  ``reward[a, i, j]``: one-slot
-    reward at cost level j.
+    ``T[i]``, ``B[i]``: the state at grid index i.  ``next[a, i]``: the next
+    slot's state of a charger in state i that stays (T >= 2) under action a;
+    0 where it departs or stays empty (T <= 1), and then, whatever its state
+    and action, ``arrival[tau]`` refills it: empty with probability
+    1 - rho(tau), state i2 >= 1 with rho(tau) pmf(tau)(T[i2], B[i2]).
+    ``reward[a, i, j]``: one-slot reward at cost level j.
     """
 
     T: np.ndarray
     B: np.ndarray
-    move: np.ndarray
+    next: np.ndarray
+    arrival: np.ndarray
     reward: np.ndarray
 
 
 def charger_law(instance: Instance) -> ChargerLaw:
     """Tabulate ``serve`` and the arrival law over the charger-state grid."""
     inst = instance
-    nt = inst.n_periods
+    rho = inst.arrivals.rho[:, None]
     t = np.concatenate([[0], np.repeat(np.arange(1, inst.t_max + 1), inst.b_max + 1)])
     b = np.concatenate([[0], np.tile(np.arange(inst.b_max + 1), inst.t_max)])
     eff, due, b_next = serve(t, b, np.array([[False], [True]]))
-
-    arrival = np.zeros((nt, t.size))
-    arrival[:, 0] = 1.0 - inst.arrivals.rho
-    arrival[:, 1:] = inst.arrivals.rho[:, None] * inst.arrivals.pmf[:, 1:].reshape(nt, -1)
-    move = np.zeros((2, nt, t.size, t.size))
     nxt = inst.charger_index(np.maximum(t - 1, 0), b_next)  # 0 where the charger departs
-    a, i = np.nonzero(nxt)
-    move[a, :, i, nxt[a, i]] = 1.0
-    move[:, :, t <= 1] = arrival[:, None]
-
+    arrival = np.hstack([1.0 - rho, rho * inst.arrivals.pmf[:, 1:].reshape(rho.size, -1)])
     reward = np.where(eff[..., None], 1.0 - inst.cost.values, 0.0) - inst.penalty.table[due, None]
-    return ChargerLaw(t, b, move, reward)
+    return ChargerLaw(t, b, nxt, arrival, reward)
+
+
+def extended_moves(instance: Instance, law: ChargerLaw):
+    """``law`` lifted onto the extended states s = (cs K + j) N_tau + tau
+    (``arm.ArmMDP``'s ids) as the entries of one slot's step: ``stay`` =
+    (a, s, s2, P_tau(j, j2)) for a charger with T >= 2 and each action a, and
+    ``refill`` = (v, s2, arrival_tau(cs2) P_tau(j, j2)) for the ``vacant``
+    states (T <= 1) of the price state v = j N_tau + tau = s mod K N_tau,
+    whatever their action."""
+    m, nt = instance.cost.n_levels * instance.n_periods, instance.n_periods
+    P = instance.cost.matrix_for(np.arange(nt))
+    tau, j, j2 = np.nonzero(P)
+    p = P[tau, j, j2]
+    now, then = j * nt + tau, j2 * nt + (tau + 1) % nt  # the price-state parts of s and s2
+    a, cs = np.nonzero(law.next)
+    stay = (np.repeat(a, p.size), np.add.outer(cs * m, now).ravel(),
+            np.add.outer(law.next[a, cs] * m, then).ravel(), np.tile(p, a.size))
+    refill = law.arrival[tau] * p[:, None]  # each cost move times its period's arrival row
+    e, cs2 = np.nonzero(refill)
+    vacant = np.flatnonzero(np.repeat(law.T <= 1, m))
+    return stay, (now[e], cs2 * m + then[e], refill[e, cs2]), vacant

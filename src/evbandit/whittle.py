@@ -224,7 +224,7 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
     # (from nu) and it adds exact zeros, which change no bit
     fixed = PWLBatch.affine(np.concatenate([cvals - 1.0, gain, gain, [0.0, 0.0]]),
                             np.concatenate([np.ones(K), np.zeros(K), -np.ones(K), [1.0, 0.0]]))
-    P = np.stack([inst.cost.matrix_for(t) for t in range(nt)])
+    P = inst.cost.matrix_for(np.arange(nt))
     next_rows = ((tau + 1) % nt * b_bar + b)[::K, None] * K + np.arange(K)
 
     for T in range(2, t_bar + 1):
@@ -410,16 +410,18 @@ def index_by_bisection(instance: Instance) -> np.ndarray:
     Every state with T >= 1 is bisected at once, one subsidy each, to within
     BISECTION_TOL, or to adjacent floats where those lie further apart, on
     ``subsidy_pass``, reading its action at its own lead time, in chunks
-    whose pass arrays stay under ORACLE_BYTES.  The bracket +/- (1 + max penalty
-    increment + max |cost|) bounds the one-slot activation gain, so a state
-    that does not turn from active to passive in it raises ValueError (a
-    non-indexable input, impossible for valid instances).  Returns an array
-    shaped like ``IndexTable.values``, with row T = 0 zero.
+    whose pass arrays stay under ORACLE_BYTES.  The bracket is twice the bound
+    1 + max penalty increment + max |cost| on the one-slot activation gain
+    either way, room that rounding cannot take (an exact doubling: after two
+    halvings, the bound's own brackets), so a state that does not turn from
+    active to passive in it raises ValueError (a non-indexable input,
+    impossible for valid instances).  Returns an array shaped like
+    ``IndexTable.values``, with row T = 0 zero.
     """
     inst = instance
     shape = (inst.t_max + 1, inst.b_max + 1, inst.cost.n_levels, inst.n_periods)
     T, B, j, tau = (a.ravel() for a in np.indices(shape))
-    span = 1.0 + inst.penalty.max_increment + float(np.abs(inst.cost.values).max())
+    span = 2.0 * (1.0 + inst.penalty.max_increment + float(np.abs(inst.cost.values).max()))
     index = np.zeros(T.size)
     states = np.flatnonzero(T >= 1)
     chunk = max(1, ORACLE_BYTES // (8 * 8 * (T.size // shape[0])))

@@ -13,7 +13,10 @@ pass of ``whittle.index_by_bisection``; ``activation_frequency`` solves the
 occupancy of the subsidy problem's greedy policy on the sparse arm MDP, the
 reference for ``SubsidySolution.activations``; ``kronecker_occupancy_lp`` is
 the occupancy LP on the arm MDP's transition matrices, the reference for
-``bound.build_occupancy_lp``'s vacancy form.  Tests import this
+``bound.build_occupancy_lp``'s vacancy form, and
+``reference_occupancy_lp`` that vacancy form as it was built from
+``dense_move``, the dense view of the shared law's next-state indices and
+arrival rows, which the joint DP also reads.  Tests import this
 module as ``oracles`` (``tests/`` is on ``sys.path``); pytest does not collect
 it.
 """
@@ -28,10 +31,24 @@ import numpy as np
 from evbandit import whittle
 from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from evbandit.bound import OccupancyLP
-from evbandit.model import Instance, charger_law
+from evbandit.model import ChargerLaw, Instance, charger_law
 from evbandit.policies import edf_key, llf_key, lllp_kernel, select_by_key, whittle_key
 from evbandit.sim import _run_batch, default_horizon, stack_kernel
 from evbandit.whittle import IndexTable, compute_index_table
+
+
+def dense_move(law: ChargerLaw) -> np.ndarray:
+    """The law as a dense table move[a, tau, i, i2]: the probability that a
+    charger in state i, under action a in period tau, is in state i2 in the
+    next slot.  A staying charger's row holds a one at ``next[a, i]``, a
+    departing or empty charger's row is ``arrival[tau]``."""
+    nt, n_cs = law.arrival.shape
+    move = np.zeros((2, nt, n_cs, n_cs))
+    a, i = np.nonzero(law.next)
+    move[a, :, i, law.next[a, i]] = 1.0
+    a, i = np.nonzero(law.next == 0)
+    move[a, :, i] = law.arrival
+    return move
 
 
 def state_id(instance: Instance, T: int, B: int, j: int, tau: int) -> int:
@@ -175,6 +192,7 @@ class _JointMDP:
     def __init__(self, instance: Instance, tol: float):
         self.instance = instance
         self.law = charger_law(instance)
+        self.move = dense_move(self.law)
         n_cs = self.law.T.size
         n = instance.n_chargers
         total = n_cs**n * instance.cost.n_levels * instance.n_periods
@@ -202,7 +220,7 @@ class _JointMDP:
         for k in range(len(self.actions)) if which is None else which:
             ev = w
             for i, ai in enumerate(self.actions[k]):
-                ev = np.moveaxis(np.tensordot(self.law.move[ai, tau], ev, axes=([1], [i])), 0, i)
+                ev = np.moveaxis(np.tensordot(self.move[ai, tau], ev, axes=([1], [i])), 0, i)
             yield k, self.rewards[k] + inst.discount * ev
 
     def start_value(self, v: np.ndarray) -> float:
@@ -291,7 +309,8 @@ def activation_frequency(instance: Instance, lam: float) -> float:
 
     arm = build_arm_mdp(instance)
     sol = whittle.solve_subsidy(instance, lam)
-    T, B = arm.law.T, arm.law.B
+    law = charger_law(instance)
+    T, B = law.T, law.B
     # sol.actions[T, B] is (n_cs, K, N_tau), which ravels in state-id order
     act = ((B > 0)[:, None, None] & (sol.actions[T, B] > 0)).ravel()
     rows = sp.diags(~act * 1.0) @ arm.P0 + sp.diags(act * 1.0) @ arm.P1
@@ -323,3 +342,68 @@ def kronecker_occupancy_lp(instance: Instance) -> OccupancyLP:
     b_ub = np.array([instance.capacity / instance.n_chargers])
     c = np.concatenate([arm.R0, arm.R1]) / (1.0 - beta)
     return OccupancyLP(c, a_eq, b_eq, a_ub, b_ub, n)
+
+
+def dense_arm_transitions(instance: Instance):
+    """P0, P1 of ``arm.build_arm_mdp`` built from the dense table of
+    ``dense_move``: per action and period, its kron with the period's cost
+    matrix."""
+    import scipy.sparse as sp
+
+    inst = instance
+    move = dense_move(charger_law(inst))
+    nt = inst.n_periods
+    n = move.shape[2] * inst.cost.n_levels * nt
+    P = []
+    for a in (0, 1):
+        rows, cols, data = [], [], []
+        for tau in range(nt):
+            kb = sp.kron(
+                sp.csr_matrix(move[a, tau]), sp.csr_matrix(inst.cost.matrix_for(tau))
+            ).tocoo()
+            rows.append(kb.row * nt + tau)
+            cols.append(kb.col * nt + (tau + 1) % nt)
+            data.append(kb.data)
+        P.append(sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        ))
+    return P[0], P[1]
+
+
+def reference_occupancy_lp(instance: Instance) -> OccupancyLP:
+    """``bound.build_occupancy_lp``'s vacancy form built from the dense table
+    of ``dense_move``: per period, the staying rows' kron with the cost
+    matrix, and the empty charger's row (the arrival law, the refill of
+    z(., tau)) likewise."""
+    import scipy.sparse as sp
+
+    inst = instance
+    law = charger_law(inst)
+    move = dense_move(law)
+    k, nt, beta = inst.cost.n_levels, inst.n_periods, inst.discount
+    m = k * nt
+    n = law.T.size * m
+    s = np.arange(n)
+    gone = law.T <= 1
+    vacant = np.flatnonzero(np.repeat(gone, m))
+    z = n + vacant % m  # the row of the z(j, tau) each vacant state counts in
+    rows = [s, s, z, z, n + np.arange(m)]
+    cols = [s, n + s, vacant, n + vacant, 2 * n + np.arange(m)]
+    data = [np.ones(n), np.ones(n), -np.ones(vacant.size), -np.ones(vacant.size), np.ones(m)]
+    for tau in range(nt):
+        cost = sp.csr_matrix(inst.cost.matrix_for(tau))
+        step = [sp.kron(sp.csr_matrix(move[a, tau] * ~gone[:, None]), cost) for a in (0, 1)]
+        step.append(sp.kron(sp.csr_matrix(move[0, tau, :1]), cost))
+        for offset, block in zip((0, n, 2 * n), step):
+            block = block.tocoo()
+            rows.append(block.col * nt + (tau + 1) % nt)
+            cols.append(offset + block.row * nt + tau)
+            data.append(-beta * block.data)
+    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    a_eq = sp.csr_matrix(entries, shape=(n + m, 2 * n + m))
+    b_eq = np.zeros(n + m)
+    b_eq[:m:nt] = (1.0 - beta) * inst.cost.stationary()
+    a_ub = sp.csr_matrix(np.repeat([0.0, 1.0, 0.0], [n, n, m])[None, :])
+    b_ub = np.array([inst.capacity / inst.n_chargers])
+    c = np.concatenate([np.repeat(law.reward.reshape(2, -1), nt, axis=1).ravel(), np.zeros(m)])
+    return OccupancyLP(c / (1.0 - beta), a_eq, b_eq, a_ub, b_ub, n)

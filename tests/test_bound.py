@@ -11,7 +11,8 @@ from evbandit.config import load_run_config
 from evbandit.model import CostChain
 from evbandit.whittle import compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance
-from oracles import activation_frequency, kronecker_occupancy_lp
+from oracles import (activation_frequency, dense_arm_transitions, kronecker_occupancy_lp,
+                     reference_occupancy_lp)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,6 +53,20 @@ def random_chain_instance(seed: int, n_periods: int):
         t_max=t_max, b_max=int(rng.integers(1, t_max + 1)), kappa=float(rng.uniform(0.1, 1.0)),
         rho=rng.uniform(0.3, 1.0, n_periods).tolist(), cost=chain, n_periods=n_periods,
     )
+
+
+VACANCY_CASES = ["toy.json", "fig3_constant_cost.json", "dynamic_cost.json", "periodic",
+                 "four_period", *(f"random-{nt}-{seed}" for nt in (1, 2, 3) for seed in range(3))]
+
+
+def vacancy_case(name: str):
+    """A shipped config, a fixture instance, or random-<periods>-<seed>."""
+    if name.endswith(".json"):
+        return shipped(name)
+    if name.startswith("random"):
+        _, nt, seed = name.split("-")
+        return random_chain_instance(int(seed), int(nt))
+    return periodic_instance() if name == "periodic" else four_period_instance()
 
 
 def enumerate_deterministic_optimum(instance) -> float:
@@ -201,20 +216,13 @@ class TestStructure:
 class TestVacancyForm:
     """``build_occupancy_lp``'s vacancy form against the Kronecker form of
     ``oracles.kronecker_occupancy_lp``: one optimum, and the vacancy solution's
-    x part is a feasible point of the Kronecker form with that value."""
+    x part is a feasible point of the Kronecker form with that value; and
+    against ``oracles.reference_occupancy_lp``, the same form built from the
+    dense move table, entry for entry."""
 
-    @pytest.mark.parametrize("name", [
-        "toy.json", "fig3_constant_cost.json", "dynamic_cost.json", "periodic", "four_period",
-        *(f"random-{nt}-{seed}" for nt in (1, 2, 3) for seed in range(3)),
-    ])
+    @pytest.mark.parametrize("name", VACANCY_CASES)
     def test_same_optimum_and_a_feasible_x(self, name):
-        if name.endswith(".json"):
-            inst = shipped(name)
-        elif name.startswith("random"):
-            _, nt, seed = name.split("-")
-            inst = random_chain_instance(int(seed), int(nt))
-        else:
-            inst = periodic_instance() if name == "periodic" else four_period_instance()
+        inst = vacancy_case(name)
         lp, ref = build_occupancy_lp(inst), kronecker_occupancy_lp(inst)
         value, x = _solve_lp(lp)
         want, _ = _solve_lp(ref)
@@ -224,6 +232,18 @@ class TestVacancyForm:
         assert np.abs(ref.A_eq @ x - ref.b_eq).max() <= 1e-9
         assert (ref.A_ub @ x - ref.b_ub).max() <= 1e-9
         assert x.min() >= 0.0
+
+    @pytest.mark.parametrize("name", VACANCY_CASES)
+    def test_equals_the_dense_table_builder(self, name):
+        """The LP from the law's next-state indices and arrival rows, entry for
+        entry the one built from the dense move table; likewise the arm MDP."""
+        inst = vacancy_case(name)
+        lp, ref, arm = build_occupancy_lp(inst), reference_occupancy_lp(inst), build_arm_mdp(inst)
+        for got, want in ((lp.A_eq, ref.A_eq), (lp.A_ub, ref.A_ub),
+                          *zip((arm.P0, arm.P1), dense_arm_transitions(inst))):
+            assert got.shape == want.shape and (got != want).nnz == 0
+        for got, want in ((lp.b_eq, ref.b_eq), (lp.c, ref.c), (lp.b_ub, ref.b_ub)):
+            np.testing.assert_array_equal(got, want)
 
     def test_under_half_the_nonzeros(self):
         inst = periodic_instance()

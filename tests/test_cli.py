@@ -410,6 +410,8 @@ INDEX_TOO_LARGE = {"instance.t_max": 60, "instance.b_max": 40, "instance.arrival
         ({"instance.arrivals.n_periods": "x"}, []),
         ({"verify_oracle": "no"}, []),
         ({"instance.t_max": 10**9}, []),
+        # its pmf fits, but 1e8 charger states would not: refused before the law is built
+        ({"instance.t_max": 10**7}, []),
         ({"instance.b_max": 10**9}, []),
         ({"instance.arrivals.n_periods": 10**9}, []),
         ({"instance.n_chargers": 10**9}, []),
@@ -417,10 +419,13 @@ INDEX_TOO_LARGE = {"instance.t_max": 60, "instance.b_max": 40, "instance.arrival
         ({}, ["--seeds", str(10**9)]),
         ({"horizon": 10**9}, []),
         ({"instance.cost": {"file": str(FIXTURE_CSV), "k": 2, "n_periods": 10**9}}, []),
-        # 400 literal cost levels: the arm MDP's kron of the move table with
-        # the dense 400 x 400 cost matrix would hold about 2.9e8 entries
+        # 400 literal cost levels: with the dense 400 x 400 cost matrix the
+        # occupancy LP would hold 4.7e7 nonzeros, about 4.2 GiB to build
         ({"instance.t_max": 12, "instance.b_max": 9,
           "instance.cost": {"levels": [0.5] * 400, "matrix": [[1 / 400] * 400] * 400}}, []),
+        # 400 levels on a 1e6-state grid: the law's rewards alone would take 6.4 GB
+        ({"instance.t_max": 1000, "instance.b_max": 999,
+          "instance.cost": {"levels": [0.5] * 400, "matrix": np.eye(400).tolist()}}, []),
         # its arrays fit, but the index recursion's work bound is 9.2e9 units
         (INDEX_TOO_LARGE, []),
         ({"instance.n_chargers": 0, "instance.capacity": 0}, []),
@@ -437,9 +442,9 @@ INDEX_TOO_LARGE = {"instance.t_max": 60, "instance.b_max": 40, "instance.arrival
         "negative-seed", "one-seed", "bool-seeds", "unknown-policy", "seeds-flag-1",
         "no-policies", "repeated-policy", "repeated-seeds", "horizon-string", "horizon-list",
         "tol-string", "t-max-string", "capacity-null", "n-periods-string", "verify-oracle-string",
-        "t-max-huge", "b-max-huge", "n-periods-huge", "n-chargers-huge", "seeds-huge",
+        "t-max-huge", "t-max-1e7", "b-max-huge", "n-periods-huge", "n-chargers-huge", "seeds-huge",
         "seeds-flag-huge", "horizon-huge", "fitted-periods-huge", "cost-levels-huge",
-        "index-work-huge", "no-chargers", "constant-with-k", "levels-with-alpha",
+        "cost-levels-long-grid", "index-work-huge", "no-chargers", "constant-with-k", "levels-with-alpha",
         "file-with-matrix", "magnitude-huge", "uniform-kind-with-pmf",
     ],
 )
@@ -617,6 +622,65 @@ def test_huge_penalty_table_off_by_a_thousand_tolerances_exits_3(huge_penalty_to
                    "--out", str(tmp_path)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("verification failure: index table disagrees")
+
+
+@pytest.mark.parametrize("kappa", [1e36, 1e66, 1e96])
+def test_large_penalty_oracle_brackets_every_index(kappa, tmp_path):
+    """1 + max |c| rounds away against a penalty increment this large, so the
+    T = 1 index 1 - c + dF(b_max) meets the bound on the activation gain; the
+    oracle's bracket, twice that bound either way, still holds it."""
+    doc = json.loads(json.dumps(TOY))
+    doc["instance"]["penalty"] = {"quadratic": kappa}
+    p = tmp_path / "penalty.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["index", "--config", str(p), "--verify-oracle", "--out", str(tmp_path)]) == 0
+
+
+def test_long_stay_runs_every_command(tmp_path):
+    """A 12-hour stay in 5-minute slots: t_max = 144, b_max = 60 and one cost
+    level give 8,785 charger states, whose dense move table (1,177 MiB) the
+    size check refused before the law was kept as next-state indices."""
+    config = tmp_path / "long_stay.json"
+    config.write_text(json.dumps({"instance": {"t_max": 144, "b_max": 60}, "seeds": 2,
+                                  "horizon": 200}))
+    assert load_run_config(config).instance.t_max == 144
+    for command in ("index", "bound", "simulate"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+# bytes of the dense (2, 1, 2,461, 2,461) move table that ``bound
+# --verify-oracle`` built at t_max = 60, b_max = 40 while the law was kept that
+# way.  On a 2-core x86 host (Python 3.11, numpy 2.4.6, scipy 1.17.1) plain
+# ``bound`` peaks at 81 MiB with scipy.optimize imported; the check added
+# 139 MiB to that with the dense table and adds 9 MiB without it
+DENSE_TABLE_BYTES = 2 * 2461**2 * 8
+
+
+def test_verify_oracle_adds_under_half_the_dense_table(tmp_path):
+    """The LP build, its solve and the check add to plain ``bound``'s peak RSS,
+    both with scipy.optimize imported, less than half the dense table."""
+    config = tmp_path / "long_stay.json"
+    config.write_text(json.dumps({"instance": {"t_max": 60, "b_max": 40}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    report = ("import resource, sys, scipy.optimize; from evbandit.cli import main; "
+              "rc = main(sys.argv[1:]); print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    # Linux carries the forking process's peak RSS through a child's exec into
+    # the child's ru_maxrss, so each command runs as a small launcher's child,
+    # not as the test process's
+    launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+    def peak_kib(*flags):
+        proc = subprocess.run(
+            [sys.executable, "-c", launch, sys.executable, "-c", report, "bound", "--config",
+             str(config), *flags, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        rc, kib = proc.stdout.splitlines()[-1].split()
+        assert rc == "0", proc.stderr
+        return int(kib)
+
+    assert 1024 * (peak_kib("--verify-oracle") - peak_kib()) < DENSE_TABLE_BYTES / 2
 
 
 @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json"))

@@ -7,13 +7,13 @@ import pytest
 
 from conftest import TWO_STATE_COST, make_instance
 
-from evbandit.arm import build_arm_mdp
+from evbandit.bound import build_occupancy_lp, lp_entries
 from evbandit.config import (
     INDEX_BUDGET,
+    LP_ENTRY_BYTES,
     MEMORY_BUDGET,
     WORK_BUDGET,
     ConfigError,
-    arm_entries,
     check_size,
     instance_from_dict,
     load_run_config,
@@ -213,16 +213,17 @@ class TestRunFields:
 
 class TestSizeBudget:
     def test_budget_is_inclusive(self):
-        # t_max = b_max = 1: 3 charger states, so the move table and the pmf
-        # hold 2 * 9 + 4 floats; each seed of one charger holds a block of 3
-        # uniforms a slot, and the arm entries take the rest of the budget
+        # t_max = 3, b_max = 1: the pmf holds 8 floats; each seed of one
+        # charger holds a block of 3 uniforms a slot, and the LP's nonzeros,
+        # LP_ENTRY_BYTES each, take the rest to the byte
         seeds = 1 << 18
-        arm = MEMORY_BUDGET // 8 - 22 - seeds * 3 * _BLOCK
-        check_size(1, 1, 1, n_chargers=1, n_seeds=seeds, horizon=1, arm=arm)
+        lp, rest = divmod(MEMORY_BUDGET - 8 * (8 + seeds * 3 * _BLOCK), LP_ENTRY_BYTES)
+        assert rest == 0
+        check_size(3, 1, 1, n_chargers=1, n_seeds=seeds, horizon=1, lp=lp)
         with pytest.raises(ConfigError, match="run too large: its arrays"):
-            check_size(1, 1, 1, n_chargers=1, n_seeds=seeds + 1, horizon=1, arm=arm)
+            check_size(3, 1, 1, n_chargers=1, n_seeds=seeds + 1, horizon=1, lp=lp)
         with pytest.raises(ConfigError, match="run too large: its arrays"):
-            check_size(1, 1, 1, n_chargers=1, n_seeds=seeds, horizon=1, arm=arm + 1)
+            check_size(3, 1, 1, n_chargers=1, n_seeds=seeds, horizon=1, lp=lp + 1)
 
     def test_work_budget_is_inclusive(self):
         # no array grows with the horizon, but the charger-slots do
@@ -244,22 +245,24 @@ class TestSizeBudget:
             load_run_config(write_config(tmp_path, doc))
 
     @pytest.mark.parametrize("rho", [0.0, 0.7, 1.0, [1.0, 0.0]])
-    def test_arm_entries_count_the_built_matrices(self, rho):
+    def test_lp_entries_count_the_built_matrix(self, rho):
         n_periods = len(rho) if isinstance(rho, list) else 1
         inst = make_instance(t_max=4, b_max=3, rho=rho, cost=TWO_STATE_COST, n_periods=n_periods)
-        arm = build_arm_mdp(inst)
-        assert arm_entries(inst) == arm.P0.nnz + arm.P1.nnz
+        assert lp_entries(inst) == build_occupancy_lp(inst).A_eq.nnz
 
-    def test_counting_arm_entries_builds_no_move_table(self, tmp_path):
-        # the move table would hold 2 * (1 + 60 * 41)^2 floats, about 92 MiB
-        path = write_config(tmp_path, {"instance": {"t_max": 60, "b_max": 40}})
+    def test_counting_lp_entries_builds_no_lp(self, tmp_path):
+        # a 12-hour stay in 5-minute slots: 1 + 144 * 61 charger states, whose
+        # dense move table, 2 * 8,785^2 floats, the size check once counted
+        # (1,177 MiB); the LP's A_eq has 42,012 nonzeros
+        path = write_config(tmp_path, {"instance": {"t_max": 144, "b_max": 60}})
         tracemalloc.start()
         try:
-            load_run_config(path)
+            inst = load_run_config(path).instance
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5 << 20
+        assert lp_entries(inst) == 42_012
 
     def test_fitted_periods_must_match_the_arrivals(self):
         doc = {"cost": {"file": str(FIXTURE_CSV), "k": 2, "n_periods": 24}}

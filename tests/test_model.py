@@ -152,7 +152,7 @@ def reward_at(inst, a, t, b, j):
 
 
 def move_row(inst, a, t, b, tau=0):
-    return charger_law(inst).move[a, tau, inst.charger_index(t, b)]
+    return oracles.dense_move(charger_law(inst))[a, tau, inst.charger_index(t, b)]
 
 
 class TestReward:
@@ -196,7 +196,8 @@ class TestReward:
 
 
 class TestSuccessorDistribution:
-    """Rows of the shared law's move table, move[a, period, state, next state]."""
+    """Rows of the shared law's next-state indices and arrival rows, through
+    the tests' dense view move[a, period, state, next state]."""
 
     def test_countdown_is_deterministic(self, toy_dynamic):
         for a, nxt in ((1, (2, 1)), (0, (2, 2))):
@@ -223,12 +224,18 @@ class TestSuccessorDistribution:
     def test_rows_sum_to_one(self, toy_dynamic):
         periodic = make_instance(t_max=4, b_max=2, rho=[0.3, 1.0], n_periods=2)
         for inst in (toy_dynamic, periodic):
-            move = charger_law(inst).move
+            move = oracles.dense_move(charger_law(inst))
             assert move.shape[:2] == (2, inst.n_periods)
             assert np.all(move >= 0)
             assert np.allclose(move.sum(axis=-1), 1.0, atol=1e-12)
         # rho = 1 in period 1: a departing charger is always refilled
         assert move_row(periodic, 0, 1, 1, tau=1)[0] == 0.0
+
+    def test_next_is_zero_exactly_where_the_arrival_law_refills(self, toy_dynamic):
+        law = charger_law(toy_dynamic)
+        assert law.next.shape == (2, law.T.size)
+        assert law.arrival.shape == (toy_dynamic.n_periods, law.T.size)
+        assert np.array_equal(law.next == 0, np.broadcast_to(law.T <= 1, law.next.shape))
 
 
 class TestSystemStep:
