@@ -185,7 +185,8 @@ def _exact_dual(instance: Instance, table: IndexTable | None) -> tuple[float, fl
     """
     share = instance.capacity / instance.n_chargers
     values = (compute_index_table(instance) if table is None else table).values
-    kinks = np.unique(values[values > 0])
+    kinks = np.sort(values[values > 0])  # np.unique would import numpy.ma
+    kinks = kinks[np.diff(kinks, prepend=0.0) > 0]
     edges = np.concatenate([[0.0], kinks, [kinks.max(initial=0.0) + 1.0]])
     mids = 0.5 * (edges[:-1] + edges[1:])
     piece = functools.cache(lambda i: _dual(instance, float(mids[i])))

@@ -116,7 +116,8 @@ def quantize(
         raise ValueError("k must be >= 1")
     if px.size < k:
         raise ValueError("fewer slots than levels")
-    if k > 1 and np.unique(px).size < k:
+    sorted_px = np.sort(px)  # np.unique would import numpy.ma
+    if k > 1 and np.count_nonzero(sorted_px[1:] != sorted_px[:-1]) + 1 < k:
         raise ValueError(f"need at least {k} distinct prices")
     if retail_price is None:
         retail_price = 2.0 * float(px.mean())

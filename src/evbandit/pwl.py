@@ -108,7 +108,7 @@ def _spaced(X: np.ndarray) -> np.ndarray:
     """Per row: the first entry, and each one more than MERGE_TOL above its
     predecessor (the rule that merges breakpoints)."""
     with np.errstate(invalid="ignore"):  # inf - inf in the padding
-        gaps = np.diff(X, axis=1) > MERGE_TOL
+        gaps = X[:, 1:] - X[:, :-1] > MERGE_TOL
     return np.concatenate([np.ones((X.shape[0], 1), dtype=bool), gaps], axis=1)
 
 
@@ -167,9 +167,8 @@ class PWLBatch:
         n = keep.sum(axis=1)
         out_X = np.full((n.size, max(int(n.max(initial=0)), 1)), np.inf)
         out_Y = np.zeros_like(out_X)
-        rows = np.repeat(np.arange(n.size), n)
-        cols = np.arange(rows.size) - np.repeat(np.cumsum(n) - n, n)
-        out_X[rows, cols], out_Y[rows, cols] = X[keep], Y[keep]
+        front = np.arange(out_X.shape[1]) < n[:, None]
+        out_X[front], out_Y[front] = X[keep], Y[keep]
         return cls(out_X, out_Y, n, left, right)
 
     @property
@@ -197,25 +196,31 @@ class PWLBatch:
         rows, width = self.X.shape
         # a stable sort of each row's breakpoints and queries puts every
         # breakpoint before an equal query; the queries keep their order, so
-        # the breakpoints before query i are its position less i
-        order = np.argsort(np.concatenate([self.X, q], axis=1), axis=1, kind="stable")
-        j = np.nonzero(order >= width)[1].reshape(q.shape) - np.arange(q.shape[1]) - 1
+        # the breakpoints before query i are its position less i.  Only the
+        # sort's mask is kept and at is reused: at a combine's size, peak memory costs time
+        query = np.argsort(np.concatenate([self.X, q], axis=1), axis=1, kind="stable") >= width
+        j = np.flatnonzero(query).reshape(q.shape)  # flat positions, rows of width + Q
+        j -= (width + q.shape[1]) * np.arange(rows)[:, None] + np.arange(q.shape[1]) + 1
         base = (np.arange(rows) * width)[:, None]
         at = base + np.maximum(j, 0)  # j: last breakpoint <= q, -1 if none
-        nxt = base + np.minimum(np.maximum(j, 0) + 1, width - 1)
         last = base + (self.n - 1)[:, None]
         X, Y = self.X.ravel(), self.Y.ravel()
         xj, yj, xn, yn = X[at], Y[at], X[last], Y[last]
+        # the entry after at: at a row's last breakpoint it is padding or the
+        # next row's first (clipped at the array's end), unused as q >= xn
+        at += 1
+        nxt = np.minimum(at, X.size - 1, out=at)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(xj == q, yj, (Y[nxt] - yj) / (X[nxt] - xj) * (q - xj) + yj)
-            out = np.where(j < 0, yj + self.left[:, None] * (q - xj), out)
+            dq = q - xj
+            out = np.where(xj == q, yj, (Y[nxt] - yj) / (X[nxt] - xj) * dq + yj)
+            out = np.where(j < 0, yj + self.left[:, None] * dq, out)
             return np.where(q > xn, yn + self.right[:, None] * (q - xn), out)
 
     def nondecreasing(self) -> np.ndarray:
         """Per row: no tail slope and no step between breakpoints falls by
         more than MONOTONE_TOL (relative to the value, at least 1)."""
         tol = MONOTONE_TOL
-        falls = np.diff(self.Y, axis=1) < -tol * np.maximum(1.0, np.abs(self.Y[:, :-1]))
+        falls = self.Y[:, 1:] - self.Y[:, :-1] < -tol * np.maximum(1.0, np.abs(self.Y[:, :-1]))
         falls &= self.valid[:, 1:]
         return (self.left >= -tol) & (self.right >= -tol) & ~falls.any(axis=1)
 
@@ -281,7 +286,8 @@ class PWLBatch:
         Output row o sums the rows ``members[group[o]]`` (group default o)
         with the weights ``weights[o]``.  A group's breakpoints are the union
         of its members', each kept when more than MERGE_TOL above its sorted
-        predecessor; the values accumulate from zero in member order.
+        predecessor; the values accumulate from zero in member order.  All
+        members are evaluated in one call, their rows padded to the widest.
         """
         members, weights = np.asarray(members), np.asarray(weights, dtype=float)
         n_groups, m = members.shape
@@ -290,10 +296,12 @@ class PWLBatch:
         grid = PWLBatch._pack(merged, merged, _spaced(merged) & np.isfinite(merged), None, None)
         # the padding repeats each row's last point, so that rows stay sorted
         q = np.where(grid.valid, grid.X, grid.X[np.arange(n_groups), grid.n - 1][:, None])
+        # member i of every group at its group's grid is at[i]
+        at = self.take(members.T.ravel())(np.tile(q, (m, 1))).reshape(m, n_groups, q.shape[1])
         ys, ls, rs = np.zeros((group.size, q.shape[1])), np.zeros(group.size), np.zeros(group.size)
         for i in range(m):
             w, rows = weights[:, i], members[group, i]
-            ys += w[:, None] * self.take(members[:, i])(q)[group]
+            ys += w[:, None] * at[i][group]
             ls += w * self.left[rows]
             rs += w * self.right[rows]
         return PWLBatch(grid.X[group], ys, grid.n[group], ls, rs).simplify()
@@ -310,7 +318,7 @@ class PWLBatch:
         evaluated at the knots in one call on their concatenation.
         """
         knots = np.asarray(knots, dtype=float)
-        _check(np.any(np.diff(knots, axis=1) < 0, axis=1), "knots must be nondecreasing")
+        _check(np.any(knots[:, 1:] < knots[:, :-1], axis=1), "knots must be nondecreasing")
         # piece i spans edges i and i + 1; at[i][r, e] is piece i at edge e
         edges = np.full((knots.shape[0], knots.shape[1] + 2), np.inf)
         edges[:, 0], edges[:, 1:-1] = -np.inf, knots

@@ -417,18 +417,17 @@ class ComparisonReport:
 
     def to_csv(self, path) -> None:
         cols = [v.tolist() for v in self.metrics.values()]  # str() of a float is its repr
+        lines = [",".join(["policy", "seed", "horizon", *self.metrics])]
+        lines += [",".join(map(str, [p, sd, self.horizon, *(c[r][i] for c in cols)]))
+                  for r, p in enumerate(self.policies) for i, sd in enumerate(self.seeds)]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(["policy", "seed", "horizon", *self.metrics]) + "\n")
-            for r, p in enumerate(self.policies):
-                for i, sd in enumerate(self.seeds):
-                    row = [p, sd, self.horizon, *(c[r][i] for c in cols)]
-                    fh.write(",".join(map(str, row)) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
     def to_json(self, path) -> None:
         import json
 
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=1)
+            fh.write(json.dumps(self.summary(), indent=1))
 
 
 def monte_carlo(

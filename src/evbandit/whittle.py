@@ -26,7 +26,6 @@ Every occupied state with B = 0 and the empty state have index exactly 0; a
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -96,11 +95,12 @@ class IndexTable:
         object.__setattr__(self, "n_positive", int(np.count_nonzero(neg_unique < 0)))
 
     def to_csv(self, path) -> None:
+        """The csv module's bytes (``\\r\\n`` line ends), in one write."""
+        rows = zip(np.ndindex(self.values.shape), self.values.ravel().tolist())
+        lines = ["T,B,cost_state,period,index"]
+        lines += [f"{t},{b},{j},{tau},{v!r}" for (t, b, j, tau), v in rows]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["T", "B", "cost_state", "period", "index"])
-            for state in np.ndindex(self.values.shape):
-                w.writerow([*state, repr(float(self.values[state]))])
+            fh.write("\r\n".join(lines) + "\r\n")
 
     def to_json(self, path, instance: Instance) -> None:
         """Write the table and its ``key`` (see ``_table_key``)."""
@@ -114,7 +114,7 @@ class IndexTable:
             "index": self.values.tolist(),
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            fh.write(json.dumps(doc, indent=1))
 
     @classmethod
     def from_json(cls, path, instance: Instance) -> IndexTable | None:

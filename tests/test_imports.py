@@ -1,4 +1,5 @@
-"""Which scipy submodules each command loads, in a fresh interpreter.
+"""Which scipy submodules (and numpy.ma) each command loads, in a fresh
+interpreter.
 
 ``scipy.optimize`` and ``scipy.sparse`` are imported by the functions that
 call them (``scipy.optimize`` brings ``scipy.special`` with it), and
@@ -19,6 +20,7 @@ from evbandit.sim import SHARD_MIN_WORK, default_horizon
 
 REPO = Path(__file__).resolve().parent.parent
 TOY = REPO / "configs" / "toy.json"
+DYNAMIC = REPO / "configs" / "dynamic_cost.json"
 SOLVERS = {"scipy.optimize", "scipy.sparse", "scipy.special", "scipy.stats"}
 
 RUN = """\
@@ -77,6 +79,19 @@ def test_bound_without_oracle_loads_no_solver(tmp_path):
     frequency from the exact subsidy solve, not from the sparse arm MDP."""
     loaded = loaded_after([["bound", "--config", str(TOY)]], tmp_path)
     assert not loaded & SOLVERS
+
+
+def test_plain_commands_load_no_numpy_ma(tmp_path):
+    """numpy.ma costs 8-12 ms to import; np.unique without return_inverse
+    imports it, so the dual's kinks and the cost fit's distinct-price check
+    sort and compare neighbours instead."""
+    loaded = loaded_after([
+        ["index", "--config", str(DYNAMIC)],
+        ["simulate", "--config", str(DYNAMIC), "--seeds", "4"],
+        ["bound", "--config", str(DYNAMIC)],
+        ["bound", "--config", str(REPO / "configs" / "fig3_constant_cost.json")],
+    ], tmp_path, prefix="numpy.")
+    assert "numpy.ma" not in loaded
 
 
 def test_no_command_loads_scipy_stats(tmp_path):

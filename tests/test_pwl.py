@@ -268,10 +268,10 @@ SLOPE = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-3, 3))
 
 
 @st.composite
-def rows_strategy(draw, max_points=7, increasing=False, free=False):
-    """A PiecewiseLinear, from one breakpoint up; nondecreasing if asked, with
-    values drawn one by one if ``free``."""
-    n = draw(st.integers(1, max_points))
+def rows_strategy(draw, max_points=7, increasing=False, free=False, min_points=1):
+    """A PiecewiseLinear, from ``min_points`` breakpoints up; nondecreasing if
+    asked, with values drawn one by one if ``free``."""
+    n = draw(st.integers(min_points, max_points))
     x0 = draw(st.floats(-4, 4)) + 0.0  # no -0.0
     gaps = draw(st.lists(GAP, min_size=n - 1, max_size=n - 1))
     xs = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
@@ -355,6 +355,40 @@ def test_batch_combine_matches_loop(funcs, data):
     assert out.n.size == group.size
     for o, g in enumerate(group):
         assert same_bits(out.row(o), reference_combine([funcs[i] for i in members[g]], weights[o]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batch_combine_on_zero_groups(m):
+    """No group, with ``group`` left out or empty, on a batch of unequal
+    widths: an empty batch, as the recursion's combine of crossed indexes
+    gives on a level where no two indexes cross."""
+    batch = PWLBatch.of([PiecewiseLinear.affine(1.0, 2.0),
+                         PiecewiseLinear(np.arange(6.0), np.arange(6.0) ** 2, -1.0, 1.0)])
+    members, weights = np.zeros((0, m), dtype=int), np.ones((0, m))
+    for group in (None, np.zeros(0, dtype=int)):
+        out = batch.combine(members, weights, group)
+        assert out.n.size == out.X.shape[0] == out.left.size == out.right.size == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rows_strategy(max_points=2), min_size=1, max_size=5),
+       rows_strategy(min_points=20, max_points=40), st.data())
+def test_batch_combine_with_one_wide_member_matches_loop(narrow, wide, data):
+    """One wide row among narrow ones, in some groups only: every member is
+    evaluated in one call on rows padded to the widest, and each group's sum
+    must still be the per-member evaluation's bit for bit.  Extra padding
+    changes nothing either."""
+    funcs = narrow + [wide]
+    n_groups = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 3))
+    members = np.array([[data.draw(st.integers(0, len(funcs) - 1)) for _ in range(m)]
+                        for _ in range(n_groups)], dtype=int)
+    members[data.draw(st.integers(0, n_groups - 1)), data.draw(st.integers(0, m - 1))] = len(funcs) - 1
+    weights = np.array([[data.draw(st.sampled_from([1.0, 0.3, -0.7])) for _ in range(m)]
+                        for _ in range(n_groups)])
+    out = widened(PWLBatch.of(funcs), data.draw(st.sampled_from([0, 3]))).combine(members, weights)
+    for g in range(n_groups):
+        assert same_bits(out.row(g), reference_combine([funcs[i] for i in members[g]], weights[g]))
 
 
 def lifted(f: PiecewiseLinear, c: float) -> PiecewiseLinear:

@@ -12,6 +12,7 @@ from evbandit.pwl import combine
 from evbandit.whittle import (
     IndexTable,
     _base_rows,
+    _table_key,
     closed_form_index,
     compute_index_table,
     index_by_bisection,
@@ -184,6 +185,33 @@ class TestSerialization:
         assert got.values.tobytes() == toy_table.values.tobytes()
         assert np.array_equal(got.rank, toy_table.rank)
         assert IndexTable.from_json(p, dataclasses.replace(toy_dynamic, discount=0.8)) is None
+
+    def test_writers_match_csv_and_json_modules(self, toy_dynamic, tmp_path):
+        """Both files hold the bytes that ``csv.writer`` and ``json.dump``
+        write, on a random table: values over many magnitudes and both signs,
+        some integral, -0.0 in the zero rows."""
+        import json
+
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((5, 6, 3, 2)) * 10.0 ** rng.integers(-20, 20, (5, 6, 3, 2))
+        v = np.sort(np.where(rng.random(v.shape) < 0.2, np.round(v), v), axis=1)
+        v[0], v[:, 0] = -0.0, 0.0
+        table = IndexTable(v)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["T", "B", "cost_state", "period", "index"])
+            for state in np.ndindex(v.shape):
+                w.writerow([*state, repr(float(v[state]))])
+        table.to_csv(tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
+
+        table.to_json(tmp_path / "got.json", toy_dynamic)
+        doc = {"t_max": 4, "b_max": 5, "cost_levels": 3, "periods": 2,
+               "key": _table_key(toy_dynamic, v), "index": v.tolist()}
+        with open(want.with_suffix(".json"), "w") as fh:
+            json.dump(doc, fh, indent=1)
+        assert (tmp_path / "got.json").read_bytes() == want.with_suffix(".json").read_bytes()
 
 
 class TestGeometryOfG:
