@@ -186,11 +186,9 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
     """Index for every extended state by the PWL recursion.
 
     The g_1's of one lead time are the rows of one PWLBatch, ordered (period,
-    B, cost level), and each level T = 2..t_max is a few operations on the
-    whole batch.  The expectations E_k g_1(T-1, b, c_k, tau+1) give the root
-    functions f, whose least roots are the level's indexes, and those indexes
-    in turn split the cases of the level's own g_1's.  Every failed check of
-    the recursion or of the table raises IndexCheckError.
+    B, cost level); a level T = 2..t_max forms E g, f on its breakpoints (no
+    combine), f's least roots (the level's indexes) and the g_1's they split.
+    A failed check of the recursion or of the table raises IndexCheckError.
 
     Returns the IndexTable; with ``collect_g`` also the dict of g_1 functions
     keyed by (T, B, j, tau).
@@ -218,23 +216,25 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
 
     g = checked(1, "g_1", b, lambda: _base_rows(inst, b, j))
     levels = [g]  # the g_1 batch of each lead time, for collect_g
-    # rows appended to a level's E g's: R + j is nu - (1 - c_j), R + K + j the
-    # constant 1 - c_j, R + 2K + j is 1 - c_j - nu, R + 3K is nu and R + 3K + 1
-    # is 0, which pads a sum: its breakpoint 0 is already in the sum's grid
-    # (from nu) and it adds exact zeros, which change no bit
+    # rows appended to a level's E g's, for the crossed combine and the stitch
+    # (f is formed on E g's knots with no combine): R + j is nu - (1 - c_j),
+    # R + K + j the constant 1 - c_j, R + 2K + j is 1 - c_j - nu, R + 3K is nu
+    # and R + 3K + 1 is 0, a pad of exact zeros at nu's knot 0 (no bit moves)
     fixed = PWLBatch.affine(np.concatenate([cvals - 1.0, gain, gain, [0.0, 0.0]]),
                             np.concatenate([np.ones(K), np.zeros(K), -np.ones(K), [1.0, 0.0]]))
     P = inst.cost.matrix_for(np.arange(nt))
     next_rows = ((tau + 1) % nt * b_bar + b)[::K, None] * K + np.arange(K)
 
     for T in range(2, t_bar + 1):
-        # E_k g_1(T-1, b, c_k, tau+1): one breakpoint grid per (tau, b)
+        # E_k g_1(T-1, b, c_k, tau+1), one breakpoint grid per (tau, b), and on
+        # it f = E g + (nu - (1 - c_j)), 0 in the padding (where inf - inf warns)
         eg = g.combine(next_rows, beta * P[tau, j], group=r // K)
-        both = PWLBatch.concat([eg, fixed])
-        f = both.combine(np.stack([r, R + j], axis=1), np.ones((R, 2)))
+        y = np.where(eg.valid, eg.Y + (eg.X + (cvals[j] - 1.0)[:, None]), 0.0)
+        f = PWLBatch(eg.X, y, eg.n, eg.left + 1.0, eg.right + 1.0)
         nu[T, 1:] = checked(T, "f", b + 1, f.least_roots).reshape(nt, b_bar, K).transpose(1, 2, 0)
         if T == t_bar:
             break
+        both = PWLBatch.concat([eg, fixed])
         # g_1(T, b) = V(T, b+1) - V(T, b): below both indexes both states are
         # active, above both passive, and in between the one with the higher
         # index is active (the index at b = 0 is 0).  The middle piece is

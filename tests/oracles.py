@@ -16,9 +16,10 @@ the occupancy LP on the arm MDP's transition matrices, the reference for
 ``bound.build_occupancy_lp``'s vacancy form, and
 ``reference_occupancy_lp`` that vacancy form as it was built from
 ``dense_move``, the dense view of the shared law's next-state indices and
-arrival rows, which the joint DP also reads.  Tests import this
-module as ``oracles`` (``tests/`` is on ``sys.path``); pytest does not collect
-it.
+arrival rows, which the joint DP also reads; ``reference_index_table`` is
+``compute_index_table`` as it was when a combine formed the root functions.
+Tests import this module as ``oracles`` (``tests/`` is on ``sys.path``);
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from evbandit.bound import OccupancyLP
 from evbandit.model import ChargerLaw, Instance, charger_law
 from evbandit.policies import edf_key, llf_key, lllp_kernel, select_by_key, whittle_key
+from evbandit.pwl import PWLBatch
 from evbandit.sim import _run_batch, default_horizon, stack_kernel
-from evbandit.whittle import IndexTable, compute_index_table
+from evbandit.whittle import IndexTable, _base_rows, compute_index_table
 
 
 def dense_move(law: ChargerLaw) -> np.ndarray:
@@ -407,3 +409,47 @@ def reference_occupancy_lp(instance: Instance) -> OccupancyLP:
     b_ub = np.array([inst.capacity / inst.n_chargers])
     c = np.concatenate([np.repeat(law.reward.reshape(2, -1), nt, axis=1).ravel(), np.zeros(m)])
     return OccupancyLP(c / (1.0 - beta), a_eq, b_eq, a_ub, b_ub, n)
+
+
+def reference_index_table(instance: Instance) -> IndexTable:
+    """``whittle.compute_index_table`` (without ``collect_g`` and the state
+    named in a failed check) as it formed each level's root functions
+    f = E g + nu - (1 - c_j): by a two-member ``combine`` of the E g row and
+    the affine row, which merges the breakpoint 0 into E g's grid, evaluates
+    both members on it, sums and simplifies.  The reference for the table:
+    the same bits on well-scaled instances, the same to rounding on others."""
+    inst = instance
+    t_bar, b_bar, K, nt = inst.t_max, inst.b_max, inst.cost.n_levels, inst.n_periods
+    cvals, gain, beta = inst.cost.values, 1.0 - inst.cost.values, inst.discount
+    nu = np.zeros((t_bar + 1, b_bar + 1, K, nt))
+    nu[1, 1:] = (gain[None, :] + inst.penalty.delta(np.arange(1, b_bar + 1))[:, None])[..., None]
+    tau, b, j = (a.ravel() for a in np.indices((nt, b_bar, K)))
+    R = tau.size
+    r = np.arange(R)
+    g = _base_rows(inst, b, j)
+    fixed = PWLBatch.affine(np.concatenate([cvals - 1.0, gain, gain, [0.0, 0.0]]),
+                            np.concatenate([np.ones(K), np.zeros(K), -np.ones(K), [1.0, 0.0]]))
+    P = inst.cost.matrix_for(np.arange(nt))
+    next_rows = ((tau + 1) % nt * b_bar + b)[::K, None] * K + np.arange(K)
+    for T in range(2, t_bar + 1):
+        eg = g.combine(next_rows, beta * P[tau, j], group=r // K)
+        both = PWLBatch.concat([eg, fixed])
+        f = both.combine(np.stack([r, R + j], axis=1), np.ones((R, 2)))
+        nu[T, 1:] = f.least_roots().reshape(nt, b_bar, K).transpose(1, 2, 0)
+        if T == t_bar:
+            break
+        lo, hi = nu[T, b, j, tau], nu[T, b + 1, j, tau]
+        flip = hi < lo
+        s = np.flatnonzero(flip)
+        crossed = both.combine(np.where((b[s] == 0)[:, None],
+                                        np.stack([s, np.full_like(s, R + 3 * K),
+                                                  np.full_like(s, R + 3 * K + 1)], axis=1),
+                                        np.stack([s - K, s, R + j[s]], axis=1)),
+                               np.ones((s.size, 3)))
+        pick = 2 * K + j
+        pick[s] = 3 * K + 2 + np.arange(s.size)
+        pieces = [both.take(np.where(b == 0, R + K + j, r - K)),
+                  PWLBatch.concat([fixed, crossed]).take(pick), eg]
+        knots = np.stack([np.where(flip, hi, lo), np.where(flip, lo, hi)], axis=1)
+        g = PWLBatch.stitch(pieces, knots)
+    return IndexTable(nu)

@@ -513,6 +513,31 @@ def test_failed_recursion_check_exits_3(command, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["index", "simulate"])
+def test_falling_root_function_names_its_state(command, tmp_path, capsys, monkeypatch):
+    """The last E g row with two breakpoints or more, in the first E g
+    combine (the one call that passes group=), falls by 1 more than the
+    affine part of f rises, so f fails least_roots' monotonicity check, and
+    the one error line names that row's state."""
+    combine = PWLBatch.combine
+
+    def falling(self, members, weights, group=None):
+        out = combine(self, members, weights, group)
+        if group is None:
+            return out
+        row = np.flatnonzero(out.n >= 2)[-1]
+        Y = out.Y.copy()
+        Y[row, 1] = Y[row, 0] - (out.X[row, 1] - out.X[row, 0]) - 1.0
+        return dataclasses.replace(out, Y=Y)
+
+    monkeypatch.setattr(PWLBatch, "combine", falling)
+    argv = [command, "--config", str(REPO / "configs" / "toy.json"), "--out", str(tmp_path)]
+    rc = cli.main(argv)
+    assert rc == 3
+    assert capsys.readouterr().err == ("verification failure: f at T=2, B=2, j=1, tau=0: "
+                                       "least_root requires a nondecreasing function\n")
+
+
+@pytest.mark.parametrize("command", ["index", "simulate"])
 @pytest.mark.parametrize("call", [1, 2], ids=["lead-time-1", "recursion"])
 def test_knot_disagreement_exits_3(call, command, tmp_path, capsys, monkeypatch):
     """The middle piece of one batch of g_1's, the lead-time-1 one or the

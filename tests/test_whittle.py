@@ -1,13 +1,15 @@
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evbandit.arm import build_arm_mdp
-from evbandit.model import PenaltyFunction
+from evbandit.config import load_run_config
+from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.pwl import combine
 from evbandit.whittle import (
     IndexTable,
@@ -21,9 +23,10 @@ from evbandit.whittle import (
     subsidy_value_iteration,
 )
 from conftest import TWO_STATE_COST, make_instance
-from oracles import check_indexability, index_by_vi_bisection, state_id
+from oracles import check_indexability, index_by_vi_bisection, reference_index_table, state_id
 
 PEN = PenaltyFunction.quadratic(0.3, 4)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
 
 def g_h_keys(gs, b_max):
@@ -98,6 +101,77 @@ def test_recursion_matches_closed_form_randomized(t_max, b_rel, kappa, c0, beta,
         for b in range(b_max + 1):
             want = closed_form_index(t, b, c0, beta, inst.penalty)
             assert float(tab.values[t, b, 0, 0]) == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def chain_instances(draw, extreme=False):
+    """K 1-4 cost levels, one transition matrix per period (1-3 periods) with
+    some entries zero, t_max 1-5 and a random convex penalty table.  Costs,
+    penalty increments and discounts lie on coarse grids; with ``extreme``
+    costs and discounts are any floats in range, and the integer increments
+    are scaled by a power of two from about 3e-14 to 1e36 (exactly, so the
+    table stays convex)."""
+    k, nt, t_max = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    b_max = draw(st.integers(1, t_max))
+    weights = draw(st.lists(st.integers(0, 4), min_size=nt * k * k, max_size=nt * k * k))
+    P = np.reshape(weights, (nt, k, k)) + np.eye(k)
+    if extreme:
+        costs, increments = st.floats(0.0, 1.2), st.integers(0, 1000)
+        scale, discount = 2.0 ** draw(st.integers(-45, 120)), draw(st.floats(0.5, 0.995))
+    else:
+        costs, increments = st.integers(0, 24).map(lambda c: c / 20), st.integers(0, 20)
+        scale, discount = draw(st.sampled_from([0.01, 0.2, 1.0, 50.0])), draw(st.integers(50, 99)) / 100
+    F = np.cumsum([0, *sorted(draw(st.lists(increments, min_size=b_max, max_size=b_max)))])
+    return Instance(
+        n_chargers=2, capacity=1, discount=discount, t_max=t_max, b_max=b_max,
+        penalty=PenaltyFunction(F * scale),
+        arrivals=ArrivalModel.uniform_feasible(t_max, b_max, 0.7, nt),
+        cost=CostChain(values=draw(st.lists(costs, min_size=k, max_size=k)),
+                       P=P / P.sum(axis=2, keepdims=True)),
+    )
+
+
+def tables_by_both_routes(instance):
+    """The table by ``compute_index_table`` and by the combine route."""
+    return compute_index_table(instance).values, reference_index_table(instance).values
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_instances())
+def test_roots_match_the_combine_route_bit_for_bit(instance):
+    """The root functions formed on E g's breakpoints have the least roots
+    that the two-member combine (its grid with the knot 0, simplified) had.
+    On the grids no breakpoint sits near simplify's or the merge's tolerance
+    (none of 5,000 examples moved a root); the next test but one goes off them."""
+    got, want = tables_by_both_routes(instance)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workload", ["fig3_sim", "tod_index", "small_exact"])
+def test_perfbench_tables_match_the_combine_route_bit_for_bit(workload):
+    got, want = tables_by_both_routes(load_run_config(PERFBENCH / f"{workload}.json").instance)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_instances(extreme=True))
+def test_roots_match_the_combine_route_to_rounding_at_extreme_scales(instance):
+    """Bit identity can fail off the grids.  The combine's simplify may drop
+    a breakpoint of f that E g kept: f's larger values widen the relative
+    tolerance (seen with penalties near 1e13 and a cost gap of 0.5), or a
+    kink sits at the tolerance (seen with penalty increments near 1e-11).
+    Its merge may also put the knot 0 in place of a breakpoint within
+    MERGE_TOL of it.  The least root then interpolates between other segment
+    ends, and moves by rounding, far inside the instance's scale.
+
+    Instances whose table fails IndexTable's check of monotonicity in B on
+    either route are left out: that check's tolerance is absolute, 1e-9, and
+    at penalties of about 1e9 or more it fails on ties broken by rounding."""
+    try:
+        got, want = tables_by_both_routes(instance)
+    except ValueError:  # IndexCheckError from compute_index_table is one
+        assume(False)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * instance.scale)
 
 
 class TestFrozenValues:
