@@ -4,10 +4,16 @@ Relaxing the per-slot capacity constraint to a discounted time-average budget
 decouples the chargers.  The bound is the Lagrangian dual of the resulting
 single-charger constrained MDP: price the budget at lambda, solve the
 unconstrained subsidy problem exactly, and find the convex dual's exact
-minimiser among its kinks, the index table's values, without scipy.  The
-occupancy-measure LP over (extended state, action) visitation frequencies,
-solved by scipy's HiGHS, solves the same problem independently;
-``solve_bound(..., verify=True)`` checks the two agree.
+minimiser among its kinks, the index table's values, without scipy.
+
+``solve_bound(..., verify=True)`` certifies it on the occupancy LP, max c.x
+s.t. A_eq x = b_eq, a.x <= M/N, x >= 0, with no LP solve.  A sparse LU of the
+basis (x(s, a(s)) and every z) of the greedy policy either side of lambda*
+gives its occupancy and, at the LP price lambda* / (1 - beta), duals y.  The
+optimum lies between c.x, x the occupancies' mix at which the budget binds,
+and b_eq.y + price M/N + 2 max(r, 0), r the reduced costs (c.x = b_eq.y +
+price a.x + r.x; sum x + sum z <= 2 if x is feasible), whatever the hints: a
+wrong one only widens the bracket, which must lie within 1e-4 of the dual.
 
 The LP is written in vacancy form.  A departing or empty charger (T <= 1) is
 refilled by the same arrival law whatever its state and action, so one extra
@@ -38,11 +44,7 @@ if TYPE_CHECKING:
 
 __all__ = ["OccupancyLP", "BoundResult", "build_occupancy_lp", "lp_entries", "solve_bound"]
 
-# HiGHS's interior point (with its crossover) against its default simplex on
-# the vacancy form, 20 alternating pairs on a 2-core x86 host: 58 against
-# 76 ms on the K=5, N_tau=4 tod_index instance and 44 against 58 ms on
-# dynamic_cost; on fig3 and toy it loses about 1 ms
-LP_METHOD = "highs-ipm"
+FEASIBILITY_TOL = 1e-9  # how far the certificate's occupancy, of mass one, may miss a row
 
 
 @dataclass
@@ -66,17 +68,18 @@ class OccupancyLP:
 
 @dataclass
 class BoundResult:
-    """``value``, ``dual_value`` and ``lp_value`` are N times per-charger
-    values.  ``lam`` is the dual's exact minimiser and
+    """``value``, ``dual_value`` and the LP's bracket [``lp_value``, ``lp_upper``]
+    are N times per-charger values.  ``lam`` is the dual's exact minimiser and
     ``activation_frequency`` the per-charger (1-beta) E sum beta^t a_t of the
-    lam-greedy policy, ties passive, so at most M/N.  ``lp_value`` is set only
-    when the LP was solved as a check, and ``method`` is then "both"."""
+    lam-greedy policy, ties passive, so at most M/N.  The bracket is set only
+    when the LP certified the dual, and ``method`` is then "both"."""
 
     value: float
     lam: float
     dual_value: float
     activation_frequency: float
     lp_value: float | None = None
+    lp_upper: float | None = None
     method: str = "dual"
 
 
@@ -137,28 +140,42 @@ def linprog(c, *args, **kwargs):
     return linprog(c, *args, **kwargs)
 
 
-def _solve_lp(lp: OccupancyLP) -> tuple[float, np.ndarray]:
-    """(optimum, [x(s,0), x(s,1)]): the LP's value and its x part, without z."""
-    res = linprog(
-        -lp.c,
-        A_eq=lp.A_eq,
-        b_eq=lp.b_eq,
-        A_ub=lp.A_ub,
-        b_ub=lp.b_ub,
-        bounds=(0.0, None),
-        method=LP_METHOD,
-    )
-    if not res.success:
-        raise RuntimeError(f"occupancy LP failed: {res.message}")
-    return -res.fun, res.x[: 2 * lp.n_states]
+def _certify(lp: OccupancyLP, price: float, hints, value: float) -> tuple[float, float]:
+    """(lower, upper): the module docstring's bracket from the greedy
+    ``SubsidySolution.actions`` ``hints`` either side of the budget ``price``
+    (the left None at price 0).  RuntimeError (splu's for a singular basis) if
+    the occupancy is infeasible or an end lies over 1e-4 from ``value``."""
+    from scipy.sparse.linalg import splu
+
+    n, share, a_eq, budget = lp.n_states, lp.b_ub[0], lp.A_eq.tocsc(), lp.A_ub.toarray()[0]
+
+    def basis(act):  # x(s, act(s)) by state id, then every z: near triangular as is
+        act = np.concatenate([act[0, :1], act[1:].reshape(-1, *act.shape[2:])]).ravel()
+        cols = np.r_[np.arange(n) + n * act.astype(np.intp), 2 * n : lp.c.size]
+        lu = splu(a_eq[:, cols], permc_spec="NATURAL")
+        return lu, cols, np.bincount(cols, lu.solve(lp.b_eq), lp.c.size)
+
+    lu, cols, x = basis(hints[1])
+    y = lu.solve(lp.c[cols] - price * budget[cols], trans="T")
+    r = lp.c - a_eq.T @ y - price * budget
+    upper = float(lp.b_eq @ y + price * share + 2.0 * max(r.max(), 0.0))
+    if hints[0] is not None and budget @ x < share:
+        x_lo = basis(hints[0])[2]
+        x += (share - budget @ x) / (budget @ (x_lo - x)) * (x_lo - x)
+    lower = float(lp.c @ x)
+    gap = max(np.abs(a_eq @ x - lp.b_eq).max(), -x.min(), budget @ x - share)
+    if gap > FEASIBILITY_TOL or max(abs(lower - value), abs(upper - value)) > 1e-4:
+        raise RuntimeError(f"LP bracket [{lower}, {upper}] (infeasibility {gap:.0e}) vs dual {value}")
+    return lower, upper
 
 
-def _dual(instance: Instance, lam: float) -> tuple[float, float]:
-    """(dual(lambda), f): dual(lambda) = V^lambda(mu0) - lambda (1 - M/N) / (1 - beta).
+def _dual(instance: Instance, lam: float) -> tuple[float, float, np.ndarray]:
+    """(dual(lambda), f, actions): dual(lambda) = V^lambda(mu0) - lambda (1 - M/N) / (1 - beta).
 
     Pricing activations at lambda is the subsidy problem shifted by a
     constant: R_a - lambda a = (R_a + lambda (1-a)) - lambda.  f is the
     lambda-greedy activation frequency; the slope is (M/N - f) / (1 - beta).
+    ``actions`` is the greedy policy (``SubsidySolution.actions``, ties passive).
     """
     sol = solve_subsidy(instance, lam)
     pi = instance.cost.stationary()
@@ -166,11 +183,11 @@ def _dual(instance: Instance, lam: float) -> tuple[float, float]:
     v0 = float(pi @ sol.values[0, 0, :, 0])
     f = (1.0 - beta) * float(pi @ sol.activations[0, 0, :, 0])
     share = instance.capacity / instance.n_chargers
-    return v0 - lam * (1.0 - share) / (1.0 - beta), f
+    return v0 - lam * (1.0 - share) / (1.0 - beta), f, sol.actions
 
 
-def _exact_dual(instance: Instance, table: IndexTable | None) -> tuple[float, float, float]:
-    """(lambda*, dual(lambda*), f) by a search over the dual's kinks.
+def _exact_dual(instance: Instance, table: IndexTable | None):
+    """(lambda*, dual(lambda*), f, hints) by a search over the dual's kinks.
 
     The dual is convex and piecewise linear, with its kinks at the index
     values: the greedy policy changes only where some state's index equals
@@ -180,8 +197,8 @@ def _exact_dual(instance: Instance, table: IndexTable | None) -> tuple[float, fl
     where f falls to M/N, found by bisection over the pieces and placed where
     the lines of its two pieces meet, not at the table's rounded value.  The
     dual is evaluated at lambda* itself, an upper bound whatever that
-    rounding; f is that of the piece right of lambda*, so f <= M/N.  A
-    ``table`` of None is built.
+    rounding; f is that of the piece right of lambda*, so f <= M/N.  ``hints``:
+    ``_certify``'s, the pieces' actions either side.  A ``table`` of None is built.
     """
     share = instance.capacity / instance.n_chargers
     values = (compute_index_table(instance) if table is None else table).values
@@ -192,17 +209,17 @@ def _exact_dual(instance: Instance, table: IndexTable | None) -> tuple[float, fl
     piece = functools.cache(lambda i: _dual(instance, float(mids[i])))
 
     if piece(0)[1] <= share:
-        return 0.0, _dual(instance, 0.0)[0], piece(0)[1]
+        return 0.0, _dual(instance, 0.0)[0], piece(0)[1], (None, piece(0)[2])
     lo, hi = 0, mids.size - 1  # f > M/N on piece lo; past every index f = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if piece(mid)[1] > share else (lo, mid)
-    (d_lo, f_lo), (d_hi, f_hi) = piece(lo), piece(hi)
+    (d_lo, f_lo, act_lo), (d_hi, f_hi, act_hi) = piece(lo), piece(hi)
     # the two lines d + (M/N - f) (lambda - mid) / (1 - beta) meet at lambda*
     lam = ((d_hi - d_lo) * (1.0 - instance.discount) + (share - f_lo) * mids[lo]
            - (share - f_hi) * mids[hi]) / (f_hi - f_lo)
     lam = float(np.clip(lam, mids[lo], mids[hi]))
-    return lam, _dual(instance, lam)[0], f_hi
+    return lam, _dual(instance, lam)[0], f_hi, (act_lo, act_hi)
 
 
 def solve_bound(instance: Instance, verify: bool = False,
@@ -211,17 +228,15 @@ def solve_bound(instance: Instance, verify: bool = False,
 
     The exact dual of ``_exact_dual``: a search over the index table's kinks
     (built when ``table`` is None), each evaluation an exact subsidy solve.
-    With ``verify`` the occupancy LP is solved too, and a RuntimeError raised
-    if the two differ by more than 1e-4 per charger.
+    With ``verify`` the occupancy LP certifies it (module docstring): a
+    RuntimeError is raised unless the bracket [``lp_value``, ``lp_upper``]
+    lies within 1e-4 per charger of the dual.
     """
     n = instance.n_chargers
-    lam, dual_value, freq = _exact_dual(instance, table)
+    lam, dual_value, freq, hints = _exact_dual(instance, table)
     result = BoundResult(n * dual_value, lam, n * dual_value, freq)
     if verify:
-        lp_value, _ = _solve_lp(build_occupancy_lp(instance))
-        if abs(lp_value - dual_value) > 1e-4:
-            raise RuntimeError(
-                f"bound cross-check failed: LP {lp_value} vs dual {dual_value}"
-            )
-        result.lp_value, result.method = n * lp_value, "both"
+        price = lam / (1.0 - instance.discount)
+        lower, upper = _certify(build_occupancy_lp(instance), price, hints, dual_value)
+        result.lp_value, result.lp_upper, result.method = n * lower, n * upper, "both"
     return result

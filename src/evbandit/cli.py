@@ -1,11 +1,11 @@
 """Command-line interface: index tables, simulations, bounds, cost fitting.
 
 Exit codes: 0 success, 2 configuration error, 3 verification failure (an
-oracle disagreement, a failed check of the index recursion, or a solver that
-gave up: the bound's LP or the valley planner's).
+oracle disagreement, a failed check of the index recursion or of the bound's
+LP certificate, or a valley planner's LP solver that gave up).
 
 ``index --verify-oracle`` checks every table entry with T >= 1 against the
-oracle ``index_by_bisection``; ``bound --verify-oracle`` checks the dual by the LP.
+oracle ``index_by_bisection``; ``bound --verify-oracle`` certifies the dual on the LP.
 A flag given replaces its config key (``load_run_config``'s overrides), and a
 config's ``"verify_oracle": true`` turns the check on for both commands.
 ``index`` always builds the index table; ``bound``, and ``simulate`` with a
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--verify-oracle", action="store_true", default=None,
-                   help="also solve the occupancy LP and cross-check")
+                   help="also certify the dual on the occupancy LP")
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("fitcost", help="fit a cost chain from a price trace CSV")

@@ -210,7 +210,7 @@ class PWLBatch:
         # next row's first (clipped at the array's end), unused as q >= xn
         at += 1
         nxt = np.minimum(at, X.size - 1, out=at)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0 or subnormal gaps
             dq = q - xj
             out = np.where(xj == q, yj, (Y[nxt] - yj) / (X[nxt] - xj) * dq + yj)
             out = np.where(j < 0, yj + self.left[:, None] * dq, out)

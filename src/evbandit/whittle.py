@@ -87,8 +87,13 @@ class IndexTable:
             raise ValueError("index table must be 4-D (T, B, cost, period)")
         if np.any(np.abs(v[0]) > 0) or np.any(np.abs(v[:, 0]) > 0):
             raise ValueError("index must be 0 for empty chargers and B = 0")
+        # indexes equal in exact arithmetic differ by rounding: each of t_max levels
+        # rounds values up to max |v| K + 6 times (E g's K-term sum, f's shift, the
+        # root's interpolation; weights sum to beta < 1); up to 18 eps max |v| seen
+        k = (v.shape[0] - 1) * (v.shape[2] + 6)
+        tol = max(1e-9, k * np.finfo(float).eps * np.abs(v).max())
         for t in range(1, v.shape[0]):
-            if np.any(np.diff(v[t, t:], axis=0) < -1e-9):
+            if np.any(np.diff(v[t, t:], axis=0) < -tol):
                 raise ValueError("index not nondecreasing in B on the B >= T range")
         neg_unique, rank = np.unique(-v.ravel(), return_inverse=True)
         object.__setattr__(self, "rank", rank.reshape(v.shape))

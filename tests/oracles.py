@@ -16,8 +16,11 @@ the occupancy LP on the arm MDP's transition matrices, the reference for
 ``bound.build_occupancy_lp``'s vacancy form, and
 ``reference_occupancy_lp`` that vacancy form as it was built from
 ``dense_move``, the dense view of the shared law's next-state indices and
-arrival rows, which the joint DP also reads; ``reference_index_table`` is
-``compute_index_table`` as it was when a combine formed the root functions.
+arrival rows, which the joint DP also reads; ``_solve_lp`` solves an
+occupancy LP with HiGHS, the independent referee of ``bound``'s certificate,
+and ``highs_outside_bracket`` measures HiGHS's optimum against that
+certificate's bracket; ``reference_index_table`` is ``compute_index_table``
+as it was when a combine formed the root functions.
 Tests import this module as ``oracles`` (``tests/`` is on ``sys.path``);
 pytest does not collect it.
 """
@@ -31,7 +34,7 @@ import numpy as np
 
 from evbandit import whittle
 from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
-from evbandit.bound import OccupancyLP
+from evbandit.bound import BoundResult, OccupancyLP
 from evbandit.model import ChargerLaw, Instance, charger_law
 from evbandit.policies import edf_key, llf_key, lllp_kernel, select_by_key, whittle_key
 from evbandit.pwl import PWLBatch
@@ -323,6 +326,37 @@ def activation_frequency(instance: Instance, lam: float) -> float:
         (1.0 - beta) * arm.initial_distribution(),
     )
     return float(occ[act].sum())
+
+
+# HiGHS's interior point (with its crossover) against its default simplex on
+# the vacancy form, 20 alternating pairs on a 2-core x86 host: 58 against
+# 76 ms on the K=5, N_tau=4 tod_index instance and 44 against 58 ms on
+# dynamic_cost; on fig3 and toy it loses about 1 ms
+LP_METHOD = "highs-ipm"
+
+# HiGHS's default primal and dual feasibility tolerance; its optimum can
+# miss the true one by about this much relative to the objective's size
+HIGHS_TOL = 1e-7
+
+
+def _solve_lp(lp: OccupancyLP) -> tuple[float, np.ndarray]:
+    """(optimum, [x(s,0), x(s,1)]): the LP's value by HiGHS and its x part, without z."""
+    from scipy.optimize import linprog
+
+    res = linprog(-lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, A_ub=lp.A_ub, b_ub=lp.b_ub,
+                  bounds=(0.0, None), method=LP_METHOD)
+    if not res.success:
+        raise RuntimeError(f"occupancy LP failed: {res.message}")
+    return -res.fun, res.x[: 2 * lp.n_states]
+
+
+def highs_outside_bracket(value: float, result: BoundResult, n_chargers: int) -> float:
+    """How far ``value``, HiGHS's optimum of the occupancy LP, lies outside
+    the certificate's bracket [``lp_value``, ``lp_upper``] of a
+    ``solve_bound(..., verify=True)`` ``result``, per charger, less HIGHS_TOL
+    times the optimum's size: at most 0 when HiGHS agrees."""
+    outside = max(result.lp_value / n_chargers - value, value - result.lp_upper / n_chargers)
+    return outside - HIGHS_TOL * max(1.0, abs(value))
 
 
 def kronecker_occupancy_lp(instance: Instance) -> OccupancyLP:

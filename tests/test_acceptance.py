@@ -14,7 +14,7 @@ import pytest
 
 from evbandit import cli
 from evbandit.arm import build_arm_mdp
-from evbandit.bound import solve_bound
+from evbandit.bound import build_occupancy_lp, solve_bound
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.sim import monte_carlo
@@ -26,9 +26,11 @@ from evbandit.whittle import (
 )
 
 from oracles import (
+    _solve_lp,
     brute_force_joint_dp,
     check_indexability,
     evaluate_policy_exact,
+    highs_outside_bracket,
     index_by_vi_bisection,
     policy_kernel,
 )
@@ -248,16 +250,21 @@ def test_criterion_7_dynamic_cost_gains(capsys, dyn):
 
 
 def test_criterion_8_lp_and_dual_agree(capsys):
+    """The dual's LP certificate holds, and HiGHS's optimum of the occupancy
+    LP lies in its bracket up to HiGHS's own tolerance."""
     rng = np.random.default_rng(8)
-    worst = 0.0
+    worst, outside = 0.0, -np.inf
     for _ in range(10):
         inst = _random_small_instance(rng)
         res = solve_bound(inst, verify=True)
         worst = max(worst, abs(res.lp_value - res.dual_value))
-    ok = worst <= 1e-4
+        value, _ = _solve_lp(build_occupancy_lp(inst))
+        outside = max(outside, highs_outside_bracket(value, res, inst.n_chargers))
+    ok = worst <= 1e-4 and outside <= 0.0
     scorecard(capsys, 8, "occupancy LP and Lagrangian dual agree on 10 random instances",
-              ok, f"max gap {worst:.2e}")
+              ok, f"max gap {worst:.2e}, HiGHS in the bracket")
     assert worst <= 1e-4
+    assert outside <= 0.0
 
 
 def test_criterion_9_reruns_are_bit_identical(capsys, tmp_path):

@@ -4,17 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evbandit import bound
+from evbandit import bound, cli
 from evbandit.arm import build_arm_mdp
-from evbandit.bound import BoundResult, build_occupancy_lp, solve_bound, _dual, _solve_lp
+from evbandit.bound import BoundResult, build_occupancy_lp, solve_bound, _dual
 from evbandit.config import load_run_config
 from evbandit.model import CostChain
 from evbandit.whittle import compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance
-from oracles import (activation_frequency, dense_arm_transitions, kronecker_occupancy_lp,
-                     reference_occupancy_lp)
+from oracles import (_solve_lp, activation_frequency, dense_arm_transitions,
+                     highs_outside_bracket, kronecker_occupancy_lp, reference_occupancy_lp)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WORKLOADS = CONFIGS.parent / "perfbench" / "workloads"
 
 
 def shipped(name: str):
@@ -128,10 +129,15 @@ class TestDualEqualsLP:
         inst = make_instance(**kwargs)
         res = solve_bound(inst, verify=True)
         assert res.lp_value == pytest.approx(res.dual_value, abs=1e-4 * inst.n_chargers)
+        value, _ = _solve_lp(build_occupancy_lp(inst))
+        assert highs_outside_bracket(value, res, inst.n_chargers) <= 0.0
 
     def test_periodic_instance(self):
-        res = solve_bound(periodic_instance(), verify=True)
+        inst = periodic_instance()
+        res = solve_bound(inst, verify=True)
         assert res.lp_value == pytest.approx(res.dual_value, abs=4e-4)
+        value, _ = _solve_lp(build_occupancy_lp(inst))
+        assert highs_outside_bracket(value, res, inst.n_chargers) <= 0.0
 
 
 class TestExactDual:
@@ -183,13 +189,94 @@ class TestExactDual:
         assert 1 <= len(calls) <= 10
 
 
+def wrong_hint(kind: str):
+    """``bound._exact_dual`` with one thing made wrong: ``lambda`` moved to
+    the next index value above the nearest one, the right piece's ``action``
+    flipped at the state of the largest index (active at lambda*, whose index
+    lies far above), or the dual ``value`` raised by 2e-4 per charger."""
+    real = bound._exact_dual
+
+    def wrong(instance, table):
+        lam, value, freq, (act_lo, act_hi) = real(instance, table)
+        values = compute_index_table(instance).values
+        if kind == "lambda":
+            kinks = np.unique(values[values > 0])
+            lam = float(kinks[np.argmin(np.abs(kinks - lam)) + 1])
+        elif kind == "action":
+            assert values.max() > lam + 0.1
+            act_hi = act_hi.copy()
+            act_hi[np.unravel_index(np.argmax(values), values.shape)] ^= 1
+        else:
+            value += 2e-4
+        return lam, value, freq, (act_lo, act_hi)
+
+    return wrong
+
+
+class TestCertificate:
+    """``solve_bound(verify=True)`` certifies the dual from the LP's own
+    matrices: no LP solver and no extra subsidy solve, a bracket of at most
+    1e-8 per charger on the shipped and benchmark configs, and a failure for
+    each wrong hint."""
+
+    @pytest.mark.parametrize("path", [*(CONFIGS / f"{name}.json" for name in (
+        "toy", "fig3_constant_cost", "fig4_full_capacity", "dynamic_cost")),
+        *sorted(WORKLOADS.glob("*.json"))], ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_tight_bracket_without_an_lp_solver(self, path, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the certificate solves no LP")
+
+        monkeypatch.setattr(bound, "linprog", no_lp)
+        inst = load_run_config(path).instance
+        res = solve_bound(inst, verify=True)
+        assert res.method == "both"
+        assert res.lp_value <= res.lp_upper <= res.lp_value + 1e-8 * inst.n_chargers
+        tol = 1e-8 * inst.n_chargers
+        assert res.lp_value - tol <= res.dual_value <= res.lp_upper + tol
+
+    def test_no_extra_subsidy_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_subsidy(*args, **kwargs)
+
+        inst = shipped("dynamic_cost.json")
+        table = compute_index_table(inst)
+        monkeypatch.setattr(bound, "solve_subsidy", counted)
+        solve_bound(inst, table=table)
+        plain = len(calls)
+        solve_bound(inst, verify=True, table=table)
+        assert len(calls) == 2 * plain
+
+    @pytest.mark.parametrize("kind", ["lambda", "action", "value"])
+    def test_wrong_hint_fails(self, kind, monkeypatch):
+        inst = shipped("dynamic_cost.json")
+        assert solve_bound(inst).lam > 0.0  # both pieces' policies are hints
+        monkeypatch.setattr(bound, "_exact_dual", wrong_hint(kind))
+        with pytest.raises(RuntimeError, match="LP bracket"):
+            solve_bound(inst, verify=True)
+
+    @pytest.mark.parametrize("kind", ["lambda", "action", "value"])
+    def test_wrong_hint_exits_3_with_one_line(self, kind, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(bound, "_exact_dual", wrong_hint(kind))
+        rc = cli.main(["bound", "--config", str(CONFIGS / "dynamic_cost.json"), "--verify-oracle",
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("verification failure: LP bracket")
+        assert not (tmp_path / "bound.json").exists()
+
+
 class TestStructure:
     def test_occupancy_mass_is_one_and_budget_holds(self, toy_dynamic):
         lp = build_occupancy_lp(toy_dynamic)
-        _, x = _solve_lp(lp)
+        value, x = _solve_lp(lp)
         assert x.sum() == pytest.approx(1.0, abs=1e-8)
         share = toy_dynamic.capacity / toy_dynamic.n_chargers
         assert x[lp.n_states :].sum() <= share + 1e-8
+        res = solve_bound(toy_dynamic, verify=True)
+        assert highs_outside_bracket(value, res, toy_dynamic.n_chargers) <= 0.0
 
     def test_details_toggle(self, toy_dynamic):
         # every field is set but the LP's, which verify adds
@@ -198,11 +285,12 @@ class TestStructure:
         assert all(isinstance(x, float) for x in (res.value, res.lam, res.dual_value,
                                                    res.activation_frequency))
         assert res.value == res.dual_value
-        assert (res.lp_value, res.method) == (None, "dual")
+        assert (res.lp_value, res.lp_upper, res.method) == (None, None, "dual")
         assert res.lam >= 0.0
         assert res.activation_frequency <= toy_dynamic.capacity / toy_dynamic.n_chargers + 1e-6
         checked = solve_bound(toy_dynamic, verify=True)
         assert isinstance(checked.lp_value, float) and checked.method == "both"
+        assert isinstance(checked.lp_upper, float) and checked.lp_value <= checked.lp_upper
         assert (checked.value, checked.lam) == (res.value, res.lam)
 
     def test_monotone_in_budget(self, toy_dynamic):
@@ -215,8 +303,9 @@ class TestStructure:
 
 class TestVacancyForm:
     """``build_occupancy_lp``'s vacancy form against the Kronecker form of
-    ``oracles.kronecker_occupancy_lp``: one optimum, and the vacancy solution's
-    x part is a feasible point of the Kronecker form with that value; and
+    ``oracles.kronecker_occupancy_lp``: one optimum, inside the certificate's
+    bracket, and the vacancy solution's x part is a feasible point of the
+    Kronecker form with that value; and
     against ``oracles.reference_occupancy_lp``, the same form built from the
     dense move table, entry for entry."""
 
@@ -232,6 +321,7 @@ class TestVacancyForm:
         assert np.abs(ref.A_eq @ x - ref.b_eq).max() <= 1e-9
         assert (ref.A_ub @ x - ref.b_ub).max() <= 1e-9
         assert x.min() >= 0.0
+        assert highs_outside_bracket(value, solve_bound(inst, verify=True), inst.n_chargers) <= 0.0
 
     @pytest.mark.parametrize("name", VACANCY_CASES)
     def test_equals_the_dense_table_builder(self, name):

@@ -661,6 +661,19 @@ def test_large_penalty_oracle_brackets_every_index(kappa, tmp_path):
     assert cli.main(["index", "--config", str(p), "--verify-oracle", "--out", str(tmp_path)]) == 0
 
 
+def test_tied_indexes_at_a_large_penalty_pass_the_monotonicity_check(tmp_path):
+    """index(2, 3, j=1) lies one rounding (6e-8) below index(2, 2, j=1), near
+    3.75e8, which an absolute tolerance of 1e-9 took for a decrease in B."""
+    config = tmp_path / "large_penalty.json"
+    config.write_text(json.dumps({"instance": {
+        "n_chargers": 2, "capacity": 1, "discount": 0.5, "t_max": 3, "b_max": 3,
+        "penalty": {"table": [0.0, 7.5e8, 1.5e9, 2.5e9]},
+        "cost": {"levels": [0.0, 0.32589638], "matrix": [[1.0, 0.0], [0.0, 1.0]]}}}))
+    assert cli.main(["index", "--config", str(config), "--out", str(tmp_path)]) == 0
+    v = IndexTable.from_json(tmp_path / "index_table.json", load_run_config(config).instance).values
+    assert 0.0 < v[2, 2, 1, 0] - v[2, 3, 1, 0] < 1e-7
+
+
 def test_long_stay_runs_every_command(tmp_path):
     """A 12-hour stay in 5-minute slots: t_max = 144, b_max = 60 and one cost
     level give 8,785 charger states, whose dense move table (1,177 MiB) the
@@ -682,7 +695,7 @@ DENSE_TABLE_BYTES = 2 * 2461**2 * 8
 
 
 def test_verify_oracle_adds_under_half_the_dense_table(tmp_path):
-    """The LP build, its solve and the check add to plain ``bound``'s peak RSS,
+    """The LP build and its certificate add to plain ``bound``'s peak RSS,
     both with scipy.optimize imported, less than half the dense table."""
     config = tmp_path / "long_stay.json"
     config.write_text(json.dumps({"instance": {"t_max": 60, "b_max": 40}}))

@@ -1,8 +1,9 @@
 """Which scipy submodules (and numpy.ma) each command loads, in a fresh
 interpreter.
 
-``scipy.optimize`` and ``scipy.sparse`` are imported by the functions that
-call them (``scipy.optimize`` brings ``scipy.special`` with it), and
+``scipy.optimize`` (only the valley planner's LP) and ``scipy.sparse`` are
+imported by the functions that call them (``scipy.optimize`` brings
+``scipy.special`` with it), and
 ``scipy.stats`` never, so that a command starts without paying for solvers it
 does not use; ``multiprocessing`` only by a simulation that shards its seeds.
 Each case runs in its own process, because the test run has long since
@@ -79,6 +80,14 @@ def test_bound_without_oracle_loads_no_solver(tmp_path):
     frequency from the exact subsidy solve, not from the sparse arm MDP."""
     loaded = loaded_after([["bound", "--config", str(TOY)]], tmp_path)
     assert not loaded & SOLVERS
+
+
+def test_bound_oracle_loads_no_lp_solver(tmp_path):
+    """The LP certificate factors two bases with scipy.sparse.linalg's splu;
+    nothing solves the LP, so scipy.optimize stays unloaded."""
+    loaded = loaded_after([["bound", "--config", str(DYNAMIC), "--verify-oracle"]], tmp_path)
+    assert "scipy.sparse" in loaded
+    assert "scipy.optimize" not in loaded
 
 
 def test_plain_commands_load_no_numpy_ma(tmp_path):

@@ -27,6 +27,7 @@ from oracles import check_indexability, index_by_vi_bisection, reference_index_t
 
 PEN = PenaltyFunction.quadratic(0.3, 4)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+CONFIGS = PERFBENCH.parent.parent / "configs"
 
 
 def g_h_keys(gs, b_max):
@@ -164,9 +165,9 @@ def test_roots_match_the_combine_route_to_rounding_at_extreme_scales(instance):
     MERGE_TOL of it.  The least root then interpolates between other segment
     ends, and moves by rounding, far inside the instance's scale.
 
-    Instances whose table fails IndexTable's check of monotonicity in B on
-    either route are left out: that check's tolerance is absolute, 1e-9, and
-    at penalties of about 1e9 or more it fails on ties broken by rounding."""
+    Instances whose table fails IndexTable's check of monotonicity in B
+    (tolerance max(1e-9, k eps max |v|)) on either route are left out; none
+    of 3,000 examples did."""
     try:
         got, want = tables_by_both_routes(instance)
     except ValueError:  # IndexCheckError from compute_index_table is one
@@ -231,6 +232,28 @@ class TestTableStructure:
         v[1, 1:, 0, 0] = [3.0, 2.0, 1.0]
         with pytest.raises(ValueError):
             IndexTable(v)
+
+    def test_rejects_a_decrease_of_1e_6_at_scale_1(self):
+        v = np.zeros((3, 4, 1, 1))
+        v[1:, 1:, 0, 0] = 1.0
+        v[1, 3, 0, 0] -= 1e-6
+        with pytest.raises(ValueError):
+            IndexTable(v)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")) + sorted(PERFBENCH.glob("*.json")),
+                             ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_shipped_tables_keep_the_absolute_tolerance(self, path):
+        """The tolerance max(1e-9, k eps max |v|) is 1e-9 on these tables: a
+        decrease of 2e-9 in B fails, one of 5e-10 passes."""
+        v = compute_index_table(load_run_config(path).instance).values
+        for drop, fails in ((2e-9, True), (5e-10, False)):
+            w = v.copy()
+            w[1, 2] = w[1, 1] - drop
+            if fails:
+                with pytest.raises(ValueError):
+                    IndexTable(w)
+            else:
+                IndexTable(w)
 
 
 class TestSerialization:
