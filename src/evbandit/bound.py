@@ -7,13 +7,15 @@ unconstrained subsidy problem exactly, and find the convex dual's exact
 minimiser among its kinks, the index table's values, without scipy.
 
 ``solve_bound(..., verify=True)`` certifies it on the occupancy LP, max c.x
-s.t. A_eq x = b_eq, a.x <= M/N, x >= 0, with no LP solve.  A sparse LU of the
-basis (x(s, a(s)) and every z) of the greedy policy either side of lambda*
-gives its occupancy and, at the LP price lambda* / (1 - beta), duals y.  The
-optimum lies between c.x, x the occupancies' mix at which the budget binds,
-and b_eq.y + price M/N + 2 max(r, 0), r the reduced costs (c.x = b_eq.y +
-price a.x + r.x; sum x + sum z <= 2 if x is feasible), whatever the hints: a
-wrong one only widens the bracket, which must lie within 1e-4 of the dual.
+s.t. A_eq x = b_eq, a.x <= M/N, x >= 0, with numpy alone.  The basis (x(s,
+a(s)) and every z) of the greedy policy either side of lambda* gives its
+occupancy and, at the LP price lambda* / (1 - beta), duals y, exactly: by
+sweeps over the lead time, which falls by one a slot whatever the action, and
+one K N_tau system for z.  The optimum lies between c.x, x the occupancies'
+mix at which the budget binds, and b_eq.y + price M/N + 2 max(r, 0), r the
+reduced costs (c.x = b_eq.y + price a.x + r.x; sum x + sum z <= 2 if x is
+feasible), whatever the hints: a wrong one only widens the bracket, which
+must lie within 1e-4 of the dual.
 
 The LP is written in vacancy form.  A departing or empty charger (T <= 1) is
 refilled by the same arrival law whatever its state and action, so one extra
@@ -32,15 +34,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import Instance, charger_law, extended_moves
-from .whittle import IndexTable, compute_index_table, solve_subsidy
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .whittle import IndexTable, compute_index_table, price_powers, solve_subsidy
 
 __all__ = ["OccupancyLP", "BoundResult", "build_occupancy_lp", "lp_entries", "solve_bound"]
 
@@ -49,19 +47,20 @@ FEASIBILITY_TOL = 1e-9  # how far the certificate's occupancy, of mass one, may 
 
 @dataclass
 class OccupancyLP:
-    """max c·x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
+    """max c·x s.t. A_eq x = b_eq, A_ub·x <= b_ub, x >= 0.
 
     Variables are stacked [x(s,0), x(s,1), z] over the ``n_states`` extended
     states s = (cs, j, tau) in ``arm.ArmMDP``'s id order and the K * N_tau
     price states (j, tau); x(s,a) is the discounted visitation frequency
     (1-beta) E sum beta^t 1{state s, action a}, and z(j, tau) the sum of
-    x(s,a) over the states of (j, tau) with T <= 1.  ``lp_entries`` counts A_eq.
+    x(s,a) over the states of (j, tau) with T <= 1.  ``A_eq`` holds the (rows,
+    cols, values) that ``lp_entries`` counts; ``A_ub`` is 1 on each x(s,1).
     """
 
     c: np.ndarray
-    A_eq: sp.csr_matrix
+    A_eq: tuple[np.ndarray, np.ndarray, np.ndarray]
     b_eq: np.ndarray
-    A_ub: sp.csr_matrix
+    A_ub: np.ndarray
     b_ub: np.ndarray
     n_states: int
 
@@ -97,8 +96,6 @@ def build_occupancy_lp(instance: Instance) -> OccupancyLP:
     (1/(1-beta)) sum x(s,a) R_a(s).  mu0 is the empty charger in period 0
     with the cost level at its stationary law (``ArmMDP.initial_distribution``).
     """
-    import scipy.sparse as sp
-
     inst = instance
     law = charger_law(inst)
     nt, beta = inst.n_periods, inst.discount
@@ -111,18 +108,17 @@ def build_occupancy_lp(instance: Instance) -> OccupancyLP:
     cols = [s, n + s, vacant, n + vacant, 2 * n + np.arange(m), a * n + stay, 2 * n + v]
     data = [np.ones(n), np.ones(n), -np.ones(vacant.size), -np.ones(vacant.size), np.ones(m),
             -beta * p, -beta * q]
-    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    a_eq = sp.csr_matrix(entries, shape=(n + m, 2 * n + m))
+    a_eq = tuple(map(np.concatenate, (rows, cols, data)))
     b_eq = np.zeros(n + m)
     b_eq[:m:nt] = (1.0 - beta) * inst.cost.stationary()
-    a_ub = sp.csr_matrix(np.repeat([0.0, 1.0, 0.0], [n, n, m])[None, :])
+    a_ub = np.repeat([0.0, 1.0, 0.0], [n, n, m])
     b_ub = np.array([inst.capacity / inst.n_chargers])
     c = np.concatenate([np.repeat(law.reward.reshape(2, -1), nt, axis=1).ravel(), np.zeros(m)])
     return OccupancyLP(c / (1.0 - beta), a_eq, b_eq, a_ub, b_ub, n)
 
 
 def lp_entries(instance: Instance) -> int:
-    """Nonzeros of ``build_occupancy_lp``'s A_eq, counted from ``charger_law``'s
+    """Triplets of ``build_occupancy_lp``'s A_eq, counted from ``charger_law``'s
     arrays without building it: per price state, a one for each x and for z
     and a -1 for each vacant state's x; and one per staying (cs, a), or per
     arrival entry, and cost move of its period."""
@@ -140,30 +136,62 @@ def linprog(c, *args, **kwargs):
     return linprog(c, *args, **kwargs)
 
 
-def _certify(lp: OccupancyLP, price: float, hints, value: float) -> tuple[float, float]:
+def _basis_solver(instance: Instance, lp: OccupancyLP):
+    """``solve(act, price)``: (x, y) with B x = b_eq and y B = c_B - price A_ub,B
+    for the basis B of the policy ``act`` (laid out like ``IndexTable.values``),
+    by the module docstring's sweeps over ``lp``'s own triplets."""
+    n, m, t_max = lp.n_states, lp.c.size - 2 * lp.n_states, instance.t_max
+    rows, cols, vals = lp.A_eq
+    state, fill = cols % n, (rows < n) & (cols >= 2 * n)
+    stay = (rows < n) & (cols < 2 * n) & (rows != state)  # a charger with T >= 2 moving on
+    lead = np.repeat(charger_law(instance).T, m)
+    edges = np.searchsorted(lead, np.arange(t_max + 2))  # lead time T: ids edges[T] to edges[T+1]
+    # reach[at[s]]: the discounted mass, by price state, with which the charger of
+    # state s falls vacant; couple[v]: that of the refill z(v), so z = reach^T b + couple^T z
+    powers = price_powers(instance)
+    reach = np.concatenate([powers[:1], powers[:-1]]).reshape(-1, m)
+    at = lead * m + np.arange(n) % m
+    r2, v, q = rows[fill], cols[fill] - 2 * n, -vals[fill]  # the refills F: z(v) into r2
+    couple = np.bincount(v * len(reach) + at[r2], q, m * len(reach)).reshape(m, -1) @ reach
+    z = np.linalg.solve(np.eye(m) - couple.T, reach.T @ np.bincount(at, lp.b_eq[:n], len(reach)))
+
+    def solve(act, price):
+        act = np.concatenate([act[0, :1], act[1:].reshape(-1, *act.shape[2:])]).ravel()
+        keep = np.flatnonzero(stay & (cols // n == act[state]))
+        keep = keep[np.argsort(state[keep], kind="stable")]
+        src, dst, w = state[keep], rows[keep], -vals[keep]
+        cuts, basic = np.searchsorted(src, edges), np.arange(n) + n * act.astype(np.intp)
+        x = lp.b_eq[:n] + np.bincount(r2, q * z[v], n)
+        for t in range(t_max, 1, -1):  # (I - W) x = b + F z, W the basis's stays
+            e, lo, hi = slice(cuts[t], cuts[t + 1]), edges[t - 1], edges[t]
+            x[lo:hi] += np.bincount(dst[e] - lo, w[e] * x[src[e]], hi - lo)
+        y = lp.c[basic] - price * lp.A_ub[basic]
+        for t in range(2, t_max + 1):  # (I - W^T) y = c_B - price A_ub,B; reach adds y_z after
+            e, lo, hi = slice(cuts[t], cuts[t + 1]), edges[t], edges[t + 1]
+            y[lo:hi] += np.bincount(src[e] - lo, w[e] * y[dst[e]], hi - lo)
+        y_z = np.linalg.solve(np.eye(m) - couple, np.bincount(v, q * y[r2], m))
+        return np.concatenate([np.bincount(basic, x, 2 * n), z]), np.r_[y + (reach @ y_z)[at], y_z]
+
+    return solve
+
+
+def _certify(instance: Instance, price: float, hints, value: float) -> tuple[float, float]:
     """(lower, upper): the module docstring's bracket from the greedy
     ``SubsidySolution.actions`` ``hints`` either side of the budget ``price``
-    (the left None at price 0).  RuntimeError (splu's for a singular basis) if
-    the occupancy is infeasible or an end lies over 1e-4 from ``value``."""
-    from scipy.sparse.linalg import splu
-
-    n, share, a_eq, budget = lp.n_states, lp.b_ub[0], lp.A_eq.tocsc(), lp.A_ub.toarray()[0]
-
-    def basis(act):  # x(s, act(s)) by state id, then every z: near triangular as is
-        act = np.concatenate([act[0, :1], act[1:].reshape(-1, *act.shape[2:])]).ravel()
-        cols = np.r_[np.arange(n) + n * act.astype(np.intp), 2 * n : lp.c.size]
-        lu = splu(a_eq[:, cols], permc_spec="NATURAL")
-        return lu, cols, np.bincount(cols, lu.solve(lp.b_eq), lp.c.size)
-
-    lu, cols, x = basis(hints[1])
-    y = lu.solve(lp.c[cols] - price * budget[cols], trans="T")
-    r = lp.c - a_eq.T @ y - price * budget
+    (the left None at price 0).  RuntimeError if the occupancy is infeasible
+    or an end lies over 1e-4 from ``value``."""
+    lp = build_occupancy_lp(instance)
+    (rows, cols, vals), share, budget = lp.A_eq, lp.b_ub[0], lp.A_ub
+    solve = _basis_solver(instance, lp)
+    x, y = solve(hints[1], price)
+    r = lp.c - np.bincount(cols, vals * y[rows], lp.c.size) - price * budget
     upper = float(lp.b_eq @ y + price * share + 2.0 * max(r.max(), 0.0))
     if hints[0] is not None and budget @ x < share:
-        x_lo = basis(hints[0])[2]
+        x_lo = solve(hints[0], price)[0]
         x += (share - budget @ x) / (budget @ (x_lo - x)) * (x_lo - x)
     lower = float(lp.c @ x)
-    gap = max(np.abs(a_eq @ x - lp.b_eq).max(), -x.min(), budget @ x - share)
+    gap = max(np.abs(np.bincount(rows, vals * x[cols], lp.b_eq.size) - lp.b_eq).max(), -x.min(),
+              budget @ x - share)
     if gap > FEASIBILITY_TOL or max(abs(lower - value), abs(upper - value)) > 1e-4:
         raise RuntimeError(f"LP bracket [{lower}, {upper}] (infeasibility {gap:.0e}) vs dual {value}")
     return lower, upper
@@ -237,6 +265,6 @@ def solve_bound(instance: Instance, verify: bool = False,
     result = BoundResult(n * dual_value, lam, n * dual_value, freq)
     if verify:
         price = lam / (1.0 - instance.discount)
-        lower, upper = _certify(build_occupancy_lp(instance), price, hints, dual_value)
+        lower, upper = _certify(instance, price, hints, dual_value)
         result.lp_value, result.lp_upper, result.method = n * lower, n * upper, "both"
     return result

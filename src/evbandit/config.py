@@ -27,8 +27,8 @@ __all__ = [
 
 # bytes the largest arrays of one command may take; check_size refuses more
 MEMORY_BUDGET = 1 << 30
-# bytes bound.build_occupancy_lp holds at its peak per nonzero of A_eq (its rows,
-# columns and values, joined and as a sparse matrix): 86 to 95 by tracemalloc
+# bytes bound --verify-oracle's certificate holds at its peak per nonzero of A_eq (its
+# triplets and the sweeps over them): 71 to 81 by tracemalloc on the largest configs
 LP_ENTRY_BYTES = 96
 # charger-slots (seeds x horizon x chargers) one policy may simulate, about
 # 140 times full-size fig3; check_size refuses more

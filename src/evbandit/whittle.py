@@ -45,6 +45,7 @@ __all__ = [
     "compute_index_table",
     "subsidy_value_iteration",
     "SubsidySolution",
+    "price_powers",
     "subsidy_pass",
     "solve_subsidy",
     "index_by_bisection",
@@ -326,6 +327,19 @@ def subsidy_pass(instance: Instance, nu):
         yield u, q_act > q_pass
 
 
+def price_powers(instance: Instance) -> list[np.ndarray]:
+    """m1^t for t = 0..t_max: m1 moves the price state (j, tau), id j N_tau + tau,
+    one slot on to (k, tau + 1) with weight beta P_tau(j, k)."""
+    K, nt = instance.cost.n_levels, instance.n_periods
+    m1 = np.zeros((K, nt, K, nt))
+    for tau in range(nt):
+        m1[:, tau, :, (tau + 1) % nt] = instance.discount * instance.cost.matrix_for(tau)
+    powers = [np.eye(K * nt)]
+    for _ in range(instance.t_max):
+        powers.append(powers[-1] @ m1.reshape(K * nt, K * nt))
+    return powers
+
+
 @dataclass(frozen=True)
 class SubsidySolution:
     """Exact subsidy-problem solution on the (T, B, cost, period) grid.
@@ -379,12 +393,7 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
     # a departure at tau-1]; solves A = a0 + G A with ||G|| <= beta < 1, for
     # the values and the activation counts alike
     e = K * nt
-    m1 = np.zeros((e, e))
-    for tau in range(nt):  # row (j, tau) to column (k, tau + 1) of the (K, nt, K, nt) view
-        m1.reshape(K, nt, K, nt)[:, tau, :, (tau + 1) % nt] = beta * inst.cost.matrix_for(tau)
-    powers = [np.eye(e)]
-    for _ in range(t_bar):
-        powers.append(powers[-1] @ m1)
+    powers = price_powers(inst)
 
     g_mat = np.zeros((e, e))
     a0 = np.zeros((2, K, nt))

@@ -16,11 +16,14 @@ the occupancy LP on the arm MDP's transition matrices, the reference for
 ``bound.build_occupancy_lp``'s vacancy form, and
 ``reference_occupancy_lp`` that vacancy form as it was built from
 ``dense_move``, the dense view of the shared law's next-state indices and
-arrival rows, which the joint DP also reads; ``_solve_lp`` solves an
+arrival rows, which the joint DP also reads; ``lp_matrices`` builds an
+occupancy LP's scipy matrices from its triplets; ``_solve_lp`` solves an
 occupancy LP with HiGHS, the independent referee of ``bound``'s certificate,
 and ``highs_outside_bracket`` measures HiGHS's optimum against that
-certificate's bracket; ``reference_index_table`` is ``compute_index_table``
-as it was when a combine formed the root functions.
+certificate's bracket; ``basis_by_spsolve`` solves the basis of a policy
+with scipy's sparse LU, the referee of the certificate's sweeps;
+``reference_index_table`` is ``compute_index_table`` as it was when a
+combine formed the root functions.
 Tests import this module as ``oracles`` (``tests/`` is on ``sys.path``);
 pytest does not collect it.
 """
@@ -339,11 +342,22 @@ LP_METHOD = "highs-ipm"
 HIGHS_TOL = 1e-7
 
 
+def lp_matrices(lp: OccupancyLP):
+    """(A_eq, A_ub) of ``lp`` as scipy csr matrices: A_eq from its (rows,
+    cols, values) triplets, A_ub the budget vector as a one-row matrix."""
+    import scipy.sparse as sp
+
+    rows, cols, vals = lp.A_eq
+    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(lp.b_eq.size, lp.c.size))
+    return a_eq, sp.csr_matrix(lp.A_ub[None, :])
+
+
 def _solve_lp(lp: OccupancyLP) -> tuple[float, np.ndarray]:
     """(optimum, [x(s,0), x(s,1)]): the LP's value by HiGHS and its x part, without z."""
     from scipy.optimize import linprog
 
-    res = linprog(-lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, A_ub=lp.A_ub, b_ub=lp.b_ub,
+    a_eq, a_ub = lp_matrices(lp)
+    res = linprog(-lp.c, A_eq=a_eq, b_eq=lp.b_eq, A_ub=a_ub, b_ub=lp.b_ub,
                   bounds=(0.0, None), method=LP_METHOD)
     if not res.success:
         raise RuntimeError(f"occupancy LP failed: {res.message}")
@@ -359,6 +373,22 @@ def highs_outside_bracket(value: float, result: BoundResult, n_chargers: int) ->
     return outside - HIGHS_TOL * max(1.0, abs(value))
 
 
+def basis_by_spsolve(lp: OccupancyLP, act: np.ndarray, price: float = 0.0):
+    """(x, y) with B x = b_eq and y B = c_B - ``price`` A_ub,B, B the columns
+    of ``lp``'s A_eq for x(s, act(s)) and every z, by
+    ``scipy.sparse.linalg.spsolve``; x spans all of ``lp``'s variables, y its
+    rows.  ``act`` is laid out like ``IndexTable.values``."""
+    from scipy.sparse.linalg import spsolve
+
+    n = lp.n_states
+    act = np.concatenate([act[0, :1], act[1:].reshape(-1, *act.shape[2:])]).ravel()
+    cols = np.r_[np.arange(n) + n * act.astype(np.intp), 2 * n : lp.c.size]
+    basis = lp_matrices(lp)[0].tocsc()[:, cols]
+    x = np.zeros(lp.c.size)
+    x[cols] = spsolve(basis, lp.b_eq)
+    return x, spsolve(basis.T.tocsc(), lp.c[cols] - price * lp.A_ub[cols])
+
+
 def kronecker_occupancy_lp(instance: Instance) -> OccupancyLP:
     """The occupancy LP on the arm MDP, one column per (state, action) only.
 
@@ -372,12 +402,12 @@ def kronecker_occupancy_lp(instance: Instance) -> OccupancyLP:
     n = arm.n_states
     beta = instance.discount
     eye = sp.eye(n, format="csr")
-    a_eq = sp.hstack([eye - beta * arm.P0.T, eye - beta * arm.P1.T], format="csr")
+    a_eq = sp.hstack([eye - beta * arm.P0.T, eye - beta * arm.P1.T], format="coo")
     b_eq = (1.0 - beta) * arm.initial_distribution()
-    a_ub = sp.csr_matrix(np.concatenate([np.zeros(n), np.ones(n)])[None, :])
+    a_ub = np.concatenate([np.zeros(n), np.ones(n)])
     b_ub = np.array([instance.capacity / instance.n_chargers])
     c = np.concatenate([arm.R0, arm.R1]) / (1.0 - beta)
-    return OccupancyLP(c, a_eq, b_eq, a_ub, b_ub, n)
+    return OccupancyLP(c, (a_eq.row, a_eq.col, a_eq.data), b_eq, a_ub, b_ub, n)
 
 
 def dense_arm_transitions(instance: Instance):
@@ -435,11 +465,10 @@ def reference_occupancy_lp(instance: Instance) -> OccupancyLP:
             rows.append(block.col * nt + (tau + 1) % nt)
             cols.append(offset + block.row * nt + tau)
             data.append(-beta * block.data)
-    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    a_eq = sp.csr_matrix(entries, shape=(n + m, 2 * n + m))
+    a_eq = tuple(map(np.concatenate, (rows, cols, data)))
     b_eq = np.zeros(n + m)
     b_eq[:m:nt] = (1.0 - beta) * inst.cost.stationary()
-    a_ub = sp.csr_matrix(np.repeat([0.0, 1.0, 0.0], [n, n, m])[None, :])
+    a_ub = np.repeat([0.0, 1.0, 0.0], [n, n, m])
     b_ub = np.array([inst.capacity / inst.n_chargers])
     c = np.concatenate([np.repeat(law.reward.reshape(2, -1), nt, axis=1).ravel(), np.zeros(m)])
     return OccupancyLP(c / (1.0 - beta), a_eq, b_eq, a_ub, b_ub, n)

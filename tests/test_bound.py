@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evbandit import bound, cli
 from evbandit.arm import build_arm_mdp
@@ -11,8 +13,9 @@ from evbandit.config import load_run_config
 from evbandit.model import CostChain
 from evbandit.whittle import compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance
-from oracles import (_solve_lp, activation_frequency, dense_arm_transitions,
-                     highs_outside_bracket, kronecker_occupancy_lp, reference_occupancy_lp)
+from oracles import (_solve_lp, activation_frequency, basis_by_spsolve, dense_arm_transitions,
+                     highs_outside_bracket, kronecker_occupancy_lp, lp_matrices,
+                     reference_occupancy_lp)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS.parent / "perfbench" / "workloads"
@@ -268,6 +271,38 @@ class TestCertificate:
         assert not (tmp_path / "bound.json").exists()
 
 
+class TestBasisSweep:
+    """``bound._basis_solver``'s sweeps against scipy's sparse LU of the same
+    basis, on random small instances (K 1-3, 1-2 periods) and policies, greedy
+    or random."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), n_periods=st.integers(1, 2), t_max=st.integers(1, 4),
+           greedy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_sweep_matches_spsolve(self, k, n_periods, t_max, greedy, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.dirichlet(np.ones(k), size=(n_periods, k))
+        P = np.where((rng.random(P.shape) < 0.3) & ~np.eye(k, dtype=bool), 0.0, P)
+        chain = CostChain(values=rng.uniform(0.0, 1.0, k), P=P / P.sum(axis=2, keepdims=True))
+        b_max = int(rng.integers(1, t_max + 1))
+        inst = make_instance(
+            n_chargers=4, capacity=int(rng.integers(1, 4)), discount=float(rng.uniform(0.5, 0.99)),
+            t_max=t_max, b_max=b_max, kappa=float(rng.uniform(0.1, 1.0)), cost=chain,
+            rho=rng.uniform(0.0, 1.0, n_periods).tolist(), n_periods=n_periods,
+        )
+        if greedy:
+            act = solve_subsidy(inst, float(rng.uniform(0.0, 1.5))).actions
+        else:
+            act = rng.integers(0, 2, (t_max + 1, b_max + 1, k, n_periods)).astype(np.int8)
+        lp, price = build_occupancy_lp(inst), float(rng.uniform(0.0, 10.0))
+        x, y = bound._basis_solver(inst, lp)(act, price)
+        want_x, want_y = basis_by_spsolve(lp, act, price)
+        assert np.all(np.abs(x - want_x) <= 1e-12 * np.maximum(1.0, np.abs(want_x)))
+        assert np.all(np.abs(y - want_y) <= 1e-12 * np.maximum(1.0, np.abs(want_y)))
+        assert x[: 2 * lp.n_states].sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(lp_matrices(lp)[0] @ x - lp.b_eq).max() <= bound.FEASIBILITY_TOL
+
+
 class TestStructure:
     def test_occupancy_mass_is_one_and_budget_holds(self, toy_dynamic):
         lp = build_occupancy_lp(toy_dynamic)
@@ -318,7 +353,7 @@ class TestVacancyForm:
         assert value == pytest.approx(want, rel=1e-9)
         assert lp.n_states == ref.n_states and x.size == 2 * ref.n_states
         np.testing.assert_array_equal(lp.c, np.concatenate([ref.c, np.zeros(lp.c.size - x.size)]))
-        assert np.abs(ref.A_eq @ x - ref.b_eq).max() <= 1e-9
+        assert np.abs(lp_matrices(ref)[0] @ x - ref.b_eq).max() <= 1e-9
         assert (ref.A_ub @ x - ref.b_ub).max() <= 1e-9
         assert x.min() >= 0.0
         assert highs_outside_bracket(value, solve_bound(inst, verify=True), inst.n_chargers) <= 0.0
@@ -329,7 +364,7 @@ class TestVacancyForm:
         entry the one built from the dense move table; likewise the arm MDP."""
         inst = vacancy_case(name)
         lp, ref, arm = build_occupancy_lp(inst), reference_occupancy_lp(inst), build_arm_mdp(inst)
-        for got, want in ((lp.A_eq, ref.A_eq), (lp.A_ub, ref.A_ub),
+        for got, want in (*zip(lp_matrices(lp), lp_matrices(ref)),
                           *zip((arm.P0, arm.P1), dense_arm_transitions(inst))):
             assert got.shape == want.shape and (got != want).nnz == 0
         for got, want in ((lp.b_eq, ref.b_eq), (lp.c, ref.c), (lp.b_ub, ref.b_ub)):
@@ -337,7 +372,8 @@ class TestVacancyForm:
 
     def test_under_half_the_nonzeros(self):
         inst = periodic_instance()
-        assert 2 * build_occupancy_lp(inst).A_eq.nnz < kronecker_occupancy_lp(inst).A_eq.nnz
+        vacancy, kronecker = build_occupancy_lp(inst), kronecker_occupancy_lp(inst)
+        assert 2 * lp_matrices(vacancy)[0].nnz < lp_matrices(kronecker)[0].nnz
 
 
 class TestLimits:

@@ -1,11 +1,11 @@
 """Which scipy submodules (and numpy.ma) each command loads, in a fresh
 interpreter.
 
-``scipy.optimize`` (only the valley planner's LP) and ``scipy.sparse`` are
-imported by the functions that call them (``scipy.optimize`` brings
-``scipy.special`` with it), and
+``scipy.optimize`` is imported only by the valley planner's LP, which calls
+it (it brings ``scipy.sparse`` and ``scipy.special`` with it), and
 ``scipy.stats`` never, so that a command starts without paying for solvers it
-does not use; ``multiprocessing`` only by a simulation that shards its seeds.
+does not use; ``bound --verify-oracle``'s certificate runs on numpy alone;
+``multiprocessing`` only by a simulation that shards its seeds.
 Each case runs in its own process, because the test run has long since
 imported everything.
 """
@@ -83,11 +83,10 @@ def test_bound_without_oracle_loads_no_solver(tmp_path):
 
 
 def test_bound_oracle_loads_no_lp_solver(tmp_path):
-    """The LP certificate factors two bases with scipy.sparse.linalg's splu;
-    nothing solves the LP, so scipy.optimize stays unloaded."""
+    """The LP certificate solves its two bases by sweeps over the lead time
+    and forms its products with np.bincount on A_eq's triplets: no scipy."""
     loaded = loaded_after([["bound", "--config", str(DYNAMIC), "--verify-oracle"]], tmp_path)
-    assert "scipy.sparse" in loaded
-    assert "scipy.optimize" not in loaded
+    assert loaded == set()
 
 
 def test_plain_commands_load_no_numpy_ma(tmp_path):
