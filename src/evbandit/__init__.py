@@ -6,9 +6,9 @@ The package computes Whittle indexes for this restless-bandit formulation,
 runs index/EDF/LLF/valley-filling policies through a seeded simulator, and
 bounds all of them by the budget-relaxed single-charger MDP.
 
-scipy's submodules (sparse matrices, the LP solver) are imported inside the
-functions that call them, never at module level, so that a command loads only
-those on its own path: together they take about a second to import.
+scipy's LP solver, the one part of scipy the package uses (the valley
+planner's), is imported inside the functions that call it, never at module
+level, so that only a command on that path pays for its import.
 """
 
 __version__ = "0.1.0"  # before the imports: whittle keys its table files with it

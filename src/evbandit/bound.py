@@ -22,9 +22,10 @@ refilled by the same arrival law whatever its state and action, so one extra
 variable z(j, tau) per price state carries the mass of such chargers, and the
 refill enters the balance rows once per price state instead of once per
 departing state and action.  This is an exact change of variables: the
-optimum is that of the LP on the arm MDP's transition matrices, whose
-constraint matrix has two to four times as many nonzeros on the shipped
-configs.  Both build from ``model.extended_moves``, the law's sparse steps.
+optimum is that of the LP with one column per state and action, each
+departing one carrying the whole refill, whose constraint matrix has two to
+four times as many nonzeros on the shipped configs.  The LP builds from
+``model.extended_moves``, the law's one-slot steps as entries.
 
 N times the optimal value upper-bounds every admissible policy of the real
 system.
@@ -50,8 +51,8 @@ class OccupancyLP:
     """max c·x s.t. A_eq x = b_eq, A_ub·x <= b_ub, x >= 0.
 
     Variables are stacked [x(s,0), x(s,1), z] over the ``n_states`` extended
-    states s = (cs, j, tau) in ``arm.ArmMDP``'s id order and the K * N_tau
-    price states (j, tau); x(s,a) is the discounted visitation frequency
+    states s = (cs K + j) N_tau + tau of ``model.extended_moves`` and the
+    K * N_tau price states (j, tau); x(s,a) is the discounted visitation frequency
     (1-beta) E sum beta^t 1{state s, action a}, and z(j, tau) the sum of
     x(s,a) over the states of (j, tau) with T <= 1.  ``A_eq`` holds the (rows,
     cols, values) that ``lp_entries`` counts; ``A_ub`` is 1 on each x(s,1).
@@ -94,7 +95,7 @@ def build_occupancy_lp(instance: Instance) -> OccupancyLP:
     and z(j,tau) = sum_{cs: T<=1, a} x(cs,j,tau,a) is a row of its own.
     Budget: sum_s x(s,1) <= M/N; objective (to maximize):
     (1/(1-beta)) sum x(s,a) R_a(s).  mu0 is the empty charger in period 0
-    with the cost level at its stationary law (``ArmMDP.initial_distribution``).
+    with the cost level at its stationary law.
     """
     inst = instance
     law = charger_law(inst)

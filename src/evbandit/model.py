@@ -8,7 +8,8 @@ global period index cycles through N_tau slots to capture time-of-day effects.
 Unmet demand at departure is charged through an increasing convex penalty.
 
 The per-charger law (``serve`` and its table ``charger_law``) is written once,
-here; the arm MDP, the joint DP and the simulator all read it.
+here; value iteration, the occupancy LP, the joint DP and the simulator all
+read it.
 """
 
 from __future__ import annotations
@@ -279,7 +280,8 @@ def instance_sha256(instance: Instance, h=None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the per-charger law, shared by the arm MDP, the joint DP and the simulator
+# the per-charger law, shared by value iteration, the occupancy LP, the joint
+# DP and the simulator
 
 
 def serve(t, b, a):
@@ -331,7 +333,7 @@ def charger_law(instance: Instance) -> ChargerLaw:
 
 def extended_moves(instance: Instance, law: ChargerLaw):
     """``law`` lifted onto the extended states s = (cs K + j) N_tau + tau
-    (``arm.ArmMDP``'s ids) as the entries of one slot's step: ``stay`` =
+    (cs the ``charger_index``) as the entries of one slot's step: ``stay`` =
     (a, s, s2, P_tau(j, j2)) for a charger with T >= 2 and each action a, and
     ``refill`` = (v, s2, arrival_tau(cs2) P_tau(j, j2)) for the ``vacant``
     states (T <= 1) of the price state v = j N_tau + tau = s mod K N_tau,

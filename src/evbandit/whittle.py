@@ -18,7 +18,9 @@ Three routes to the same number:
    threshold at once on ``subsidy_pass``, the exact backward pass that
    ``solve_subsidy`` (and so the bound's dual) also runs.  Independent of the
    PWL algebra; ``index --verify-oracle`` checks the whole table against it.
-   The tests also bisect on ``subsidy_value_iteration`` (``tests/oracles.py``).
+   The tests also bisect on ``subsidy_value_iteration`` (``tests/oracles.py``),
+   value iteration on the entries of ``model.extended_moves``, the slow route
+   independent of both.
 
 Every occupied state with B = 0 and the empty state have index exactly 0; a
 "dummy" arm used by the policy layer carries that same constant index.
@@ -33,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
-from .model import Instance, PenaltyFunction, instance_sha256
+from .model import Instance, PenaltyFunction, charger_law, extended_moves, instance_sha256
 # combine and stitch stay importable from here: perfbench/spans.py traces them
 from .pwl import PWLBatch, RowError, combine, stitch  # noqa: F401
 
@@ -188,16 +189,13 @@ def _base_rows(instance: Instance, B, j) -> PWLBatch:
     ], knots)
 
 
-def compute_index_table(instance: Instance, collect_g: bool = False):
+def compute_index_table(instance: Instance) -> IndexTable:
     """Index for every extended state by the PWL recursion.
 
     The g_1's of one lead time are the rows of one PWLBatch, ordered (period,
     B, cost level); a level T = 2..t_max forms E g, f on its breakpoints (no
     combine), f's least roots (the level's indexes) and the g_1's they split.
     A failed check of the recursion or of the table raises IndexCheckError.
-
-    Returns the IndexTable; with ``collect_g`` also the dict of g_1 functions
-    keyed by (T, B, j, tau).
     """
     inst = instance
     t_bar, b_bar = inst.t_max, inst.b_max
@@ -221,7 +219,6 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
             raise IndexCheckError(f"{what} at T={T}, B={B[s]}, j={j[s]}, tau={tau[s]}: {e}") from e
 
     g = checked(1, "g_1", b, lambda: _base_rows(inst, b, j))
-    levels = [g]  # the g_1 batch of each lead time, for collect_g
     # rows appended to a level's E g's, for the crossed combine and the stitch
     # (f is formed on E g's knots with no combine): R + j is nu - (1 - c_j),
     # R + K + j the constant 1 - c_j, R + 2K + j is 1 - c_j - nu, R + 3K is nu
@@ -260,40 +257,54 @@ def compute_index_table(instance: Instance, collect_g: bool = False):
                   PWLBatch.concat([fixed, crossed]).take(pick), eg]
         knots = np.stack([np.where(flip, hi, lo), np.where(flip, lo, hi)], axis=1)
         g = checked(T, "g_1", b, lambda: PWLBatch.stitch(pieces, knots))
-        levels += [g] if collect_g else []
 
     try:
-        table = IndexTable(nu)
+        return IndexTable(nu)
     except ValueError as e:
         raise IndexCheckError(str(e)) from e
-    if not collect_g:
-        return table
-    return table, {(T, int(b[s]), int(j[s]), int(tau[s])): g.row(s)
-                   for T, g in enumerate(levels, 1) for s in r}
 
 
-def subsidy_value_iteration(
-    instance: Instance, nu: float, tol: float = 1e-9, arm: ArmMDP | None = None
-):
+def value_iteration_sweeps(r_sup: float, beta: float, tol: float) -> int:
+    """Sweeps that bring value iteration from a cold start within ``tol``
+    (sup norm) of the fixed point, for rewards bounded by ``r_sup``."""
+    if r_sup == 0:
+        return 1
+    return max(1, int(np.ceil(np.log(tol * (1.0 - beta) / r_sup) / np.log(beta))))
+
+
+def subsidy_value_iteration(instance: Instance, nu: float, tol: float = 1e-9):
     """Value iteration for the single-charger problem with passivity subsidy nu.
 
-    Returns (V, actions) over the extended-state grid of ``build_arm_mdp``;
-    actions break ties toward passive.  Runs enough sweeps that the sup-norm
-    error from the cold start is at most ``tol``.
+    Returns (V, actions) over the extended states s = (cs K + j) N_tau + tau
+    of ``model.extended_moves``, whose entries each sweep adds up: one
+    bincount for the staying moves of both actions, and one for the refill
+    rows of the price states, which every vacant state of a price state takes
+    under either action.  Actions break ties toward passive.  Runs enough
+    sweeps that the sup-norm error from the cold start is at most ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if arm is None:
-        arm = build_arm_mdp(instance)
-    beta = instance.discount
-    n_iter = value_iteration_sweeps(arm.reward_sup() + abs(nu), beta, tol)
-    r0 = arm.R0 + nu
-    v = np.zeros(arm.n_states)
+    inst = instance
+    law = charger_law(inst)
+    m = inst.cost.n_levels * inst.n_periods
+    n = law.T.size * m
+    (a, s, s2, p), (v, r2, q), vacant = extended_moves(inst, law)
+    stay, price = a * n + s, vacant % m
+    beta = inst.discount
+    reward = np.repeat(law.reward.reshape(2, -1), inst.n_periods, axis=1)
+    n_iter = value_iteration_sweeps(float(np.abs(reward).max()) + abs(nu), beta, tol)
+    reward[0] += nu
+
+    def backup(values):
+        ev = np.bincount(stay, p * values[s2], minlength=2 * n).reshape(2, n)
+        ev[:, vacant] = np.bincount(v, q * values[r2], minlength=m)[price]
+        return reward + beta * ev
+
+    values = np.zeros(n)
     for _ in range(n_iter):
-        v = np.maximum(r0 + beta * (arm.P0 @ v), arm.R1 + beta * (arm.P1 @ v))
-    q0 = r0 + beta * (arm.P0 @ v)
-    q1 = arm.R1 + beta * (arm.P1 @ v)
-    return v, (q1 > q0).astype(np.int8)
+        values = backup(values).max(axis=0)
+    q0, q1 = backup(values)
+    return values, (q1 > q0).astype(np.int8)
 
 
 def subsidy_pass(instance: Instance, nu):

@@ -39,6 +39,24 @@ TWO_STATE_COST = CostChain(
 )
 
 
+def periodic_two_cost_instance():
+    """``toy_dynamic`` with a second period, of its own arrival rate and cost
+    matrix: acceptance criterion 2's instance."""
+    return Instance(
+        n_chargers=2,
+        capacity=1,
+        discount=0.9,
+        t_max=4,
+        b_max=3,
+        penalty=PenaltyFunction.quadratic(0.3, 3),
+        arrivals=ArrivalModel.uniform_feasible(4, 3, rho=[0.6, 0.8], n_periods=2),
+        cost=CostChain(
+            values=[0.2, 0.8],
+            P=[[[0.9, 0.1], [0.5, 0.5]], [[0.7, 0.3], [0.4, 0.6]]],
+        ),
+    )
+
+
 @pytest.fixture(scope="session")
 def toy_dynamic():
     """Small 2-cost-level instance used as the index oracle workbench."""

@@ -9,14 +9,17 @@ packed-key table, each key rule and then one ``select_by_key`` call;
 passive-set monotonicity of the subsidy problem on a grid;
 ``index_by_vi_bisection`` bisects one state's index on value iteration, the
 slow route independent of both the PWL recursion and the exact backward
-pass of ``whittle.index_by_bisection``; ``activation_frequency`` solves the
-occupancy of the subsidy problem's greedy policy on the sparse arm MDP, the
+pass of ``whittle.index_by_bisection``; ``collected_g`` reads the g_1
+functions of one ``compute_index_table`` call off its stitches;
+``arm_mdp`` is the single-charger MDP on the extended states, dense, built
+from ``dense_move``, the dense view of the shared law's next-state indices
+and arrival rows, which the joint DP also reads; ``activation_frequency``
+solves the occupancy of the subsidy problem's greedy policy on it, the
 reference for ``SubsidySolution.activations``; ``kronecker_occupancy_lp`` is
-the occupancy LP on the arm MDP's transition matrices, the reference for
+the occupancy LP on its transition matrices, the reference for
 ``bound.build_occupancy_lp``'s vacancy form, and
 ``reference_occupancy_lp`` that vacancy form as it was built from
-``dense_move``, the dense view of the shared law's next-state indices and
-arrival rows, which the joint DP also reads; ``lp_matrices`` builds an
+``dense_move``; ``lp_matrices`` builds an
 occupancy LP's scipy matrices from its triplets; ``_solve_lp`` solves an
 occupancy LP with HiGHS, the independent referee of ``bound``'s certificate,
 and ``highs_outside_bracket`` measures HiGHS's optimum against that
@@ -36,13 +39,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from evbandit import whittle
-from evbandit.arm import ArmMDP, build_arm_mdp, value_iteration_sweeps
 from evbandit.bound import BoundResult, OccupancyLP
 from evbandit.model import ChargerLaw, Instance, charger_law
 from evbandit.policies import edf_key, llf_key, lllp_kernel, select_by_key, whittle_key
 from evbandit.pwl import PWLBatch
 from evbandit.sim import _run_batch, default_horizon, stack_kernel
-from evbandit.whittle import IndexTable, _base_rows, compute_index_table
+from evbandit.whittle import IndexTable, _base_rows, compute_index_table, value_iteration_sweeps
 
 
 def dense_move(law: ChargerLaw) -> np.ndarray:
@@ -60,7 +62,9 @@ def dense_move(law: ChargerLaw) -> np.ndarray:
 
 
 def state_id(instance: Instance, T: int, B: int, j: int, tau: int) -> int:
-    """The ArmMDP id of extended state (T, B, cost level j, period tau)."""
+    """The id (cs K + j) N_tau + tau of extended state (T, B, cost level j,
+    period tau), cs its ``charger_index``: ``arm_mdp``'s and
+    ``whittle.subsidy_value_iteration``'s order."""
     return int((instance.charger_index(T, B) * instance.cost.n_levels + j) * instance.n_periods + tau)
 
 
@@ -123,7 +127,6 @@ def check_indexability(
     nu_grid,
     states=None,
     vi_tol: float = 1e-10,
-    arm: ArmMDP | None = None,
 ) -> bool:
     """True iff the passive set grows monotonically along the sorted nu grid.
 
@@ -132,15 +135,13 @@ def check_indexability(
     solved by ``evbandit.whittle.subsidy_value_iteration``, looked up at call
     time.
     """
-    if arm is None:
-        arm = build_arm_mdp(instance)
     grid = np.asarray(nu_grid, dtype=float)
     if grid.size == 0:
         return True
     if np.any(np.diff(grid) < 0):
         raise ValueError("nu grid must be sorted")
     acts = np.stack(
-        [whittle.subsidy_value_iteration(instance, float(v), tol=vi_tol, arm=arm)[1] for v in grid]
+        [whittle.subsidy_value_iteration(instance, float(v), tol=vi_tol)[1] for v in grid]
     )
     if states is None:
         cols = acts
@@ -154,7 +155,6 @@ def index_by_vi_bisection(
     instance: Instance,
     state,
     tol: float = 1e-8,
-    arm: ArmMDP | None = None,
 ) -> float:
     """Oracle index: bisect the subsidy at which ``state`` turns passive.
 
@@ -166,14 +166,12 @@ def index_by_vi_bisection(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if arm is None:
-        arm = build_arm_mdp(instance)
     sid = state_id(instance, *state)
     span = 1.0 + instance.penalty.max_increment + float(np.abs(instance.cost.values).max())
     vi_tol = max(1e-13, tol * (1.0 - instance.discount) / 8.0)
 
     def active(v: float) -> bool:
-        return bool(whittle.subsidy_value_iteration(instance, v, tol=vi_tol, arm=arm)[1][sid])
+        return bool(whittle.subsidy_value_iteration(instance, v, tol=vi_tol)[1][sid])
 
     lo, hi = -span, span
     if not active(lo):
@@ -309,25 +307,18 @@ def evaluate_policy_exact(instance: Instance, kern, tol: float = 1e-8) -> float:
 
 def activation_frequency(instance: Instance, lam: float) -> float:
     """Discounted activation frequency (1-beta) E sum beta^t a_t of the
-    lam-greedy policy (ties passive) from mu0, by a sparse solve of its
-    occupancy on the arm MDP.  Only activations with B > 0 count, which is
+    lam-greedy policy (ties passive) from mu0, by a dense solve of its
+    occupancy on ``arm_mdp``.  Only activations with B > 0 count, which is
     every activation for lam >= 0."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
-
-    arm = build_arm_mdp(instance)
+    P0, P1, _, _, mu0 = arm_mdp(instance)
     sol = whittle.solve_subsidy(instance, lam)
     law = charger_law(instance)
     T, B = law.T, law.B
     # sol.actions[T, B] is (n_cs, K, N_tau), which ravels in state-id order
     act = ((B > 0)[:, None, None] & (sol.actions[T, B] > 0)).ravel()
-    rows = sp.diags(~act * 1.0) @ arm.P0 + sp.diags(act * 1.0) @ arm.P1
-    rows.eliminate_zeros()
+    rows = np.where(act[:, None], P1, P0)
     beta = instance.discount
-    occ = spsolve(
-        (sp.eye(arm.n_states, format="csc") - beta * rows.T).tocsc(),
-        (1.0 - beta) * arm.initial_distribution(),
-    )
+    occ = np.linalg.solve(np.eye(act.size) - beta * rows.T, (1.0 - beta) * mu0)
     return float(occ[act].sum())
 
 
@@ -390,50 +381,72 @@ def basis_by_spsolve(lp: OccupancyLP, act: np.ndarray, price: float = 0.0):
 
 
 def kronecker_occupancy_lp(instance: Instance) -> OccupancyLP:
-    """The occupancy LP on the arm MDP, one column per (state, action) only.
+    """The occupancy LP on ``arm_mdp``, one column per (state, action) only.
 
     Balance: sum_a x(s',a) = (1-beta) mu0(s') + beta sum_{s,a} P_a(s'|s) x(s,a);
     budget: sum_s x(s,1) <= M/N; objective (to maximize):
     (1/(1-beta)) sum x(s,a) R_a(s).  Each departing state's column carries
     the whole refill, arrival law times the next cost level's law."""
-    import scipy.sparse as sp
-
-    arm = build_arm_mdp(instance)
-    n = arm.n_states
+    P0, P1, R0, R1, mu0 = arm_mdp(instance)
+    n = mu0.size
     beta = instance.discount
-    eye = sp.eye(n, format="csr")
-    a_eq = sp.hstack([eye - beta * arm.P0.T, eye - beta * arm.P1.T], format="coo")
-    b_eq = (1.0 - beta) * arm.initial_distribution()
+    a_eq = np.hstack([np.eye(n) - beta * P0.T, np.eye(n) - beta * P1.T])
+    rows, cols = np.nonzero(a_eq)
     a_ub = np.concatenate([np.zeros(n), np.ones(n)])
     b_ub = np.array([instance.capacity / instance.n_chargers])
-    c = np.concatenate([arm.R0, arm.R1]) / (1.0 - beta)
-    return OccupancyLP(c, (a_eq.row, a_eq.col, a_eq.data), b_eq, a_ub, b_ub, n)
+    c = np.concatenate([R0, R1]) / (1.0 - beta)
+    return OccupancyLP(c, (rows, cols, a_eq[rows, cols]), (1.0 - beta) * mu0, a_ub, b_ub, n)
 
 
 def dense_arm_transitions(instance: Instance):
-    """P0, P1 of ``arm.build_arm_mdp`` built from the dense table of
-    ``dense_move``: per action and period, its kron with the period's cost
-    matrix."""
-    import scipy.sparse as sp
-
+    """The arm's transition matrices P0, P1 on the extended states (see
+    ``state_id``), dense, from the dense table of ``dense_move``: per action
+    and period, its kron with the period's cost matrix."""
     inst = instance
     move = dense_move(charger_law(inst))
-    nt = inst.n_periods
-    n = move.shape[2] * inst.cost.n_levels * nt
-    P = []
-    for a in (0, 1):
-        rows, cols, data = [], [], []
-        for tau in range(nt):
-            kb = sp.kron(
-                sp.csr_matrix(move[a, tau]), sp.csr_matrix(inst.cost.matrix_for(tau))
-            ).tocoo()
-            rows.append(kb.row * nt + tau)
-            cols.append(kb.col * nt + (tau + 1) % nt)
-            data.append(kb.data)
-        P.append(sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        ))
-    return P[0], P[1]
+    n_cs, k, nt = move.shape[2], inst.cost.n_levels, inst.n_periods
+    P = np.zeros((2, n_cs, k, nt, n_cs, k, nt))
+    for tau in range(nt):
+        cost = inst.cost.matrix_for(tau)
+        P[:, :, :, tau, :, :, (tau + 1) % nt] = move[:, tau, :, None, :, None] * cost[:, None, :]
+    n = n_cs * k * nt
+    return P[0].reshape(n, n), P[1].reshape(n, n)
+
+
+def arm_mdp(instance: Instance):
+    """The single-charger MDP on the extended states, dense: (P0, P1, R0, R1,
+    mu0), the transition matrices of ``dense_arm_transitions``, each
+    action's rewards from ``charger_law``, and the initial law mu0, the empty
+    charger in period 0 with the cost level at its stationary law."""
+    law = charger_law(instance)
+    k, nt = instance.cost.n_levels, instance.n_periods
+    R0, R1 = np.repeat(law.reward.reshape(2, -1), nt, axis=1)
+    mu0 = np.zeros(R0.size)
+    mu0[: k * nt : nt] = instance.cost.stationary()
+    return (*dense_arm_transitions(instance), R0, R1, mu0)
+
+
+def collected_g(instance: Instance) -> dict:
+    """The g_1 functions of one ``compute_index_table`` call, keyed by (T, B,
+    j, tau) for T = 1..max(t_max - 1, 1): the batches its ``PWLBatch.stitch``
+    calls return, level 1 from ``_base_rows`` and then one a level T =
+    2..t_max - 1, whose row (tau b_max + B) K + j is g_1(T, B, c_j, tau)."""
+    levels = []
+    stitch = PWLBatch.__dict__["stitch"]
+
+    def spy(cls, pieces, knots):
+        levels.append(stitch.__func__(cls, pieces, knots))
+        return levels[-1]
+
+    PWLBatch.stitch = classmethod(spy)
+    try:
+        compute_index_table(instance)
+    finally:
+        PWLBatch.stitch = stitch
+    assert len(levels) == max(instance.t_max - 1, 1)
+    shape = (instance.n_periods, instance.b_max, instance.cost.n_levels)
+    return {(T, b, j, tau): g.row(r) for T, g in enumerate(levels, 1)
+            for r, (tau, b, j) in enumerate(np.ndindex(shape))}
 
 
 def reference_occupancy_lp(instance: Instance) -> OccupancyLP:
@@ -475,8 +488,8 @@ def reference_occupancy_lp(instance: Instance) -> OccupancyLP:
 
 
 def reference_index_table(instance: Instance) -> IndexTable:
-    """``whittle.compute_index_table`` (without ``collect_g`` and the state
-    named in a failed check) as it formed each level's root functions
+    """``whittle.compute_index_table`` (without the state named in a failed
+    check) as it formed each level's root functions
     f = E g + nu - (1 - c_j): by a two-member ``combine`` of the E g row and
     the affine row, which merges the breakpoint 0 into E g's grid, evaluates
     both members on it, sums and simplifies.  The reference for the table:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from evbandit import cli
-from evbandit.arm import build_arm_mdp
 from evbandit.bound import build_occupancy_lp, solve_bound
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
@@ -25,6 +24,7 @@ from evbandit.whittle import (
     solve_subsidy,
 )
 
+from conftest import periodic_two_cost_instance
 from oracles import (
     _solve_lp,
     brute_force_joint_dp,
@@ -112,29 +112,16 @@ def test_criterion_1_closed_form_matches_the_recursion(capsys):
 
 
 def test_criterion_2_recursion_matches_the_bisection_oracle(capsys):
-    inst = Instance(
-        n_chargers=2,
-        capacity=1,
-        discount=0.9,
-        t_max=4,
-        b_max=3,
-        penalty=PenaltyFunction.quadratic(0.3, 3),
-        arrivals=ArrivalModel.uniform_feasible(4, 3, rho=[0.6, 0.8], n_periods=2),
-        cost=CostChain(
-            values=[0.2, 0.8],
-            P=[[[0.9, 0.1], [0.5, 0.5]], [[0.7, 0.3], [0.4, 0.6]]],
-        ),
-    )
+    inst = periodic_two_cost_instance()
     t0 = time.perf_counter()
     table = compute_index_table(inst)
-    arm = build_arm_mdp(inst)
     worst = 0.0
     n = 0
     for T in range(1, inst.t_max + 1):
         for B in range(inst.b_max + 1):
             for j in range(inst.cost.n_levels):
                 for tau in range(inst.n_periods):
-                    ref = index_by_vi_bisection(inst, (T, B, j, tau), tol=1e-8, arm=arm)
+                    ref = index_by_vi_bisection(inst, (T, B, j, tau), tol=1e-8)
                     worst = max(worst, abs(float(table.values[T, B, j, tau]) - ref))
                     n += 1
     # the every-state oracle of index --verify-oracle, on the exact backward pass
@@ -155,9 +142,8 @@ def test_criterion_3_indexability_and_index_structure(capsys):
     worst_conc = 0.0
     for _ in range(20):
         inst = _random_small_instance(rng)
-        arm = build_arm_mdp(inst)
         span = 1.0 + inst.penalty.max_increment + float(np.abs(inst.cost.values).max())
-        assert check_indexability(inst, np.linspace(-span, span, 21), arm=arm)
+        assert check_indexability(inst, np.linspace(-span, span, 21))
         table = compute_index_table(inst)
         for T in range(1, inst.t_max + 1):
             for B in range(T, inst.b_max):

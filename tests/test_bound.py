@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evbandit import bound, cli
-from evbandit.arm import build_arm_mdp
 from evbandit.bound import BoundResult, build_occupancy_lp, solve_bound, _dual
 from evbandit.config import load_run_config
 from evbandit.model import CostChain
-from evbandit.whittle import compute_index_table, solve_subsidy
-from conftest import TWO_STATE_COST, make_instance
-from oracles import (_solve_lp, activation_frequency, basis_by_spsolve, dense_arm_transitions,
+from evbandit.whittle import (compute_index_table, solve_subsidy, subsidy_value_iteration,
+                              value_iteration_sweeps)
+from conftest import TWO_STATE_COST, make_instance, periodic_two_cost_instance
+from oracles import (_solve_lp, activation_frequency, arm_mdp, basis_by_spsolve,
                      highs_outside_bracket, kronecker_occupancy_lp, lp_matrices,
                      reference_occupancy_lp)
 
@@ -79,18 +79,15 @@ def enumerate_deterministic_optimum(instance) -> float:
     Exact policy evaluation via a linear solve, maximized over all 2^n action
     assignments.  Only usable on tiny arms.
     """
-    arm = build_arm_mdp(instance)
-    n = arm.n_states
+    p0, p1, r0, r1, mu0 = arm_mdp(instance)
+    n = mu0.size
     assert n <= 16, "enumeration oracle is for tiny instances only"
     beta = instance.discount
-    p0 = arm.P0.toarray()
-    p1 = arm.P1.toarray()
-    mu0 = arm.initial_distribution()
     best = -np.inf
     for acts in itertools.product([0, 1], repeat=n):
         a = np.array(acts, dtype=bool)
         p = np.where(a[:, None], p1, p0)
-        r = np.where(a, arm.R1, arm.R0)
+        r = np.where(a, r1, r0)
         v = np.linalg.solve(np.eye(n) - beta * p, r)
         best = max(best, float(mu0 @ v))
     return best
@@ -147,9 +144,10 @@ class TestExactDual:
     @pytest.mark.parametrize("name,pieces", [("toy_dynamic", None), ("periodic", None),
                                              ("fig3_constant_cost.json", 2)])
     def test_activations_match_the_sparse_occupancy(self, name, pieces, toy_dynamic):
-        """f from ``SubsidySolution.activations`` against the sparse solve, at
-        the midpoints of the dual's pieces: every piece of the two small
-        instances, both sides of fig3's first kink."""
+        """f from ``SubsidySolution.activations`` against the occupancy solve
+        of ``oracles.activation_frequency``, at the midpoints of the dual's
+        pieces: every piece of the two small instances, both sides of fig3's
+        first kink."""
         if name == "toy_dynamic":
             inst = toy_dynamic
         else:
@@ -361,11 +359,10 @@ class TestVacancyForm:
     @pytest.mark.parametrize("name", VACANCY_CASES)
     def test_equals_the_dense_table_builder(self, name):
         """The LP from the law's next-state indices and arrival rows, entry for
-        entry the one built from the dense move table; likewise the arm MDP."""
+        entry the one built from the dense move table."""
         inst = vacancy_case(name)
-        lp, ref, arm = build_occupancy_lp(inst), reference_occupancy_lp(inst), build_arm_mdp(inst)
-        for got, want in (*zip(lp_matrices(lp), lp_matrices(ref)),
-                          *zip((arm.P0, arm.P1), dense_arm_transitions(inst))):
+        lp, ref = build_occupancy_lp(inst), reference_occupancy_lp(inst)
+        for got, want in zip(lp_matrices(lp), lp_matrices(ref)):
             assert got.shape == want.shape and (got != want).nnz == 0
         for got, want in ((lp.b_eq, ref.b_eq), (lp.c, ref.c), (lp.b_ub, ref.b_ub)):
             np.testing.assert_array_equal(got, want)
@@ -374,6 +371,36 @@ class TestVacancyForm:
         inst = periodic_instance()
         vacancy, kronecker = build_occupancy_lp(inst), kronecker_occupancy_lp(inst)
         assert 2 * lp_matrices(vacancy)[0].nnz < lp_matrices(kronecker)[0].nnz
+
+
+@pytest.mark.parametrize("name", [*VACANCY_CASES, "toy_dynamic", "criterion_2"])
+def test_value_iteration_matches_the_dense_arm(name, toy_dynamic):
+    """``subsidy_value_iteration``, which sweeps ``extended_moves``' entries,
+    against plain value iteration on ``oracles.arm_mdp``'s dense matrices with
+    the same sweep count: the same values to rounding and the same actions,
+    at three subsidies and either side of one of the table's indexes.  The
+    dense side runs every subsidy at once, each column for its own count, on
+    the matrices' nonzeros (csr) for speed."""
+    import scipy.sparse as sp
+
+    inst = {"toy_dynamic": toy_dynamic, "criterion_2": periodic_two_cost_instance()}.get(name)
+    inst = inst or vacancy_case(name)
+    p0, p1, r0, r1, _ = arm_mdp(inst)
+    p0, p1 = sp.csr_matrix(p0), sp.csr_matrix(p1)
+    index = np.unique(compute_index_table(inst).values)
+    star = float(index[index.size // 2])
+    nus = np.array([-0.5, 0.0, 0.5, star - 1e-6, star + 1e-6])
+    beta, r_sup = inst.discount, float(np.abs([r0, r1]).max())
+    sweeps = np.array([value_iteration_sweeps(r_sup + abs(nu), beta, 1e-9) for nu in nus])
+    want = np.zeros((r0.size, nus.size))
+    for k in range(sweeps.max()):
+        step = np.maximum(r0[:, None] + nus + beta * (p0 @ want), r1[:, None] + beta * (p1 @ want))
+        want = np.where(k < sweeps, step, want)
+    act = r1[:, None] + beta * (p1 @ want) > r0[:, None] + nus + beta * (p0 @ want)
+    for c, nu in enumerate(nus):
+        values, actions = subsidy_value_iteration(inst, nu)
+        assert np.all(np.abs(values - want[:, c]) <= 1e-12 * np.maximum(1.0, np.abs(want[:, c]))), nu
+        np.testing.assert_array_equal(actions, act[:, c].astype(np.int8))
 
 
 class TestLimits:

@@ -4,7 +4,8 @@ interpreter.
 ``scipy.optimize`` is imported only by the valley planner's LP, which calls
 it (it brings ``scipy.sparse`` and ``scipy.special`` with it), and
 ``scipy.stats`` never, so that a command starts without paying for solvers it
-does not use; ``bound --verify-oracle``'s certificate runs on numpy alone;
+does not use; ``bound --verify-oracle``'s certificate and the library's
+subsidy solvers, value iteration included, run on numpy alone;
 ``multiprocessing`` only by a simulation that shards its seeds.
 Each case runs in its own process, because the test run has long since
 imported everything.
@@ -34,18 +35,36 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith(sys.argv[2]))))
 """
 
 
-def loaded_after(commands, tmp_path, prefix="scipy.") -> set:
-    """Modules named ``prefix``... loaded after importing the CLI and running
-    ``commands``."""
-    commands = [argv + ["--out", str(tmp_path)] for argv in commands]
+LIBRARY = """\
+import json, sys
+import evbandit
+from evbandit.config import load_run_config
+from evbandit.whittle import solve_subsidy
+inst = load_run_config(sys.argv[1]).instance
+evbandit.compute_index_table(inst)
+solve_subsidy(inst, 0.3)
+evbandit.subsidy_value_iteration(inst, 0.3)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(sys.argv[2]))))
+"""
+
+
+def run_fresh(script: str, arg: str, prefix: str) -> set:
+    """Modules named ``prefix``... loaded after ``script`` ran with ``arg``
+    and ``prefix`` as its arguments in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", RUN, json.dumps(commands), prefix],
+        [sys.executable, "-c", script, arg, prefix],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded_after(commands, tmp_path, prefix="scipy.") -> set:
+    """Modules named ``prefix``... loaded after importing the CLI and running
+    ``commands``."""
+    return run_fresh(RUN, json.dumps([argv + ["--out", str(tmp_path)] for argv in commands]), prefix)
 
 
 def without_valley(tmp_path) -> Path:
@@ -62,10 +81,16 @@ def test_import_and_index_load_no_solver(tmp_path):
 
 
 def test_index_oracle_loads_no_solver(tmp_path):
-    """The bisection oracle runs on the exact backward pass, not on the
-    sparse arm MDP."""
+    """The bisection oracle runs on the exact backward pass, not on value
+    iteration."""
     loaded = loaded_after([["index", "--config", str(TOY), "--verify-oracle"]], tmp_path)
     assert not loaded & SOLVERS
+
+
+def test_library_solvers_load_no_scipy():
+    """The index recursion, the exact subsidy solve and value iteration, which
+    sweeps the law's own entries with np.bincount: no scipy module at all."""
+    assert run_fresh(LIBRARY, str(TOY), "scipy") == set()
 
 
 def test_simulate_without_valley_loads_no_scipy(tmp_path):
@@ -77,7 +102,7 @@ def test_simulate_without_valley_loads_no_scipy(tmp_path):
 
 def test_bound_without_oracle_loads_no_solver(tmp_path):
     """The dual reads its kinks from the index table and its activation
-    frequency from the exact subsidy solve, not from the sparse arm MDP."""
+    frequency from the exact subsidy solve, not from an occupancy solve."""
     loaded = loaded_after([["bound", "--config", str(TOY)]], tmp_path)
     assert not loaded & SOLVERS
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evbandit.arm import build_arm_mdp
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.pwl import combine
@@ -23,7 +22,8 @@ from evbandit.whittle import (
     subsidy_value_iteration,
 )
 from conftest import TWO_STATE_COST, make_instance
-from oracles import check_indexability, index_by_vi_bisection, reference_index_table, state_id
+from oracles import (check_indexability, collected_g, index_by_vi_bisection, reference_index_table,
+                     state_id)
 
 PEN = PenaltyFunction.quadratic(0.3, 4)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -32,7 +32,7 @@ CONFIGS = PERFBENCH.parent.parent / "configs"
 
 def g_h_keys(gs, b_max):
     """(T, b, h, j, tau) for every g_h(T, b) = V(T, b+h) - V(T, b) that the
-    collected g_1's of ``compute_index_table`` determine."""
+    g_1's of ``oracles.collected_g`` determine."""
     return [(t, b, h, j, tau) for (t, b, j, tau) in gs for h in range(1, b_max - b + 1)]
 
 
@@ -44,11 +44,6 @@ def g_h(gs, t, b, h, j, tau):
 @pytest.fixture(scope="module")
 def toy_table(toy_dynamic):
     return compute_index_table(toy_dynamic)
-
-
-@pytest.fixture(scope="module")
-def toy_arm(toy_dynamic):
-    return build_arm_mdp(toy_dynamic)
 
 
 class TestClosedForm:
@@ -191,9 +186,9 @@ class TestFrozenValues:
         for state, want in self.CASES:
             assert float(toy_table.values[state]) == pytest.approx(want, abs=1e-9)
 
-    def test_bisection_agrees(self, toy_dynamic, toy_table, toy_arm):
+    def test_bisection_agrees(self, toy_dynamic, toy_table):
         for state in [(3, 2, 0, 0), (4, 1, 1, 0)]:
-            ref = index_by_vi_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
+            ref = index_by_vi_bisection(toy_dynamic, state, tol=1e-8)
             assert float(toy_table.values[state]) == pytest.approx(ref, abs=1e-6)
 
 
@@ -209,7 +204,7 @@ class TestTableStructure:
             seg = v[t, t:, 0, 0]
             assert np.all(np.diff(seg) >= -1e-9)
 
-    def test_reversal_below_the_diagonal_is_real(self, toy_dynamic, toy_table, toy_arm):
+    def test_reversal_below_the_diagonal_is_real(self, toy_dynamic, toy_table):
         # With dynamic cost the index need not be monotone in B on B < T:
         # at the expensive level, one unit of slack lets the arm wait out the
         # price, so (3,1) outranks (3,2).  Confirm against the oracle so a
@@ -218,7 +213,7 @@ class TestTableStructure:
         lo = float(toy_table.values[3, 2, 1, 0])
         assert hi > lo + 1e-3
         for state, want in (((3, 1, 1, 0), hi), ((3, 2, 1, 0), lo)):
-            ref = index_by_vi_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
+            ref = index_by_vi_bisection(toy_dynamic, state, tol=1e-8)
             assert ref == pytest.approx(want, abs=1e-6)
 
     def test_rejects_nonzero_empty_row(self):
@@ -324,7 +319,7 @@ class TestGeometryOfG:
     def test_recursion_g_matches_value_differences(self, toy_dynamic):
         # g_1 is collected for every level below t_max; every g_h is their
         # telescoped sum
-        _, gs = compute_index_table(toy_dynamic, collect_g=True)
+        gs = collected_g(toy_dynamic)
         assert set(gs) == {
             (t, b, j, 0) for t in range(1, 4) for b in range(3) for j in range(2)
         }
@@ -335,13 +330,13 @@ class TestGeometryOfG:
                 got = g_h(gs, t, b, h, j, tau)(nu)
                 assert got == pytest.approx(want, abs=1e-8), (t, b, h, j, tau, nu)
 
-    def test_recursion_reaches_every_branch(self, toy_dynamic):
+    def test_recursion_reaches_every_branch(self, toy_dynamic, toy_table):
         # Between the indexes of (T, b) and (T, b+1) g_1 has a middle piece;
         # the fixture has states where the index falls from b to b+1 (b >= 1)
         # and where the B = 1 index is below the B = 0 index of 0.  There
         # g_1 matches the exact value difference inside the middle interval.
-        table, gs = compute_index_table(toy_dynamic, collect_g=True)
-        v = table.values
+        gs = collected_g(toy_dynamic)
+        v = toy_table.values
         falling = [
             (t, b, j, tau) for (t, b, j, tau) in gs
             if t >= 2 and v[t, b + 1, j, tau] < v[t, b, j, tau]
@@ -358,7 +353,7 @@ class TestGeometryOfG:
         # Constant cost: every g_h is nonincreasing with slopes in [-h, 0] and
         # flat tails.  (Dynamic cost genuinely breaks this; see the reversal
         # test above.)
-        _, gs = compute_index_table(toy_constant, collect_g=True)
+        gs = collected_g(toy_constant)
         for (t, b, h, j, tau) in g_h_keys(gs, toy_constant.b_max):
             g = g_h(gs, t, b, h, j, tau)
             assert g.left_slope == pytest.approx(0.0, abs=1e-12)
@@ -373,9 +368,9 @@ class TestGeometryOfG:
 
 class TestSubsidySolvers:
     @pytest.mark.parametrize("nu", [-0.4, 0.0, 0.7])
-    def test_exact_solver_matches_value_iteration(self, toy_dynamic, toy_arm, nu):
+    def test_exact_solver_matches_value_iteration(self, toy_dynamic, nu):
         sol = solve_subsidy(toy_dynamic, nu)
-        v, _ = subsidy_value_iteration(toy_dynamic, nu, tol=1e-9, arm=toy_arm)
+        v, _ = subsidy_value_iteration(toy_dynamic, nu, tol=1e-9)
         for j in range(2):
             for tau in range(1):
                 sid = state_id(toy_dynamic, 0, 0, j, tau)
@@ -423,13 +418,13 @@ class TestSubsidySolvers:
 
 
 class TestBisectionOracle:
-    def test_matches_value_iteration_bisection_on_every_state(self, toy_dynamic, toy_arm):
+    def test_matches_value_iteration_bisection_on_every_state(self, toy_dynamic):
         ref = index_by_bisection(toy_dynamic)
         assert ref.shape == (5, 4, 2, 1)
         assert np.all(ref[0] == 0.0)
         for state in np.ndindex(ref.shape):
             if state[0] >= 1:
-                vi = index_by_vi_bisection(toy_dynamic, state, tol=1e-8, arm=toy_arm)
+                vi = index_by_vi_bisection(toy_dynamic, state, tol=1e-8)
                 assert ref[state] == pytest.approx(vi, abs=1e-6), state
 
     def test_matches_the_table(self, toy_dynamic, toy_table):
@@ -443,24 +438,24 @@ class TestBisectionOracle:
         np.testing.assert_allclose(index_by_bisection(toy_dynamic), whole, rtol=0, atol=2e-8)
 
 
-def test_check_indexability_passes_on_fixture(toy_dynamic, toy_arm):
+def test_check_indexability_passes_on_fixture(toy_dynamic):
     grid = np.linspace(-1.0, 3.0, 17)
-    assert check_indexability(toy_dynamic, grid, arm=toy_arm, vi_tol=1e-10)
+    assert check_indexability(toy_dynamic, grid, vi_tol=1e-10)
 
 
-def test_check_indexability_rejects_unsorted_grid(toy_dynamic, toy_arm):
+def test_check_indexability_rejects_unsorted_grid(toy_dynamic):
     with pytest.raises(ValueError):
-        check_indexability(toy_dynamic, [1.0, 0.0], arm=toy_arm)
+        check_indexability(toy_dynamic, [1.0, 0.0])
 
 
-def test_check_indexability_catches_violations(toy_dynamic, toy_arm, monkeypatch):
+def test_check_indexability_catches_violations(toy_dynamic, monkeypatch):
     # feed it a fake activation pattern that re-activates at a higher subsidy
     import evbandit.whittle as w
 
     flips = iter([np.array([1, 0]), np.array([0, 1])])
 
-    def fake_vi(instance, nu, tol=1e-9, arm=None):
+    def fake_vi(instance, nu, tol=1e-9):
         return np.zeros(2), next(flips)
 
     monkeypatch.setattr(w, "subsidy_value_iteration", fake_vi)
-    assert not check_indexability(toy_dynamic, [0.0, 1.0], states=[0, 1], arm=toy_arm)
+    assert not check_indexability(toy_dynamic, [0.0, 1.0], states=[0, 1])
