@@ -23,7 +23,6 @@ from .model import (
 )
 from .whittle import (
     IndexTable,
-    closed_form_index,
     compute_index_table,
     index_by_bisection,
     subsidy_value_iteration,

@@ -1,9 +1,8 @@
 """Whittle index computation for the charging bandit.
 
-Three routes to the same number:
+Two routes to the same number (the paper's constant-cost formula is an oracle in the tests):
 
-1. ``closed_form_index``: exact formula, valid for constant cost.
-2. ``compute_index_table``: piecewise-linear recursion over the lead time.
+1. ``compute_index_table``: piecewise-linear recursion over the lead time.
    The subsidy-problem value differences g_1(T,B) = V(T,B+1) - V(T,B) are
    piecewise linear in the subsidy nu, and the post-departure continuation
    cancels in every such difference, so the recursion never touches the value
@@ -11,10 +10,11 @@ Three routes to the same number:
 
        f(nu) = nu - (1 - c_j) + beta * sum_k P_jk * g_1(T-1, B-1, c_k, tau+1),
 
-   which is continuous and strictly increasing in nu.  Only g_1 is carried:
-   a wider difference telescopes, g_h(T,B) = sum_{i<h} g_1(T,B+i), and the
-   one the g_1 recursion reads, g_2(T-1,B-1), is g_1(T-1,B-1) + g_1(T-1,B).
-3. ``index_by_bisection``: oracle that bisects every state's activation
+   which is continuous and strictly increasing in nu; at T = 1 the sum is
+   F(B-1) - F(B), undiscounted, as level 0 is the departure, owing F(B).
+   Only g_1 is carried: a wider difference telescopes, g_h(T,B) =
+   sum_{i<h} g_1(T,B+i), and g_2(T-1,B-1) is g_1(T-1,B-1) + g_1(T-1,B).
+2. ``index_by_bisection``: oracle that bisects every state's activation
    threshold at once on ``subsidy_pass``, the exact backward pass that
    ``solve_subsidy`` (and so the bound's dual) also runs.  Independent of the
    PWL algebra; ``index --verify-oracle`` checks the whole table against it.
@@ -35,14 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model import Instance, PenaltyFunction, charger_law, extended_moves, instance_sha256
+from .model import Instance, charger_law, extended_moves, instance_sha256
 # combine and stitch stay importable from here: perfbench/spans.py traces them
 from .pwl import PWLBatch, RowError, combine, stitch  # noqa: F401
 
 __all__ = [
     "IndexTable",
     "IndexCheckError",
-    "closed_form_index",
     "compute_index_table",
     "subsidy_value_iteration",
     "SubsidySolution",
@@ -146,55 +145,13 @@ def _table_key(instance: Instance, values: np.ndarray) -> str:
     return hashlib.sha256(text + values.tobytes()).hexdigest()
 
 
-def closed_form_index(T: int, B: int, c0: float, beta: float, penalty: PenaltyFunction) -> float:
-    """Constant-cost index.
-
-    0 for B = 0; 1 - c0 + F(B) - F(B-1) in the final slot; 1 - c0 when the
-    demand fits strictly inside the lead time; otherwise the deferred marginal
-    penalty 1 - c0 + beta^(T-1) * [F(B-T+1) - F(B-T)].
-    """
-    if T < 0 or B < 0 or (T == 0 and B > 0):
-        raise ValueError("invalid charger state")
-    if B == 0:
-        return 0.0
-    if T == 1:
-        return 1.0 - c0 + float(penalty.delta(B))
-    if B <= T - 1:
-        return 1.0 - c0
-    return 1.0 - c0 + beta ** (T - 1) * float(penalty.delta(B - T + 1))
-
-
-def _base_rows(instance: Instance, B, j) -> PWLBatch:
-    """g_1 at lead time 1 for arrays of demands B and cost levels j, a row each.
-
-    Explicit three-piece construction; constant tails, middle slope -1 (or +1
-    in the degenerate branch where activating the larger demand never pays).
-    The busy knots 1 - c + dF(B) <= 1 - c + dF(B+1) may cross by a rounding
-    error, as PenaltyFunction lets increments fall by up to 1e-12 (a linear
-    table); the upper one is raised to the lower, emptying the middle piece.
-    """
-    F = instance.penalty.table  # F[0] == 0.0
-    gain = 1.0 - instance.cost.values[j]
-    busy, Bm = B >= 1, np.maximum(B, 1)  # F(B - 1) is used only where B >= 1
-    t_1 = gain + F[1]
-    pays, flat = t_1 > 0, np.zeros_like(gain)
-    lo = gain + (F[Bm] - F[Bm - 1])
-    knots = np.where(busy[:, None],
-                     np.stack([lo, np.maximum(lo, gain + (F[B + 1] - F[B]))], 1),
-                     np.stack([np.where(pays, flat, t_1), np.where(pays, t_1, flat)], 1))
-    return PWLBatch.stitch([
-        PWLBatch.affine(np.where(busy, F[Bm - 1] - F[B], gain), flat),
-        PWLBatch.affine(np.where(busy | pays, gain, -F[1]), np.where(busy | pays, -1.0, 1.0)),
-        PWLBatch.affine(np.where(busy, F[B] - F[B + 1], -F[1]), flat),
-    ], knots)
-
-
 def compute_index_table(instance: Instance) -> IndexTable:
     """Index for every extended state by the PWL recursion.
 
     The g_1's of one lead time are the rows of one PWLBatch, ordered (period,
-    B, cost level); a level T = 2..t_max forms E g, f on its breakpoints (no
-    combine), f's least roots (the level's indexes) and the g_1's they split.
+    B, cost level); a level T = 1..t_max forms E g, f on its breakpoints (no
+    combine), f's least roots (the level's indexes) and the g_1's they split;
+    level 0's E g is g_0(b) = F(b) - F(b+1), the penalty owed at departure.
     A failed check of the recursion or of the table raises IndexCheckError.
     """
     inst = instance
@@ -202,9 +159,9 @@ def compute_index_table(instance: Instance) -> IndexTable:
     K, nt = inst.cost.n_levels, inst.n_periods
     cvals, gain = inst.cost.values, 1.0 - inst.cost.values
     beta = inst.discount
+    F = inst.penalty.table
 
     nu = np.zeros((t_bar + 1, b_bar + 1, K, nt))
-    nu[1, 1:] = (gain[None, :] + inst.penalty.delta(np.arange(1, b_bar + 1))[:, None])[..., None]
 
     # row r = (tau * b_bar + b) * K + j holds g_1(T, b, c_j, tau)
     tau, b, j = (a.ravel() for a in np.indices((nt, b_bar, K)))
@@ -218,7 +175,6 @@ def compute_index_table(instance: Instance) -> IndexTable:
             s = e.row
             raise IndexCheckError(f"{what} at T={T}, B={B[s]}, j={j[s]}, tau={tau[s]}: {e}") from e
 
-    g = checked(1, "g_1", b, lambda: _base_rows(inst, b, j))
     # rows appended to a level's E g's, for the crossed combine and the stitch
     # (f is formed on E g's knots with no combine): R + j is nu - (1 - c_j),
     # R + K + j the constant 1 - c_j, R + 2K + j is 1 - c_j - nu, R + 3K is nu
@@ -228,10 +184,10 @@ def compute_index_table(instance: Instance) -> IndexTable:
     P = inst.cost.matrix_for(np.arange(nt))
     next_rows = ((tau + 1) % nt * b_bar + b)[::K, None] * K + np.arange(K)
 
-    for T in range(2, t_bar + 1):
-        # E_k g_1(T-1, b, c_k, tau+1), one breakpoint grid per (tau, b), and on
-        # it f = E g + (nu - (1 - c_j)), 0 in the padding (where inf - inf warns)
-        eg = g.combine(next_rows, beta * P[tau, j], group=r // K)
+    eg = PWLBatch.affine(F[b] - F[b + 1], np.zeros(R))
+    for T in range(1, t_bar + 1):
+        # on E g's breakpoint grid, one per (tau, b), f = E g + (nu - (1 - c_j)),
+        # 0 in the padding (where inf - inf warns)
         y = np.where(eg.valid, eg.Y + (eg.X + (cvals[j] - 1.0)[:, None]), 0.0)
         f = PWLBatch(eg.X, y, eg.n, eg.left + 1.0, eg.right + 1.0)
         nu[T, 1:] = checked(T, "f", b + 1, f.least_roots).reshape(nt, b_bar, K).transpose(1, 2, 0)
@@ -257,6 +213,7 @@ def compute_index_table(instance: Instance) -> IndexTable:
                   PWLBatch.concat([fixed, crossed]).take(pick), eg]
         knots = np.stack([np.where(flip, hi, lo), np.where(flip, lo, hi)], axis=1)
         g = checked(T, "g_1", b, lambda: PWLBatch.stitch(pieces, knots))
+        eg = g.combine(next_rows, beta * P[tau, j], group=r // K)  # E_k g_1(T, b, c_k, tau+1)
 
     try:
         return IndexTable(nu)
@@ -313,27 +270,26 @@ def subsidy_pass(instance: Instance, nu):
     Yields, for T = 1..t_max and each only when asked for, the local values
     U(T) (the continuation after the departure stripped off, as both actions
     carry it alike) and the optimal actions (ties passive), each of shape
-    (S, b_max + 1, K, N_tau) for the S subsidies ``nu``.
+    (S, b_max + 1, K, N_tau) for the S subsidies ``nu``, each a step from the
+    level below it, starting from level 0, the departure: U(0, B) = -F(B).
     """
     inst = instance
     b_bar, K, nt = inst.b_max, inst.cost.n_levels, inst.n_periods
     beta = inst.discount
-    ftab = inst.penalty.table[: b_bar + 1]
     nu = np.asarray(nu, dtype=float)[:, None, None, None]
     gain = (1.0 - inst.cost.values)[:, None]  # (K, 1) broadcast over periods
     p_t = [inst.cost.matrix_for(tau).T for tau in range(nt)]
 
-    # T = 1: the passive arm owes F(B), the active one F(B - 1); F(0) = 0
-    q_pass = nu - ftab[:, None, None] + np.zeros((b_bar + 1, K, nt))
-    q_act = np.concatenate([np.zeros((1, K, nt)),
-                            gain[None] - ftab[:-1, None, None] + np.zeros((b_bar, K, nt))])
+    # mid is beta E U(T-1) from level 2 on, and U(0) = -F(B), undiscounted, at
+    # level 1; as 0.0 - F, F(0) = 0 enters as +0.0
+    mid = np.zeros((1, b_bar + 1, K, nt)) - inst.penalty.table[: b_bar + 1, None, None]
     for t in range(1, inst.t_max + 1):
         if t > 1:
             mid = np.empty_like(u)
             for tau in range(nt):
                 mid[..., tau] = beta * u[..., (tau + 1) % nt] @ p_t[tau]
-            q_pass = nu + mid
-            q_act = np.concatenate([mid[:, :1], gain + mid[:, :-1]], axis=1)
+        q_pass = nu + mid
+        q_act = np.concatenate([mid[:, :1], gain + mid[:, :-1]], axis=1)
         u = np.maximum(q_pass, q_act)
         yield u, q_act > q_pass
 

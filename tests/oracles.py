@@ -25,8 +25,9 @@ occupancy LP with HiGHS, the independent referee of ``bound``'s certificate,
 and ``highs_outside_bracket`` measures HiGHS's optimum against that
 certificate's bracket; ``basis_by_spsolve`` solves the basis of a policy
 with scipy's sparse LU, the referee of the certificate's sweeps;
-``reference_index_table`` is ``compute_index_table`` as it was when a
-combine formed the root functions.
+``closed_form_index`` is the paper's formula for the index under constant
+cost, kept as an oracle; ``reference_index_table`` is
+``compute_index_table`` as it was when a combine formed the root functions.
 Tests import this module as ``oracles`` (``tests/`` is on ``sys.path``);
 pytest does not collect it.
 """
@@ -40,11 +41,11 @@ import numpy as np
 
 from evbandit import whittle
 from evbandit.bound import BoundResult, OccupancyLP
-from evbandit.model import ChargerLaw, Instance, charger_law
+from evbandit.model import ChargerLaw, Instance, PenaltyFunction, charger_law
 from evbandit.policies import edf_key, llf_key, lllp_kernel, select_by_key, whittle_key
 from evbandit.pwl import PWLBatch
 from evbandit.sim import _run_batch, default_horizon, stack_kernel
-from evbandit.whittle import IndexTable, _base_rows, compute_index_table, value_iteration_sweeps
+from evbandit.whittle import IndexTable, compute_index_table, value_iteration_sweeps
 
 
 def dense_move(law: ChargerLaw) -> np.ndarray:
@@ -428,9 +429,9 @@ def arm_mdp(instance: Instance):
 
 def collected_g(instance: Instance) -> dict:
     """The g_1 functions of one ``compute_index_table`` call, keyed by (T, B,
-    j, tau) for T = 1..max(t_max - 1, 1): the batches its ``PWLBatch.stitch``
-    calls return, level 1 from ``_base_rows`` and then one a level T =
-    2..t_max - 1, whose row (tau b_max + B) K + j is g_1(T, B, c_j, tau)."""
+    j, tau) for T = 1..t_max - 1: the batches its ``PWLBatch.stitch`` calls
+    return, one a level, whose row (tau b_max + B) K + j is g_1(T, B, c_j,
+    tau)."""
     levels = []
     stitch = PWLBatch.__dict__["stitch"]
 
@@ -443,7 +444,7 @@ def collected_g(instance: Instance) -> dict:
         compute_index_table(instance)
     finally:
         PWLBatch.stitch = stitch
-    assert len(levels) == max(instance.t_max - 1, 1)
+    assert len(levels) == instance.t_max - 1
     shape = (instance.n_periods, instance.b_max, instance.cost.n_levels)
     return {(T, b, j, tau): g.row(r) for T, g in enumerate(levels, 1)
             for r, (tau, b, j) in enumerate(np.ndindex(shape))}
@@ -487,28 +488,46 @@ def reference_occupancy_lp(instance: Instance) -> OccupancyLP:
     return OccupancyLP(c / (1.0 - beta), a_eq, b_eq, a_ub, b_ub, n)
 
 
+def closed_form_index(T: int, B: int, c0: float, beta: float, penalty: PenaltyFunction) -> float:
+    """The paper's closed-form index for constant cost c0.
+
+    0 for B = 0; 1 - c0 + F(B) - F(B-1) in the final slot; 1 - c0 when the
+    demand fits strictly inside the lead time; otherwise the deferred marginal
+    penalty 1 - c0 + beta^(T-1) * [F(B-T+1) - F(B-T)].
+    """
+    if T < 0 or B < 0 or (T == 0 and B > 0):
+        raise ValueError("invalid charger state")
+    if B == 0:
+        return 0.0
+    if T == 1:
+        return 1.0 - c0 + float(penalty.delta(B))
+    if B <= T - 1:
+        return 1.0 - c0
+    return 1.0 - c0 + beta ** (T - 1) * float(penalty.delta(B - T + 1))
+
+
 def reference_index_table(instance: Instance) -> IndexTable:
     """``whittle.compute_index_table`` (without the state named in a failed
     check) as it formed each level's root functions
     f = E g + nu - (1 - c_j): by a two-member ``combine`` of the E g row and
     the affine row, which merges the breakpoint 0 into E g's grid, evaluates
-    both members on it, sums and simplifies.  The reference for the table:
-    the same bits on well-scaled instances, the same to rounding on others."""
+    both members on it, sums and simplifies, each level T = 1..t_max from
+    the same level 0.  The reference for the table: the same bits on
+    well-scaled instances, the same to rounding on others."""
     inst = instance
     t_bar, b_bar, K, nt = inst.t_max, inst.b_max, inst.cost.n_levels, inst.n_periods
     cvals, gain, beta = inst.cost.values, 1.0 - inst.cost.values, inst.discount
+    F = inst.penalty.table
     nu = np.zeros((t_bar + 1, b_bar + 1, K, nt))
-    nu[1, 1:] = (gain[None, :] + inst.penalty.delta(np.arange(1, b_bar + 1))[:, None])[..., None]
     tau, b, j = (a.ravel() for a in np.indices((nt, b_bar, K)))
     R = tau.size
     r = np.arange(R)
-    g = _base_rows(inst, b, j)
     fixed = PWLBatch.affine(np.concatenate([cvals - 1.0, gain, gain, [0.0, 0.0]]),
                             np.concatenate([np.ones(K), np.zeros(K), -np.ones(K), [1.0, 0.0]]))
     P = inst.cost.matrix_for(np.arange(nt))
     next_rows = ((tau + 1) % nt * b_bar + b)[::K, None] * K + np.arange(K)
-    for T in range(2, t_bar + 1):
-        eg = g.combine(next_rows, beta * P[tau, j], group=r // K)
+    eg = PWLBatch.affine(F[b] - F[b + 1], np.zeros(R))
+    for T in range(1, t_bar + 1):
         both = PWLBatch.concat([eg, fixed])
         f = both.combine(np.stack([r, R + j], axis=1), np.ones((R, 2)))
         nu[T, 1:] = f.least_roots().reshape(nt, b_bar, K).transpose(1, 2, 0)
@@ -528,4 +547,5 @@ def reference_index_table(instance: Instance) -> IndexTable:
                   PWLBatch.concat([fixed, crossed]).take(pick), eg]
         knots = np.stack([np.where(flip, hi, lo), np.where(flip, lo, hi)], axis=1)
         g = PWLBatch.stitch(pieces, knots)
+        eg = g.combine(next_rows, beta * P[tau, j], group=r // K)
     return IndexTable(nu)

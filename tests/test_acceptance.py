@@ -17,18 +17,14 @@ from evbandit.bound import build_occupancy_lp, solve_bound
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.sim import monte_carlo
-from evbandit.whittle import (
-    closed_form_index,
-    compute_index_table,
-    index_by_bisection,
-    solve_subsidy,
-)
+from evbandit.whittle import compute_index_table, index_by_bisection, solve_subsidy
 
 from conftest import periodic_two_cost_instance
 from oracles import (
     _solve_lp,
     brute_force_joint_dp,
     check_indexability,
+    closed_form_index,
     evaluate_policy_exact,
     highs_outside_bracket,
     index_by_vi_bisection,

@@ -12,9 +12,7 @@ from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.pwl import combine
 from evbandit.whittle import (
     IndexTable,
-    _base_rows,
     _table_key,
-    closed_form_index,
     compute_index_table,
     index_by_bisection,
     solve_subsidy,
@@ -22,10 +20,17 @@ from evbandit.whittle import (
     subsidy_value_iteration,
 )
 from conftest import TWO_STATE_COST, make_instance
-from oracles import (check_indexability, collected_g, index_by_vi_bisection, reference_index_table,
-                     state_id)
+from oracles import (check_indexability, closed_form_index, collected_g, index_by_vi_bisection,
+                     reference_index_table, state_id)
 
 PEN = PenaltyFunction.quadratic(0.3, 4)
+# a linear penalty whose increments fall by an ulp (0.4000000000000001, then
+# 0.3999999999999999): level 1's indexes at B = 2 and 3 cross by rounding
+ULP_DROP = Instance(
+    n_chargers=2, capacity=1, discount=0.5, t_max=3, b_max=3,
+    penalty=PenaltyFunction([0.0, 0.2, 0.6000000000000001, 1.0]),
+    arrivals=ArrivalModel.uniform_feasible(3, 3, 0.7), cost=TWO_STATE_COST,
+)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 CONFIGS = PERFBENCH.parent.parent / "configs"
 
@@ -308,13 +313,16 @@ class TestSerialization:
 
 class TestGeometryOfG:
     def test_base_g_matches_value_differences(self, toy_dynamic):
-        for nu in (-0.6, -0.1, 0.0, 0.4, 1.1, 2.5):
-            sol = solve_subsidy(toy_dynamic, nu)
-            for j in range(2):
-                for b in range(0, 3):
-                    g = _base_rows(toy_dynamic, np.array([b]), np.array([j])).row(0)
-                    want = sol.values[1, b + 1, j, 0] - sol.values[1, b, j, 0]
-                    assert g(nu) == pytest.approx(want, abs=1e-9), (b, j, nu)
+        # level 1, the step from level 0 (the penalty owed at departure); on
+        # ULP_DROP its g_1(1, 2) has the crossed middle piece
+        for inst in (toy_dynamic, ULP_DROP):
+            gs = collected_g(inst)
+            for nu in (-0.6, -0.1, 0.0, 0.4, 1.1, 2.5):
+                sol = solve_subsidy(inst, nu)
+                for j in range(2):
+                    for b in range(0, 3):
+                        want = sol.values[1, b + 1, j, 0] - sol.values[1, b, j, 0]
+                        assert gs[(1, b, j, 0)](nu) == pytest.approx(want, abs=1e-9), (b, j, nu)
 
     def test_recursion_g_matches_value_differences(self, toy_dynamic):
         # g_1 is collected for every level below t_max; every g_h is their
@@ -428,7 +436,10 @@ class TestBisectionOracle:
                 assert ref[state] == pytest.approx(vi, abs=1e-6), state
 
     def test_matches_the_table(self, toy_dynamic, toy_table):
-        assert np.abs(index_by_bisection(toy_dynamic) - toy_table.values).max() <= 1e-8
+        ulp_table = compute_index_table(ULP_DROP)
+        assert np.all(ulp_table.values[1, 3] < ulp_table.values[1, 2])  # level 1 crosses
+        for inst, table in ((toy_dynamic, toy_table), (ULP_DROP, ulp_table)):
+            assert np.abs(index_by_bisection(inst) - table.values).max() <= 1e-8
 
     def test_chunks_agree_with_one_batch(self, toy_dynamic, monkeypatch):
         import evbandit.whittle as w
