@@ -17,15 +17,19 @@ reduced costs (c.x = b_eq.y + price a.x + r.x; sum x + sum z <= 2 if x is
 feasible), whatever the hints: a wrong one only widens the bracket, which
 must lie within 1e-4 of the dual.
 
-The LP is written in vacancy form.  A departing or empty charger (T <= 1) is
-refilled by the same arrival law whatever its state and action, so one extra
-variable z(j, tau) per price state carries the mass of such chargers, and the
-refill enters the balance rows once per price state instead of once per
-departing state and action.  This is an exact change of variables: the
-optimum is that of the LP with one column per state and action, each
+The LP is written in vacancy form on ``model.extended_moves``' states s =
+(cs K + j) N_tau + tau: x(s, a) is the discounted frequency (1-beta) E sum
+beta^t 1{s, a}, and z(j, tau) the mass of x on the departing or empty
+chargers (T <= 1) of price state (j, tau), which the arrival law refills
+whatever their state and action.  Row s' = (cs', j', tau+1) reads sum_a
+x(s', a) = (1-beta) mu0(s') + beta sum P_tau(j, j') x(cs, j, tau, a) over the
+stays with ``next[a, cs]`` = cs' + beta sum_j ``arrival[tau, cs']`` P_tau(j,
+j') z(j, tau), mu0 the empty charger in period 0 at the stationary cost law;
+a.x = sum_s x(s, 1), and c = R / (1-beta).  This exact change of variables
+keeps the optimum of the LP with one column per state and action, each
 departing one carrying the whole refill, whose constraint matrix has two to
-four times as many nonzeros on the shipped configs.  The LP builds from
-``model.extended_moves``, the law's one-slot steps as entries.
+four times as many nonzeros on the shipped configs.  A_eq is never built: the
+sweeps and the certificate's products read ``extended_moves``' entries.
 
 N times the optimal value upper-bounds every admissible policy of the real
 system.
@@ -41,29 +45,9 @@ import numpy as np
 from .model import Instance, charger_law, extended_moves
 from .whittle import IndexTable, compute_index_table, price_powers, solve_subsidy
 
-__all__ = ["OccupancyLP", "BoundResult", "build_occupancy_lp", "lp_entries", "solve_bound"]
+__all__ = ["BoundResult", "lp_entries", "solve_bound"]
 
 FEASIBILITY_TOL = 1e-9  # how far the certificate's occupancy, of mass one, may miss a row
-
-
-@dataclass
-class OccupancyLP:
-    """max c·x s.t. A_eq x = b_eq, A_ub·x <= b_ub, x >= 0.
-
-    Variables are stacked [x(s,0), x(s,1), z] over the ``n_states`` extended
-    states s = (cs K + j) N_tau + tau of ``model.extended_moves`` and the
-    K * N_tau price states (j, tau); x(s,a) is the discounted visitation frequency
-    (1-beta) E sum beta^t 1{state s, action a}, and z(j, tau) the sum of
-    x(s,a) over the states of (j, tau) with T <= 1.  ``A_eq`` holds the (rows,
-    cols, values) that ``lp_entries`` counts; ``A_ub`` is 1 on each x(s,1).
-    """
-
-    c: np.ndarray
-    A_eq: tuple[np.ndarray, np.ndarray, np.ndarray]
-    b_eq: np.ndarray
-    A_ub: np.ndarray
-    b_ub: np.ndarray
-    n_states: int
 
 
 @dataclass
@@ -83,46 +67,11 @@ class BoundResult:
     method: str = "dual"
 
 
-def build_occupancy_lp(instance: Instance) -> OccupancyLP:
-    """Occupancy LP of the single-charger problem with budget M/N, in vacancy form.
-
-    With s' = (cs', j', tau+1), the balance of s' is
-    sum_a x(s',a) = (1-beta) mu0(s')
-                    + beta sum_{cs: T>=2, j, a} 1{cs' = next_a(cs)} P_tau(j,j') x(cs,j,tau,a)
-                    + beta sum_j arrival_tau(cs') P_tau(j,j') z(j,tau),
-    where next_a and arrival_tau are the law's ``next[a]`` and ``arrival[tau]``,
-    arrival_tau(0) = 1 - rho_tau and arrival_tau(cs') = rho_tau pmf_tau(cs'),
-    and z(j,tau) = sum_{cs: T<=1, a} x(cs,j,tau,a) is a row of its own.
-    Budget: sum_s x(s,1) <= M/N; objective (to maximize):
-    (1/(1-beta)) sum x(s,a) R_a(s).  mu0 is the empty charger in period 0
-    with the cost level at its stationary law.
-    """
-    inst = instance
-    law = charger_law(inst)
-    nt, beta = inst.n_periods, inst.discount
-    m = inst.cost.n_levels * nt
-    n = law.T.size * m
-    s = np.arange(n)
-    (a, stay, s2, p), (v, r2, q), vacant = extended_moves(inst, law)
-    z = n + vacant % m  # the row of the z(j, tau) each vacant state counts in
-    rows = [s, s, z, z, n + np.arange(m), s2, r2]
-    cols = [s, n + s, vacant, n + vacant, 2 * n + np.arange(m), a * n + stay, 2 * n + v]
-    data = [np.ones(n), np.ones(n), -np.ones(vacant.size), -np.ones(vacant.size), np.ones(m),
-            -beta * p, -beta * q]
-    a_eq = tuple(map(np.concatenate, (rows, cols, data)))
-    b_eq = np.zeros(n + m)
-    b_eq[:m:nt] = (1.0 - beta) * inst.cost.stationary()
-    a_ub = np.repeat([0.0, 1.0, 0.0], [n, n, m])
-    b_ub = np.array([inst.capacity / inst.n_chargers])
-    c = np.concatenate([np.repeat(law.reward.reshape(2, -1), nt, axis=1).ravel(), np.zeros(m)])
-    return OccupancyLP(c / (1.0 - beta), a_eq, b_eq, a_ub, b_ub, n)
-
-
 def lp_entries(instance: Instance) -> int:
-    """Triplets of ``build_occupancy_lp``'s A_eq, counted from ``charger_law``'s
-    arrays without building it: per price state, a one for each x and for z
-    and a -1 for each vacant state's x; and one per staying (cs, a), or per
-    arrival entry, and cost move of its period."""
+    """Nonzeros of the occupancy LP's A_eq as the tests' referee builds it,
+    counted from ``charger_law``'s arrays: per price state, a one for each x
+    and for z and a -1 for each vacant state's x; and one per staying (cs, a),
+    or per arrival entry, and cost move of its period."""
     law = charger_law(instance)
     moves = np.count_nonzero(instance.cost.matrix_for(np.arange(instance.n_periods)), axis=(1, 2))
     steps = np.count_nonzero(law.next) * moves.sum() + np.count_nonzero(law.arrival, axis=1) @ moves
@@ -137,43 +86,70 @@ def linprog(c, *args, **kwargs):
     return linprog(c, *args, **kwargs)
 
 
-def _basis_solver(instance: Instance, lp: OccupancyLP):
-    """``solve(act, price)``: (x, y) with B x = b_eq and y B = c_B - price A_ub,B
-    for the basis B of the policy ``act`` (laid out like ``IndexTable.values``),
-    by the module docstring's sweeps over ``lp``'s own triplets."""
-    n, m, t_max = lp.n_states, lp.c.size - 2 * lp.n_states, instance.t_max
-    rows, cols, vals = lp.A_eq
-    state, fill = cols % n, (rows < n) & (cols >= 2 * n)
-    stay = (rows < n) & (cols < 2 * n) & (rows != state)  # a charger with T >= 2 moving on
-    lead = np.repeat(charger_law(instance).T, m)
+def _basis_solver(instance: Instance):
+    """The LP's vectors (c, b_eq, a) and three functions on ``extended_moves``'
+    entries, x laid out [x(s, 0), x(s, 1), z] and y by row [s, z]:
+    ``solve(act, price)``, (x, y) with B x = b_eq and y B = c_B - price a_B for
+    the basis B of the policy ``act`` (laid out like ``IndexTable.values``), by
+    the module docstring's sweeps; ``residual(x)`` = A_eq x - b_eq; and
+    ``reduced(y, price)`` = c - A_eq^T y - price a.  ``reduced`` adds each
+    column's terms in A_eq's order (its own row, a vacant state's z row, its
+    stays) before it subtracts them from c: duals near 1e99 then cancel among
+    themselves, as in a product with the matrix, and do not round c away."""
+    law = charger_law(instance)
+    nt, beta, t_max = instance.n_periods, instance.discount, instance.t_max
+    m = instance.cost.n_levels * nt
+    n = law.T.size * m
+    (a, s, s2, w), (v, r2, q), vacant = extended_moves(instance, law)
+    w *= beta  # A_eq holds -w at (s2, a n + s) and -q at (r2, z(v))
+    q *= beta
+    vacated = vacant % m  # the z each vacant state counts in
+    c = np.concatenate([np.repeat(law.reward.reshape(2, -1), nt, axis=1).ravel(), np.zeros(m)])
+    c /= 1.0 - beta
+    b_eq = np.zeros(n + m)
+    b_eq[:m:nt] = (1.0 - beta) * instance.cost.stationary()
+    budget = np.repeat([0.0, 1.0, 0.0], [n, n, m])
+    lead = np.repeat(law.T, m)
     edges = np.searchsorted(lead, np.arange(t_max + 2))  # lead time T: ids edges[T] to edges[T+1]
     # reach[at[s]]: the discounted mass, by price state, with which the charger of
     # state s falls vacant; couple[v]: that of the refill z(v), so z = reach^T b + couple^T z
-    powers = price_powers(instance)
-    reach = np.concatenate([powers[:1], powers[:-1]]).reshape(-1, m)
+    reach = np.stack([np.eye(m), *price_powers(instance)[:-1]]).reshape(-1, m)
     at = lead * m + np.arange(n) % m
-    r2, v, q = rows[fill], cols[fill] - 2 * n, -vals[fill]  # the refills F: z(v) into r2
     couple = np.bincount(v * len(reach) + at[r2], q, m * len(reach)).reshape(m, -1) @ reach
-    z = np.linalg.solve(np.eye(m) - couple.T, reach.T @ np.bincount(at, lp.b_eq[:n], len(reach)))
+    z = np.linalg.solve(np.eye(m) - couple.T, reach.T @ np.bincount(at, b_eq[:n], len(reach)))
 
     def solve(act, price):
         act = np.concatenate([act[0, :1], act[1:].reshape(-1, *act.shape[2:])]).ravel()
-        keep = np.flatnonzero(stay & (cols // n == act[state]))
-        keep = keep[np.argsort(state[keep], kind="stable")]
-        src, dst, w = state[keep], rows[keep], -vals[keep]
+        keep = np.flatnonzero(a == act[s])  # the basis's stays W
+        keep = keep[np.argsort(s[keep], kind="stable")]
+        src, dst, wk = s[keep], s2[keep], w[keep]
         cuts, basic = np.searchsorted(src, edges), np.arange(n) + n * act.astype(np.intp)
-        x = lp.b_eq[:n] + np.bincount(r2, q * z[v], n)
-        for t in range(t_max, 1, -1):  # (I - W) x = b + F z, W the basis's stays
+        x = b_eq[:n] + np.bincount(r2, q * z[v], n)
+        for t in range(t_max, 1, -1):  # (I - W) x = b + F z, F the refills
             e, lo, hi = slice(cuts[t], cuts[t + 1]), edges[t - 1], edges[t]
-            x[lo:hi] += np.bincount(dst[e] - lo, w[e] * x[src[e]], hi - lo)
-        y = lp.c[basic] - price * lp.A_ub[basic]
-        for t in range(2, t_max + 1):  # (I - W^T) y = c_B - price A_ub,B; reach adds y_z after
+            x[lo:hi] += np.bincount(dst[e] - lo, wk[e] * x[src[e]], hi - lo)
+        y = c[basic] - price * budget[basic]
+        for t in range(2, t_max + 1):  # (I - W^T) y = c_B - price a_B; reach adds y_z after
             e, lo, hi = slice(cuts[t], cuts[t + 1]), edges[t], edges[t + 1]
-            y[lo:hi] += np.bincount(src[e] - lo, w[e] * y[dst[e]], hi - lo)
+            y[lo:hi] += np.bincount(src[e] - lo, wk[e] * y[dst[e]], hi - lo)
         y_z = np.linalg.solve(np.eye(m) - couple, np.bincount(v, q * y[r2], m))
         return np.concatenate([np.bincount(basic, x, 2 * n), z]), np.r_[y + (reach @ y_z)[at], y_z]
 
-    return solve
+    def residual(x):
+        flow = x[:n] + x[n : 2 * n] - np.bincount(s2, w * x[a * n + s], n)
+        flow -= np.bincount(r2, q * x[2 * n + v], n)
+        gone = np.bincount(vacated, x[vacant] + x[n + vacant], m)
+        return np.concatenate([flow, x[2 * n :] - gone]) - b_eq
+
+    def reduced(y, price):
+        col = np.concatenate([y[:n], y[:n], y[n:]])  # A_eq^T y, each column from its own row
+        col[vacant] -= y[n + vacated]
+        col[n + vacant] -= y[n + vacated]
+        np.add.at(col, a * n + s, -(w * y[s2]))
+        np.add.at(col, 2 * n + v, -(q * y[r2]))
+        return c - col - price * budget
+
+    return (c, b_eq, budget), solve, residual, reduced
 
 
 def _certify(instance: Instance, price: float, hints, value: float) -> tuple[float, float]:
@@ -181,18 +157,15 @@ def _certify(instance: Instance, price: float, hints, value: float) -> tuple[flo
     ``SubsidySolution.actions`` ``hints`` either side of the budget ``price``
     (the left None at price 0).  RuntimeError if the occupancy is infeasible
     or an end lies over 1e-4 from ``value``."""
-    lp = build_occupancy_lp(instance)
-    (rows, cols, vals), share, budget = lp.A_eq, lp.b_ub[0], lp.A_ub
-    solve = _basis_solver(instance, lp)
+    (c, b_eq, budget), solve, residual, reduced = _basis_solver(instance)
+    share = instance.capacity / instance.n_chargers
     x, y = solve(hints[1], price)
-    r = lp.c - np.bincount(cols, vals * y[rows], lp.c.size) - price * budget
-    upper = float(lp.b_eq @ y + price * share + 2.0 * max(r.max(), 0.0))
+    upper = float(b_eq @ y + price * share + 2.0 * max(reduced(y, price).max(), 0.0))
     if hints[0] is not None and budget @ x < share:
         x_lo = solve(hints[0], price)[0]
         x += (share - budget @ x) / (budget @ (x_lo - x)) * (x_lo - x)
-    lower = float(lp.c @ x)
-    gap = max(np.abs(np.bincount(rows, vals * x[cols], lp.b_eq.size) - lp.b_eq).max(), -x.min(),
-              budget @ x - share)
+    lower = float(c @ x)
+    gap = max(np.abs(residual(x)).max(), -x.min(), budget @ x - share)
     if gap > FEASIBILITY_TOL or max(abs(lower - value), abs(upper - value)) > 1e-4:
         raise RuntimeError(f"LP bracket [{lower}, {upper}] (infeasibility {gap:.0e}) vs dual {value}")
     return lower, upper

@@ -27,8 +27,8 @@ __all__ = [
 
 # bytes the largest arrays of one command may take; check_size refuses more
 MEMORY_BUDGET = 1 << 30
-# bytes bound --verify-oracle's certificate holds at its peak per nonzero of A_eq (its
-# triplets and the sweeps over them): 71 to 81 by tracemalloc on the largest configs
+# bytes bound --verify-oracle's certificate holds at its peak per nonzero of A_eq, read off the
+# law: 46 and 59 by tracemalloc on the long-stay and 24-period configs
 LP_ENTRY_BYTES = 96
 # charger-slots (seeds x horizon x chargers) one policy may simulate, about
 # 140 times full-size fig3; check_size refuses more
@@ -232,7 +232,7 @@ def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
 
     The estimate counts the bytes of the largest arrays a command builds:
     LP_ENTRY_BYTES for each of the ``lp`` nonzeros of the occupancy LP that
-    ``bound --verify-oracle`` builds (``bound.lp_entries``), and as float64 entries
+    ``bound --verify-oracle`` certifies (``bound.lp_entries``), and as float64 entries
     the arrival pmf, n_periods (t_max + 1) (b_max + 1), and per simulated
     seed the block of uniforms ``sim.world_slots`` holds, a cost uniform and
     two per charger for each of its _BLOCK slots.  No array grows with the

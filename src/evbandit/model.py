@@ -337,7 +337,9 @@ def extended_moves(instance: Instance, law: ChargerLaw):
     (a, s, s2, P_tau(j, j2)) for a charger with T >= 2 and each action a, and
     ``refill`` = (v, s2, arrival_tau(cs2) P_tau(j, j2)) for the ``vacant``
     states (T <= 1) of the price state v = j N_tau + tau = s mod K N_tau,
-    whatever their action."""
+    whatever their action.  Value iteration sweeps them; ``bound``'s
+    certificate reads its LP's A_eq off them, -beta times each entry in row
+    s2 of the column x(s, a) or z(v), and never builds that matrix."""
     m, nt = instance.cost.n_levels * instance.n_periods, instance.n_periods
     P = instance.cost.matrix_for(np.arange(nt))
     tau, j, j2 = np.nonzero(P)

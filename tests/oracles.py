@@ -15,11 +15,12 @@ functions of one ``compute_index_table`` call off its stitches;
 from ``dense_move``, the dense view of the shared law's next-state indices
 and arrival rows, which the joint DP also reads; ``activation_frequency``
 solves the occupancy of the subsidy problem's greedy policy on it, the
-reference for ``SubsidySolution.activations``; ``kronecker_occupancy_lp`` is
-the occupancy LP on its transition matrices, the reference for
-``bound.build_occupancy_lp``'s vacancy form, and
-``reference_occupancy_lp`` that vacancy form as it was built from
-``dense_move``; ``lp_matrices`` builds an
+reference for ``SubsidySolution.activations``; ``OccupancyLP`` holds an
+occupancy LP as HiGHS takes it; ``kronecker_occupancy_lp`` is the occupancy
+LP on ``arm_mdp``'s transition matrices, and ``reference_occupancy_lp`` the
+vacancy form of ``bound``'s module docstring built from ``dense_move``, the
+only place that form exists as a matrix: ``bound`` reads its entries off
+``model.extended_moves`` and never builds it; ``lp_matrices`` builds an
 occupancy LP's scipy matrices from its triplets; ``_solve_lp`` solves an
 occupancy LP with HiGHS, the independent referee of ``bound``'s certificate,
 and ``highs_outside_bracket`` measures HiGHS's optimum against that
@@ -34,13 +35,14 @@ pytest does not collect it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 
 from evbandit import whittle
-from evbandit.bound import BoundResult, OccupancyLP
+from evbandit.bound import BoundResult
 from evbandit.model import ChargerLaw, Instance, PenaltyFunction, charger_law
 from evbandit.policies import edf_key, llf_key, lllp_kernel, select_by_key, whittle_key
 from evbandit.pwl import PWLBatch
@@ -323,6 +325,25 @@ def activation_frequency(instance: Instance, lam: float) -> float:
     return float(occ[act].sum())
 
 
+@dataclass
+class OccupancyLP:
+    """max c·x s.t. A_eq x = b_eq, A_ub·x <= b_ub, x >= 0, an occupancy LP as
+    HiGHS takes it.
+
+    Variables are stacked [x(s,0), x(s,1)] over the ``n_states`` extended
+    states of ``state_id`` and, in the vacancy form of ``bound``'s module
+    docstring, the K * N_tau refills z(j, tau) after them.  ``A_eq`` holds
+    (rows, cols, values) triplets; ``A_ub`` is 1 on each x(s,1).
+    """
+
+    c: np.ndarray
+    A_eq: tuple[np.ndarray, np.ndarray, np.ndarray]
+    b_eq: np.ndarray
+    A_ub: np.ndarray
+    b_ub: np.ndarray
+    n_states: int
+
+
 # HiGHS's interior point (with its crossover) against its default simplex on
 # the vacancy form, 20 alternating pairs on a 2-core x86 host: 58 against
 # 76 ms on the K=5, N_tau=4 tod_index instance and 44 against 58 ms on
@@ -451,10 +472,12 @@ def collected_g(instance: Instance) -> dict:
 
 
 def reference_occupancy_lp(instance: Instance) -> OccupancyLP:
-    """``bound.build_occupancy_lp``'s vacancy form built from the dense table
-    of ``dense_move``: per period, the staying rows' kron with the cost
-    matrix, and the empty charger's row (the arrival law, the refill of
-    z(., tau)) likewise."""
+    """The occupancy LP in the vacancy form of ``bound``'s module docstring,
+    built from the dense table of ``dense_move``: per period, the staying
+    rows' kron with the cost matrix, and the empty charger's row (the arrival
+    law, the refill of z(., tau)) likewise.  The LP that HiGHS solves to
+    referee ``bound``'s certificate, and whose matrices that certificate's
+    products, read off ``model.extended_moves``, must reproduce."""
     import scipy.sparse as sp
 
     inst = instance

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from evbandit import cli
-from evbandit.bound import build_occupancy_lp, solve_bound
+from evbandit.bound import solve_bound
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.sim import monte_carlo
@@ -29,6 +29,7 @@ from oracles import (
     highs_outside_bracket,
     index_by_vi_bisection,
     policy_kernel,
+    reference_occupancy_lp,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -240,7 +241,7 @@ def test_criterion_8_lp_and_dual_agree(capsys):
         inst = _random_small_instance(rng)
         res = solve_bound(inst, verify=True)
         worst = max(worst, abs(res.lp_value - res.dual_value))
-        value, _ = _solve_lp(build_occupancy_lp(inst))
+        value, _ = _solve_lp(reference_occupancy_lp(inst))
         outside = max(outside, highs_outside_bracket(value, res, inst.n_chargers))
     ok = worst <= 1e-4 and outside <= 0.0
     scorecard(capsys, 8, "occupancy LP and Lagrangian dual agree on 10 random instances",

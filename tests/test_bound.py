@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evbandit import bound, cli
-from evbandit.bound import BoundResult, build_occupancy_lp, solve_bound, _dual
+from evbandit.bound import BoundResult, solve_bound, _dual
 from evbandit.config import load_run_config
 from evbandit.model import CostChain
 from evbandit.whittle import (compute_index_table, solve_subsidy, subsidy_value_iteration,
@@ -102,7 +102,7 @@ def tiny():
 
 class TestAgainstEnumeration:
     def test_lp_matches_policy_enumeration_at_full_capacity(self, tiny):
-        lp_value, _ = _solve_lp(build_occupancy_lp(tiny))
+        lp_value, _ = _solve_lp(reference_occupancy_lp(tiny))
         want = tiny.n_chargers * enumerate_deterministic_optimum(tiny)
         assert tiny.n_chargers * lp_value == pytest.approx(want, abs=1e-6)
 
@@ -129,14 +129,14 @@ class TestDualEqualsLP:
         inst = make_instance(**kwargs)
         res = solve_bound(inst, verify=True)
         assert res.lp_value == pytest.approx(res.dual_value, abs=1e-4 * inst.n_chargers)
-        value, _ = _solve_lp(build_occupancy_lp(inst))
+        value, _ = _solve_lp(reference_occupancy_lp(inst))
         assert highs_outside_bracket(value, res, inst.n_chargers) <= 0.0
 
     def test_periodic_instance(self):
         inst = periodic_instance()
         res = solve_bound(inst, verify=True)
         assert res.lp_value == pytest.approx(res.dual_value, abs=4e-4)
-        value, _ = _solve_lp(build_occupancy_lp(inst))
+        value, _ = _solve_lp(reference_occupancy_lp(inst))
         assert highs_outside_bracket(value, res, inst.n_chargers) <= 0.0
 
 
@@ -215,8 +215,8 @@ def wrong_hint(kind: str):
 
 
 class TestCertificate:
-    """``solve_bound(verify=True)`` certifies the dual from the LP's own
-    matrices: no LP solver and no extra subsidy solve, a bracket of at most
+    """``solve_bound(verify=True)`` certifies the dual from the LP's entries,
+    read off the law: no LP solver and no extra subsidy solve, a bracket of at most
     1e-8 per charger on the shipped and benchmark configs, and a failure for
     each wrong hint."""
 
@@ -292,8 +292,8 @@ class TestBasisSweep:
             act = solve_subsidy(inst, float(rng.uniform(0.0, 1.5))).actions
         else:
             act = rng.integers(0, 2, (t_max + 1, b_max + 1, k, n_periods)).astype(np.int8)
-        lp, price = build_occupancy_lp(inst), float(rng.uniform(0.0, 10.0))
-        x, y = bound._basis_solver(inst, lp)(act, price)
+        lp, price = reference_occupancy_lp(inst), float(rng.uniform(0.0, 10.0))
+        x, y = bound._basis_solver(inst)[1](act, price)
         want_x, want_y = basis_by_spsolve(lp, act, price)
         assert np.all(np.abs(x - want_x) <= 1e-12 * np.maximum(1.0, np.abs(want_x)))
         assert np.all(np.abs(y - want_y) <= 1e-12 * np.maximum(1.0, np.abs(want_y)))
@@ -303,7 +303,7 @@ class TestBasisSweep:
 
 class TestStructure:
     def test_occupancy_mass_is_one_and_budget_holds(self, toy_dynamic):
-        lp = build_occupancy_lp(toy_dynamic)
+        lp = reference_occupancy_lp(toy_dynamic)
         value, x = _solve_lp(lp)
         assert x.sum() == pytest.approx(1.0, abs=1e-8)
         share = toy_dynamic.capacity / toy_dynamic.n_chargers
@@ -335,17 +335,17 @@ class TestStructure:
 
 
 class TestVacancyForm:
-    """``build_occupancy_lp``'s vacancy form against the Kronecker form of
-    ``oracles.kronecker_occupancy_lp``: one optimum, inside the certificate's
-    bracket, and the vacancy solution's x part is a feasible point of the
-    Kronecker form with that value; and
-    against ``oracles.reference_occupancy_lp``, the same form built from the
-    dense move table, entry for entry."""
+    """``oracles.reference_occupancy_lp``'s vacancy form against the Kronecker
+    form of ``oracles.kronecker_occupancy_lp``: one optimum, inside the
+    certificate's bracket, and the vacancy solution's x part is a feasible
+    point of the Kronecker form with that value; and the certificate's
+    products, read off ``model.extended_moves``' entries, against the
+    reference's matrices, built from the dense move table."""
 
     @pytest.mark.parametrize("name", VACANCY_CASES)
     def test_same_optimum_and_a_feasible_x(self, name):
         inst = vacancy_case(name)
-        lp, ref = build_occupancy_lp(inst), kronecker_occupancy_lp(inst)
+        lp, ref = reference_occupancy_lp(inst), kronecker_occupancy_lp(inst)
         value, x = _solve_lp(lp)
         want, _ = _solve_lp(ref)
         assert value == pytest.approx(want, rel=1e-9)
@@ -356,20 +356,34 @@ class TestVacancyForm:
         assert x.min() >= 0.0
         assert highs_outside_bracket(value, solve_bound(inst, verify=True), inst.n_chargers) <= 0.0
 
-    @pytest.mark.parametrize("name", VACANCY_CASES)
-    def test_equals_the_dense_table_builder(self, name):
-        """The LP from the law's next-state indices and arrival rows, entry for
-        entry the one built from the dense move table."""
-        inst = vacancy_case(name)
-        lp, ref = build_occupancy_lp(inst), reference_occupancy_lp(inst)
-        for got, want in zip(lp_matrices(lp), lp_matrices(ref)):
-            assert got.shape == want.shape and (got != want).nnz == 0
-        for got, want in ((lp.b_eq, ref.b_eq), (lp.c, ref.c), (lp.b_ub, ref.b_ub)):
+    @pytest.mark.parametrize("name", [*VACANCY_CASES, "toy_dynamic"])
+    def test_equals_the_dense_table_builder(self, name, toy_dynamic):
+        """``bound._basis_solver``'s vectors, its ``residual(x)`` = A_eq x - b_eq
+        and its ``reduced(y, price)`` = c - A_eq^T y - price a, from the law's
+        next-state indices and arrival rows, against the LP built from the
+        dense move table: exactly on each unit x and y, column by column and
+        row by row, and to 1e-12 of the terms' size on random x, y and price."""
+        inst = toy_dynamic if name == "toy_dynamic" else vacancy_case(name)
+        ref = reference_occupancy_lp(inst)
+        a_eq = lp_matrices(ref)[0].toarray()
+        (c, b_eq, budget), _, residual, reduced = bound._basis_solver(inst)
+        for got, want in ((c, ref.c), (b_eq, ref.b_eq), (budget, ref.A_ub)):
             np.testing.assert_array_equal(got, want)
+        rng = np.random.default_rng(len(name))
+        price = float(rng.uniform(0.0, 10.0))
+        for i, unit in enumerate(np.eye(c.size)):
+            np.testing.assert_array_equal(residual(unit), a_eq[:, i] - ref.b_eq)
+        for r, unit in enumerate(np.eye(b_eq.size)):
+            np.testing.assert_array_equal(reduced(unit, price), ref.c - a_eq[r] - price * ref.A_ub)
+        x, y = rng.normal(size=c.size), rng.normal(size=b_eq.size)
+        size = np.abs(a_eq) @ np.abs(x) + np.abs(ref.b_eq)
+        assert np.all(np.abs(residual(x) - (a_eq @ x - ref.b_eq)) <= 1e-12 * size)
+        size = np.abs(ref.c) + np.abs(a_eq).T @ np.abs(y) + price * ref.A_ub
+        assert np.all(np.abs(reduced(y, price) - (ref.c - a_eq.T @ y - price * ref.A_ub)) <= 1e-12 * size)
 
     def test_under_half_the_nonzeros(self):
         inst = periodic_instance()
-        vacancy, kronecker = build_occupancy_lp(inst), kronecker_occupancy_lp(inst)
+        vacancy, kronecker = reference_occupancy_lp(inst), kronecker_occupancy_lp(inst)
         assert 2 * lp_matrices(vacancy)[0].nnz < lp_matrices(kronecker)[0].nnz
 
 

@@ -618,16 +618,19 @@ def huge_penalty_toy(tmp_path):
 
 
 def test_huge_penalty_oracle_ends_within_the_contract(huge_penalty_toy, tmp_path):
+    """Both oracles pass: the index bisection, and the bound's certificate,
+    whose reduced costs cancel duals near 1e99."""
     # a fresh process, so that a bisection that never ends fails on the timeout
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "evbandit", "index",
-         "--config", str(huge_penalty_toy), "--verify-oracle", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    for command in ("index", "bound"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "evbandit", command,
+             "--config", str(huge_penalty_toy), "--verify-oracle", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_huge_penalty_table_off_by_a_thousand_tolerances_exits_3(huge_penalty_toy, tmp_path,
@@ -653,12 +656,26 @@ def test_huge_penalty_table_off_by_a_thousand_tolerances_exits_3(huge_penalty_to
 def test_large_penalty_oracle_brackets_every_index(kappa, tmp_path):
     """1 + max |c| rounds away against a penalty increment this large, so the
     T = 1 index 1 - c + dF(b_max) meets the bound on the activation gain; the
-    oracle's bracket, twice that bound either way, still holds it."""
+    oracle's bracket, twice that bound either way, still holds it; and the
+    bound's certificate holds too."""
     doc = json.loads(json.dumps(TOY))
     doc["instance"]["penalty"] = {"quadratic": kappa}
     p = tmp_path / "penalty.json"
     p.write_text(json.dumps(doc))
-    assert cli.main(["index", "--config", str(p), "--verify-oracle", "--out", str(tmp_path)]) == 0
+    for command in ("index", "bound"):
+        assert cli.main([command, "--config", str(p), "--verify-oracle", "--out", str(tmp_path)]) == 0
+
+
+def test_ulp_drop_penalty_passes_both_oracles(tmp_path):
+    """toy at b_max 3 with a linear penalty whose increments fall by an ulp,
+    so that level 1's indexes cross and its g_1 takes the crossed middle
+    piece: index and bound --verify-oracle both pass."""
+    doc = json.loads(json.dumps(TOY))
+    doc["instance"].update(b_max=3, penalty={"table": [0.0, 0.2, 0.6000000000000001, 1.0]})
+    p = tmp_path / "ulp_drop.json"
+    p.write_text(json.dumps(doc))
+    for command in ("index", "bound"):
+        assert cli.main([command, "--config", str(p), "--verify-oracle", "--out", str(tmp_path)]) == 0
 
 
 def test_tied_indexes_at_a_large_penalty_pass_the_monotonicity_check(tmp_path):
@@ -677,13 +694,14 @@ def test_tied_indexes_at_a_large_penalty_pass_the_monotonicity_check(tmp_path):
 def test_long_stay_runs_every_command(tmp_path):
     """A 12-hour stay in 5-minute slots: t_max = 144, b_max = 60 and one cost
     level give 8,785 charger states, whose dense move table (1,177 MiB) the
-    size check refused before the law was kept as next-state indices."""
+    size check refused before the law was kept as next-state indices; bound
+    --verify-oracle certifies its bound too."""
     config = tmp_path / "long_stay.json"
     config.write_text(json.dumps({"instance": {"t_max": 144, "b_max": 60}, "seeds": 2,
                                   "horizon": 200}))
     assert load_run_config(config).instance.t_max == 144
-    for command in ("index", "bound", "simulate"):
-        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    for command in (["index"], ["bound"], ["bound", "--verify-oracle"], ["simulate"]):
+        assert cli.main([*command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 # bytes of the dense (2, 1, 2,461, 2,461) move table that ``bound
@@ -695,8 +713,8 @@ DENSE_TABLE_BYTES = 2 * 2461**2 * 8
 
 
 def test_verify_oracle_adds_under_half_the_dense_table(tmp_path):
-    """The LP build and its certificate add to plain ``bound``'s peak RSS,
-    both with scipy.optimize imported, less than half the dense table."""
+    """The certificate, which builds no LP, adds to plain ``bound``'s peak
+    RSS, both with scipy.optimize imported, less than half the dense table."""
     config = tmp_path / "long_stay.json"
     config.write_text(json.dumps({"instance": {"t_max": 60, "b_max": 40}}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import TWO_STATE_COST, make_instance
-from oracles import lp_matrices
+from oracles import lp_matrices, reference_occupancy_lp
 
-from evbandit.bound import build_occupancy_lp, lp_entries
+from evbandit.bound import lp_entries
 from evbandit.config import (
     INDEX_BUDGET,
     LP_ENTRY_BYTES,
@@ -249,7 +249,7 @@ class TestSizeBudget:
     def test_lp_entries_count_the_built_matrix(self, rho):
         n_periods = len(rho) if isinstance(rho, list) else 1
         inst = make_instance(t_max=4, b_max=3, rho=rho, cost=TWO_STATE_COST, n_periods=n_periods)
-        assert lp_entries(inst) == lp_matrices(build_occupancy_lp(inst))[0].nnz
+        assert lp_entries(inst) == lp_matrices(reference_occupancy_lp(inst))[0].count_nonzero()
 
     def test_counting_lp_entries_builds_no_lp(self, tmp_path):
         # a 12-hour stay in 5-minute slots: 1 + 144 * 61 charger states, whose

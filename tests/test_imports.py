@@ -109,7 +109,8 @@ def test_bound_without_oracle_loads_no_solver(tmp_path):
 
 def test_bound_oracle_loads_no_lp_solver(tmp_path):
     """The LP certificate solves its two bases by sweeps over the lead time
-    and forms its products with np.bincount on A_eq's triplets: no scipy."""
+    and forms its products on the law's entries with np.bincount and
+    np.add.at, building no matrix: no scipy."""
     loaded = loaded_after([["bound", "--config", str(DYNAMIC), "--verify-oracle"]], tmp_path)
     assert loaded == set()
 
