@@ -4,7 +4,8 @@ Relaxing the per-slot capacity constraint to a discounted time-average budget
 decouples the chargers.  The bound is the Lagrangian dual of the resulting
 single-charger constrained MDP: price the budget at lambda, solve the
 unconstrained subsidy problem exactly, and find the convex dual's exact
-minimiser among its kinks, the index table's values, without scipy.
+minimiser among its kinks, the index table's values, without scipy.  The
+probes and the certificate share one ``SubsidyProblem``, built once a bound.
 
 ``solve_bound(..., verify=True)`` certifies it on the occupancy LP, max c.x
 s.t. A_eq x = b_eq, a.x <= M/N, x >= 0, with numpy alone.  The basis (x(s,
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, charger_law, extended_moves
-from .whittle import IndexTable, compute_index_table, price_powers, solve_subsidy
+from .whittle import IndexTable, SubsidyProblem, compute_index_table, solve_subsidy
 
 __all__ = ["BoundResult", "lp_entries", "solve_bound"]
 
@@ -86,7 +87,7 @@ def linprog(c, *args, **kwargs):
     return linprog(c, *args, **kwargs)
 
 
-def _basis_solver(instance: Instance):
+def _basis_solver(problem: SubsidyProblem):
     """The LP's vectors (c, b_eq, a) and three functions on ``extended_moves``'
     entries, x laid out [x(s, 0), x(s, 1), z] and y by row [s, z]:
     ``solve(act, price)``, (x, y) with B x = b_eq and y B = c_B - price a_B for
@@ -96,6 +97,7 @@ def _basis_solver(instance: Instance):
     column's terms in A_eq's order (its own row, a vacant state's z row, its
     stays) before it subtracts them from c: duals near 1e99 then cancel among
     themselves, as in a product with the matrix, and do not round c away."""
+    instance = problem.instance
     law = charger_law(instance)
     nt, beta, t_max = instance.n_periods, instance.discount, instance.t_max
     m = instance.cost.n_levels * nt
@@ -113,7 +115,7 @@ def _basis_solver(instance: Instance):
     edges = np.searchsorted(lead, np.arange(t_max + 2))  # lead time T: ids edges[T] to edges[T+1]
     # reach[at[s]]: the discounted mass, by price state, with which the charger of
     # state s falls vacant; couple[v]: that of the refill z(v), so z = reach^T b + couple^T z
-    reach = np.stack([np.eye(m), *price_powers(instance)[:-1]]).reshape(-1, m)
+    reach = np.stack([np.eye(m), *problem.price_powers[:-1]]).reshape(-1, m)
     at = lead * m + np.arange(n) % m
     couple = np.bincount(v * len(reach) + at[r2], q, m * len(reach)).reshape(m, -1) @ reach
     z = np.linalg.solve(np.eye(m) - couple.T, reach.T @ np.bincount(at, b_eq[:n], len(reach)))
@@ -152,13 +154,13 @@ def _basis_solver(instance: Instance):
     return (c, b_eq, budget), solve, residual, reduced
 
 
-def _certify(instance: Instance, price: float, hints, value: float) -> tuple[float, float]:
+def _certify(problem: SubsidyProblem, price: float, hints, value: float) -> tuple[float, float]:
     """(lower, upper): the module docstring's bracket from the greedy
     ``SubsidySolution.actions`` ``hints`` either side of the budget ``price``
     (the left None at price 0).  RuntimeError if the occupancy is infeasible
     or an end lies over 1e-4 from ``value``."""
-    (c, b_eq, budget), solve, residual, reduced = _basis_solver(instance)
-    share = instance.capacity / instance.n_chargers
+    (c, b_eq, budget), solve, residual, reduced = _basis_solver(problem)
+    share = problem.instance.capacity / problem.instance.n_chargers
     x, y = solve(hints[1], price)
     upper = float(b_eq @ y + price * share + 2.0 * max(reduced(y, price).max(), 0.0))
     if hints[0] is not None and budget @ x < share:
@@ -171,7 +173,7 @@ def _certify(instance: Instance, price: float, hints, value: float) -> tuple[flo
     return lower, upper
 
 
-def _dual(instance: Instance, lam: float) -> tuple[float, float, np.ndarray]:
+def _dual(problem: SubsidyProblem, lam: float) -> tuple[float, float, np.ndarray]:
     """(dual(lambda), f, actions): dual(lambda) = V^lambda(mu0) - lambda (1 - M/N) / (1 - beta).
 
     Pricing activations at lambda is the subsidy problem shifted by a
@@ -179,16 +181,14 @@ def _dual(instance: Instance, lam: float) -> tuple[float, float, np.ndarray]:
     lambda-greedy activation frequency; the slope is (M/N - f) / (1 - beta).
     ``actions`` is the greedy policy (``SubsidySolution.actions``, ties passive).
     """
-    sol = solve_subsidy(instance, lam)
-    pi = instance.cost.stationary()
-    beta = instance.discount
+    inst, sol = problem.instance, solve_subsidy(problem, lam)
+    pi, beta, share = inst.cost.stationary(), inst.discount, inst.capacity / inst.n_chargers
     v0 = float(pi @ sol.values[0, 0, :, 0])
     f = (1.0 - beta) * float(pi @ sol.activations[0, 0, :, 0])
-    share = instance.capacity / instance.n_chargers
     return v0 - lam * (1.0 - share) / (1.0 - beta), f, sol.actions
 
 
-def _exact_dual(instance: Instance, table: IndexTable | None):
+def _exact_dual(problem: SubsidyProblem, table: IndexTable | None):
     """(lambda*, dual(lambda*), f, hints) by a search over the dual's kinks.
 
     The dual is convex and piecewise linear, with its kinks at the index
@@ -202,26 +202,27 @@ def _exact_dual(instance: Instance, table: IndexTable | None):
     rounding; f is that of the piece right of lambda*, so f <= M/N.  ``hints``:
     ``_certify``'s, the pieces' actions either side.  A ``table`` of None is built.
     """
-    share = instance.capacity / instance.n_chargers
-    values = (compute_index_table(instance) if table is None else table).values
+    inst = problem.instance
+    share = inst.capacity / inst.n_chargers
+    values = (compute_index_table(inst) if table is None else table).values
     kinks = np.sort(values[values > 0])  # np.unique would import numpy.ma
     kinks = kinks[np.diff(kinks, prepend=0.0) > 0]
     edges = np.concatenate([[0.0], kinks, [kinks.max(initial=0.0) + 1.0]])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    piece = functools.cache(lambda i: _dual(instance, float(mids[i])))
+    piece = functools.cache(lambda i: _dual(problem, float(mids[i])))
 
     if piece(0)[1] <= share:
-        return 0.0, _dual(instance, 0.0)[0], piece(0)[1], (None, piece(0)[2])
+        return 0.0, _dual(problem, 0.0)[0], piece(0)[1], (None, piece(0)[2])
     lo, hi = 0, mids.size - 1  # f > M/N on piece lo; past every index f = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if piece(mid)[1] > share else (lo, mid)
     (d_lo, f_lo, act_lo), (d_hi, f_hi, act_hi) = piece(lo), piece(hi)
     # the two lines d + (M/N - f) (lambda - mid) / (1 - beta) meet at lambda*
-    lam = ((d_hi - d_lo) * (1.0 - instance.discount) + (share - f_lo) * mids[lo]
+    lam = ((d_hi - d_lo) * (1.0 - inst.discount) + (share - f_lo) * mids[lo]
            - (share - f_hi) * mids[hi]) / (f_hi - f_lo)
     lam = float(np.clip(lam, mids[lo], mids[hi]))
-    return lam, _dual(instance, lam)[0], f_hi, (act_lo, act_hi)
+    return lam, _dual(problem, lam)[0], f_hi, (act_lo, act_hi)
 
 
 def solve_bound(instance: Instance, verify: bool = False,
@@ -229,16 +230,17 @@ def solve_bound(instance: Instance, verify: bool = False,
     """Upper bound on the N-charger discounted reward: N x relaxed value.
 
     The exact dual of ``_exact_dual``: a search over the index table's kinks
-    (built when ``table`` is None), each evaluation an exact subsidy solve.
+    (built when ``table`` is None), each evaluation an exact subsidy solve on
+    the one ``SubsidyProblem`` of ``instance`` that the certificate also reads.
     With ``verify`` the occupancy LP certifies it (module docstring): a
     RuntimeError is raised unless the bracket [``lp_value``, ``lp_upper``]
     lies within 1e-4 per charger of the dual.
     """
-    n = instance.n_chargers
-    lam, dual_value, freq, hints = _exact_dual(instance, table)
+    n, problem = instance.n_chargers, SubsidyProblem.of(instance)
+    lam, dual_value, freq, hints = _exact_dual(problem, table)
     result = BoundResult(n * dual_value, lam, n * dual_value, freq)
     if verify:
         price = lam / (1.0 - instance.discount)
-        lower, upper = _certify(instance, price, hints, dual_value)
+        lower, upper = _certify(problem, price, hints, dual_value)
         result.lp_value, result.lp_upper, result.method = n * lower, n * upper, "both"
     return result

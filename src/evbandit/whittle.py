@@ -16,8 +16,9 @@ Two routes to the same number (the paper's constant-cost formula is an oracle in
    sum_{i<h} g_1(T,B+i), and g_2(T-1,B-1) is g_1(T-1,B-1) + g_1(T-1,B).
 2. ``index_by_bisection``: oracle that bisects every state's activation
    threshold at once on ``subsidy_pass``, the exact backward pass that
-   ``solve_subsidy`` (and so the bound's dual) also runs.  Independent of the
-   PWL algebra; ``index --verify-oracle`` checks the whole table against it.
+   ``solve_subsidy`` also runs, on a ``SubsidyProblem`` built once per bound
+   for all its probes.  Independent of the PWL algebra; ``index
+   --verify-oracle`` checks the whole table against it.
    The tests also bisect on ``subsidy_value_iteration`` (``tests/oracles.py``),
    value iteration on the entries of ``model.extended_moves``, the slow route
    independent of both.
@@ -45,7 +46,7 @@ __all__ = [
     "compute_index_table",
     "subsidy_value_iteration",
     "SubsidySolution",
-    "price_powers",
+    "SubsidyProblem",
     "subsidy_pass",
     "solve_subsidy",
     "index_by_bisection",
@@ -294,19 +295,6 @@ def subsidy_pass(instance: Instance, nu):
         yield u, q_act > q_pass
 
 
-def price_powers(instance: Instance) -> list[np.ndarray]:
-    """m1^t for t = 0..t_max: m1 moves the price state (j, tau), id j N_tau + tau,
-    one slot on to (k, tau + 1) with weight beta P_tau(j, k)."""
-    K, nt = instance.cost.n_levels, instance.n_periods
-    m1 = np.zeros((K, nt, K, nt))
-    for tau in range(nt):
-        m1[:, tau, :, (tau + 1) % nt] = instance.discount * instance.cost.matrix_for(tau)
-    powers = [np.eye(K * nt)]
-    for _ in range(instance.t_max):
-        powers.append(powers[-1] @ m1.reshape(K * nt, K * nt))
-    return powers
-
-
 @dataclass(frozen=True)
 class SubsidySolution:
     """Exact subsidy-problem solution on the (T, B, cost, period) grid.
@@ -325,7 +313,47 @@ class SubsidySolution:
     activations: np.ndarray
 
 
-def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
+@dataclass(frozen=True, eq=False)
+class SubsidyProblem:
+    """What ``solve_subsidy`` reads that does not depend on nu, built once by
+    ``of``: ``price_powers[t]`` = m1^t, t = 0..t_max, m1 moving price state (j,
+    tau), id j N_tau + tau, to (k, tau + 1) with weight beta P_tau(j, k);
+    ``cost_t``, the P_tau transposed; ``system``, I - G; and per period tau
+    (arrivals of tau - 1) ``stay`` = 1 - rho and ``arrivals``, (n, N_tau) arrays
+    T', B' and rho pmf(T', B') over the nonzeros in row-major order, padded by
+    weight -0.0 at (0, 0), +0.0 when a0 is formed: a sum gains -0.0, no bit."""
+
+    instance: Instance
+    price_powers: list[np.ndarray]
+    cost_t: list[np.ndarray]
+    system: np.ndarray
+    stay: np.ndarray
+    arrivals: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, instance: Instance) -> SubsidyProblem:
+        inst, K, nt = instance, instance.cost.n_levels, instance.n_periods
+        e, m1 = K * nt, np.zeros((K, nt, K, nt))
+        for tau in range(nt):
+            m1[:, tau, :, (tau + 1) % nt] = inst.discount * inst.cost.matrix_for(tau)
+        powers, g_mat = [np.eye(e)], np.zeros((e, e))
+        for _ in range(inst.t_max):
+            powers.append(powers[-1] @ m1.reshape(e, e))
+        pmfs, rho = (np.roll(a, 1, axis=0) for a in (inst.arrivals.pmf, inst.arrivals.rho))
+        at = np.zeros((2, max(np.count_nonzero(pmf) for pmf in pmfs), nt), dtype=np.intp)
+        weight = np.full(at.shape[1:], -0.0)
+        for tau, pmf in enumerate(pmfs):
+            rows, qt = slice(tau, e, nt), pmf.sum(axis=1)  # rows j N_tau + tau
+            g_mat[rows] = (1.0 - rho[tau]) * powers[1][rows]
+            for t in np.flatnonzero(qt[1:] > 0) + 1:
+                g_mat[rows] += rho[tau] * qt[t] * powers[t][rows]
+            tp, bp = np.nonzero(pmf)
+            at[:, : tp.size, tau], weight[: tp.size, tau] = (tp, bp), rho[tau] * pmf[tp, bp]
+        return cls(inst, powers, [inst.cost.matrix_for(tau).T for tau in range(nt)],
+                   np.eye(e) - g_mat, 1.0 - rho, (*at, weight))
+
+
+def solve_subsidy(problem: SubsidyProblem, nu: float) -> SubsidySolution:
     """Solve the subsidy problem exactly with one backward pass over T.
 
     The continuation value after a departure enters every state's Bellman
@@ -335,12 +363,16 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
     itself then solves a (K * N_tau)-dimensional linear system.  No
     fixed-point iteration, so this is fast even for discount factors very
     close to 1; ``subsidy_value_iteration`` provides the independent slow
-    path.  The arrival mixing and the reward are written out here and in
-    ``subsidy_pass`` on purpose instead of read from ``charger_law``: this is
-    the one coding of the per-charger law independent of that table, which
-    the LP vs dual check and the full-capacity joint DP test compare against.
+    path.  ``problem`` holds what reads no nu; per nu run the pass, the
+    activation counts, a0 ((1 - rho) times the empty value, then the arrival
+    terms left to right: a cumsum's last row, not a pairwise sum), one solve
+    and the continuation added back.  The arrival mixing and the reward are
+    written out here, in ``SubsidyProblem.of`` and in ``subsidy_pass`` on
+    purpose instead of read from ``charger_law``: this is the one coding of
+    the per-charger law independent of that table, which the LP vs dual
+    check and the full-capacity joint DP test compare against.
     """
-    inst = instance
+    inst = problem.instance
     t_bar, b_bar = inst.t_max, inst.b_max
     K, nt = inst.cost.n_levels, inst.n_periods
     beta = inst.discount
@@ -351,35 +383,21 @@ def solve_subsidy(instance: Instance, nu: float) -> SubsidySolution:
     act = np.zeros((t_bar + 1, b_bar + 1, K, nt), dtype=np.int8)
     for t, (u_t, act_t) in enumerate(subsidy_pass(inst, [nu]), 1):
         local[0, t], act[t] = u_t[0], act_t[0]
-        nxt = beta * np.stack([local[1, t - 1, ..., (tau + 1) % nt] @ inst.cost.matrix_for(tau).T
+        nxt = beta * np.stack([local[1, t - 1, ..., (tau + 1) % nt] @ problem.cost_t[tau]
                                for tau in range(nt)], axis=-1)
         local[1, t] = np.where(act_t[0], 1.0 + np.concatenate([nxt[:1], nxt[:-1]]), nxt)
     empty = np.stack([np.full((K, nt), max(nu, 0.0)), np.full((K, nt), float(nu < 0.0))])
 
     # continuation: A(k, tau) = E[V of the slot's occupant at period tau after
     # a departure at tau-1]; solves A = a0 + G A with ||G|| <= beta < 1, for
-    # the values and the activation counts alike
-    e = K * nt
-    powers = price_powers(inst)
+    # the values and the activation counts alike; a0's terms, (1 + n, N_tau, 2, K)
+    tp, bp, w = problem.arrivals
+    terms = np.concatenate([(problem.stay[:, None, None] * empty.transpose(2, 0, 1))[None],
+                            w[..., None, None] * local[:, tp, bp, :, np.arange(nt)]])
+    a0 = np.cumsum(terms, axis=0)[-1].transpose(1, 2, 0).reshape(2, K * nt)
+    a_vec = np.linalg.solve(problem.system, a0.T)
 
-    g_mat = np.zeros((e, e))
-    a0 = np.zeros((2, K, nt))
-    for tau in range(nt):
-        src = (tau - 1) % nt
-        rho = inst.arrivals.rho_for(src)
-        pmf = inst.arrivals.pmf_for(src)
-        qt = pmf.sum(axis=1)  # (t_bar+1,)
-        rows = [j * nt + tau for j in range(K)]
-        g_mat[rows] = (1.0 - rho) * powers[1][rows]
-        for tp in range(1, t_bar + 1):
-            if qt[tp] > 0:
-                g_mat[rows] += rho * qt[tp] * powers[tp][rows]
-        a0[..., tau] = (1.0 - rho) * empty[..., tau]
-        for (tp, bp) in zip(*np.nonzero(pmf)):
-            a0[..., tau] += rho * pmf[tp, bp] * local[:, tp, bp, :, tau]
-    a_vec = np.linalg.solve(np.eye(e) - g_mat, a0.reshape(2, e).T)
-
-    d = np.array([(powers[t] @ a_vec).T.reshape(2, K, nt) for t in range(t_bar + 1)])
+    d = np.array([(power @ a_vec).T.reshape(2, K, nt) for power in problem.price_powers])
     local[:, 1:] += d[1:].transpose(1, 0, 2, 3)[:, :, None]  # the continuation back on
     local[:, 0, 0] = empty + d[1]
     return SubsidySolution(local[0], act, a_vec[:, 0].reshape(K, nt), local[1])

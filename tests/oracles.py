@@ -28,7 +28,9 @@ certificate's bracket; ``basis_by_spsolve`` solves the basis of a policy
 with scipy's sparse LU, the referee of the certificate's sweeps;
 ``closed_form_index`` is the paper's formula for the index under constant
 cost, kept as an oracle; ``reference_index_table`` is
-``compute_index_table`` as it was when a combine formed the root functions.
+``compute_index_table`` as it was when a combine formed the root functions,
+and ``reference_solve_subsidy`` ``whittle.solve_subsidy`` as it was when
+every call built its own price powers, G and arrival mix.
 Tests import this module as ``oracles`` (``tests/`` is on ``sys.path``);
 pytest does not collect it.
 """
@@ -314,7 +316,7 @@ def activation_frequency(instance: Instance, lam: float) -> float:
     occupancy on ``arm_mdp``.  Only activations with B > 0 count, which is
     every activation for lam >= 0."""
     P0, P1, _, _, mu0 = arm_mdp(instance)
-    sol = whittle.solve_subsidy(instance, lam)
+    sol = whittle.solve_subsidy(whittle.SubsidyProblem.of(instance), lam)
     law = charger_law(instance)
     T, B = law.T, law.B
     # sol.actions[T, B] is (n_cs, K, N_tau), which ravels in state-id order
@@ -323,6 +325,62 @@ def activation_frequency(instance: Instance, lam: float) -> float:
     beta = instance.discount
     occ = np.linalg.solve(np.eye(act.size) - beta * rows.T, (1.0 - beta) * mu0)
     return float(occ[act].sum())
+
+
+def reference_solve_subsidy(instance: Instance, nu: float) -> whittle.SubsidySolution:
+    """``whittle.solve_subsidy`` as it was when each call built the price
+    powers m1^t (``SubsidyProblem``'s), G and the arrival mixing itself and
+    formed a0 by a loop over the arrival law's nonzeros: the bit-for-bit
+    reference for the solve on a ``SubsidyProblem``.
+    """
+    inst = instance
+    t_bar, b_bar = inst.t_max, inst.b_max
+    K, nt = inst.cost.n_levels, inst.n_periods
+    beta = inst.discount
+
+    # local parts (continuation stripped) of two grids: the values U, and the
+    # activation counts n(T, B) = a + beta E n(T-1, B-a) of the greedy actions
+    local = np.zeros((2, t_bar + 1, b_bar + 1, K, nt))
+    act = np.zeros((t_bar + 1, b_bar + 1, K, nt), dtype=np.int8)
+    for t, (u_t, act_t) in enumerate(whittle.subsidy_pass(inst, [nu]), 1):
+        local[0, t], act[t] = u_t[0], act_t[0]
+        nxt = beta * np.stack([local[1, t - 1, ..., (tau + 1) % nt] @ inst.cost.matrix_for(tau).T
+                               for tau in range(nt)], axis=-1)
+        local[1, t] = np.where(act_t[0], 1.0 + np.concatenate([nxt[:1], nxt[:-1]]), nxt)
+    empty = np.stack([np.full((K, nt), max(nu, 0.0)), np.full((K, nt), float(nu < 0.0))])
+
+    # continuation: A(k, tau) = E[V of the slot's occupant at period tau after
+    # a departure at tau-1]; solves A = a0 + G A with ||G|| <= beta < 1, for
+    # the values and the activation counts alike
+    e = K * nt
+    m1 = np.zeros((K, nt, K, nt))
+    for tau in range(nt):
+        m1[:, tau, :, (tau + 1) % nt] = instance.discount * instance.cost.matrix_for(tau)
+    powers = [np.eye(K * nt)]
+    for _ in range(instance.t_max):
+        powers.append(powers[-1] @ m1.reshape(K * nt, K * nt))
+
+    g_mat = np.zeros((e, e))
+    a0 = np.zeros((2, K, nt))
+    for tau in range(nt):
+        src = (tau - 1) % nt
+        rho = inst.arrivals.rho_for(src)
+        pmf = inst.arrivals.pmf_for(src)
+        qt = pmf.sum(axis=1)  # (t_bar+1,)
+        rows = [j * nt + tau for j in range(K)]
+        g_mat[rows] = (1.0 - rho) * powers[1][rows]
+        for tp in range(1, t_bar + 1):
+            if qt[tp] > 0:
+                g_mat[rows] += rho * qt[tp] * powers[tp][rows]
+        a0[..., tau] = (1.0 - rho) * empty[..., tau]
+        for (tp, bp) in zip(*np.nonzero(pmf)):
+            a0[..., tau] += rho * pmf[tp, bp] * local[:, tp, bp, :, tau]
+    a_vec = np.linalg.solve(np.eye(e) - g_mat, a0.reshape(2, e).T)
+
+    d = np.array([(powers[t] @ a_vec).T.reshape(2, K, nt) for t in range(t_bar + 1)])
+    local[:, 1:] += d[1:].transpose(1, 0, 2, 3)[:, :, None]  # the continuation back on
+    local[:, 0, 0] = empty + d[1]
+    return whittle.SubsidySolution(local[0], act, a_vec[:, 0].reshape(K, nt), local[1])
 
 
 @dataclass
@@ -495,10 +553,12 @@ def reference_occupancy_lp(instance: Instance) -> OccupancyLP:
     data = [np.ones(n), np.ones(n), -np.ones(vacant.size), -np.ones(vacant.size), np.ones(m)]
     for tau in range(nt):
         cost = sp.csr_matrix(inst.cost.matrix_for(tau))
-        step = [sp.kron(sp.csr_matrix(move[a, tau] * ~gone[:, None]), cost) for a in (0, 1)]
-        step.append(sp.kron(sp.csr_matrix(move[0, tau, :1]), cost))
+        # coo: kron's BSR path, taken for a cost matrix at least half full,
+        # would store that matrix's zeros
+        step = [sp.kron(sp.csr_matrix(move[a, tau] * ~gone[:, None]), cost, format="coo")
+                for a in (0, 1)]
+        step.append(sp.kron(sp.csr_matrix(move[0, tau, :1]), cost, format="coo"))
         for offset, block in zip((0, n, 2 * n), step):
-            block = block.tocoo()
             rows.append(block.col * nt + (tau + 1) % nt)
             cols.append(offset + block.row * nt + tau)
             data.append(-beta * block.data)

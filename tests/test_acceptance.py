@@ -17,7 +17,7 @@ from evbandit.bound import solve_bound
 from evbandit.config import load_run_config
 from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.sim import monte_carlo
-from evbandit.whittle import compute_index_table, index_by_bisection, solve_subsidy
+from evbandit.whittle import SubsidyProblem, compute_index_table, index_by_bisection, solve_subsidy
 
 from conftest import periodic_two_cost_instance
 from oracles import (
@@ -149,7 +149,7 @@ def test_criterion_3_indexability_and_index_structure(capsys):
                         gap = float(table.values[T, B, j, tau]) - float(table.values[T, B + 1, j, tau])
                         worst_mono = max(worst_mono, gap)
         for nu in (-0.5, 0.0, 0.5):
-            V = solve_subsidy(inst, nu).values
+            V = solve_subsidy(SubsidyProblem.of(inst), nu).values
             for T in range(1, inst.t_max + 1):
                 for B in range(T, inst.b_max - 1):
                     bend = V[T, B + 2] + V[T, B] - 2.0 * V[T, B + 1]

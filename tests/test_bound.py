@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evbandit import bound, cli
+from evbandit import bound, cli, whittle
 from evbandit.bound import BoundResult, solve_bound, _dual
 from evbandit.config import load_run_config
 from evbandit.model import CostChain
-from evbandit.whittle import (compute_index_table, solve_subsidy, subsidy_value_iteration,
-                              value_iteration_sweeps)
+from evbandit.whittle import (SubsidyProblem, compute_index_table, solve_subsidy,
+                              subsidy_value_iteration, value_iteration_sweeps)
 from conftest import TWO_STATE_COST, make_instance, periodic_two_cost_instance
 from oracles import (_solve_lp, activation_frequency, arm_mdp, basis_by_spsolve,
                      highs_outside_bracket, kronecker_occupancy_lp, lp_matrices,
-                     reference_occupancy_lp)
+                     reference_occupancy_lp, reference_solve_subsidy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS.parent / "perfbench" / "workloads"
@@ -71,6 +71,18 @@ def vacancy_case(name: str):
         _, nt, seed = name.split("-")
         return random_chain_instance(int(seed), int(nt))
     return periodic_instance() if name == "periodic" else four_period_instance()
+
+
+def solve_case(name: str):
+    """A ``vacancy_case``, fig4, a benchmark workload (workload/<name>), or the
+    long stay's shape at t_max 30, b_max 12 with uniform-feasible arrivals."""
+    if name.startswith("workload/"):
+        return load_run_config(WORKLOADS / f"{name.split('/')[1]}.json").instance
+    return make_instance(t_max=30, b_max=12) if name == "long_stay" else vacancy_case(name)
+
+
+SOLVE_CASES = [*VACANCY_CASES, "fig4_full_capacity.json", "long_stay",
+               *(f"workload/{p.stem}" for p in sorted(WORKLOADS.glob("*.json")))]
 
 
 def enumerate_deterministic_optimum(instance) -> float:
@@ -157,7 +169,8 @@ class TestExactDual:
         edges = np.concatenate([[0.0], kinks, [kinks[-1] + 1.0]])
         lams = (0.5 * (edges[:-1] + edges[1:]))[:pieces]
         pi, beta = inst.cost.stationary(), inst.discount
-        got = [(1 - beta) * pi @ solve_subsidy(inst, lam).activations[0, 0, :, 0] for lam in lams]
+        problem = SubsidyProblem.of(inst)
+        got = [(1 - beta) * pi @ solve_subsidy(problem, lam).activations[0, 0, :, 0] for lam in lams]
         want = [activation_frequency(inst, lam) for lam in lams]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert np.max(-np.diff(want)) > 1e-4  # a kink among them moves f
@@ -174,8 +187,9 @@ class TestExactDual:
         res = solve_bound(inst)
         assert res.lam > 0.0
         assert res.activation_frequency <= inst.capacity / inst.n_chargers
+        problem = SubsidyProblem.of(inst)
         for step in (-1e-7, 1e-7):
-            assert res.dual_value <= inst.n_chargers * _dual(inst, res.lam + step)[0]
+            assert res.dual_value <= inst.n_chargers * _dual(problem, res.lam + step)[0]
 
     @pytest.mark.parametrize("name", ["fig3_constant_cost.json", "dynamic_cost.json"])
     def test_at_most_ten_subsidy_solves(self, name, monkeypatch):
@@ -190,6 +204,49 @@ class TestExactDual:
         assert 1 <= len(calls) <= 10
 
 
+class TestSubsidyProblem:
+    """``solve_subsidy`` on a ``SubsidyProblem``, whose price-only parts one
+    ``solve_bound`` builds once and shares among its probes and certificate."""
+
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_bit_for_bit_the_per_call_build(self, name):
+        """All four arrays equal those of ``oracles.reference_solve_subsidy``,
+        which builds those parts on every call and adds a0 up in a loop, at
+        subsidies either side of 0, at lambda* and past every index."""
+        inst = solve_case(name)
+        table = compute_index_table(inst)
+        problem = SubsidyProblem.of(inst)
+        lam = solve_bound(inst, table=table).lam
+        for nu in (-0.1, 0.0, 0.3, lam, float(table.values.max()) + 1.0):
+            got, want = solve_subsidy(problem, nu), reference_solve_subsidy(inst, nu)
+            for field in ("values", "actions", "arrival_value", "activations"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (field, nu)
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_one_build_per_bound(self, verify, monkeypatch):
+        """One ``solve_bound``, plain or certified, builds one problem (and so
+        the price powers once), and every probe solves on it; ``whittle`` and
+        ``bound`` see the one class, so a spy on its constructor sees all."""
+        built, solves = [], []
+        build = SubsidyProblem.of
+
+        def counted_build(instance):
+            built.append(build(instance))
+            return built[-1]
+
+        def counted_solve(problem, nu):
+            solves.append(problem)
+            return solve_subsidy(problem, nu)
+
+        assert bound.SubsidyProblem is whittle.SubsidyProblem
+        monkeypatch.setattr(SubsidyProblem, "of", counted_build)
+        monkeypatch.setattr(bound, "solve_subsidy", counted_solve)
+        inst = shipped("dynamic_cost.json")
+        solve_bound(inst, verify=verify)
+        assert len(built) == 1 and built[0].instance is inst and len(solves) > 2
+        assert all(problem is built[0] for problem in solves)
+
+
 def wrong_hint(kind: str):
     """``bound._exact_dual`` with one thing made wrong: ``lambda`` moved to
     the next index value above the nearest one, the right piece's ``action``
@@ -197,9 +254,9 @@ def wrong_hint(kind: str):
     lies far above), or the dual ``value`` raised by 2e-4 per charger."""
     real = bound._exact_dual
 
-    def wrong(instance, table):
-        lam, value, freq, (act_lo, act_hi) = real(instance, table)
-        values = compute_index_table(instance).values
+    def wrong(problem, table):
+        lam, value, freq, (act_lo, act_hi) = real(problem, table)
+        values = compute_index_table(problem.instance).values
         if kind == "lambda":
             kinks = np.unique(values[values > 0])
             lam = float(kinks[np.argmin(np.abs(kinks - lam)) + 1])
@@ -289,11 +346,11 @@ class TestBasisSweep:
             rho=rng.uniform(0.0, 1.0, n_periods).tolist(), n_periods=n_periods,
         )
         if greedy:
-            act = solve_subsidy(inst, float(rng.uniform(0.0, 1.5))).actions
+            act = solve_subsidy(SubsidyProblem.of(inst), float(rng.uniform(0.0, 1.5))).actions
         else:
             act = rng.integers(0, 2, (t_max + 1, b_max + 1, k, n_periods)).astype(np.int8)
         lp, price = reference_occupancy_lp(inst), float(rng.uniform(0.0, 10.0))
-        x, y = bound._basis_solver(inst)[1](act, price)
+        x, y = bound._basis_solver(SubsidyProblem.of(inst))[1](act, price)
         want_x, want_y = basis_by_spsolve(lp, act, price)
         assert np.all(np.abs(x - want_x) <= 1e-12 * np.maximum(1.0, np.abs(want_x)))
         assert np.all(np.abs(y - want_y) <= 1e-12 * np.maximum(1.0, np.abs(want_y)))
@@ -366,7 +423,7 @@ class TestVacancyForm:
         inst = toy_dynamic if name == "toy_dynamic" else vacancy_case(name)
         ref = reference_occupancy_lp(inst)
         a_eq = lp_matrices(ref)[0].toarray()
-        (c, b_eq, budget), _, residual, reduced = bound._basis_solver(inst)
+        (c, b_eq, budget), _, residual, reduced = bound._basis_solver(SubsidyProblem.of(inst))
         for got, want in ((c, ref.c), (b_eq, ref.b_eq), (budget, ref.A_ub)):
             np.testing.assert_array_equal(got, want)
         rng = np.random.default_rng(len(name))
@@ -380,6 +437,14 @@ class TestVacancyForm:
         assert np.all(np.abs(residual(x) - (a_eq @ x - ref.b_eq)) <= 1e-12 * size)
         size = np.abs(ref.c) + np.abs(a_eq).T @ np.abs(y) + price * ref.A_ub
         assert np.all(np.abs(reduced(y, price) - (ref.c - a_eq.T @ y - price * ref.A_ub)) <= 1e-12 * size)
+
+    @pytest.mark.parametrize("name", VACANCY_CASES)
+    def test_stores_no_zero_and_lp_entries_counts_it(self, name):
+        inst = vacancy_case(name)
+        ref = reference_occupancy_lp(inst)
+        a_eq = lp_matrices(ref)[0]
+        assert ref.A_eq[2].size == a_eq.nnz == bound.lp_entries(inst)
+        assert np.all(ref.A_eq[2] != 0.0) and np.all(a_eq.data != 0.0)
 
     def test_under_half_the_nonzeros(self):
         inst = periodic_instance()
@@ -423,7 +488,7 @@ class TestLimits:
 
         inst = dataclasses.replace(toy_dynamic, capacity=toy_dynamic.n_chargers)
         res = solve_bound(inst, verify=True)
-        sol = solve_subsidy(inst, 0.0)
+        sol = solve_subsidy(SubsidyProblem.of(inst), 0.0)
         pi = inst.cost.stationary()
         v0 = float(pi @ sol.values[0, 0, :, 0])
         assert res.value == pytest.approx(inst.n_chargers * v0, abs=1e-6)

@@ -249,7 +249,8 @@ class TestSizeBudget:
     def test_lp_entries_count_the_built_matrix(self, rho):
         n_periods = len(rho) if isinstance(rho, list) else 1
         inst = make_instance(t_max=4, b_max=3, rho=rho, cost=TWO_STATE_COST, n_periods=n_periods)
-        assert lp_entries(inst) == lp_matrices(reference_occupancy_lp(inst))[0].count_nonzero()
+        a_eq = lp_matrices(reference_occupancy_lp(inst))[0]
+        assert lp_entries(inst) == a_eq.nnz and np.all(a_eq.data != 0.0)
 
     def test_counting_lp_entries_builds_no_lp(self, tmp_path):
         # a 12-hour stay in 5-minute slots: 1 + 144 * 61 charger states, whose

@@ -39,10 +39,10 @@ LIBRARY = """\
 import json, sys
 import evbandit
 from evbandit.config import load_run_config
-from evbandit.whittle import solve_subsidy
+from evbandit.whittle import SubsidyProblem, solve_subsidy
 inst = load_run_config(sys.argv[1]).instance
 evbandit.compute_index_table(inst)
-solve_subsidy(inst, 0.3)
+solve_subsidy(SubsidyProblem.of(inst), 0.3)
 evbandit.subsidy_value_iteration(inst, 0.3)
 print(json.dumps(sorted(m for m in sys.modules if m.startswith(sys.argv[2]))))
 """

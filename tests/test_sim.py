@@ -17,7 +17,7 @@ from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit import sim
 from evbandit.config import load_run_config
 from evbandit.sim import POLICY_NAMES, _mean_ci, default_horizon, monte_carlo
-from evbandit.whittle import IndexTable, compute_index_table, solve_subsidy
+from evbandit.whittle import IndexTable, SubsidyProblem, compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance
 from oracles import (
     brute_force_joint_dp,
@@ -335,7 +335,7 @@ class TestExactOracles:
     def test_dp_decouples_at_full_capacity(self, toy_dynamic):
         full = dataclasses.replace(toy_dynamic, capacity=toy_dynamic.n_chargers)
         dp, _ = brute_force_joint_dp(full, tol=1e-9)
-        sol = solve_subsidy(full, 0.0)
+        sol = solve_subsidy(SubsidyProblem.of(full), 0.0)
         pi = full.cost.stationary()
         per_arm = float(pi @ sol.values[0, 0, :, 0])
         assert dp == pytest.approx(full.n_chargers * per_arm, abs=1e-6)

@@ -12,6 +12,7 @@ from evbandit.model import ArrivalModel, CostChain, Instance, PenaltyFunction
 from evbandit.pwl import combine
 from evbandit.whittle import (
     IndexTable,
+    SubsidyProblem,
     _table_key,
     compute_index_table,
     index_by_bisection,
@@ -318,7 +319,7 @@ class TestGeometryOfG:
         for inst in (toy_dynamic, ULP_DROP):
             gs = collected_g(inst)
             for nu in (-0.6, -0.1, 0.0, 0.4, 1.1, 2.5):
-                sol = solve_subsidy(inst, nu)
+                sol = solve_subsidy(SubsidyProblem.of(inst), nu)
                 for j in range(2):
                     for b in range(0, 3):
                         want = sol.values[1, b + 1, j, 0] - sol.values[1, b, j, 0]
@@ -332,7 +333,7 @@ class TestGeometryOfG:
             (t, b, j, 0) for t in range(1, 4) for b in range(3) for j in range(2)
         }
         for nu in (-0.45, 0.0, 0.35, 1.3):
-            sol = solve_subsidy(toy_dynamic, nu)
+            sol = solve_subsidy(SubsidyProblem.of(toy_dynamic), nu)
             for (t, b, h, j, tau) in g_h_keys(gs, toy_dynamic.b_max):
                 want = sol.values[t, b + h, j, tau] - sol.values[t, b, j, tau]
                 got = g_h(gs, t, b, h, j, tau)(nu)
@@ -353,7 +354,7 @@ class TestGeometryOfG:
         assert any(b == 0 for (_, b, _, _) in falling)
         for (t, b, j, tau) in falling:
             nu = 0.5 * (v[t, b, j, tau] + v[t, b + 1, j, tau])
-            sol = solve_subsidy(toy_dynamic, nu)
+            sol = solve_subsidy(SubsidyProblem.of(toy_dynamic), nu)
             want = sol.values[t, b + 1, j, tau] - sol.values[t, b, j, tau]
             assert gs[(t, b, j, tau)](nu) == pytest.approx(want, abs=1e-8), (t, b, j, tau)
 
@@ -377,7 +378,7 @@ class TestGeometryOfG:
 class TestSubsidySolvers:
     @pytest.mark.parametrize("nu", [-0.4, 0.0, 0.7])
     def test_exact_solver_matches_value_iteration(self, toy_dynamic, nu):
-        sol = solve_subsidy(toy_dynamic, nu)
+        sol = solve_subsidy(SubsidyProblem.of(toy_dynamic), nu)
         v, _ = subsidy_value_iteration(toy_dynamic, nu, tol=1e-9)
         for j in range(2):
             for tau in range(1):
@@ -395,8 +396,8 @@ class TestSubsidySolvers:
         for state in [(3, 2, 0, 0), (2, 1, 1, 0), (4, 3, 1, 0)]:
             t, b, j, tau = state
             star = float(toy_table.values[state])
-            below = solve_subsidy(toy_dynamic, star - 1e-6)
-            above = solve_subsidy(toy_dynamic, star + 1e-6)
+            below = solve_subsidy(SubsidyProblem.of(toy_dynamic), star - 1e-6)
+            above = solve_subsidy(SubsidyProblem.of(toy_dynamic), star + 1e-6)
             assert below.actions[t, b, j, tau] == 1
             assert above.actions[t, b, j, tau] == 0
 
@@ -406,7 +407,7 @@ class TestSubsidySolvers:
         assert len(batch) == toy_dynamic.t_max
         for i, nu in enumerate(nus):
             single = list(subsidy_pass(toy_dynamic, [nu]))
-            actions = solve_subsidy(toy_dynamic, nu).actions
+            actions = solve_subsidy(SubsidyProblem.of(toy_dynamic), nu).actions
             for t, ((u, act), (u1, _)) in enumerate(zip(batch, single), 1):
                 assert u.shape == act.shape == (len(nus), 4, 2, 1)
                 np.testing.assert_allclose(u[i], u1[0], rtol=0, atol=1e-12)
@@ -415,7 +416,7 @@ class TestSubsidySolvers:
     def test_arrival_value_is_consistent(self, toy_dynamic):
         # A(j, tau) = (1-rho) V(empty) + rho E_type V(T, B), all at (j, tau)
         nu = 0.2
-        sol = solve_subsidy(toy_dynamic, nu)
+        sol = solve_subsidy(SubsidyProblem.of(toy_dynamic), nu)
         rho = toy_dynamic.arrivals.rho_for(0)
         pmf = toy_dynamic.arrivals.pmf_for(0)
         for j in range(2):
