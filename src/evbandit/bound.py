@@ -4,19 +4,20 @@ Relaxing the per-slot capacity constraint to a discounted time-average budget
 decouples the chargers.  The bound is the Lagrangian dual of the resulting
 single-charger constrained MDP: price the budget at lambda, solve the
 unconstrained subsidy problem exactly, and find the convex dual's exact
-minimiser among its kinks, the index table's values, without scipy.  The
-probes and the certificate share one ``SubsidyProblem``, built once a bound.
+minimiser by cutting planes on its own probes (Kelley 1960), with no index
+table or scipy.  The probes and the certificate share one ``SubsidyProblem``.
 
 ``solve_bound(..., verify=True)`` certifies it on the occupancy LP, max c.x
 s.t. A_eq x = b_eq, a.x <= M/N, x >= 0, with numpy alone.  The basis (x(s,
-a(s)) and every z) of the greedy policy either side of lambda* gives its
-occupancy and, at the LP price lambda* / (1 - beta), duals y, exactly: by
-sweeps over the lead time, which falls by one a slot whatever the action, and
-one K N_tau system for z.  The optimum lies between c.x, x the occupancies'
-mix at which the budget binds, and b_eq.y + price M/N + 2 max(r, 0), r the
-reduced costs (c.x = b_eq.y + price a.x + r.x; sum x + sum z <= 2 if x is
-feasible), whatever the hints: a wrong one only widens the bracket, which
-must lie within 1e-4 of the dual.
+a(s)) and every z) of a policy gives its occupancy and, at the LP price
+lambda* / (1 - beta), duals y, exactly: by sweeps over the lead time, which
+falls by one a slot whatever the action, and one K N_tau system for z.  The
+optimum lies between c.x, x the occupancies' mix at which the budget binds
+(of the policy greedy at lambda* and of the search's other end, whose line
+also touches the dual there), and b_eq.y + price M/N + 2 max(r, 0), y the
+greedy policy's and r the reduced costs (c.x = b_eq.y + price a.x + r.x; sum
+x + sum z <= 2 if x is feasible), whatever the hints: a wrong one only
+widens the bracket, which must lie within 1e-4 of the dual.
 
 The LP is written in vacancy form on ``model.extended_moves``' states s =
 (cs K + j) N_tau + tau: x(s, a) is the discounted frequency (1-beta) E sum
@@ -38,13 +39,12 @@ system.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Instance, charger_law, extended_moves
-from .whittle import IndexTable, SubsidyProblem, compute_index_table, solve_subsidy
+from .whittle import SubsidyProblem, solve_subsidy
 
 __all__ = ["BoundResult", "lp_entries", "solve_bound"]
 
@@ -56,7 +56,7 @@ class BoundResult:
     """``value``, ``dual_value`` and the LP's bracket [``lp_value``, ``lp_upper``]
     are N times per-charger values.  ``lam`` is the dual's exact minimiser and
     ``activation_frequency`` the per-charger (1-beta) E sum beta^t a_t of the
-    lam-greedy policy, ties passive, so at most M/N.  The bracket is set only
+    greedy policy right of lam, so at most M/N.  The bracket is set only
     when the LP certified the dual, and ``method`` is then "both"."""
 
     value: float
@@ -109,7 +109,7 @@ def _basis_solver(problem: SubsidyProblem):
     c = np.concatenate([np.repeat(law.reward.reshape(2, -1), nt, axis=1).ravel(), np.zeros(m)])
     c /= 1.0 - beta
     b_eq = np.zeros(n + m)
-    b_eq[:m:nt] = (1.0 - beta) * instance.cost.stationary()
+    b_eq[:m:nt] = (1.0 - beta) * problem.stationary
     budget = np.repeat([0.0, 1.0, 0.0], [n, n, m])
     lead = np.repeat(law.T, m)
     edges = np.searchsorted(lead, np.arange(t_max + 2))  # lead time T: ids edges[T] to edges[T+1]
@@ -155,17 +155,17 @@ def _basis_solver(problem: SubsidyProblem):
 
 
 def _certify(problem: SubsidyProblem, price: float, hints, value: float) -> tuple[float, float]:
-    """(lower, upper): the module docstring's bracket from the greedy
-    ``SubsidySolution.actions`` ``hints`` either side of the budget ``price``
-    (the left None at price 0).  RuntimeError if the occupancy is infeasible
-    or an end lies over 1e-4 from ``value``."""
+    """(lower, upper): the module docstring's bracket at the budget ``price``
+    from ``_exact_dual``'s ``hints`` (the other end's policy, None at price 0,
+    and the one greedy at lambda*).  RuntimeError if the occupancy is
+    infeasible or an end lies over 1e-4 from ``value``."""
     (c, b_eq, budget), solve, residual, reduced = _basis_solver(problem)
     share = problem.instance.capacity / problem.instance.n_chargers
     x, y = solve(hints[1], price)
     upper = float(b_eq @ y + price * share + 2.0 * max(reduced(y, price).max(), 0.0))
-    if hints[0] is not None and budget @ x < share:
-        x_lo = solve(hints[0], price)[0]
-        x += (share - budget @ x) / (budget @ (x_lo - x)) * (x_lo - x)
+    if hints[0] is not None and budget @ x != share:
+        x_end = solve(hints[0], price)[0]
+        x += (share - budget @ x) / (budget @ (x_end - x)) * (x_end - x)
     lower = float(c @ x)
     gap = max(np.abs(residual(x)).max(), -x.min(), budget @ x - share)
     if gap > FEASIBILITY_TOL or max(abs(lower - value), abs(upper - value)) > 1e-4:
@@ -182,62 +182,62 @@ def _dual(problem: SubsidyProblem, lam: float) -> tuple[float, float, np.ndarray
     ``actions`` is the greedy policy (``SubsidySolution.actions``, ties passive).
     """
     inst, sol = problem.instance, solve_subsidy(problem, lam)
-    pi, beta, share = inst.cost.stationary(), inst.discount, inst.capacity / inst.n_chargers
+    pi, beta, share = problem.stationary, inst.discount, inst.capacity / inst.n_chargers
     v0 = float(pi @ sol.values[0, 0, :, 0])
     f = (1.0 - beta) * float(pi @ sol.activations[0, 0, :, 0])
     return v0 - lam * (1.0 - share) / (1.0 - beta), f, sol.actions
 
 
-def _exact_dual(problem: SubsidyProblem, table: IndexTable | None):
-    """(lambda*, dual(lambda*), f, hints) by a search over the dual's kinks.
+def _exact_dual(problem: SubsidyProblem):
+    """(lambda*, dual(lambda*), f, hints) by exact cutting planes in lambda.
 
-    The dual is convex and piecewise linear, with its kinks at the index
-    values: the greedy policy changes only where some state's index equals
-    lambda.  At the midpoints between consecutive distinct positive values
-    (and past the largest) no state is indifferent, up to the table's
-    rounding.  lambda* is 0 if f just above 0 is at most M/N, else the kink
-    where f falls to M/N, found by bisection over the pieces and placed where
-    the lines of its two pieces meet, not at the table's rounded value.  The
-    dual is evaluated at lambda* itself, an upper bound whatever that
-    rounding; f is that of the piece right of lambda*, so f <= M/N.  ``hints``:
-    ``_certify``'s, the pieces' actions either side.  A ``table`` of None is built.
+    Each probe ``_dual(lambda)`` gives the line of the convex piecewise-linear
+    dual's piece there, one per greedy policy, slope (M/N - f) / (1 - beta).
+    lambda* is 0 if f(0) <= M/N.  Else the bracket [lo, hi], f > M/N at lo
+    and <= M/N at hi, starts at 0 and where f, taken linear from f(0) at 0 to
+    0 at ``top`` (the activation gain's bound, past which every state is
+    passive), falls to M/N; or there and at 2 ``top`` if f is still above M/N.
+    Each step probes where the ends' lines meet.  A greedy policy there that
+    is an end's (as at an end) puts both lines on the dual there: that is the
+    minimiser, already evaluated.  Any other probe lies strictly inside and
+    replaces the end on its side of M/N, so the bracket shrinks and the search
+    ends, with no cap and no tolerance.  f is hi's, so f <= M/N; ``hints``,
+    ``_certify``'s, are the other end's policy and the one greedy at lambda*.
     """
     inst = problem.instance
     share = inst.capacity / inst.n_chargers
-    values = (compute_index_table(inst) if table is None else table).values
-    kinks = np.sort(values[values > 0])  # np.unique would import numpy.ma
-    kinks = kinks[np.diff(kinks, prepend=0.0) > 0]
-    edges = np.concatenate([[0.0], kinks, [kinks.max(initial=0.0) + 1.0]])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    piece = functools.cache(lambda i: _dual(problem, float(mids[i])))
+    lo = (0.0, *_dual(problem, 0.0))
+    if lo[2] <= share:
+        return 0.0, lo[1], lo[2], (None, lo[3])
+    top = 1.0 + inst.penalty.max_increment + float(np.abs(inst.cost.values).max())
+    lam = top * (1.0 - share / lo[2])
+    hi = (lam, *_dual(problem, lam))
+    if hi[2] > share:
+        lo, hi = hi, (2.0 * top, *_dual(problem, 2.0 * top))
+    while True:
+        (l0, d0, f0, _), (l1, d1, f1, _) = lo, hi
+        # the ends' lines d + (M/N - f) (lambda - l) / (1 - beta) meet at lambda
+        lam = l1 + ((d1 - d0) * (1.0 - inst.discount) + (share - f0) * (l0 - l1)) / (f1 - f0)
+        lam = float(np.clip(lam, l0, l1))
+        probe = lo if lam == l0 else hi if lam == l1 else (lam, *_dual(problem, lam))
+        for end, other in ((lo, hi), (hi, lo)):
+            if np.array_equal(probe[3], end[3]):
+                return lam, probe[1], f1, (other[3], probe[3])
+        lo, hi = (probe, hi) if probe[2] > share else (lo, probe)
 
-    if piece(0)[1] <= share:
-        return 0.0, _dual(problem, 0.0)[0], piece(0)[1], (None, piece(0)[2])
-    lo, hi = 0, mids.size - 1  # f > M/N on piece lo; past every index f = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if piece(mid)[1] > share else (lo, mid)
-    (d_lo, f_lo, act_lo), (d_hi, f_hi, act_hi) = piece(lo), piece(hi)
-    # the two lines d + (M/N - f) (lambda - mid) / (1 - beta) meet at lambda*
-    lam = ((d_hi - d_lo) * (1.0 - inst.discount) + (share - f_lo) * mids[lo]
-           - (share - f_hi) * mids[hi]) / (f_hi - f_lo)
-    lam = float(np.clip(lam, mids[lo], mids[hi]))
-    return lam, _dual(problem, lam)[0], f_hi, (act_lo, act_hi)
 
-
-def solve_bound(instance: Instance, verify: bool = False,
-                table: IndexTable | None = None) -> BoundResult:
+def solve_bound(instance: Instance, verify: bool = False) -> BoundResult:
     """Upper bound on the N-charger discounted reward: N x relaxed value.
 
-    The exact dual of ``_exact_dual``: a search over the index table's kinks
-    (built when ``table`` is None), each evaluation an exact subsidy solve on
-    the one ``SubsidyProblem`` of ``instance`` that the certificate also reads.
-    With ``verify`` the occupancy LP certifies it (module docstring): a
+    The exact dual of ``_exact_dual``: cutting planes on the dual's own
+    probes, each an exact subsidy solve on the one ``SubsidyProblem`` of
+    ``instance`` that the certificate also reads; no index table.  With
+    ``verify`` the occupancy LP certifies it (module docstring): a
     RuntimeError is raised unless the bracket [``lp_value``, ``lp_upper``]
     lies within 1e-4 per charger of the dual.
     """
     n, problem = instance.n_chargers, SubsidyProblem.of(instance)
-    lam, dual_value, freq, hints = _exact_dual(problem, table)
+    lam, dual_value, freq, hints = _exact_dual(problem)
     result = BoundResult(n * dual_value, lam, n * dual_value, freq)
     if verify:
         price = lam / (1.0 - instance.discount)

@@ -8,9 +8,10 @@ LP certificate, or a valley planner's LP solver that gave up).
 oracle ``index_by_bisection``; ``bound --verify-oracle`` certifies the dual on the LP.
 A flag given replaces its config key (``load_run_config``'s overrides), and a
 config's ``"verify_oracle": true`` turns the check on for both commands.
-``index`` always builds the index table; ``bound``, and ``simulate`` with a
-Whittle policy, reuse the one ``index`` wrote to ``--out`` when it is keyed to
-this version and instance (``IndexTable.from_json``), else build it, and say which.
+``index`` always builds the index table; ``simulate`` with a Whittle policy
+reuses the one ``index`` wrote to ``--out`` when it is keyed to this version and
+instance (``IndexTable.from_json``), else builds it, and says which; ``bound``
+reads no table.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ def _out_dir(arg) -> Path:
     return out
 
 
-def _saved_table(out: Path, instance) -> IndexTable | None:
-    path = out / "index_table.json"
-    table = IndexTable.from_json(path, instance)
-    _say(f"reused {path}" if table is not None
-         else f"building the index table: no {path} for this instance")
-    return table
-
-
 def cmd_index(args) -> int:
     cfg = load_run_config(args.config, verify_oracle=args.verify_oracle)
     inst = cfg.instance
@@ -105,8 +98,12 @@ def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config, seeds=args.seeds, baseline=args.paired_baseline)
     out = _out_dir(args.out)
     t0 = time.perf_counter()
-    needs_table = any(p.startswith("whittle") for p in cfg.policies)
-    table = _saved_table(out, cfg.instance) if needs_table else None
+    table = None
+    if any(p.startswith("whittle") for p in cfg.policies):
+        path = out / "index_table.json"
+        table = IndexTable.from_json(path, cfg.instance)
+        _say(f"reused {path}" if table is not None
+             else f"building the index table: no {path} for this instance")
     try:
         report = monte_carlo(
             cfg.instance,
@@ -139,9 +136,8 @@ def cmd_bound(args) -> int:
     cfg = load_run_config(args.config, verify_oracle=args.verify_oracle)
     out = _out_dir(args.out)
     t0 = time.perf_counter()
-    table = _saved_table(out, cfg.instance)
     try:
-        res = solve_bound(cfg.instance, cfg.verify_oracle, table)
+        res = solve_bound(cfg.instance, cfg.verify_oracle)
     except RuntimeError as e:
         raise VerificationError(str(e)) from e
     doc = {

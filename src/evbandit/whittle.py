@@ -15,10 +15,10 @@ Two routes to the same number (the paper's constant-cost formula is an oracle in
    Only g_1 is carried: a wider difference telescopes, g_h(T,B) =
    sum_{i<h} g_1(T,B+i), and g_2(T-1,B-1) is g_1(T-1,B-1) + g_1(T-1,B).
 2. ``index_by_bisection``: oracle that bisects every state's activation
-   threshold at once on ``subsidy_pass``, the exact backward pass that
-   ``solve_subsidy`` also runs, on a ``SubsidyProblem`` built once per bound
-   for all its probes.  Independent of the PWL algebra; ``index
-   --verify-oracle`` checks the whole table against it.
+   threshold at once on ``subsidy_pass`` of the instance itself, the exact
+   backward pass that ``solve_subsidy`` also runs for each of the bound's
+   probes.  Independent of the PWL algebra; ``index --verify-oracle``
+   checks the whole table against it.
    The tests also bisect on ``subsidy_value_iteration`` (``tests/oracles.py``),
    value iteration on the entries of ``model.extended_moves``, the slow route
    independent of both.
@@ -315,17 +315,19 @@ class SubsidySolution:
 
 @dataclass(frozen=True, eq=False)
 class SubsidyProblem:
-    """What ``solve_subsidy`` reads that does not depend on nu, built once by
-    ``of``: ``price_powers[t]`` = m1^t, t = 0..t_max, m1 moving price state (j,
-    tau), id j N_tau + tau, to (k, tau + 1) with weight beta P_tau(j, k);
-    ``cost_t``, the P_tau transposed; ``system``, I - G; and per period tau
-    (arrivals of tau - 1) ``stay`` = 1 - rho and ``arrivals``, (n, N_tau) arrays
-    T', B' and rho pmf(T', B') over the nonzeros in row-major order, padded by
-    weight -0.0 at (0, 0), +0.0 when a0 is formed: a sum gains -0.0, no bit."""
+    """What ``solve_subsidy`` and the bound read that does not depend on nu,
+    built once by ``of``: ``price_powers[t]`` = m1^t, t = 0..t_max, m1 moving
+    price state (j, tau), id j N_tau + tau, to (k, tau + 1) with weight beta
+    P_tau(j, k); ``cost_t``, the P_tau transposed; ``stationary``, the cost
+    law pi; ``system``, I - G; and per period tau (arrivals of tau - 1)
+    ``stay`` = 1 - rho and ``arrivals``, (n, N_tau) arrays T', B' and rho
+    pmf(T', B') over the nonzeros in row-major order, padded by weight -0.0
+    at (0, 0), +0.0 when a0 is formed: a sum gains -0.0, no bit."""
 
     instance: Instance
     price_powers: list[np.ndarray]
     cost_t: list[np.ndarray]
+    stationary: np.ndarray
     system: np.ndarray
     stay: np.ndarray
     arrivals: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -350,7 +352,7 @@ class SubsidyProblem:
             tp, bp = np.nonzero(pmf)
             at[:, : tp.size, tau], weight[: tp.size, tau] = (tp, bp), rho[tau] * pmf[tp, bp]
         return cls(inst, powers, [inst.cost.matrix_for(tau).T for tau in range(nt)],
-                   np.eye(e) - g_mat, 1.0 - rho, (*at, weight))
+                   inst.cost.stationary(), np.eye(e) - g_mat, 1.0 - rho, (*at, weight))
 
 
 def solve_subsidy(problem: SubsidyProblem, nu: float) -> SubsidySolution:

@@ -29,14 +29,17 @@ with scipy's sparse LU, the referee of the certificate's sweeps;
 ``closed_form_index`` is the paper's formula for the index under constant
 cost, kept as an oracle; ``reference_index_table`` is
 ``compute_index_table`` as it was when a combine formed the root functions,
-and ``reference_solve_subsidy`` ``whittle.solve_subsidy`` as it was when
-every call built its own price powers, G and arrival mix.
+``reference_solve_subsidy`` ``whittle.solve_subsidy`` as it was when
+every call built its own price powers, G and arrival mix, and
+``reference_exact_dual`` ``bound._exact_dual`` as it was when it searched
+the index table's kinks.
 Tests import this module as ``oracles`` (``tests/`` is on ``sys.path``);
 pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from types import SimpleNamespace
@@ -44,7 +47,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from evbandit import whittle
-from evbandit.bound import BoundResult
+from evbandit.bound import BoundResult, _dual
 from evbandit.model import ChargerLaw, Instance, PenaltyFunction, charger_law
 from evbandit.policies import edf_key, llf_key, lllp_kernel, select_by_key, whittle_key
 from evbandit.pwl import PWLBatch
@@ -382,6 +385,45 @@ def reference_solve_subsidy(instance: Instance, nu: float) -> whittle.SubsidySol
     local[:, 0, 0] = empty + d[1]
     return whittle.SubsidySolution(local[0], act, a_vec[:, 0].reshape(K, nt), local[1])
 
+
+
+def reference_exact_dual(problem: whittle.SubsidyProblem, table: IndexTable | None):
+    """(lambda*, dual(lambda*), f, hints) by a search over the dual's kinks.
+
+    The dual is convex and piecewise linear, with its kinks at the index
+    values: the greedy policy changes only where some state's index equals
+    lambda.  At the midpoints between consecutive distinct positive values
+    (and past the largest) no state is indifferent, up to the table's
+    rounding.  lambda* is 0 if f just above 0 is at most M/N, else the kink
+    where f falls to M/N, found by bisection over the pieces and placed where
+    the lines of its two pieces meet, not at the table's rounded value.  The
+    dual is evaluated at lambda* itself, an upper bound whatever that
+    rounding; f is that of the piece right of lambda*, so f <= M/N.  ``hints``:
+    the pieces' actions either side.  A ``table`` of None is built.
+    ``bound._exact_dual`` as it was before its cutting-plane search, the
+    referee of that search.
+    """
+    inst = problem.instance
+    share = inst.capacity / inst.n_chargers
+    values = (compute_index_table(inst) if table is None else table).values
+    kinks = np.sort(values[values > 0])  # np.unique would import numpy.ma
+    kinks = kinks[np.diff(kinks, prepend=0.0) > 0]
+    edges = np.concatenate([[0.0], kinks, [kinks.max(initial=0.0) + 1.0]])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    piece = functools.cache(lambda i: _dual(problem, float(mids[i])))
+
+    if piece(0)[1] <= share:
+        return 0.0, _dual(problem, 0.0)[0], piece(0)[1], (None, piece(0)[2])
+    lo, hi = 0, mids.size - 1  # f > M/N on piece lo; past every index f = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if piece(mid)[1] > share else (lo, mid)
+    (d_lo, f_lo, act_lo), (d_hi, f_hi, act_hi) = piece(lo), piece(hi)
+    # the two lines d + (M/N - f) (lambda - mid) / (1 - beta) meet at lambda*
+    lam = ((d_hi - d_lo) * (1.0 - inst.discount) + (share - f_lo) * mids[lo]
+           - (share - f_hi) * mids[hi]) / (f_hi - f_lo)
+    lam = float(np.clip(lam, mids[lo], mids[hi]))
+    return lam, _dual(problem, lam)[0], f_hi, (act_lo, act_hi)
 
 @dataclass
 class OccupancyLP:

@@ -15,7 +15,7 @@ from evbandit.whittle import (SubsidyProblem, compute_index_table, solve_subsidy
 from conftest import TWO_STATE_COST, make_instance, periodic_two_cost_instance
 from oracles import (_solve_lp, activation_frequency, arm_mdp, basis_by_spsolve,
                      highs_outside_bracket, kronecker_occupancy_lp, lp_matrices,
-                     reference_occupancy_lp, reference_solve_subsidy)
+                     reference_exact_dual, reference_occupancy_lp, reference_solve_subsidy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS.parent / "perfbench" / "workloads"
@@ -203,6 +203,81 @@ class TestExactDual:
         solve_bound(shipped(name))
         assert 1 <= len(calls) <= 10
 
+    @pytest.mark.parametrize("name", ["toy.json", "fig3_constant_cost.json",
+                                      "fig4_full_capacity.json", "workload/fig3_sim",
+                                      "workload/small_exact", "long_stay"])
+    def test_one_subsidy_solve_where_lambda_is_zero(self, name, monkeypatch):
+        """f(0) <= M/N settles lambda* = 0 with the probe at 0 alone."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_subsidy(*args, **kwargs)
+
+        monkeypatch.setattr(bound, "solve_subsidy", counted)
+        assert solve_bound(solve_case(name)).lam == 0.0
+        assert len(calls) == 1
+
+
+def check_against_the_kink_search(inst):
+    """``bound._exact_dual`` against ``oracles.reference_exact_dual``, the
+    search over the index table's kinks: the dual within 1e-12 of its terms'
+    size (V(mu0) and lambda (1 - M/N) / (1 - beta) cancel where it is near 0),
+    a certificate from the new hints, and f that of the dual's piece right of
+    lambda*: at most M/N, and at least f a 1e-9 step right of lambda*, less
+    1e-15, since indexes tied in exact arithmetic part by rounding into pieces
+    narrower than that step, and f's rounding differs between policies that
+    differ where no charger goes.  Returns both searches' (lambda*, f)."""
+    problem, share = SubsidyProblem.of(inst), inst.capacity / inst.n_chargers
+    lam, value, freq, hints = bound._exact_dual(problem)
+    want_lam, want_value, want_freq, _ = reference_exact_dual(problem, None)
+    size = abs(want_value) + want_lam / (1.0 - inst.discount)
+    assert abs(value - want_value) <= 1e-12 * size
+    assert _dual(problem, lam + 1e-9 * max(1.0, lam))[1] - 1e-15 <= freq <= share
+    bound._certify(problem, lam / (1.0 - inst.discount), hints, value)
+    return (lam, freq), (want_lam, want_freq)
+
+
+class TestCuttingPlanes:
+    """The cutting-plane search against the kink search it replaced, which
+    read the index table, and a bound that builds no table."""
+
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_agrees_with_the_kink_search(self, name):
+        (lam, freq), (want_lam, want_freq) = check_against_the_kink_search(solve_case(name))
+        assert freq == want_freq and lam == pytest.approx(want_lam, rel=1e-12)
+
+    def test_agrees_at_every_capacity_of_dynamic_cost(self):
+        """At M = 0 lambda* is the largest index, the right-hand slope 0."""
+        import dataclasses
+
+        inst = shipped("dynamic_cost.json")
+        lams = []
+        for m in range(inst.n_chargers + 1):
+            (lam, freq), (want_lam, want_freq) = check_against_the_kink_search(
+                dataclasses.replace(inst, capacity=m))
+            assert freq == want_freq and lam == pytest.approx(want_lam, rel=1e-12)
+            lams.append(lam)
+        assert lams[0] == pytest.approx(compute_index_table(inst).values.max(), rel=1e-12)
+        assert lams[-1] == 0.0 and all(np.diff(lams) <= 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_periods=st.integers(1, 3), capacity=st.integers(0, 4))
+    def test_agrees_on_random_chains(self, seed, n_periods, capacity):
+        import dataclasses
+
+        inst = random_chain_instance(seed, n_periods)
+        check_against_the_kink_search(dataclasses.replace(inst, capacity=capacity))
+
+    def test_certified_without_an_index_table(self, monkeypatch):
+        def no_table(instance):
+            raise AssertionError("the bound reads no index table")
+
+        for module in (whittle, bound):  # bound has no such name to patch now
+            monkeypatch.setattr(module, "compute_index_table", no_table, raising=False)
+        for name in ("toy.json", "dynamic_cost.json"):
+            assert solve_bound(shipped(name), verify=True).method == "both"
+
 
 class TestSubsidyProblem:
     """``solve_subsidy`` on a ``SubsidyProblem``, whose price-only parts one
@@ -216,7 +291,7 @@ class TestSubsidyProblem:
         inst = solve_case(name)
         table = compute_index_table(inst)
         problem = SubsidyProblem.of(inst)
-        lam = solve_bound(inst, table=table).lam
+        lam = solve_bound(inst).lam
         for nu in (-0.1, 0.0, 0.3, lam, float(table.values.max()) + 1.0):
             got, want = solve_subsidy(problem, nu), reference_solve_subsidy(inst, nu)
             for field in ("values", "actions", "arrival_value", "activations"):
@@ -249,24 +324,25 @@ class TestSubsidyProblem:
 
 def wrong_hint(kind: str):
     """``bound._exact_dual`` with one thing made wrong: ``lambda`` moved to
-    the next index value above the nearest one, the right piece's ``action``
-    flipped at the state of the largest index (active at lambda*, whose index
-    lies far above), or the dual ``value`` raised by 2e-4 per charger."""
+    the next index value above the nearest one, the ``action`` greedy at
+    lambda* flipped at the state of the largest index (active at lambda*,
+    whose index lies far above), or the dual ``value`` raised by 2e-4 per
+    charger."""
     real = bound._exact_dual
 
-    def wrong(problem, table):
-        lam, value, freq, (act_lo, act_hi) = real(problem, table)
+    def wrong(problem):
+        lam, value, freq, (other, act) = real(problem)
         values = compute_index_table(problem.instance).values
         if kind == "lambda":
             kinks = np.unique(values[values > 0])
             lam = float(kinks[np.argmin(np.abs(kinks - lam)) + 1])
         elif kind == "action":
             assert values.max() > lam + 0.1
-            act_hi = act_hi.copy()
-            act_hi[np.unravel_index(np.argmax(values), values.shape)] ^= 1
+            act = act.copy()
+            act[np.unravel_index(np.argmax(values), values.shape)] ^= 1
         else:
             value += 2e-4
-        return lam, value, freq, (act_lo, act_hi)
+        return lam, value, freq, (other, act)
 
     return wrong
 
@@ -300,17 +376,16 @@ class TestCertificate:
             return solve_subsidy(*args, **kwargs)
 
         inst = shipped("dynamic_cost.json")
-        table = compute_index_table(inst)
         monkeypatch.setattr(bound, "solve_subsidy", counted)
-        solve_bound(inst, table=table)
+        solve_bound(inst)
         plain = len(calls)
-        solve_bound(inst, verify=True, table=table)
+        solve_bound(inst, verify=True)
         assert len(calls) == 2 * plain
 
     @pytest.mark.parametrize("kind", ["lambda", "action", "value"])
     def test_wrong_hint_fails(self, kind, monkeypatch):
         inst = shipped("dynamic_cost.json")
-        assert solve_bound(inst).lam > 0.0  # both pieces' policies are hints
+        assert solve_bound(inst).lam > 0.0  # both ends' policies are hints
         monkeypatch.setattr(bound, "_exact_dual", wrong_hint(kind))
         with pytest.raises(RuntimeError, match="LP bracket"):
             solve_bound(inst, verify=True)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evbandit import bound, cli, sim, whittle
+from evbandit import cli, sim, whittle
 from evbandit.config import instance_from_dict, load_run_config
 from evbandit.pwl import PWLBatch
 from evbandit.whittle import IndexTable
@@ -242,7 +242,7 @@ class TestBoundCommand:
         assert doc["lp_value"] == pytest.approx(doc["dual_value"], abs=1e-4)
 
     def test_cross_check_failure_exits_3(self, tiny_config, tmp_path, monkeypatch, capsys):
-        def boom(inst, verify=False, table=None):
+        def boom(inst, verify=False):
             raise RuntimeError("LP and dual disagree")
 
         monkeypatch.setattr(cli, "solve_bound", boom)
@@ -849,19 +849,32 @@ def count_builds(monkeypatch, *modules):
     return calls
 
 
+def refuse_tables(mp):
+    """Make every ``IndexTable`` made from here on, built or loaded, raise."""
+    def refuse(self):
+        raise AssertionError("an index table was made")
+
+    mp.setattr(IndexTable, "__post_init__", refuse)
+
+
 @pytest.mark.parametrize("config", ["toy", "fig3_constant_cost"])
 def test_simulate_and_bound_reuse_the_written_table(config, tmp_path, monkeypatch, capsys):
-    """After ``index`` into one --out, simulate and bound build no table and
-    write what cold runs write: the pinned simulate hashes, the cold bound."""
+    """After ``index`` into one --out, simulate builds no table and writes
+    the pinned hashes of cold runs; bound makes no table, warm or cold, says
+    nothing of one and writes a cold run's bound.json."""
     path = str(REPO / "configs" / f"{config}.json")
     warm, cold = str(tmp_path / "warm"), str(tmp_path / "cold")
-    assert cli.main(["bound", "--config", path, "--out", cold, "--verify-oracle"]) == 0
     assert cli.main(["index", "--config", path, "--out", warm]) == 0
-    builds = count_builds(monkeypatch, sim, bound)
+    builds = count_builds(monkeypatch, sim)
     assert cli.main(["simulate", "--config", path, "--out", warm, "--seeds", "8"]) == 0
-    assert cli.main(["bound", "--config", path, "--out", warm, "--verify-oracle"]) == 0
     assert builds == []
-    assert capsys.readouterr().out.count(f"reused {warm}/index_table.json\n") == 2
+    assert capsys.readouterr().out.count(f"reused {warm}/index_table.json\n") == 1
+    with monkeypatch.context() as mp:
+        refuse_tables(mp)
+        for out in (warm, cold):
+            assert cli.main(["bound", "--config", path, "--out", out, "--verify-oracle"]) == 0
+    said = capsys.readouterr().out
+    assert "reused" not in said and "building" not in said
     for name in ("episodes.csv", "summary.json"):
         got = hashlib.sha256((tmp_path / "warm" / name).read_bytes()).hexdigest()
         assert got == PINNED[("simulate", config, name)]
@@ -913,19 +926,25 @@ def _failed_check(path, inst, mp):
 ], ids=["other-discount", "edited-value", "truncated", "garbage", "json-list", "no-key",
         "other-version", "wrong-shape", "failed-check", "directory"])
 def test_unmatched_table_is_rebuilt(damage, tiny_config, tmp_path, monkeypatch, capsys):
-    """A table that is not provably the instance's is built again, and the
-    outputs are those of cold runs."""
+    """A table that is not provably the instance's is built again by
+    simulate, and the outputs are those of cold runs; bound makes no table
+    over it, says nothing of one and writes a cold run's bound.json."""
     out = tmp_path / "warm"
     assert cli.main(["index", "--config", str(tiny_config), "--out", str(out)]) == 0
     damage(out / "index_table.json", load_run_config(tiny_config).instance, monkeypatch)
-    builds = count_builds(monkeypatch, sim, bound)
+    builds = count_builds(monkeypatch, sim)
     for d in (out, tmp_path / "cold"):
         assert cli.main(["simulate", "--config", str(tiny_config), "--out", str(d)]) == 0
-        assert cli.main(["bound", "--config", str(tiny_config), "--out", str(d)]) == 0
     captured = capsys.readouterr()
-    assert builds == ["evbandit.sim", "evbandit.bound"] * 2
-    assert captured.out.count("building the index table: no ") == 4
-    assert captured.err == ""
+    assert builds == ["evbandit.sim"] * 2
+    assert captured.out.count("building the index table: no ") == 2
+    with monkeypatch.context() as mp:
+        refuse_tables(mp)
+        for d in (out, tmp_path / "cold"):
+            assert cli.main(["bound", "--config", str(tiny_config), "--out", str(d)]) == 0
+    said = capsys.readouterr()
+    assert "reused" not in said.out and "building" not in said.out
+    assert captured.err == said.err == ""
     for name in ("episodes.csv", "summary.json", "bound.json"):
         assert (out / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
 
