@@ -20,14 +20,15 @@ x + sum z <= 2 if x is feasible), whatever the hints: a wrong one only
 widens the bracket, which must lie within 1e-4 of the dual.
 
 The LP is written in vacancy form on ``model.extended_moves``' states s =
-(cs K + j) N_tau + tau: x(s, a) is the discounted frequency (1-beta) E sum
-beta^t 1{s, a}, and z(j, tau) the mass of x on the departing or empty
-chargers (T <= 1) of price state (j, tau), which the arrival law refills
-whatever their state and action.  Row s' = (cs', j', tau+1) reads sum_a
-x(s', a) = (1-beta) mu0(s') + beta sum P_tau(j, j') x(cs, j, tau, a) over the
-stays with ``next[a, cs]`` = cs' + beta sum_j ``arrival[tau, cs']`` P_tau(j,
-j') z(j, tau), mu0 the empty charger in period 0 at the stationary cost law;
-a.x = sum_s x(s, 1), and c = R / (1-beta).  This exact change of variables
+(cs K + j) N_tau + tau, the ravel index of (T, B, j, tau): x(s, a) is the
+discounted frequency (1-beta) E sum beta^t 1{s, a}, and z(j, tau) the mass
+of x on the departing or empty chargers (T <= 1) of price state (j, tau),
+which the arrival law refills whatever their state and action.  Row s' =
+(cs', j', tau+1) reads sum_a x(s', a) = (1-beta) mu0(s') + beta sum P_tau(j,
+j') x(cs, j, tau, a) over the stays with ``next[a, cs]`` = cs' + beta sum_j
+``arrival[tau, cs']`` P_tau(j, j') z(j, tau), mu0 the empty charger in
+period 0 at the stationary cost law; a.x = sum_s x(s, 1), and c = R /
+(1-beta).  This exact change of variables
 keeps the optimum of the LP with one column per state and action, each
 departing one carrying the whole refill, whose constraint matrix has two to
 four times as many nonzeros on the shipped configs.  A_eq is never built: the
@@ -121,7 +122,7 @@ def _basis_solver(problem: SubsidyProblem):
     z = np.linalg.solve(np.eye(m) - couple.T, reach.T @ np.bincount(at, b_eq[:n], len(reach)))
 
     def solve(act, price):
-        act = np.concatenate([act[0, :1], act[1:].reshape(-1, *act.shape[2:])]).ravel()
+        act = act.ravel()
         keep = np.flatnonzero(a == act[s])  # the basis's stays W
         keep = keep[np.argsort(s[keep], kind="stable")]
         src, dst, wk = s[keep], s2[keep], w[keep]

@@ -233,14 +233,17 @@ def check_size(t_max: int, b_max: int, n_periods: int, n_chargers: int = 0,
     The estimate counts the bytes of the largest arrays a command builds:
     LP_ENTRY_BYTES for each of the ``lp`` nonzeros of the occupancy LP that
     ``bound --verify-oracle`` certifies (``bound.lp_entries``), and as float64 entries
-    the arrival pmf, n_periods (t_max + 1) (b_max + 1), and per simulated
-    seed the block of uniforms ``sim.world_slots`` holds, a cost uniform and
-    two per charger for each of its _BLOCK slots.  No array grows with the
-    horizon; the work does.  The index work is the number of index states,
-    t_max b_max n_levels n_periods, times the bound 1 + t_max b_max n_levels
-    n_periods on a g_1's breakpoints.
+    the arrival pmf, n_periods (t_max + 1) (b_max + 1), the bound's
+    3 (t_max + 1) + 2 dense (n_levels n_periods)^2 price-state arrays at the
+    certificate's peak (by tracemalloc), and per simulated seed the block of
+    uniforms ``sim.world_slots`` holds, a cost uniform and two per charger
+    for each of its _BLOCK slots.  No array grows with the horizon; the work
+    does.  The index work is the number of index states, t_max b_max
+    n_levels n_periods, times the bound 1 + t_max b_max n_levels n_periods on
+    a g_1's breakpoints.
     """
     floats = n_periods * (t_max + 1) * (b_max + 1) + n_seeds * _BLOCK * (1 + 2 * n_chargers)
+    floats += (3 * (t_max + 1) + 2) * (n_levels * n_periods) ** 2
     size = 8 * floats + LP_ENTRY_BYTES * lp
     work = n_seeds * horizon * n_chargers
     states = t_max * b_max * n_levels * n_periods

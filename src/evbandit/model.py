@@ -257,13 +257,6 @@ class Instance:
         top = 1.0 + float(np.abs(self.cost.values).max()) + float(self.penalty(self.b_max))
         return top / (1.0 - self.discount)
 
-    def charger_index(self, t, b):
-        """Position of (T, B) on the charger-state grid of ``charger_law``: the
-        empty charger (0, 0) is 0, then occupied (T, B) row-major.  Works on
-        arrays."""
-        t = np.asarray(t)
-        return np.where(t >= 1, (t - 1) * (self.b_max + 1) + b + 1, 0)
-
 
 def instance_sha256(instance: Instance, h=None) -> str:
     """sha256 of each field's name and value's dtype, shape and bytes, nested ones too."""
@@ -301,13 +294,15 @@ def serve(t, b, a):
 
 @dataclass(frozen=True)
 class ChargerLaw:
-    """``serve`` tabulated over the charger-state grid (see ``charger_index``).
+    """``serve`` tabulated over the (T, B) grid of ``IndexTable.values``:
+    state i is (T, B) = divmod(i, b_max + 1), the empty charger 0.
 
     ``T[i]``, ``B[i]``: the state at grid index i.  ``next[a, i]``: the next
     slot's state of a charger in state i that stays (T >= 2) under action a;
     0 where it departs or stays empty (T <= 1), and then, whatever its state
     and action, ``arrival[tau]`` refills it: empty with probability
-    1 - rho(tau), state i2 >= 1 with rho(tau) pmf(tau)(T[i2], B[i2]).
+    1 - rho(tau), state i2 with rho(tau) pmf(tau)(T[i2], B[i2]).  No charger
+    enters a cell T = 0, B >= 1, which ``serve`` treats as empty.
     ``reward[a, i, j]``: one-slot reward at cost level j.
     """
 
@@ -320,21 +315,21 @@ class ChargerLaw:
 
 def charger_law(instance: Instance) -> ChargerLaw:
     """Tabulate ``serve`` and the arrival law over the charger-state grid."""
-    inst = instance
+    inst, width = instance, instance.b_max + 1
     rho = inst.arrivals.rho[:, None]
-    t = np.concatenate([[0], np.repeat(np.arange(1, inst.t_max + 1), inst.b_max + 1)])
-    b = np.concatenate([[0], np.tile(np.arange(inst.b_max + 1), inst.t_max)])
+    t, b = np.divmod(np.arange((inst.t_max + 1) * width), width)
     eff, due, b_next = serve(t, b, np.array([[False], [True]]))
-    nxt = inst.charger_index(np.maximum(t - 1, 0), b_next)  # 0 where the charger departs
-    arrival = np.hstack([1.0 - rho, rho * inst.arrivals.pmf[:, 1:].reshape(rho.size, -1)])
+    nxt = np.maximum(t - 1, 0) * width + b_next  # 0 where the charger departs
+    arrival = rho * inst.arrivals.pmf.reshape(rho.size, -1)  # exact: pmf(tau)(0, 0) = 0
+    arrival[:, 0] += 1.0 - rho[:, 0]
     reward = np.where(eff[..., None], 1.0 - inst.cost.values, 0.0) - inst.penalty.table[due, None]
     return ChargerLaw(t, b, nxt, arrival, reward)
 
 
 def extended_moves(instance: Instance, law: ChargerLaw):
-    """``law`` lifted onto the extended states s = (cs K + j) N_tau + tau
-    (cs the ``charger_index``) as the entries of one slot's step: ``stay`` =
-    (a, s, s2, P_tau(j, j2)) for a charger with T >= 2 and each action a, and
+    """``law`` lifted onto the extended states s = (cs K + j) N_tau + tau, the
+    ravel index of (T, B, j, tau), as the entries of one slot's step: ``stay``
+    = (a, s, s2, P_tau(j, j2)) for a charger with T >= 2 and each action a, and
     ``refill`` = (v, s2, arrival_tau(cs2) P_tau(j, j2)) for the ``vacant``
     states (T <= 1) of the price state v = j N_tau + tau = s mod K N_tau,
     whatever their action.  Value iteration sweeps them; ``bound``'s

@@ -68,9 +68,7 @@ def whittle_key(t: np.ndarray, b: np.ndarray, j: np.ndarray, tau: int, table: In
     stack several policies' (S, N) demands on ``t``, and ``tau`` may be an
     array that broadcasts against them: one gather serves them all.
     """
-    _, b_cap, k, nt = table.values.shape
-    base = (t * (b_cap * k) + np.asarray(j).reshape(-1, 1)) * nt + tau % nt
-    rank = table.rank.ravel()[base + b * (k * nt)]
+    rank = table.rank[t, b, np.asarray(j).reshape(-1, 1), tau % table.rank.shape[3]]
     return rank, rank < table.n_positive
 
 

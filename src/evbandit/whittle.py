@@ -233,12 +233,13 @@ def value_iteration_sweeps(r_sup: float, beta: float, tol: float) -> int:
 def subsidy_value_iteration(instance: Instance, nu: float, tol: float = 1e-9):
     """Value iteration for the single-charger problem with passivity subsidy nu.
 
-    Returns (V, actions) over the extended states s = (cs K + j) N_tau + tau
-    of ``model.extended_moves``, whose entries each sweep adds up: one
-    bincount for the staying moves of both actions, and one for the refill
-    rows of the price states, which every vacant state of a price state takes
-    under either action.  Actions break ties toward passive.  Runs enough
-    sweeps that the sup-norm error from the cold start is at most ``tol``.
+    Returns (V, actions) over the states of ``model.extended_moves``, which
+    reshape to ``IndexTable.values``' grid (a cell T = 0, B >= 1 holds the
+    empty charger's), whose entries each sweep adds up: one bincount for the
+    staying moves of both actions, and one for the refill rows of the price
+    states, which every vacant state of a price state takes under either
+    action.  Actions break ties toward passive.  Runs enough sweeps that the
+    sup-norm error from the cold start is at most ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -301,15 +302,12 @@ class SubsidySolution:
 
     ``values[0, 0]`` is the empty-charger value; ``values[0, B>0]`` is unused
     and zero.  ``actions`` holds the optimal action (ties passive).
-    ``arrival_value[j, tau]`` is the expected value of the state occupying a
-    slot at period tau right after a departure in period tau - 1.
     ``activations`` (laid out like ``values``) is E sum_t beta^t a_t under
     ``actions``, so the slope of ``values`` in nu is 1/(1 - beta) minus it.
     """
 
     values: np.ndarray
     actions: np.ndarray
-    arrival_value: np.ndarray
     activations: np.ndarray
 
 
@@ -402,7 +400,7 @@ def solve_subsidy(problem: SubsidyProblem, nu: float) -> SubsidySolution:
     d = np.array([(power @ a_vec).T.reshape(2, K, nt) for power in problem.price_powers])
     local[:, 1:] += d[1:].transpose(1, 0, 2, 3)[:, :, None]  # the continuation back on
     local[:, 0, 0] = empty + d[1]
-    return SubsidySolution(local[0], act, a_vec[:, 0].reshape(K, nt), local[1])
+    return SubsidySolution(local[0], act, local[1])
 
 
 def index_by_bisection(instance: Instance) -> np.ndarray:

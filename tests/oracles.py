@@ -33,6 +33,11 @@ cost, kept as an oracle; ``reference_index_table`` is
 every call built its own price powers, G and arrival mix, and
 ``reference_exact_dual`` ``bound._exact_dual`` as it was when it searched
 the index table's kinks.
+Every oracle numbers a charger's states as ``charger_law`` does, (T, B) at
+T (b_max + 1) + B, and the extended states as ``state_id`` does, the ravel
+index of (T, B, j, tau) on the grid of ``IndexTable.values``, so an array
+laid out like that table ravels in their order.  The cells T = 0, B >= 1,
+which no charger enters, are kept as empty chargers.
 Tests import this module as ``oracles`` (``tests/`` is on ``sys.path``);
 pytest does not collect it.
 """
@@ -70,10 +75,11 @@ def dense_move(law: ChargerLaw) -> np.ndarray:
 
 
 def state_id(instance: Instance, T: int, B: int, j: int, tau: int) -> int:
-    """The id (cs K + j) N_tau + tau of extended state (T, B, cost level j,
-    period tau), cs its ``charger_index``: ``arm_mdp``'s and
+    """The id of extended state (T, B, cost level j, period tau), its ravel
+    index on the grid of ``IndexTable.values``: ``arm_mdp``'s and
     ``whittle.subsidy_value_iteration``'s order."""
-    return int((instance.charger_index(T, B) * instance.cost.n_levels + j) * instance.n_periods + tau)
+    shape = (instance.t_max + 1, instance.b_max + 1, instance.cost.n_levels, instance.n_periods)
+    return int(np.ravel_multi_index((T, B, j, tau), shape))
 
 
 def policy_kernel(name: str, instance: Instance, table: IndexTable | None = None):
@@ -320,10 +326,8 @@ def activation_frequency(instance: Instance, lam: float) -> float:
     every activation for lam >= 0."""
     P0, P1, _, _, mu0 = arm_mdp(instance)
     sol = whittle.solve_subsidy(whittle.SubsidyProblem.of(instance), lam)
-    law = charger_law(instance)
-    T, B = law.T, law.B
-    # sol.actions[T, B] is (n_cs, K, N_tau), which ravels in state-id order
-    act = ((B > 0)[:, None, None] & (sol.actions[T, B] > 0)).ravel()
+    demand = np.arange(instance.b_max + 1)[:, None, None]
+    act = ((demand > 0) & (sol.actions > 0)).ravel()  # sol.actions ravels in state-id order
     rows = np.where(act[:, None], P1, P0)
     beta = instance.discount
     occ = np.linalg.solve(np.eye(act.size) - beta * rows.T, (1.0 - beta) * mu0)
@@ -383,7 +387,7 @@ def reference_solve_subsidy(instance: Instance, nu: float) -> whittle.SubsidySol
     d = np.array([(powers[t] @ a_vec).T.reshape(2, K, nt) for t in range(t_bar + 1)])
     local[:, 1:] += d[1:].transpose(1, 0, 2, 3)[:, :, None]  # the continuation back on
     local[:, 0, 0] = empty + d[1]
-    return whittle.SubsidySolution(local[0], act, a_vec[:, 0].reshape(K, nt), local[1])
+    return whittle.SubsidySolution(local[0], act, local[1])
 
 
 
@@ -494,8 +498,7 @@ def basis_by_spsolve(lp: OccupancyLP, act: np.ndarray, price: float = 0.0):
     from scipy.sparse.linalg import spsolve
 
     n = lp.n_states
-    act = np.concatenate([act[0, :1], act[1:].reshape(-1, *act.shape[2:])]).ravel()
-    cols = np.r_[np.arange(n) + n * act.astype(np.intp), 2 * n : lp.c.size]
+    cols = np.r_[np.arange(n) + n * act.ravel().astype(np.intp), 2 * n : lp.c.size]
     basis = lp_matrices(lp)[0].tocsc()[:, cols]
     x = np.zeros(lp.c.size)
     x[cols] = spsolve(basis, lp.b_eq)

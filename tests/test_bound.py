@@ -285,7 +285,7 @@ class TestSubsidyProblem:
 
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_bit_for_bit_the_per_call_build(self, name):
-        """All four arrays equal those of ``oracles.reference_solve_subsidy``,
+        """All three arrays equal those of ``oracles.reference_solve_subsidy``,
         which builds those parts on every call and adds a0 up in a loop, at
         subsidies either side of 0, at lambda* and past every index."""
         inst = solve_case(name)
@@ -294,7 +294,7 @@ class TestSubsidyProblem:
         lam = solve_bound(inst).lam
         for nu in (-0.1, 0.0, 0.3, lam, float(table.values.max()) + 1.0):
             got, want = solve_subsidy(problem, nu), reference_solve_subsidy(inst, nu)
-            for field in ("values", "actions", "arrival_value", "activations"):
+            for field in ("values", "actions", "activations"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (field, nu)
 
     @pytest.mark.parametrize("verify", [False, True])
@@ -399,6 +399,26 @@ class TestCertificate:
         assert rc == 3
         assert len(err) == 1 and err[0].startswith("verification failure: LP bracket")
         assert not (tmp_path / "bound.json").exists()
+
+
+@pytest.mark.parametrize("name", VACANCY_CASES)
+def test_certificate_leaves_the_unused_cells_empty(name, monkeypatch):
+    """The certificate's occupancy, the x that ``_certify`` checks, is exactly 0
+    under both actions on the cells T = 0, B >= 1, which no charger enters,
+    and positive on the empty charger."""
+    seen, real = [], bound._basis_solver
+
+    def spy(problem):
+        vectors, solve, residual, reduced = real(problem)
+        return vectors, solve, lambda x: seen.append(x) or residual(x), reduced
+
+    monkeypatch.setattr(bound, "_basis_solver", spy)
+    inst = vacancy_case(name)
+    solve_bound(inst, verify=True)
+    shape = (2, inst.t_max + 1, inst.b_max + 1, inst.cost.n_levels, inst.n_periods)
+    (x,) = seen
+    x = x[: np.prod(shape)].reshape(shape)
+    assert np.all(x[:, 0, 1:] == 0.0) and x[:, 0, 0].sum() > 0.0
 
 
 class TestBasisSweep:

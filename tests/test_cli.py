@@ -487,6 +487,27 @@ def test_index_over_its_work_budget_exits_2_before_building(tmp_path, capsys, mo
     assert peak < 5 << 20
 
 
+@pytest.mark.parametrize("command", ["index", "simulate", "bound"])
+def test_price_states_over_the_memory_budget_exit_2(command, tmp_path, capsys):
+    """8,000 periods of one cost level: the bound's dense (8,000, 8,000)
+    price-state arrays would take some 4 GiB, over the memory budget; every
+    command refuses the config before it builds anything."""
+    p = tmp_path / "cfg.json"
+    doc = {"instance": {"t_max": 1, "b_max": 1, "arrivals": {"n_periods": 8000}}}
+    p.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: run too large: its arrays") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert peak < 5 << 20
+
+
 @pytest.mark.parametrize("command", ["index", "bound"])
 def test_no_chargers_exits_2(command, tmp_path, capsys):
     """Every command refuses a station without chargers (simulate: the
@@ -693,9 +714,9 @@ def test_tied_indexes_at_a_large_penalty_pass_the_monotonicity_check(tmp_path):
 
 def test_long_stay_runs_every_command(tmp_path):
     """A 12-hour stay in 5-minute slots: t_max = 144, b_max = 60 and one cost
-    level give 8,785 charger states, whose dense move table (1,177 MiB) the
-    size check refused before the law was kept as next-state indices; bound
-    --verify-oracle certifies its bound too."""
+    level give 8,845 charger states on the (T, B) grid, whose dense move table
+    (1,194 MiB) is over the memory budget, so the law is kept as next-state
+    indices; bound --verify-oracle certifies its bound too."""
     config = tmp_path / "long_stay.json"
     config.write_text(json.dumps({"instance": {"t_max": 144, "b_max": 60}, "seeds": 2,
                                   "horizon": 200}))

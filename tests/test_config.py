@@ -233,11 +233,23 @@ class TestSizeBudget:
             check_size(1, 1, 1, n_chargers=2, n_seeds=4, horizon=WORK_BUDGET // 8 + 1)
 
     def test_index_budget_is_inclusive(self):
-        # 46,340 states x (1 + 46,340) is just within the budget, one more state is over
+        # 46,340 states x (1 + 46,340) is just within the budget, one more state is
+        # over; the states run along T, as 46,340 cost levels would square past
+        # the memory budget first
         assert 46_340 * 46_341 <= INDEX_BUDGET < 46_341 * 46_342
-        check_size(1, 1, 1, n_levels=46_340)
+        check_size(46_340, 1, 1, n_levels=1)
         with pytest.raises(ConfigError, match="run too large: its index table"):
-            check_size(1, 1, 1, n_levels=46_341)
+            check_size(46_341, 1, 1, n_levels=1)
+
+    def test_price_state_arrays_are_counted(self):
+        # t_max = b_max = 1 and one cost level: the pmf's 4 N floats and the
+        # bound's 8 dense (N, N) price-state arrays fit up to N = 4,095
+        assert 4 * 4_095 + 8 * 4_095**2 <= MEMORY_BUDGET // 8 < 4 * 4_096 + 8 * 4_096**2
+        check_size(1, 1, 4_095, n_levels=1)
+        with pytest.raises(ConfigError, match="run too large: its arrays"):
+            check_size(1, 1, 4_096, n_levels=1)
+        with pytest.raises(ConfigError, match="run too large: its arrays"):
+            check_size(1, 1, 1, n_levels=4_096)
 
     def test_default_horizon_is_counted(self, tmp_path):
         # two seeds, but the discount-tail cutoff is about 7e11 slots
@@ -253,9 +265,9 @@ class TestSizeBudget:
         assert lp_entries(inst) == a_eq.nnz and np.all(a_eq.data != 0.0)
 
     def test_counting_lp_entries_builds_no_lp(self, tmp_path):
-        # a 12-hour stay in 5-minute slots: 1 + 144 * 61 charger states, whose
-        # dense move table, 2 * 8,785^2 floats, the size check once counted
-        # (1,177 MiB); the LP's A_eq has 42,012 nonzeros
+        # a 12-hour stay in 5-minute slots: 145 * 61 charger states on the (T, B)
+        # grid, whose dense move table, 2 * 8,845^2 floats (1,194 MiB), is over
+        # the memory budget; the LP's A_eq has 42,252 nonzeros
         path = write_config(tmp_path, {"instance": {"t_max": 144, "b_max": 60}})
         tracemalloc.start()
         try:
@@ -264,7 +276,7 @@ class TestSizeBudget:
         finally:
             tracemalloc.stop()
         assert peak < 5 << 20
-        assert lp_entries(inst) == 42_012
+        assert lp_entries(inst) == 42_252
 
     def test_fitted_periods_must_match_the_arrivals(self):
         doc = {"cost": {"file": str(FIXTURE_CSV), "k": 2, "n_periods": 24}}

@@ -10,6 +10,7 @@ from evbandit.model import (
     Instance,
     PenaltyFunction,
     charger_law,
+    extended_moves,
     instance_sha256,
     serve,
 )
@@ -117,9 +118,9 @@ class TestInstance:
         inst = make_instance(t_max=3, b_max=2)
         law = charger_law(inst)
         assert (law.T[0], law.B[0]) == (0, 0)  # the empty charger
-        assert law.T.size == 1 + 3 * 3
-        assert np.all((1 <= law.T[1:]) & (law.T[1:] <= 3) & (0 <= law.B[1:]) & (law.B[1:] <= 2))
-        assert np.array_equal(inst.charger_index(law.T, law.B), np.arange(law.T.size))
+        assert law.T.size == 4 * 3
+        assert np.all((0 <= law.T) & (law.T <= 3) & (0 <= law.B) & (law.B <= 2))
+        assert np.array_equal(charger_id(inst, law.T, law.B), np.arange(law.T.size))
 
     def test_periodic_cost_must_match_arrival_periods(self):
         p = np.array([[0.7, 0.3], [0.4, 0.6]])
@@ -147,12 +148,17 @@ class TestInstance:
         assert len(hashes) == len(variants) + 1
 
 
+def charger_id(inst, t, b):
+    """The law's state id of (T, B): T (b_max + 1) + B, the grid of ``IndexTable.values``."""
+    return np.asarray(t) * (inst.b_max + 1) + b
+
+
 def reward_at(inst, a, t, b, j):
-    return charger_law(inst).reward[a, inst.charger_index(t, b), j]
+    return charger_law(inst).reward[a, charger_id(inst, t, b), j]
 
 
 def move_row(inst, a, t, b, tau=0):
-    return oracles.dense_move(charger_law(inst))[a, tau, inst.charger_index(t, b)]
+    return oracles.dense_move(charger_law(inst))[a, tau, charger_id(inst, t, b)]
 
 
 class TestReward:
@@ -202,18 +208,19 @@ class TestSuccessorDistribution:
     def test_countdown_is_deterministic(self, toy_dynamic):
         for a, nxt in ((1, (2, 1)), (0, (2, 2))):
             row = move_row(toy_dynamic, a, 3, 2)
-            assert row[toy_dynamic.charger_index(*nxt)] == 1.0
+            assert row[charger_id(toy_dynamic, *nxt)] == 1.0
             assert np.count_nonzero(row) == 1
 
     def test_departure_mixes_vacancy_and_arrivals(self, toy_dynamic):
         law = charger_law(toy_dynamic)
         rho = toy_dynamic.arrivals.rho_for(0)
         pmf = toy_dynamic.arrivals.pmf_for(0)
-        want = np.concatenate([[1.0 - rho], rho * pmf[1:].ravel()])
+        want = rho * pmf.ravel()
+        want[0] += 1.0 - rho
         for a in (0, 1):
             row = move_row(toy_dynamic, a, 1, 1)
             assert row == pytest.approx(want)
-        assert np.array_equal(toy_dynamic.charger_index(law.T, law.B), np.arange(law.T.size))
+        assert np.array_equal(charger_id(toy_dynamic, law.T, law.B), np.arange(law.T.size))
 
     def test_empty_charger_waits_for_arrival(self, toy_dynamic):
         row = move_row(toy_dynamic, 0, 0, 0)
@@ -236,6 +243,38 @@ class TestSuccessorDistribution:
         assert law.next.shape == (2, law.T.size)
         assert law.arrival.shape == (toy_dynamic.n_periods, law.T.size)
         assert np.array_equal(law.next == 0, np.broadcast_to(law.T <= 1, law.next.shape))
+
+    def test_no_charger_enters_the_cells_t0_b_positive(self, toy_dynamic):
+        law = charger_law(toy_dynamic)
+        unused = (law.T == 0) & (law.B > 0)
+        assert np.count_nonzero(unused) == toy_dynamic.b_max
+        assert not np.isin(np.flatnonzero(unused), law.next).any()
+        assert np.all(law.arrival[:, unused] == 0.0)
+
+    def test_extended_moves_ravel_the_index_table_grid(self):
+        """Each entry of ``extended_moves``, its states decoded as ravel indices
+        of the (T, B, j, tau) grid of ``IndexTable.values``, is the move that
+        ``serve``, the cost chain and the arrival law make."""
+        inst = make_instance(t_max=4, b_max=2, rho=[0.3, 1.0], n_periods=2, cost=TWO_STATE_COST)
+        k, nt = inst.cost.n_levels, inst.n_periods
+        shape = (inst.t_max + 1, inst.b_max + 1, k, nt)
+        grid_t = np.indices(shape)[0].ravel()
+        P, rho, pmf = inst.cost.matrix_for(np.arange(nt)), inst.arrivals.rho, inst.arrivals.pmf
+        (a, s, s2, p), (v, r2, q), vacant = extended_moves(inst, charger_law(inst))
+        t, b, j, tau = np.unravel_index(s, shape)
+        _, _, b_next = serve(t, b, a.astype(bool))
+        j2 = np.unravel_index(s2, shape)[2]
+        assert np.array_equal(np.unique(a * grid_t.size + s),
+                              np.flatnonzero(np.tile(grid_t >= 2, 2)))  # every stay, both actions
+        assert np.array_equal(s2, np.ravel_multi_index((t - 1, b_next, j2, (tau + 1) % nt), shape))
+        assert np.array_equal(p, P[tau, j, j2]) and np.all(p > 0)
+        j, tau = np.divmod(v, nt)
+        t2, b2, j2, tau2 = np.unravel_index(r2, shape)
+        assert np.array_equal(tau2, (tau + 1) % nt)
+        empty = (t2 == 0) & (b2 == 0)
+        arrival = np.where(empty, 1.0 - rho[tau], rho[tau] * pmf[tau, t2, b2])
+        np.testing.assert_array_equal(q, arrival * P[tau, j, j2])
+        assert np.array_equal(vacant, np.flatnonzero(grid_t <= 1))
 
 
 class TestSystemStep:

@@ -275,7 +275,7 @@ class TestExactOracles:
         actions = np.array(table["actions"], dtype=bool)
 
         def dp_kernel(t, b, j, tau):
-            ids = tuple(toy_dynamic.charger_index(t, b).T)
+            ids = tuple((t * (toy_dynamic.b_max + 1) + b).T)  # the law's state ids
             return actions[table["choice"][tau][ids + (j,)]], None
 
         assert evaluate_policy_exact(toy_dynamic, dp_kernel, tol=1e-9) == pytest.approx(
